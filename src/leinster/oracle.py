@@ -124,7 +124,6 @@ class FiniteGroup:
     __slots__ = (
         "order",
         "table",
-        "element_labels",
         "_gens",
         "_rows",
         "_inv",
@@ -132,7 +131,7 @@ class FiniteGroup:
         "_digest",
     )
 
-    def __init__(self, table, element_labels: list[str] | None = None):
+    def __init__(self, table):
         arr = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"multiplication table must be square, got {arr.shape}")
@@ -150,12 +149,9 @@ class FiniteGroup:
             raise ValueError("table is not a Latin square")
         gens = _find_generators(arr)
         _check_associativity(arr, gens)
-        if element_labels is not None and len(element_labels) != n:
-            raise ValueError("element_labels length must equal the group order")
         arr.setflags(write=False)
         self.order = n
         self.table = arr
-        self.element_labels = list(element_labels) if element_labels else None
         self._gens = gens
         self._rows = None
         self._inv = None
@@ -169,16 +165,10 @@ class FiniteGroup:
             self._rows = self.table.tolist()
         return self._rows
 
-    def mul(self, a: int, b: int) -> int:
-        return self.rows[a][b]
-
     def inverses(self) -> list[int]:
         if self._inv is None:
             self._inv = np.argmax(self.table == 0, axis=1).tolist()
         return self._inv
-
-    def inv(self, a: int) -> int:
-        return self.inverses()[a]
 
     def element_orders(self) -> list[int]:
         if self._orders is None:

@@ -134,10 +134,60 @@ def test_generalized_dihedral_agrees_with_cyclic_case():
 
 def test_generalized_dihedral_examples():
     assert fam.generalized_dihedral_divisor_sum([2, 2]) == 51
-    assert fam.generalized_dihedral_divisor_sum([2, 2]) == oracle.group_divisor_sum(
-        oracle.build_generalized_dihedral([2, 2])
-    )
     assert fam.generalized_dihedral_divisor_sum([1]) == 3
+    assert fam.generalized_dihedral_divisor_sum([]) == 3  # Dih(1) = C2
+    assert fam.generalized_dihedral_divisor_sum([6, 4]) == 348
+    assert fam.generalized_dihedral_divisor_sum([3, 5]) == fam.dihedral_divisor_sum(15)
+    assert fam.generalized_dihedral_divisor_sum([1, 2]) == fam.dihedral_divisor_sum(2)
+    # factor lists that are not invariant-factor chains
+    for factors in ([2, 2], [6, 4], [3, 5], [1, 2], [4, 1, 6]):
+        assert fam.generalized_dihedral_divisor_sum(factors) == oracle.group_divisor_sum(
+            oracle.build_generalized_dihedral(factors)
+        ), factors
+    for bad in ([0], [2, 0], [3, -2]):
+        with pytest.raises(ValueError):
+            fam.generalized_dihedral_divisor_sum(bad)
+
+
+def _oracle_on_a_dihedral_sum(chain):
+    # the former implementation: enumerate A's subgroup lattice with the oracle
+    a = oracle.build_abelian(chain)
+    subs = oracle.all_subgroups(a)
+    squares = {a.rows[x][x] for x in range(a.order)}
+    containing = sum(1 for s in subs if squares.issubset(s.elements))
+    return sum(s.order for s in subs) + 2 * a.order * containing
+
+
+def test_generalized_dihedral_closed_form_matches_oracle_on_a():
+    chains = oracle.abelian_types(127)
+    assert len(chains) == 232  # the trivial group's empty chain included
+    for chain in chains:
+        assert fam.generalized_dihedral_divisor_sum(chain) == _oracle_on_a_dihedral_sum(
+            chain
+        ), chain
+
+
+def test_generalized_dihedral_closed_form_matches_oracle_on_dih_a():
+    for chain in oracle.abelian_types(32):
+        assert fam.generalized_dihedral_divisor_sum(chain) == oracle.group_divisor_sum(
+            oracle.build_generalized_dihedral(chain)
+        ), chain
+
+
+def test_generalized_dihedral_beyond_the_oracle_cap():
+    # A = C2^9: subgroup orders sum_k 2^k [9, k]_2, and 8283458 subgroups
+    # all contain A^2 = 1, each adding 2|A| = 1024
+    gauss = [1]
+    for k in range(1, 10):
+        gauss.append(gauss[-1] * (2 ** (10 - k) - 1) // (2**k - 1))
+    assert sum(gauss) == 8283458
+    want = sum(2**k * g for k, g in enumerate(gauss)) + 1024 * sum(gauss)
+    assert fam.generalized_dihedral_divisor_sum([2] * 9) == want == 8703733139
+    assert fam.generalized_dihedral_divisor_sum([1024]) == fam.dihedral_divisor_sum(1024)
+
+
+def test_families_does_not_import_the_oracle():
+    assert not hasattr(fam, "oracle")
 
 
 def test_dicyclic_divisor_sum():
