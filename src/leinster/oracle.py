@@ -4,7 +4,9 @@ Groups are dense Cayley tables over elements 0..order-1 with the identity at
 index 0.  The module provides builders for the group families treated
 elsewhere in the package, full subgroup and normal-subgroup enumeration by
 closure fixpoint, quotients, and the normal-subgroup order sum that the
-closed-form family code is checked against.
+closed-form family code is checked against.  Each distinct table is
+validated once per process, keyed by the same blake2b digest that keys the
+subgroup-lattice cache.
 
 Orders above a configurable cap (default 512, override with the
 LEINSTER_ORACLE_CAP environment variable) are refused outright; the oracle
@@ -16,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,7 @@ __all__ = [
     "build_zm",
     "group_divisor_sum",
     "is_nilpotent",
+    "iter_abelian_types",
     "normal_subgroups",
     "order_cap",
     "order_two_elements",
@@ -51,6 +55,11 @@ ORDER_CAP_ENV = "LEINSTER_ORACLE_CAP"
 # Enumeration results keyed by table digest; identical tables recur heavily in
 # the verification corpus (quotients, direct products), so this is load-bearing.
 _LATTICE_CACHE: dict[bytes, tuple[tuple[int, bool], ...]] = {}
+
+# Generating sets of the tables that passed validation, under the same digest:
+# verify rebuilds the same quotient and product tables thousands of times, and
+# each distinct table is validated only the first time it is built.
+_VALIDATED: dict[bytes, tuple[int, ...]] = {}
 
 
 class OrderCapError(Exception):
@@ -100,7 +109,7 @@ def _find_generators(arr: np.ndarray) -> list[int]:
     return gens
 
 
-def _check_associativity(arr: np.ndarray, gens: list[int]) -> None:
+def _check_associativity(arr: np.ndarray, gens: tuple[int, ...]) -> None:
     """Exact associativity check via Light's test.
 
     A table with identity is associative iff (a*g)*c == a*(g*c) for all a, c
@@ -118,7 +127,11 @@ class FiniteGroup:
 
     table[i][j] is the index of the product of elements i and j; index 0 is
     the identity.  Construction validates the Latin-square property and
-    associativity, so downstream code can trust the table blindly.
+    associativity, so downstream code can trust the table blindly.  Each
+    distinct table is validated once per process: the generating set found
+    then is kept under the table's digest (the key of the lattice cache), and
+    a later build of an equal table reuses it.  A table that fails validation
+    is not kept and raises every time it is built.
     """
 
     __slots__ = (
@@ -137,18 +150,27 @@ class FiniteGroup:
             raise ValueError(f"multiplication table must be square, got {arr.shape}")
         n = int(arr.shape[0])
         _check_cap(n)
-        if arr.min(initial=0) < 0 or arr.max(initial=0) >= n:
-            raise ValueError("table entries must be element indices in [0, order)")
-        idx = np.arange(n, dtype=np.int32)
-        if not (np.array_equal(arr[0], idx) and np.array_equal(arr[:, 0], idx)):
-            raise ValueError("index 0 must act as the identity")
-        if not (
-            np.array_equal(np.sort(arr, axis=1), np.broadcast_to(idx, arr.shape))
-            and np.array_equal(np.sort(arr, axis=0), np.broadcast_to(idx[:, None], arr.shape))
-        ):
-            raise ValueError("table is not a Latin square")
-        gens = _find_generators(arr)
-        _check_associativity(arr, gens)
+        h = hashlib.blake2b(digest_size=16)
+        h.update(n.to_bytes(4, "little"))
+        h.update(arr.tobytes())
+        digest = h.digest()
+        gens = _VALIDATED.get(digest)
+        if gens is None:
+            if arr.min(initial=0) < 0 or arr.max(initial=0) >= n:
+                raise ValueError("table entries must be element indices in [0, order)")
+            idx = np.arange(n, dtype=np.int32)
+            if not (np.array_equal(arr[0], idx) and np.array_equal(arr[:, 0], idx)):
+                raise ValueError("index 0 must act as the identity")
+            if not (
+                np.array_equal(np.sort(arr, axis=1), np.broadcast_to(idx, arr.shape))
+                and np.array_equal(
+                    np.sort(arr, axis=0), np.broadcast_to(idx[:, None], arr.shape)
+                )
+            ):
+                raise ValueError("table is not a Latin square")
+            gens = tuple(_find_generators(arr))
+            _check_associativity(arr, gens)
+            _VALIDATED[digest] = gens
         arr.setflags(write=False)
         self.order = n
         self.table = arr
@@ -156,7 +178,7 @@ class FiniteGroup:
         self._rows = None
         self._inv = None
         self._orders = None
-        self._digest = None
+        self._digest = digest
 
     @property
     def rows(self) -> list[list[int]]:
@@ -197,11 +219,7 @@ class FiniteGroup:
         return list(self._gens)
 
     def digest(self) -> bytes:
-        if self._digest is None:
-            h = hashlib.blake2b(digest_size=16)
-            h.update(self.order.to_bytes(4, "little"))
-            h.update(self.table.tobytes())
-            self._digest = h.digest()
+        """blake2b digest of the order and the table, fixed at construction."""
         return self._digest
 
     def __repr__(self) -> str:
@@ -463,40 +481,36 @@ def group_divisor_sum(group: FiniteGroup) -> int:
 
 
 def quotient(group: FiniteGroup, sub: Subgroup) -> FiniteGroup:
-    """Quotient by a normal subgroup; the identity coset gets index 0."""
+    """Quotient by a normal subgroup; the identity coset gets index 0.
+
+    Cosets are numbered by their smallest element, in increasing order.
+    """
     n = group.order
-    rows = group.rows
-    elems = list(sub.elements)
-    mask = 0
-    for e in elems:
+    table = group.table
+    for e in sub.elements:
         if not 0 <= e < n:
             raise ValueError(f"subgroup element {e} outside the parent group")
-        mask |= 1 << e
-    if not mask & 1:
+    idx = np.asarray(sub.elements, dtype=np.intp)
+    member = np.zeros(n, dtype=bool)
+    member[idx] = True
+    if not member[0]:
         raise ValueError("subgroup must contain the identity")
-    for a in elems:
-        for b in elems:
-            if not mask >> rows[a][b] & 1:
-                raise ValueError("quotient requires a subgroup: set is not closed")
-    if n % len(elems) != 0:
+    if not member[table[idx[:, None], idx]].all():
+        raise ValueError("quotient requires a subgroup: set is not closed")
+    if n % idx.size != 0:
         raise ValueError("subgroup order does not divide the group order")
-    inv = group.inverses()
-    for g in group.generators():
-        for a in elems:
-            if not mask >> rows[rows[g][a]][inv[g]] & 1:
-                raise ValueError("quotient requires a normal subgroup")
+    gens = np.asarray(group.generators(), dtype=np.intp)
+    inv = np.asarray(group.inverses(), dtype=np.intp)
+    if not member[table[table[gens[:, None], idx], inv[gens][:, None]]].all():
+        raise ValueError("quotient requires a normal subgroup")
 
-    rep_of = [-1] * n
-    reps: list[int] = []
-    for x in range(n):
-        if rep_of[x] >= 0:
-            continue
-        for a in elems:
-            rep_of[rows[a][x]] = x
-        reps.append(x)
-    index = {x: i for i, x in enumerate(reps)}
-    table = [[index[rep_of[rows[a][b]]] for b in reps] for a in reps]
-    return FiniteGroup(table)
+    # the coset Nx is the column x of the rows of N; its smallest element is
+    # its representative
+    rep_of = table[idx].min(axis=0)
+    reps = np.flatnonzero(rep_of == np.arange(n))
+    index = np.zeros(n, dtype=np.intp)
+    index[reps] = np.arange(reps.size)
+    return FiniteGroup(index[rep_of[table[reps[:, None], reps]]])
 
 
 def is_nilpotent(group: FiniteGroup) -> bool:
@@ -630,24 +644,27 @@ def build_affine_prime(p: int) -> FiniteGroup:
     return FiniteGroup((a * c % p - 1) * p + (a * d + b) % p)
 
 
-def abelian_types(max_order: int) -> list[tuple[int, ...]]:
+def iter_abelian_types(max_order: int) -> Iterator[tuple[int, ...]]:
     """Invariant-factor chains d1 | d2 | ... | dk (d1 >= 2) with product <= max_order.
 
     One chain per isomorphism type of finite abelian group, the empty chain
-    standing for the trivial group; sorted by (order, chain).
+    standing for the trivial group.  The empty chain comes first and the rest
+    in depth-first order, one at a time, so a caller can stop early.
     """
-    out: list[tuple[int, ...]] = [()]
 
-    def extend(chain: tuple[int, ...], prod: int) -> None:
+    def extend(chain: tuple[int, ...], prod: int) -> Iterator[tuple[int, ...]]:
+        yield chain
         last = chain[-1]
         d = last
         while prod * d <= max_order:
-            new = chain + (d,)
-            out.append(new)
-            extend(new, prod * d)
+            yield from extend(chain + (d,), prod * d)
             d += last
 
+    yield ()
     for d in range(2, max_order + 1):
-        out.append((d,))
-        extend((d,), d)
-    return sorted(out, key=lambda c: (math.prod(c), c))
+        yield from extend((d,), d)
+
+
+def abelian_types(max_order: int) -> list[tuple[int, ...]]:
+    """The chains of iter_abelian_types, sorted by (order, chain)."""
+    return sorted(iter_abelian_types(max_order), key=lambda c: (math.prod(c), c))

@@ -152,8 +152,12 @@ class SweepConfig:
             raise ValueError(f"{self.family} sweep needs the {key} bound") from None
 
 
-def _raw_tuple_count(cfg: SweepConfig) -> int:
-    """Cheap upper bound on the enumerated tuple count, for the budget gate."""
+def _raw_tuple_count(cfg: SweepConfig) -> int | None:
+    """Cheap upper bound on the enumerated tuple count, for the budget gate.
+
+    None for gen-dihedral, whose chains are counted exactly as they are
+    enumerated.
+    """
     b = cfg.bounds
     if cfg.family == "zm":
         r_span = 1 if cfg.fixed_r is not None else b.get("max_m", 1)
@@ -165,14 +169,14 @@ def _raw_tuple_count(cfg: SweepConfig) -> int:
         return b.get("max_n", 1)
     if cfg.family == "affine":
         return b.get("max_q", 1)
-    return b.get("max_a", 1) ** 2  # gen-dihedral: loose bound on chain count
+    return None
 
 
 def _enumerate_params(cfg: SweepConfig) -> list[tuple[int, ...]]:
-    if _raw_tuple_count(cfg) > cfg.budget:
+    raw = _raw_tuple_count(cfg)
+    if raw is not None and raw > cfg.budget:
         raise BudgetError(
-            f"sweep bounds describe up to {_raw_tuple_count(cfg)} tuples, "
-            f"over the budget of {cfg.budget}"
+            f"sweep bounds describe up to {raw} tuples, over the budget of {cfg.budget}"
         )
     family = cfg.family
     out: list[tuple[int, ...]] = []
@@ -195,11 +199,20 @@ def _enumerate_params(cfg: SweepConfig) -> list[tuple[int, ...]]:
             if not numtheory.is_prime(q):
                 continue
             for p in range(2, min(q - 1, max_p) + 1):
-                if numtheory.is_prime(p) and (q - 1) % p == 0:
+                if (q - 1) % p == 0 and numtheory.is_prime(p):
                     out.append((p, q))
         out.sort()
     elif family == "gen-dihedral":
-        out = [c for c in oracle.abelian_types(cfg.bound("max_a")) if c]
+        for chain in oracle.iter_abelian_types(cfg.bound("max_a")):
+            if not chain:
+                continue
+            out.append(chain)
+            if len(out) > cfg.budget:
+                raise BudgetError(
+                    f"sweep bounds describe more than {cfg.budget} chains, "
+                    f"over the budget of {cfg.budget}"
+                )
+        out.sort(key=lambda c: (math.prod(c), c))
     elif family == "zm":
         out = _enumerate_zm(cfg)
     return out

@@ -33,3 +33,13 @@ def test_classify_gen_dihedral_zero_factor_is_a_domain_error(capsys):
     code = cli.main(["classify", "--family", "gen-dihedral", "--params", "2,0"])
     assert code == cli.EXIT_DOMAIN
     assert "domain error" in capsys.readouterr().err
+
+
+def test_gen_dihedral_sweep_counts_chains_for_the_budget(capsys):
+    argv = ["search", "gen-dihedral", "--max-a", "3200"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 6965
+    assert cli.main(argv + ["--budget", "6964"]) == cli.EXIT_RESOURCE
+    assert "over the budget of 6964" in capsys.readouterr().err
+    assert cli.main(argv + ["--budget", "6965"]) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 6965

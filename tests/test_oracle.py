@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from leinster import numtheory as nt
-from leinster import oracle
+from leinster import oracle, verify
 
 
 def brute_subgroup_check(group, sub):
@@ -22,12 +22,6 @@ def brute_subgroup_check(group, sub):
 
 
 def test_rejects_broken_tables():
-    with pytest.raises(ValueError):
-        oracle.FiniteGroup([[0, 1], [1, 1]])  # not a Latin square
-    with pytest.raises(ValueError):
-        oracle.FiniteGroup([[1, 0], [0, 1]])  # 0 is not the identity
-    with pytest.raises(ValueError):
-        oracle.FiniteGroup([[0, 1], [1, 2]])  # entry out of range
     # a loop of order 5: Latin square with identity, not associative
     loop = [
         [0, 1, 2, 3, 4],
@@ -36,8 +30,25 @@ def test_rejects_broken_tables():
         [3, 4, 1, 2, 0],
         [4, 2, 0, 1, 3],
     ]
-    with pytest.raises(ValueError):
+    broken = (
+        ([[0, 1], [1, 1]], "Latin square"),
+        ([[1, 0], [0, 1]], "identity"),
+        ([[0, 1], [1, 2]], "element indices"),
+        (loop, "not associative"),
+    )
+    # validation is remembered only for tables that pass it
+    for _ in range(2):
+        for table, reason in broken:
+            with pytest.raises(ValueError, match=reason):
+                oracle.FiniteGroup(table)
+    oracle.build_cyclic(5)
+    with pytest.raises(ValueError, match="not associative"):
         oracle.FiniteGroup(loop)
+
+    first = oracle.build_generalized_dihedral([2, 6])
+    second = oracle.FiniteGroup(first.table.tolist())
+    assert second.digest() == first.digest()
+    assert second.generators() == first.generators()
 
 
 def test_order_cap_enforced(monkeypatch):
@@ -307,6 +318,45 @@ def test_quotient_rejects_non_subgroup():
         oracle.quotient(c6, oracle.Subgroup((0, 1), True))
 
 
+def reference_quotient_table(group, sub):
+    """Quotient table by the coset loop the oracle used before numpy."""
+    rows = group.rows
+    elems = list(sub.elements)
+    rep_of = [-1] * group.order
+    reps = []
+    for x in range(group.order):
+        if rep_of[x] >= 0:
+            continue
+        for a in elems:
+            rep_of[rows[a][x]] = x
+        reps.append(x)
+    index = {x: i for i, x in enumerate(reps)}
+    return [[index[rep_of[rows[a][b]]] for b in reps] for a in reps]
+
+
+def test_quotient_matches_the_coset_loop_on_the_corpus():
+    checked = 0
+    for entry in verify._build_corpus(48):
+        for sub in oracle.normal_subgroups(entry.group):
+            quot = oracle.quotient(entry.group, sub)
+            assert quot.table.tolist() == reference_quotient_table(entry.group, sub), (
+                entry.label,
+                sub.elements,
+            )
+            checked += 1
+    assert checked > 1000
+
+
+def test_quotient_rejects_missing_identity_and_outside_elements():
+    s3 = oracle.build_generalized_dihedral([3])
+    with pytest.raises(ValueError, match="identity"):
+        oracle.quotient(s3, oracle.Subgroup((1, 2), True))
+    with pytest.raises(ValueError, match="outside"):
+        oracle.quotient(s3, oracle.Subgroup((0, 6), True))
+    with pytest.raises(ValueError, match="outside"):
+        oracle.quotient(s3, oracle.Subgroup((0, -1), True))
+
+
 def test_is_nilpotent():
     assert oracle.is_nilpotent(oracle.build_cyclic(12))
     assert not oracle.is_nilpotent(oracle.build_generalized_dihedral([3]))
@@ -355,3 +405,4 @@ def test_abelian_types():
         (2, 4),
         (8,),
     ]
+
