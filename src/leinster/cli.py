@@ -5,7 +5,9 @@ Subcommands: `classify` for one instance, `search` for family sweeps,
 the formula-versus-oracle invariant suite.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification
-failure, 4 resource cap exceeded.
+failure, 4 resource cap exceeded, 130 interrupted (Ctrl-C).
+
+Run it as `leinster` or `python -m leinster`.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 EXIT_RESOURCE = 4
+EXIT_INTERRUPTED = 130
 
 _CLASS_ALIASES = {
     "leinster": GroupKind.LEINSTER,
@@ -247,6 +250,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -197,13 +197,27 @@ def zm_divisor_sum(t: ZMTriple) -> int:
 
     Evaluates sum over n1 | n of (m/g) * (n/n1) * divisor_sum(g) with
     g = gcd(m, r^n1 - 1): the normal triples (m1, n1, 0) summed over m1 | g
-    in closed form.  The verification suite holds this against the summed
-    triple orders and the oracle.
+    in closed form.  Every g divides m, so m is factored once and each
+    divisor_sum(g) is read from that factorization.  The verification suite
+    holds this against the summed triple orders and the oracle.
     """
+    m_factors = numtheory.factorize(t.m).factors
     total = 0
     for n1 in numtheory.divisors(t.n):
         g = _zm_gcd(t, n1)
-        total += (t.m // g) * (t.n // n1) * numtheory.divisor_sum(g)
+        total += (t.m // g) * (t.n // n1) * _divisor_sum_of_divisor(g, m_factors)
+    return total
+
+
+def _divisor_sum_of_divisor(g: int, factors: tuple[tuple[int, int], ...]) -> int:
+    # divisor_sum(g) for g dividing the number factored as `factors`.
+    total = 1
+    for p, _ in factors:
+        k = 0
+        while g % p == 0:
+            g //= p
+            k += 1
+        total *= (p ** (k + 1) - 1) // (p - 1)
     return total
 
 

@@ -2,9 +2,17 @@
 
 Divisor sums, the perfect/abundant/deficient classification, primality,
 factoring with an explicit effort cap, Mersenne machinery, and multiplicative
-orders.  Everything is pure-integer and deterministic; when an answer cannot
+orders.  Everything is pure-integer and reproducible; when an answer cannot
 be computed within the configured effort, an exception is raised rather than
 returning a possibly wrong result.
+
+`is_prime` is exact below 2**64.  Above it, it is a Miller-Rabin
+probable-prime test whose extra witnesses are seeded from n, so a verdict is
+reproducible but not proved.  `factorize` divides out the primes below
+`trial_bound` (default 2**12), accepts the cofactor when `is_prime` does, and
+splits a composite cofactor with Brent's rho under an iteration budget
+(default 2,000,000 steps), raising FactorizationError when the budget runs
+out.  Its prime factors above 2**64 are therefore probable primes.
 """
 
 from __future__ import annotations
@@ -89,10 +97,10 @@ def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
 
 
 def is_prime(n: int, *, rounds: int = 40) -> bool:
-    """Primality test: deterministic below 2**64, probabilistic above.
+    """Primality test: exact below 2**64, a probable-prime test above.
 
-    Above the deterministic range, `rounds` extra pseudo-random witnesses are
-    tried (seeded from n, so the verdict is reproducible).
+    Above the exact range, `rounds` extra pseudo-random witnesses are tried,
+    seeded from n, so the verdict is reproducible but not a proof.
     """
     if n < 2:
         return False
@@ -165,13 +173,18 @@ def _brent_rho(n: int, budget: list[int]) -> int:
 
 
 def factorize(
-    n: int, *, trial_bound: int = 1_000_000, rho_budget: int = 2_000_000
+    n: int, *, trial_bound: int = 1 << 12, rho_budget: int = 2_000_000
 ) -> Factorization:
     """Complete prime factorization of n >= 1.
 
-    Trial division up to `trial_bound`, then Brent rho under a shared
-    iteration budget.  Exceeding the budget raises FactorizationError; a
-    silently incomplete factorization is never returned.
+    Trial division by 2, 3 and the 6k +- 1 up to `trial_bound`; the
+    cofactor is kept as a prime when `is_prime` says so, and otherwise split
+    by Brent rho under an iteration budget shared by every split.  Rho finds a factor
+    below 10**6 in about a thousand steps, so a short trial division is
+    cheaper than a long one.  Above 2**64 `is_prime` is a seeded
+    probable-prime test, so prime factors that large are probable primes.
+    Exceeding the budget raises FactorizationError; a silently incomplete
+    factorization is never returned.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import leinster
 from leinster import cli
 
 
@@ -43,3 +48,33 @@ def test_gen_dihedral_sweep_counts_chains_for_the_budget(capsys):
     assert "over the budget of 6964" in capsys.readouterr().err
     assert cli.main(argv + ["--budget", "6965"]) == cli.EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 6965
+
+
+def test_ctrl_c_exits_130_with_one_line(monkeypatch, capsys):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_classify", interrupted)
+    code = cli.main(["classify", "--family", "cyclic", "--params", "6"])
+    assert code == cli.EXIT_INTERRUPTED == 130
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "interrupted\n"
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["classify", "--family", "cyclic", "--params", "6"]
+    assert cli.main(argv) == cli.EXIT_OK
+    expected = capsys.readouterr().out
+    src = str(Path(leinster.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "leinster", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected

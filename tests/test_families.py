@@ -89,6 +89,29 @@ def test_zm_divisor_sum_examples():
     assert fam.zm_divisor_sum(fam.zm_validate(13, 6, 4)) == 157
 
 
+@pytest.mark.parametrize(
+    "p, r",
+    [
+        (1099511627791, 3),
+        (205891132094653, 3),
+        (4130164685530175207, 2),
+        (11986884559589190443, 931068673820554443),
+        (588749953463891556096143, 529449304763850998312227),
+    ],
+)
+def test_zm_divisor_sum_paper_identity_above_2_to_the_40(p, r):
+    # D(ZM(p, p-1, r)) = p * sigma(p-1) + sigma((p-1) / ord_p(r)), with the
+    # right-hand side computed by sympy
+    sympy = pytest.importorskip("sympy")
+    n = p - 1
+    expected = p * int(sympy.divisor_sigma(n)) + int(
+        sympy.divisor_sigma(n // int(sympy.n_order(r, p)))
+    )
+    triple = fam.zm_validate(p, n, r)
+    assert triple is not None
+    assert fam.zm_divisor_sum(triple) == expected
+
+
 def test_zm_divisor_sum_handles_huge_parameters():
     triple = fam.zm_validate(137438691329, 137438691328, 3)
     assert triple is not None

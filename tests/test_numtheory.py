@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,69 @@ def test_factorize_gives_up_loudly():
     hard = ((1 << 61) - 1) * ((1 << 89) - 1)
     with pytest.raises(nt.FactorizationError):
         nt.factorize(hard, trial_bound=100, rho_budget=50)
+
+
+def _random_prime(rng, low, high):
+    while True:
+        x = rng.randrange(low, high)
+        if nt.is_prime(x):
+            return x
+
+
+def _factors_of(primes):
+    return tuple(sorted(Counter(primes).items()))
+
+
+def test_factorize_short_trial_division_matches_long():
+    rng = random.Random(2024)
+    for _ in range(200):
+        n = rng.randrange(1, 1 << 64)
+        assert nt.factorize(n) == nt.factorize(n, trial_bound=10**6), n
+
+
+def test_factorize_primes_past_trial_division_with_a_small_rho_budget():
+    # every prime lies between the default trial bound (2^12) and 10^6, so
+    # rho splits them all; a few thousand steps suffice
+    rng = random.Random(12)
+    cases = []
+    for count in range(2, 9):
+        cases.append([_random_prime(rng, 1 << 12, 10**6) for _ in range(count)])
+    for _ in range(6):
+        p = _random_prime(rng, 1 << 12, 10**6)
+        q = _random_prime(rng, 1 << 12, 10**6)
+        cases += [[p, p], [p, p, p], [p, p, q], [p, p, p, q, q]]
+    for primes in cases:
+        n = math.prod(primes)
+        assert nt.factorize(n, rho_budget=10_000).factors == _factors_of(primes), primes
+
+
+def _split_p_minus_1_shapes():
+    # n = 2 * s * t * q as p - 1 is built in the classify-big benchmark:
+    # s below 2^10, t in (2^21, 2^23), q a large prime
+    rng = random.Random(5)
+    out = []
+    for _ in range(12):
+        s = _random_prime(rng, 5, 1 << 10)
+        t = _random_prime(rng, (1 << 21) + 1, 1 << 23)
+        q = _random_prime(rng, 1 << 30, 1 << 56)
+        out.append([2, s, t, q])
+    return out
+
+
+def test_factorize_split_p_minus_1_shapes():
+    for primes in _split_p_minus_1_shapes():
+        n = math.prod(primes)
+        fac = nt.factorize(n)
+        assert fac.value() == n
+        assert all(nt.is_prime(p) for p, _ in fac)
+        assert fac.factors == _factors_of(primes)
+
+
+def test_factorize_split_p_minus_1_shapes_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for primes in _split_p_minus_1_shapes():
+        n = math.prod(primes)
+        assert dict(nt.factorize(n).factors) == sympy.factorint(n)
 
 
 def test_divisors():
