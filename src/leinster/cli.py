@@ -5,7 +5,8 @@ Subcommands: `classify` for one instance, `search` for family sweeps,
 the formula-versus-oracle invariant suite.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification
-failure, 4 resource cap exceeded, 130 interrupted (Ctrl-C).
+failure, 4 resource cap exceeded, 130 interrupted (Ctrl-C), 141 stdout
+closed early (128 + SIGPIPE, as when piped into `head`; nothing is printed).
 
 Run it as `leinster` or `python -m leinster`.
 """
@@ -13,12 +14,13 @@ Run it as `leinster` or `python -m leinster`.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
 from . import numtheory, oracle, search, verify
 from .families import GroupKind
-from .search import SearchRecord, SweepConfig
+from .search import SweepConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -26,6 +28,7 @@ EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 EXIT_RESOURCE = 4
 EXIT_INTERRUPTED = 130
+EXIT_BROKEN_PIPE = 141
 
 _CLASS_ALIASES = {
     "leinster": GroupKind.LEINSTER,
@@ -121,10 +124,10 @@ def _parse_classes(raw: str | None) -> frozenset[GroupKind] | None:
     return frozenset(kinds)
 
 
-def _print_records(records: list[SearchRecord], table: bool) -> None:
+def _print_records(records, table: bool) -> None:
+    """Write the records to stdout in one call: JSON lines, or aligned columns."""
     if not table:
-        for record in records:
-            print(record.to_json())
+        sys.stdout.write("\n".join([record.to_json() for record in records] + [""]))
         return
     headers = ("family", "params", "order", "D", "class", "notes")
     rows = [
@@ -142,9 +145,8 @@ def _print_records(records: list[SearchRecord], table: bool) -> None:
         max(len(headers[col]), *(len(row[col]) for row in rows)) if rows else len(headers[col])
         for col in range(len(headers))
     ]
-    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    for row in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in [headers, *rows]]
+    sys.stdout.write("\n".join(lines + [""]))
 
 
 def _cmd_classify(args) -> int:
@@ -193,8 +195,7 @@ def _cmd_search(args) -> int:
         cache_path=args.cache,
         budget=args.budget,
     )
-    records = list(search.run_sweep(cfg))
-    _print_records(records, args.table)
+    _print_records(search.run_sweep(cfg), args.table)
     return EXIT_OK
 
 
@@ -230,14 +231,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "search":
-            return _cmd_search(args)
-        if args.command == "perfect-plus-one":
-            return _cmd_perfect_plus_one(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise UsageError(f"unknown command {args.command!r}")
+            code = _cmd_classify(args)
+        elif args.command == "search":
+            code = _cmd_search(args)
+        elif args.command == "perfect-plus-one":
+            code = _cmd_perfect_plus_one(args)
+        elif args.command == "verify":
+            code = _cmd_verify(args)
+        else:
+            raise UsageError(f"unknown command {args.command!r}")
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -253,6 +260,17 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at /dev/null, so the flush at exit cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not backed by a descriptor (captured in-process)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

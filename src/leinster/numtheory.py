@@ -13,17 +13,28 @@ reproducible but not proved.  `factorize` divides out the primes below
 splits a composite cofactor with Brent's rho under an iteration budget
 (default 2,000,000 steps), raising FactorizationError when the budget runs
 out.  Its prime factors above 2**64 are therefore probable primes.
+
+Inside `with sieve(limit):` a smallest-prime-factor table up to
+min(limit, SIEVE_CAP) is built once, and `factorize`, `divisor_sum`,
+`is_prime` and `prime_power_decompose` read their answers for any n inside
+it from the table (same results, a few lookups per call).  Larger n take the
+paths above.  The table is a 2-byte-per-entry array and lives only as long
+as the block.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 __all__ = [
     "MERSENNE_EXPONENTS",
+    "SIEVE_CAP",
     "Factorization",
     "FactorizationError",
     "NumberClass",
@@ -38,6 +49,7 @@ __all__ = [
     "mult_order",
     "perfect_plus_one",
     "prime_power_decompose",
+    "sieve",
     "verified_mersenne_exponents",
 ]
 
@@ -55,6 +67,44 @@ _WITNESS_LIMIT = 1 << 64
 #: First 12 known Mersenne prime exponents.  Not trusted as-is: each is
 #: re-proved by lucas_lehmer on first use (see verified_mersenne_exponents).
 MERSENNE_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127)
+
+
+#: Largest n a smallest-prime-factor table covers: 2**22 entries, 8 MB.
+SIEVE_CAP = 1 << 22
+
+# The largest table of the open `sieve` blocks (None outside them), and the
+# tables of every open block.  Entry n is the smallest prime factor of a
+# composite n and 0 for a prime (and for 0 and 1), so every entry is at most
+# isqrt(SIEVE_CAP) and fits two bytes.
+_SPF: memoryview | None = None
+_OPEN_TABLES: list[memoryview] = []
+
+
+def _spf_table(limit: int) -> memoryview:
+    table = np.zeros(limit + 1, dtype=np.uint16)
+    for p in range(2, math.isqrt(limit) + 1):
+        if not table[p]:
+            multiples = table[p * p :: p]
+            multiples[multiples == 0] = p
+    return memoryview(table)
+
+
+@contextmanager
+def sieve(limit: int):
+    """Answer small-n queries from a smallest-prime-factor table within the block.
+
+    The table covers 0..min(limit, SIEVE_CAP) and is dropped when the block
+    exits; blocks may nest or interleave, and the largest open table serves.
+    """
+    global _SPF
+    table = _spf_table(max(1, min(limit, SIEVE_CAP)))
+    _OPEN_TABLES.append(table)
+    _SPF = max(_OPEN_TABLES, key=len)
+    try:
+        yield
+    finally:
+        del _OPEN_TABLES[next(i for i, t in enumerate(_OPEN_TABLES) if t is table)]
+        _SPF = max(_OPEN_TABLES, key=len, default=None)
 
 
 @dataclass(frozen=True)
@@ -102,6 +152,9 @@ def is_prime(n: int, *, rounds: int = 40) -> bool:
     Above the exact range, `rounds` extra pseudo-random witnesses are tried,
     seeded from n, so the verdict is reproducible but not a proof.
     """
+    spf = _SPF
+    if spf is not None and n < len(spf):
+        return n >= 2 and not spf[n]
     if n < 2:
         return False
     for p in _WITNESSES:
@@ -188,6 +241,18 @@ def factorize(
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")
+    spf = _SPF
+    if spf is not None and n < len(spf):
+        factors = []
+        while n > 1:
+            p = spf[n] or n
+            n //= p
+            k = 1
+            while n % p == 0:
+                n //= p
+                k += 1
+            factors.append((p, k))
+        return Factorization(tuple(factors))
     counts: dict[int, int] = {}
     m = n
     for p in (2, 3):
@@ -223,6 +288,17 @@ def divisor_sum(n: int) -> int:
     if n < 1:
         raise ValueError(f"divisor_sum undefined for {n}: need n >= 1")
     total = 1
+    spf = _SPF
+    if spf is not None and n < len(spf):
+        while n > 1:
+            p = spf[n] or n
+            n //= p
+            power = p
+            while n % p == 0:
+                n //= p
+                power *= p
+            total *= (power * p - 1) // (p - 1)
+        return total
     for p, e in factorize(n):
         total *= (p ** (e + 1) - 1) // (p - 1)
     return total
@@ -266,6 +342,14 @@ def prime_power_decompose(n: int) -> tuple[int, int] | None:
     """Return (p, k) with n = p**k and p prime, k maximal; None otherwise."""
     if n < 2:
         raise ValueError(f"prime_power_decompose needs n >= 2, got {n}")
+    spf = _SPF
+    if spf is not None and n < len(spf):
+        p = spf[n] or n
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        return (p, k) if n == 1 else None
     for k in range(n.bit_length() - 1, 0, -1):
         root = _iroot(n, k)
         if root**k == n and is_prime(root):

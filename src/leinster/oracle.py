@@ -463,7 +463,13 @@ class Subgroup:
 
 
 def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    """Every subgroup exactly once, sorted by (order, elements)."""
+    """Every subgroup exactly once, sorted by (order, bitmask).
+
+    The bitmask is the sum of 2**e over the elements e, so within one order
+    the subgroups are compared by their largest elements first, not by the
+    ascending element tuples: in Dih(C2 x C2), (0, 3, 5, 6) comes before
+    (0, 3, 4, 7).
+    """
     return [
         Subgroup(tuple(_bits(mask)), normal)
         for mask, normal in _enumerate_lattice(group)

@@ -3,8 +3,19 @@
 A sweep enumerates the valid parameter tuples of one family inside inclusive
 bounds, computes the normal-subgroup order sum through the closed-form path,
 classifies each instance, and emits records in sorted-parameter order
-regardless of worker count.  An append-only cache file lets interrupted
-sweeps resume without recomputation.
+regardless of worker count.
+
+The tuples are evaluated in ordered chunks, and each finished chunk is
+appended to the cache file (one JSON line per record, file closed) before its
+records are emitted, so an interrupted sweep keeps every finished chunk and a
+rerun with the same cache computes only the missing tuples.  A corrupt or
+mistyped cache line is skipped with a warning and its tuple recomputed.
+
+Number theory on the sweep's small integers reads a smallest-prime-factor
+table built once per sweep (`numtheory.sieve`, up to twice the largest
+bound).  ZM triples are enumerated from the residues of each m grouped by
+multiplicative order, so their cost follows the output, not max_m^2 * max_n;
+the budget gate still counts max_m * max_n * max_m.
 """
 
 from __future__ import annotations
@@ -14,6 +25,9 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import repeat
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import families, numtheory, oracle
@@ -60,6 +74,12 @@ NOTE_FORMULA_ONLY = "formula-only (no oracle)"
 
 DEFAULT_BUDGET = 10_000_000
 
+# tuples per evaluated chunk: the unit of cache appends, and so of resume
+_CHUNK = 4096
+
+_KINDS = {kind.value: kind for kind in GroupKind}
+_json_scan = json.JSONDecoder().scan_once
+
 
 class BudgetError(Exception):
     """Sweep bounds describe more tuples than the configured budget allows."""
@@ -81,28 +101,66 @@ class SearchRecord:
     notes: tuple[str, ...] = ()
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "family": self.family,
-                "params": list(self.params),
-                "order": self.order,
-                "D": self.D,
-                "class": self.kind.value,
-                "notes": list(self.notes),
-            }
-        )
+        """The record as one JSON line, byte-identical to `json.dumps` of its dict.
+
+        The line is encoded once and kept, so the cache append and stdout
+        share it.
+        """
+        memo = self.__dict__  # a frozen dataclass still has one
+        line = memo.get("_json")
+        if line is None:
+            line = memo["_json"] = (
+                f"{_json_head(self.family)}{', '.join(map(str, self.params))}], "
+                f'"order": {self.order}, "D": {self.D}{_json_tail(self.kind, self.notes)}'
+            )
+        return line
 
     @staticmethod
     def from_json(line: str) -> "SearchRecord":
-        obj = json.loads(line)
-        return SearchRecord(
-            family=str(obj["family"]),
-            params=tuple(int(x) for x in obj["params"]),
-            order=int(obj["order"]),
-            D=int(obj["D"]),
-            kind=GroupKind(obj["class"]),
-            notes=tuple(str(x) for x in obj["notes"]),
-        )
+        """Decode one cache line; a field of the wrong type raises TypeError.
+
+        Numbers must be JSON integers (not floats, strings or booleans) and
+        notes a list of strings, so a mistyped line is rejected instead of
+        coerced into a different record.
+        """
+        obj = _json_loads(line)
+        family, params, order, D = obj["family"], obj["params"], obj["order"], obj["D"]
+        notes, kind = obj["notes"], _KINDS.get(obj["class"])
+        if kind is None:
+            raise ValueError(f"unknown class {obj['class']!r}")
+        if not (
+            type(family) is str
+            and type(params) is list
+            and type(order) is int
+            and type(D) is int
+            and type(notes) is list
+            and all(type(x) is int for x in params)
+            and all(type(x) is str for x in notes)
+        ):
+            raise TypeError("a record field has the wrong JSON type")
+        return SearchRecord(family, tuple(params), order, D, kind, tuple(notes))
+
+
+@lru_cache(maxsize=64)
+def _json_head(family: str) -> str:
+    return f'{{"family": {_json_str(family)}, "params": ['
+
+
+@lru_cache(maxsize=256)
+def _json_tail(kind: GroupKind, notes: tuple[str, ...]) -> str:
+    return f', "class": {_json_str(kind.value)}, "notes": [{", ".join(map(_json_str, notes))}]}}'
+
+
+def _json_loads(line: str):
+    """json.loads for one line, calling the decoder's scanner directly."""
+    line = line.strip(" \t\n\r")
+    try:
+        obj, end = _json_scan(line, 0)
+    except StopIteration as exc:
+        raise json.JSONDecodeError("Expecting value", line, exc.value) from None
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return obj
 
 
 @dataclass
@@ -173,11 +231,6 @@ def _raw_tuple_count(cfg: SweepConfig) -> int | None:
 
 
 def _enumerate_params(cfg: SweepConfig) -> list[tuple[int, ...]]:
-    raw = _raw_tuple_count(cfg)
-    if raw is not None and raw > cfg.budget:
-        raise BudgetError(
-            f"sweep bounds describe up to {raw} tuples, over the budget of {cfg.budget}"
-        )
     family = cfg.family
     out: list[tuple[int, ...]] = []
     if family == "cyclic":
@@ -219,33 +272,55 @@ def _enumerate_params(cfg: SweepConfig) -> list[tuple[int, ...]]:
 
 
 def _enumerate_zm(cfg: SweepConfig) -> list[tuple[int, ...]]:
+    """The valid (m, n, r), sorted, with r reduced mod m.
+
+    A residue r gives a valid triple with n iff gcd(m, n) = 1,
+    gcd(r - 1, m) = 1 and ord_m(r) | n (r^n = 1 makes r a unit).  So each
+    m's residues are grouped by their order once, and every multiple n of an
+    order takes that group.  zm_validate still gates every emitted triple.
+    """
     max_m = cfg.bound("max_m")
+    max_n = cfg.bounds.get("max_n") if cfg.paper_mode else cfg.bound("max_n")
     out: list[tuple[int, ...]] = []
-    if cfg.paper_mode:
-        max_n = cfg.bounds.get("max_n")
-        for m in range(2, max_m + 1):
-            if not numtheory.is_prime(m):
+    for m in range(1, max_m + 1):
+        if cfg.paper_mode:
+            if not numtheory.is_prime(m) or (max_n is not None and m - 1 > max_n):
                 continue
-            n = m - 1
-            if max_n is not None and n > max_n:
-                continue
-            candidates = [cfg.fixed_r] if cfg.fixed_r is not None else range(2, m)
-            for r in candidates:
+            lo = hi = m - 1
+        else:
+            lo, hi = 1, max_n
+        residues = [cfg.fixed_r % m] if cfg.fixed_r is not None else range(m)
+        rows: dict[int, list[int]] = {}
+        for d, rs in _residues_by_order(m, residues, hi).items():
+            for n in range(-(-lo // d) * d, hi + 1, d):  # multiples of d in [lo, hi]
+                if math.gcd(m, n) == 1:
+                    rows.setdefault(n, []).extend(rs)
+        for n in sorted(rows):
+            for r in sorted(rows[n]):
                 if families.zm_validate(m, n, r) is not None:
-                    out.append((m, n, r % m))
-    else:
-        max_n = cfg.bound("max_n")
-        for m in range(1, max_m + 1):
-            for n in range(1, max_n + 1):
-                if math.gcd(m, n) != 1:
-                    continue
-                candidates = (
-                    [cfg.fixed_r % m] if cfg.fixed_r is not None else range(0, m)
-                )
-                for r in candidates:
-                    if families.zm_validate(m, n, r) is not None:
-                        out.append((m, n, r))
-    return sorted(set(out))
+                    out.append((m, n, r))
+    return out
+
+
+def _residues_by_order(m: int, residues, max_order: int) -> dict[int, list[int]]:
+    """The residues r with gcd(r, m) = gcd(r - 1, m) = 1, keyed by ord_m(r).
+
+    Orders above max_order or sharing a factor with m are dropped: no n in
+    the sweep can be a multiple of them.
+    """
+    exponent = numtheory.carmichael(m)
+    primes = [p for p, _ in numtheory.factorize(exponent)]
+    out: dict[int, list[int]] = {}
+    for r in residues:
+        if math.gcd(r, m) != 1 or math.gcd(r - 1, m) != 1:
+            continue
+        d = exponent
+        for p in primes:
+            while d % p == 0 and pow(r, d // p, m) == 1:
+                d //= p
+        if d <= max_order and math.gcd(d, m) == 1:
+            out.setdefault(d, []).append(r)
+    return out
 
 
 def _evaluate(family: str, params: tuple[int, ...]) -> SearchRecord:
@@ -298,6 +373,19 @@ def _evaluate_batch(family: str, batch: list[tuple[int, ...]]) -> list[SearchRec
     return [_evaluate(family, params) for params in batch]
 
 
+def _evaluate_chunks(family: str, workers: int, batches: list[list[tuple[int, ...]]]):
+    """Yield the evaluated records of each batch, in batch order."""
+    if workers == 1 or not any(batches):
+        for batch in batches:
+            yield _evaluate_batch(family, batch)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(_evaluate_batch, repeat(family), batches)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _load_cache(path: Path, family: str) -> dict[tuple[int, ...], SearchRecord]:
     cached: dict[tuple[int, ...], SearchRecord] = {}
     if not path.exists():
@@ -320,52 +408,54 @@ def _load_cache(path: Path, family: str) -> dict[tuple[int, ...], SearchRecord]:
     return cached
 
 
-def _append_cache(path: Path, records: list[SearchRecord]) -> None:
+def _append_cache(path: Path, records: list[SearchRecord]) -> bool:
+    """Append one finished chunk to the cache; False (after a warning) on failure."""
     try:
         with path.open("a", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(record.to_json() + "\n")
+            fh.write("\n".join([record.to_json() for record in records] + [""]))
     except OSError as exc:
         print(f"warning: cache write failed ({exc}); sweep continues", file=sys.stderr)
+        return False
+    return True
 
 
 def run_sweep(cfg: SweepConfig):
     """Yield classified records for every valid tuple in bounds, sorted by params.
 
-    The parameter space is split into contiguous chunks processed by a worker
-    pool; results are merged and sorted before emission, so output is
+    The sorted tuples are cut into chunks of at most _CHUNK (and at most
+    1/workers of the tuples, so that every worker gets one).  Chunks are
+    evaluated in order, serially or over a process pool; each finished chunk
+    is appended to the cache (opened, written and closed) before its records
+    are yielded.  Output is
     byte-identical for any worker count.
     """
-    params_list = _enumerate_params(cfg)
-    cache_path = Path(cfg.cache_path) if cfg.cache_path is not None else None
-    cached = _load_cache(cache_path, cfg.family) if cache_path else {}
-
-    todo = [p for p in params_list if p not in cached]
-    computed: dict[tuple[int, ...], SearchRecord] = {}
-    if todo:
-        if cfg.workers == 1:
-            fresh = _evaluate_batch(cfg.family, todo)
-        else:
-            chunk = -(-len(todo) // cfg.workers)
-            batches = [todo[i : i + chunk] for i in range(0, len(todo), chunk)]
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                results = pool.map(_evaluate_batch, [cfg.family] * len(batches), batches)
-                fresh = [record for batch in results for record in batch]
-        computed = {record.params: record for record in fresh}
-        if cache_path:
-            _append_cache(cache_path, fresh)
-
-    for params in params_list:
-        record = cached.get(params) or computed[params]
-        if NOTE_EDGE in record.notes and not cfg.include_edge:
-            continue
-        if cfg.classes is not None and record.kind not in cfg.classes:
-            continue
-        if cfg.dedupe and cfg.family == "zm":
-            triple = families.ZMTriple(*record.params)
-            if families.zm_canonical(triple) != triple:
-                continue
-        yield record
+    raw = _raw_tuple_count(cfg)
+    if raw is not None and raw > cfg.budget:
+        raise BudgetError(
+            f"sweep bounds describe up to {raw} tuples, over the budget of {cfg.budget}"
+        )
+    with numtheory.sieve(2 * max(cfg.bounds.values(), default=0) + 1):
+        params_list = _enumerate_params(cfg)
+        cache_path = Path(cfg.cache_path) if cfg.cache_path is not None else None
+        cached = _load_cache(cache_path, cfg.family) if cache_path else {}
+        size = max(1, min(_CHUNK, -(-len(params_list) // cfg.workers)))
+        chunks = [params_list[i : i + size] for i in range(0, len(params_list), size)]
+        todo = [[p for p in chunk if p not in cached] for chunk in chunks]
+        for chunk, fresh in zip(chunks, _evaluate_chunks(cfg.family, cfg.workers, todo)):
+            if cache_path and fresh and not _append_cache(cache_path, fresh):
+                cache_path = None  # warned once; the sweep goes on without a cache
+            computed = iter(fresh)
+            for params in chunk:
+                record = cached.pop(params, None) or next(computed)
+                if NOTE_EDGE in record.notes and not cfg.include_edge:
+                    continue
+                if cfg.classes is not None and record.kind not in cfg.classes:
+                    continue
+                if cfg.dedupe and cfg.family == "zm":
+                    triple = families.ZMTriple(*record.params)
+                    if families.zm_canonical(triple) != triple:
+                        continue
+                yield record
 
 
 def _oracle_group(family: str, params: tuple[int, ...]) -> oracle.FiniteGroup | None:

@@ -78,3 +78,28 @@ def test_python_dash_m_runs_the_cli(capsys):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == expected
+
+
+def test_closed_stdout_pipe_exits_141_without_a_traceback():
+    src = str(Path(leinster.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "leinster", "search", "zm", "--max-m", "150", "--max-n", "20"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the reader goes away before the first write
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
+
+
+def test_broken_pipe_in_process_maps_to_141(monkeypatch, capsys):
+    def closed(args):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli, "_cmd_search", closed)
+    assert cli.main(["search", "cyclic", "--max-n", "5"]) == cli.EXIT_BROKEN_PIPE
+    assert capsys.readouterr().err == ""

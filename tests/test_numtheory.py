@@ -300,3 +300,58 @@ def test_carmichael_values():
     assert nt.carmichael(8) == 2
     assert nt.carmichael(15) == 4
     assert nt.carmichael(7) == 6
+
+
+# ---------------------------------------------------------------------------
+# smallest-prime-factor table
+
+
+def test_sieve_answers_equal_the_untabled_path_to_10_to_the_5():
+    limit = 10**5
+    numbers = range(1, limit + 1)
+
+    def answers():
+        return (
+            [nt.factorize(n) for n in numbers],
+            [nt.divisor_sum(n) for n in numbers],
+            [nt.is_prime(n) for n in range(0, limit + 1)],
+            [nt.prime_power_decompose(n) for n in range(2, limit + 1)],
+        )
+
+    assert nt._SPF is None
+    untabled = answers()
+    with nt.sieve(limit):
+        assert len(nt._SPF) == limit + 1
+        tabled = answers()
+    assert tabled == untabled
+
+
+def test_sieve_lives_only_inside_its_blocks():
+    assert nt._SPF is None
+    with nt.sieve(100):
+        assert len(nt._SPF) == 101
+        inner = nt.sieve(1000)
+        inner.__enter__()
+        assert len(nt._SPF) == 1001
+        with nt.sieve(10):
+            assert len(nt._SPF) == 1001  # the largest open table serves
+        inner.__exit__(None, None, None)
+        assert len(nt._SPF) == 101
+    assert nt._SPF is None and nt._OPEN_TABLES == []
+
+
+def test_sieve_is_capped_and_falls_back_above_its_limit():
+    with nt.sieve(10**12):
+        assert len(nt._SPF) == nt.SIEVE_CAP + 1
+    with nt.sieve(50):
+        big = 2**61 - 1
+        assert nt.is_prime(big)
+        assert nt.factorize(big * 3).factors == ((3, 1), (big, 1))
+        assert nt.prime_power_decompose(7**30) == (7, 30)
+        assert nt.divisor_sum(101 * 103) == 102 * 104
+        assert nt.factorize(1).factors == ()
+        assert not nt.is_prime(0) and not nt.is_prime(1)
+        with pytest.raises(ValueError):
+            nt.divisor_sum(0)
+        with pytest.raises(ValueError):
+            nt.prime_power_decompose(1)

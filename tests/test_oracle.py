@@ -156,6 +156,19 @@ def test_all_subgroups_counts():
         brute_subgroup_check(s3, sub)
 
 
+def test_all_subgroups_sorted_by_order_then_bitmask():
+    group = oracle.build_generalized_dihedral([2, 2])
+    elements = [s.elements for s in oracle.all_subgroups(group)]
+    assert elements == [
+        (0,), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
+        (0, 1, 2, 3), (0, 1, 4, 5), (0, 2, 4, 6), (0, 3, 5, 6),
+        (0, 3, 4, 7), (0, 2, 5, 7), (0, 1, 6, 7),
+        (0, 1, 2, 3, 4, 5, 6, 7),
+    ]
+    assert elements == sorted(elements, key=lambda e: (len(e), sum(1 << x for x in e)))
+    assert elements != sorted(elements, key=lambda e: (len(e), e))
+
+
 def test_all_subgroups_against_naive_closure():
     def naive(group):
         rows = group.rows

@@ -2,8 +2,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from leinster import cli, oracle, search
+from leinster import cli, families, numtheory, oracle, search
 from leinster.families import GroupKind, classify_group
 from leinster.search import SearchRecord, SweepConfig
 
@@ -159,6 +161,143 @@ def test_cache_corrupt_lines_skipped(tmp_path, capsys):
     assert records == sweep(family="cyclic", bounds={"max_n": 10})
 
 
+CORRUPT_CYCLIC_6 = [
+    '{"family": "cyclic", "params": [6.9], "order": 6, "D": 99, "class": "leinster", "notes": []}',
+    '{"family": "cyclic", "params": [6], "order": 6, "D": 12.5, "class": "leinster", "notes": []}',
+    '{"family": "cyclic", "params": [6], "order": "6", "D": 99, "class": "leinster", "notes": []}',
+    '{"family": "cyclic", "params": [6], "order": 6, "D": 99, "class": "leinster", "notes": "ab"}',
+    '{"family": "cyclic", "params": [true], "order": 1, "D": 9, "class": "leinster", "notes": []}',
+]
+
+
+@pytest.mark.parametrize("line", CORRUPT_CYCLIC_6)
+def test_from_json_rejects_mistyped_fields(line):
+    with pytest.raises(TypeError):
+        SearchRecord.from_json(line)
+
+
+def test_mistyped_cache_lines_are_skipped_and_recomputed(tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("\n".join(CORRUPT_CYCLIC_6) + "\n")
+    records = sweep(family="cyclic", bounds={"max_n": 10}, cache_path=cache)
+    assert capsys.readouterr().err.count("skipping corrupt cache line") == len(CORRUPT_CYCLIC_6)
+    assert records == sweep(family="cyclic", bounds={"max_n": 10})
+    assert next(r for r in records if r.params == (6,)).D == 12
+
+
+def test_unwritable_cache_warns_once_and_the_sweep_goes_on(tmp_path, capsys):
+    cache = tmp_path / "missing-directory" / "cache.jsonl"
+    bounds = {"max_n": 3 * search._CHUNK}
+    records = sweep(family="cyclic", bounds=bounds, cache_path=cache)
+    assert capsys.readouterr().err.count("cache write failed") == 1
+    assert records == sweep(family="cyclic", bounds=bounds)
+
+
+def test_interrupted_sweep_resumes_from_its_cache(tmp_path, monkeypatch, capsys):
+    argv = ["search", "cyclic", "--max-n", "20000"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    cache = tmp_path / "cache.jsonl"
+    argv += ["--cache", str(cache)]
+    evaluate = search._evaluate
+    calls = []
+
+    def counting(family, params, stop_after=None):
+        calls.append(params)
+        if stop_after is not None and len(calls) > stop_after:
+            raise KeyboardInterrupt
+        return evaluate(family, params)
+
+    monkeypatch.setattr(search, "_evaluate", lambda f, p: counting(f, p, stop_after=10_000))
+    assert cli.main(argv) == cli.EXIT_INTERRUPTED
+    assert capsys.readouterr().out == ""
+    kept = 10_000 // search._CHUNK * search._CHUNK  # every finished chunk
+    assert len(cache.read_text().splitlines()) == kept > 0
+
+    calls.clear()
+    monkeypatch.setattr(search, "_evaluate", counting)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert len(calls) == 20_000 - kept
+    assert len(cache.read_text().splitlines()) == 20_000
+
+
+NOTES = [search.NOTE_EDGE, search.NOTE_LABEL_DIFFERS, search.NOTE_FORMULA_ONLY]
+huge_ints = st.integers(min_value=-(2**80), max_value=2**80)
+
+
+@given(
+    family=st.sampled_from(search.FAMILIES) | st.text(),
+    params=st.lists(huge_ints, max_size=4),
+    order=huge_ints,
+    D=huge_ints,
+    kind=st.sampled_from(list(GroupKind)),
+    notes=st.lists(st.sampled_from(NOTES) | st.text(max_size=8), max_size=4),
+)
+def test_to_json_equals_json_dumps(family, params, order, D, kind, notes):
+    record = SearchRecord(family, tuple(params), order, D, kind, tuple(notes))
+    line = json.dumps(
+        {
+            "family": family,
+            "params": params,
+            "order": order,
+            "D": D,
+            "class": kind.value,
+            "notes": notes,
+        }
+    )
+    assert record.to_json() == line
+    assert record.to_json() is record.to_json()  # encoded once
+    assert SearchRecord.from_json(line) == record
+
+
+def brute_force_zm(max_m, max_n, paper_mode=False, fixed_r=None):
+    """Every (m, n, r) in bounds passed through zm_validate, r over all of Z/m."""
+    out = []
+    if paper_mode:
+        for m in range(2, max_m + 1):
+            if not numtheory.is_prime(m):
+                continue
+            n = m - 1
+            if max_n is not None and n > max_n:
+                continue
+            candidates = [fixed_r] if fixed_r is not None else range(2, m)
+            for r in candidates:
+                if families.zm_validate(m, n, r) is not None:
+                    out.append((m, n, r % m))
+    else:
+        for m in range(1, max_m + 1):
+            for n in range(1, max_n + 1):
+                if math.gcd(m, n) != 1:
+                    continue
+                candidates = [fixed_r % m] if fixed_r is not None else range(0, m)
+                for r in candidates:
+                    if families.zm_validate(m, n, r) is not None:
+                        out.append((m, n, r))
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("fixed_r", [None, 0, 1, 2, 3, 4, 7, -1, 100])
+@pytest.mark.parametrize("paper_mode", [False, True])
+def test_zm_enumeration_equals_brute_force(paper_mode, fixed_r):
+    bounds = [(60, 30)] + ([(60, None), (60, 40)] if paper_mode else [])
+    for max_m, max_n in bounds:
+        cfg = SweepConfig(
+            family="zm",
+            bounds={"max_m": max_m} | ({"max_n": max_n} if max_n else {}),
+            paper_mode=paper_mode,
+            fixed_r=fixed_r,
+        )
+        expected = brute_force_zm(max_m, max_n, paper_mode, fixed_r)
+        assert search._enumerate_zm(cfg) == expected
+        assert expected or fixed_r in (0, 1)
+
+
+def test_zm_enumeration_keeps_the_m_equals_1_records():
+    params = search._enumerate_zm(SweepConfig(family="zm", bounds={"max_m": 3, "max_n": 4}))
+    assert [p for p in params if p[0] == 1] == [(1, n, 0) for n in range(1, 5)]
+
+
 def test_worker_count_does_not_change_output():
     serial = sweep(family="zm", bounds={"max_m": 15, "max_n": 8})
     parallel = sweep(family="zm", bounds={"max_m": 15, "max_n": 8}, workers=3)
@@ -249,6 +388,11 @@ def test_cli_exit_codes(capsys):
     assert cli.main(["search", "zm", "--max-m", "9999", "--max-n", "9999"]) == 4
     assert cli.main(["nonsense"]) == 1
     capsys.readouterr()
+    # the budget still counts max_m * max_n * max_m for zm
+    argv = ["search", "zm", "--max-m", "100", "--max-n", "10"]
+    assert cli.main(argv + ["--budget", "99999"]) == 4
+    assert "up to 100000 tuples" in capsys.readouterr().err
+    assert cli.main(argv + ["--budget", "100000"]) == 0
 
 
 def test_cli_perfect_plus_one(capsys):
