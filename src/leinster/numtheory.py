@@ -50,6 +50,7 @@ __all__ = [
     "perfect_plus_one",
     "prime_power_decompose",
     "sieve",
+    "sieve_limit",
     "verified_mersenne_exponents",
 ]
 
@@ -105,6 +106,11 @@ def sieve(limit: int):
     finally:
         del _OPEN_TABLES[next(i for i, t in enumerate(_OPEN_TABLES) if t is table)]
         _SPF = max(_OPEN_TABLES, key=len, default=None)
+
+
+def sieve_limit() -> int:
+    """The largest n the open sieve tables answer; 0 outside every `sieve` block."""
+    return len(_SPF) - 1 if _SPF is not None else 0
 
 
 @dataclass(frozen=True)
@@ -288,17 +294,6 @@ def divisor_sum(n: int) -> int:
     if n < 1:
         raise ValueError(f"divisor_sum undefined for {n}: need n >= 1")
     total = 1
-    spf = _SPF
-    if spf is not None and n < len(spf):
-        while n > 1:
-            p = spf[n] or n
-            n //= p
-            power = p
-            while n % p == 0:
-                n //= p
-                power *= p
-            total *= (power * p - 1) // (p - 1)
-        return total
     for p, e in factorize(n):
         total *= (p ** (e + 1) - 1) // (p - 1)
     return total
@@ -342,14 +337,9 @@ def prime_power_decompose(n: int) -> tuple[int, int] | None:
     """Return (p, k) with n = p**k and p prime, k maximal; None otherwise."""
     if n < 2:
         raise ValueError(f"prime_power_decompose needs n >= 2, got {n}")
-    spf = _SPF
-    if spf is not None and n < len(spf):
-        p = spf[n] or n
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        return (p, k) if n == 1 else None
+    if _SPF is not None and n < len(_SPF):
+        f = factorize(n).factors
+        return f[0] if len(f) == 1 else None
     for k in range(n.bit_length() - 1, 0, -1):
         root = _iroot(n, k)
         if root**k == n and is_prime(root):

@@ -13,9 +13,11 @@ mistyped cache line is skipped with a warning and its tuple recomputed.
 
 Number theory on the sweep's small integers reads a smallest-prime-factor
 table built once per sweep (`numtheory.sieve`, up to twice the largest
-bound).  ZM triples are enumerated from the residues of each m grouped by
-multiplicative order, so their cost follows the output, not max_m^2 * max_n;
-the budget gate still counts max_m * max_n * max_m.
+bound); pool workers that do not inherit it by fork build their own.  ZM
+triples are enumerated from the residues of each m grouped by multiplicative
+order, so the max_n factor of the old max_m^2 * max_n scan is gone; the scan
+over the residues of each m is still Theta(max_m^2).  The budget gate still
+counts max_m * max_n * max_m.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
@@ -78,7 +79,6 @@ DEFAULT_BUDGET = 10_000_000
 _CHUNK = 4096
 
 _KINDS = {kind.value: kind for kind in GroupKind}
-_json_scan = json.JSONDecoder().scan_once
 
 
 class BudgetError(Exception):
@@ -110,8 +110,11 @@ class SearchRecord:
         line = memo.get("_json")
         if line is None:
             line = memo["_json"] = (
-                f"{_json_head(self.family)}{', '.join(map(str, self.params))}], "
-                f'"order": {self.order}, "D": {self.D}{_json_tail(self.kind, self.notes)}'
+                f'{{"family": {_json_str(self.family)}, '
+                f'"params": [{", ".join(map(str, self.params))}], '
+                f'"order": {self.order}, "D": {self.D}, '
+                f'"class": {_json_str(self.kind.value)}, '
+                f'"notes": [{", ".join(map(_json_str, self.notes))}]}}'
             )
         return line
 
@@ -123,7 +126,7 @@ class SearchRecord:
         notes a list of strings, so a mistyped line is rejected instead of
         coerced into a different record.
         """
-        obj = _json_loads(line)
+        obj = json.loads(line)
         family, params, order, D = obj["family"], obj["params"], obj["order"], obj["D"]
         notes, kind = obj["notes"], _KINDS.get(obj["class"])
         if kind is None:
@@ -139,28 +142,6 @@ class SearchRecord:
         ):
             raise TypeError("a record field has the wrong JSON type")
         return SearchRecord(family, tuple(params), order, D, kind, tuple(notes))
-
-
-@lru_cache(maxsize=64)
-def _json_head(family: str) -> str:
-    return f'{{"family": {_json_str(family)}, "params": ['
-
-
-@lru_cache(maxsize=256)
-def _json_tail(kind: GroupKind, notes: tuple[str, ...]) -> str:
-    return f', "class": {_json_str(kind.value)}, "notes": [{", ".join(map(_json_str, notes))}]}}'
-
-
-def _json_loads(line: str):
-    """json.loads for one line, calling the decoder's scanner directly."""
-    line = line.strip(" \t\n\r")
-    try:
-        obj, end = _json_scan(line, 0)
-    except StopIteration as exc:
-        raise json.JSONDecodeError("Expecting value", line, exc.value) from None
-    if end != len(line):
-        raise json.JSONDecodeError("Extra data", line, end)
-    return obj
 
 
 @dataclass
@@ -308,16 +289,11 @@ def _residues_by_order(m: int, residues, max_order: int) -> dict[int, list[int]]
     Orders above max_order or sharing a factor with m are dropped: no n in
     the sweep can be a multiple of them.
     """
-    exponent = numtheory.carmichael(m)
-    primes = [p for p, _ in numtheory.factorize(exponent)]
     out: dict[int, list[int]] = {}
     for r in residues:
         if math.gcd(r, m) != 1 or math.gcd(r - 1, m) != 1:
             continue
-        d = exponent
-        for p in primes:
-            while d % p == 0 and pow(r, d // p, m) == 1:
-                d //= p
+        d = numtheory.mult_order(r, m)
         if d <= max_order and math.gcd(d, m) == 1:
             out.setdefault(d, []).append(r)
     return out
@@ -373,13 +349,34 @@ def _evaluate_batch(family: str, batch: list[tuple[int, ...]]) -> list[SearchRec
     return [_evaluate(family, params) for params in batch]
 
 
-def _evaluate_chunks(family: str, workers: int, batches: list[list[tuple[int, ...]]]):
+# a pool worker's own sieve block, referenced so that it stays open for the
+# worker's life (see _open_worker_sieve)
+_WORKER_SIEVE = None
+
+
+def _open_worker_sieve(limit: int) -> None:
+    """Pool initializer: give the worker the sweep's smallest-prime-factor table.
+
+    A forked worker inherits the parent's open table and keeps it; a spawned
+    or forkserver worker starts without one and builds its own.
+    """
+    global _WORKER_SIEVE
+    if numtheory.sieve_limit() < min(limit, numtheory.SIEVE_CAP):
+        _WORKER_SIEVE = numtheory.sieve(limit)
+        _WORKER_SIEVE.__enter__()
+
+
+def _evaluate_chunks(
+    family: str, workers: int, batches: list[list[tuple[int, ...]]], sieve_limit: int
+):
     """Yield the evaluated records of each batch, in batch order."""
     if workers == 1 or not any(batches):
         for batch in batches:
             yield _evaluate_batch(family, batch)
         return
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(
+        max_workers=workers, initializer=_open_worker_sieve, initargs=(sieve_limit,)
+    )
     try:
         yield from pool.map(_evaluate_batch, repeat(family), batches)
     finally:
@@ -426,22 +423,25 @@ def run_sweep(cfg: SweepConfig):
     1/workers of the tuples, so that every worker gets one).  Chunks are
     evaluated in order, serially or over a process pool; each finished chunk
     is appended to the cache (opened, written and closed) before its records
-    are yielded.  Output is
-    byte-identical for any worker count.
+    are yielded.  Output is byte-identical for any worker count.  The
+    smallest-prime-factor table is open for the whole sweep, in this process
+    and in every pool worker.
     """
     raw = _raw_tuple_count(cfg)
     if raw is not None and raw > cfg.budget:
         raise BudgetError(
             f"sweep bounds describe up to {raw} tuples, over the budget of {cfg.budget}"
         )
-    with numtheory.sieve(2 * max(cfg.bounds.values(), default=0) + 1):
+    sieve_limit = 2 * max(cfg.bounds.values(), default=0) + 1
+    with numtheory.sieve(sieve_limit):
         params_list = _enumerate_params(cfg)
         cache_path = Path(cfg.cache_path) if cfg.cache_path is not None else None
         cached = _load_cache(cache_path, cfg.family) if cache_path else {}
         size = max(1, min(_CHUNK, -(-len(params_list) // cfg.workers)))
         chunks = [params_list[i : i + size] for i in range(0, len(params_list), size)]
         todo = [[p for p in chunk if p not in cached] for chunk in chunks]
-        for chunk, fresh in zip(chunks, _evaluate_chunks(cfg.family, cfg.workers, todo)):
+        evaluated = _evaluate_chunks(cfg.family, cfg.workers, todo, sieve_limit)
+        for chunk, fresh in zip(chunks, evaluated):
             if cache_path and fresh and not _append_cache(cache_path, fresh):
                 cache_path = None  # warned once; the sweep goes on without a cache
             computed = iter(fresh)

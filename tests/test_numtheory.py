@@ -340,6 +340,16 @@ def test_sieve_lives_only_inside_its_blocks():
     assert nt._SPF is None and nt._OPEN_TABLES == []
 
 
+def test_sieve_limit_reports_the_open_table():
+    assert nt.sieve_limit() == 0
+    with nt.sieve(100):
+        assert nt.sieve_limit() == 100
+        with nt.sieve(10**12):
+            assert nt.sieve_limit() == nt.SIEVE_CAP
+        assert nt.sieve_limit() == 100
+    assert nt.sieve_limit() == 0
+
+
 def test_sieve_is_capped_and_falls_back_above_its_limit():
     with nt.sieve(10**12):
         assert len(nt._SPF) == nt.SIEVE_CAP + 1

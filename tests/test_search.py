@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given
@@ -306,6 +308,16 @@ def test_worker_count_does_not_change_output():
 
 # ---------------------------------------------------------------------------
 # classify
+
+
+def test_spawned_pool_workers_open_the_sweep_sieve():
+    # a spawned (or forkserver) worker does not inherit the parent's table
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(
+        1, mp_context=context, initializer=search._open_worker_sieve, initargs=(1000,)
+    ) as pool:
+        assert pool.submit(numtheory.sieve_limit).result() == 1000
+    assert numtheory.sieve_limit() == 0
 
 
 def test_classify_zm():
