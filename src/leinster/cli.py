@@ -41,6 +41,12 @@ _CLASS_ALIASES = {
 }
 
 
+# every sweep bound a family declares, in order of first declaration
+_BOUND_KEYS = tuple(
+    dict.fromkeys(key for family in search.FAMILY.values() for key in family.bounds)
+)
+
+
 class UsageError(Exception):
     pass
 
@@ -68,12 +74,8 @@ def _build_parser() -> _Parser:
 
     srch = sub.add_parser("search", help="sweep a family parameter space")
     srch.add_argument("family", choices=search.FAMILIES)
-    srch.add_argument("--max-n", type=int)
-    srch.add_argument("--min-n", type=int)
-    srch.add_argument("--max-m", type=int)
-    srch.add_argument("--max-q", type=int)
-    srch.add_argument("--max-p", type=int)
-    srch.add_argument("--max-a", type=int)
+    for key in _BOUND_KEYS:
+        srch.add_argument("--" + key.replace("_", "-"), type=int)
     srch.add_argument("--r", type=int, help="fix the zm conjugation parameter r")
     srch.add_argument(
         "--paper-mode",
@@ -124,10 +126,27 @@ def _parse_classes(raw: str | None) -> frozenset[GroupKind] | None:
     return frozenset(kinds)
 
 
+def _write_stdout(text: str) -> None:
+    """Write all of `text` to stdout, or raise BrokenPipeError.
+
+    A buffered write into a pipe whose reader leaves mid-write can return a
+    short count without raising; the write after it raises.  In-process
+    captures without a byte buffer take the text as it is.
+    """
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[buffer.write(data) :]
+
+
 def _print_records(records, table: bool) -> None:
-    """Write the records to stdout in one call: JSON lines, or aligned columns."""
+    """Write the records to stdout at once: JSON lines, or aligned columns."""
     if not table:
-        sys.stdout.write("\n".join([record.to_json() for record in records] + [""]))
+        _write_stdout("\n".join([record.to_json() for record in records] + [""]))
         return
     headers = ("family", "params", "order", "D", "class", "notes")
     rows = [
@@ -146,7 +165,7 @@ def _print_records(records, table: bool) -> None:
         for col in range(len(headers))
     ]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in [headers, *rows]]
-    sys.stdout.write("\n".join(lines + [""]))
+    _write_stdout("\n".join(lines + [""]))
 
 
 def _cmd_classify(args) -> int:
@@ -166,18 +185,8 @@ def _cmd_classify(args) -> int:
 
 
 def _sweep_bounds(args) -> dict[str, int]:
-    bounds = {}
-    for key, value in (
-        ("max_n", args.max_n),
-        ("min_n", args.min_n),
-        ("max_m", args.max_m),
-        ("max_q", args.max_q),
-        ("max_p", args.max_p),
-        ("max_a", args.max_a),
-    ):
-        if value is not None:
-            bounds[key] = value
-    return bounds
+    values = {key: getattr(args, key) for key in _BOUND_KEYS}
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _cmd_search(args) -> int:

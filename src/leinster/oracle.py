@@ -572,18 +572,22 @@ def order_two_elements(group: FiniteGroup) -> list[int]:
     return [x for x, o in enumerate(group.element_orders()) if o == 2]
 
 
-def build_generalized_dihedral(a_factors: list[int] | tuple[int, ...]) -> FiniteGroup:
-    """Extension of the abelian group A by an order-2 element inverting it.
+def _inverting_extension(a: FiniteGroup, y: int) -> FiniteGroup:
+    """Extension of the abelian A by x with x a x^-1 = a^-1 and x**2 = y.
 
-    Elements are (a, eps) with eps in {0, 1}, indexed eps*|A| + a, and
-    (a,0)(b,eps) = (a+b, eps), (a,1)(b,eps) = (a-b, 1-eps).
+    Elements are (a, eps) with eps in {0, 1} for the cosets A and Ax, indexed
+    eps*|A| + a: (a,0)(b,eps) = (a+b, eps), (a,1)(b,0) = (a-b, 1) and
+    (a,1)(b,1) = (a-b+y, 0).  y = 0, the identity, gives Dih(A).
     """
-    a = build_abelian(a_factors)
     _check_cap(2 * a.order)
     ta = a.table
-    neg = np.asarray(a.inverses())
-    minus = ta[:, neg]
-    return FiniteGroup(np.block([[ta, ta + a.order], [minus + a.order, minus]]))
+    minus = ta[:, np.asarray(a.inverses())]  # (a, b) -> a - b
+    return FiniteGroup(np.block([[ta, ta + a.order], [minus + a.order, ta[minus, y]]]))
+
+
+def build_generalized_dihedral(a_factors: list[int] | tuple[int, ...]) -> FiniteGroup:
+    """Extension of the abelian group A by an order-2 element inverting it."""
+    return _inverting_extension(build_abelian(a_factors), 0)
 
 
 def build_generalized_dicyclic(
@@ -592,7 +596,6 @@ def build_generalized_dicyclic(
     """Extension of an even-order abelian A by x with x**2 = y, x a x^-1 = a^-1.
 
     A must have order 2n with n > 1 and y must be an element of order 2 in A.
-    Elements are (a, eps) with eps in {0, 1} for the cosets A and Ax.
     """
     a = build_abelian(a_factors)
     if a.order % 2 != 0:
@@ -603,13 +606,7 @@ def build_generalized_dicyclic(
         )
     if not 0 <= y_index < a.order or a.element_order(y_index) != 2:
         raise ValueError(f"y (index {y_index}) must be an element of order 2 in A")
-    _check_cap(2 * a.order)
-    ta = a.table
-    neg = np.asarray(a.inverses())
-    minus = ta[:, neg]  # (a, b) -> a - b
-    return FiniteGroup(
-        np.block([[ta, ta + a.order], [minus + a.order, ta[minus, y_index]]])
-    )
+    return _inverting_extension(a, y_index)
 
 
 def build_zm(m: int, n: int, r: int) -> FiniteGroup:

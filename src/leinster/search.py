@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -36,6 +37,8 @@ from .families import GroupKind
 
 __all__ = [
     "FAMILIES",
+    "FAMILY",
+    "Family",
     "BudgetError",
     "OracleMismatchError",
     "PerfectPlusOneReport",
@@ -45,29 +48,6 @@ __all__ = [
     "run_perfect_plus_one",
     "run_sweep",
 ]
-
-FAMILIES = ("cyclic", "zm", "affine", "dihedral", "gen-dihedral", "dicyclic", "pq")
-
-_FAMILY_BOUND_KEYS = {
-    "cyclic": {"max_n"},
-    "zm": {"max_m", "max_n"},
-    "affine": {"max_q"},
-    "dihedral": {"max_n", "min_n"},
-    "gen-dihedral": {"max_a"},
-    "dicyclic": {"max_n", "min_n"},
-    "pq": {"max_q", "max_p"},
-}
-
-# parameter arity per family: cyclic/dihedral/dicyclic/affine take one
-# number, pq two, zm three, gen-dihedral any number of cyclic factor orders
-_FAMILY_ARITY = {
-    "cyclic": 1,
-    "dihedral": 1,
-    "dicyclic": 1,
-    "affine": 1,
-    "pq": 2,
-    "zm": 3,
-}
 
 NOTE_EDGE = "edge"
 NOTE_LABEL_DIFFERS = "paper-label-differs"
@@ -144,13 +124,30 @@ class SearchRecord:
         return SearchRecord(family, tuple(params), order, D, kind, tuple(notes))
 
 
+@dataclass(frozen=True)
+class Family:
+    """One family, declared once: what search, verify and the CLI know of it.
+
+    `tuple_count` bounds a sweep's tuple count for the budget gate before
+    enumerating; it is None when `enumerate` counts against the budget
+    itself.  `evaluate` maps params to (order, D, notes) in closed form;
+    `build` gives the explicit group for the oracle, or None out of scope.
+    """
+
+    name: str
+    bounds: tuple[str, ...]  # the sweep bound keys it accepts
+    arity: int | None  # parameters per instance; None for any number
+    tuple_count: Callable[[SweepConfig], int] | None
+    enumerate: Callable[[SweepConfig], list[tuple[int, ...]]]
+    evaluate: Callable[[tuple[int, ...]], tuple[int, int, tuple[str, ...]]]
+    build: Callable[[tuple[int, ...]], oracle.FiniteGroup | None]
+
+
 @dataclass
 class SweepConfig:
     """Bounds and behavior of one sweep.
 
-    `bounds` keys depend on the family: max_n (cyclic, dihedral, dicyclic;
-    plus optional min_n), max_m/max_n (zm), max_q (affine, pq; plus optional
-    max_p), max_a (gen-dihedral).
+    `bounds` takes the keys of the family's record (`FAMILY[family].bounds`).
     """
 
     family: str
@@ -165,13 +162,14 @@ class SweepConfig:
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        family = FAMILY.get(self.family)
+        if family is None:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
-        allowed = _FAMILY_BOUND_KEYS[self.family]
+        allowed = family.bounds
         for key, value in self.bounds.items():
             if key not in allowed:
                 raise ValueError(
@@ -191,64 +189,48 @@ class SweepConfig:
             raise ValueError(f"{self.family} sweep needs the {key} bound") from None
 
 
-def _raw_tuple_count(cfg: SweepConfig) -> int | None:
-    """Cheap upper bound on the enumerated tuple count, for the budget gate.
-
-    None for gen-dihedral, whose chains are counted exactly as they are
-    enumerated.
-    """
-    b = cfg.bounds
-    if cfg.family == "zm":
-        r_span = 1 if cfg.fixed_r is not None else b.get("max_m", 1)
-        n_span = 1 if cfg.paper_mode else b.get("max_n", 1)
-        return b.get("max_m", 1) * n_span * r_span
-    if cfg.family == "pq":
-        return b.get("max_q", 1) * b.get("max_q", 1)
-    if cfg.family in ("cyclic", "dihedral", "dicyclic"):
-        return b.get("max_n", 1)
-    if cfg.family == "affine":
-        return b.get("max_q", 1)
-    return None
+def _n_range(lo: int):
+    """Enumerator of (n,) for n from max(lo, min_n) to max_n."""
+    return lambda cfg: [
+        (n,) for n in range(max(lo, cfg.bounds.get("min_n", lo)), cfg.bound("max_n") + 1)
+    ]
 
 
-def _enumerate_params(cfg: SweepConfig) -> list[tuple[int, ...]]:
-    family = cfg.family
-    out: list[tuple[int, ...]] = []
-    if family == "cyclic":
-        out = [(n,) for n in range(1, cfg.bound("max_n") + 1)]
-    elif family == "dihedral":
-        lo = max(1, cfg.bounds.get("min_n", 1))
-        out = [(n,) for n in range(lo, cfg.bound("max_n") + 1)]
-    elif family == "dicyclic":
-        lo = max(2, cfg.bounds.get("min_n", 2))
-        out = [(n,) for n in range(lo, cfg.bound("max_n") + 1)]
-    elif family == "affine":
-        for q in range(2, cfg.bound("max_q") + 1):
-            if numtheory.prime_power_decompose(q) is not None:
-                out.append((q,))
-    elif family == "pq":
-        max_q = cfg.bound("max_q")
-        max_p = cfg.bounds.get("max_p", max_q)
-        for q in range(3, max_q + 1):
-            if not numtheory.is_prime(q):
-                continue
-            for p in range(2, min(q - 1, max_p) + 1):
-                if (q - 1) % p == 0 and numtheory.is_prime(p):
-                    out.append((p, q))
-        out.sort()
-    elif family == "gen-dihedral":
-        for chain in oracle.iter_abelian_types(cfg.bound("max_a")):
-            if not chain:
-                continue
-            out.append(chain)
-            if len(out) > cfg.budget:
-                raise BudgetError(
-                    f"sweep bounds describe more than {cfg.budget} chains, "
-                    f"over the budget of {cfg.budget}"
-                )
-        out.sort(key=lambda c: (math.prod(c), c))
-    elif family == "zm":
-        out = _enumerate_zm(cfg)
+def _enumerate_affine(cfg: SweepConfig) -> list[tuple[int, ...]]:
+    return [
+        (q,)
+        for q in range(2, cfg.bound("max_q") + 1)
+        if numtheory.prime_power_decompose(q) is not None
+    ]
+
+
+def _enumerate_pq(cfg: SweepConfig) -> list[tuple[int, ...]]:
+    max_q = cfg.bound("max_q")
+    max_p = cfg.bounds.get("max_p", max_q)
+    out = []
+    for q in range(3, max_q + 1):
+        if not numtheory.is_prime(q):
+            continue
+        for p in range(2, min(q - 1, max_p) + 1):
+            if (q - 1) % p == 0 and numtheory.is_prime(p):
+                out.append((p, q))
+    out.sort()
+    return out
+
+
+def _enumerate_gen_dihedral(cfg: SweepConfig) -> list[tuple[int, ...]]:
+    """The non-trivial chains of order <= max_a, counted against the budget."""
+    out = []
+    for chain in oracle.iter_abelian_types(cfg.bound("max_a")):
+        if not chain:
+            continue
+        out.append(chain)
+        if len(out) > cfg.budget:
+            raise BudgetError(
+                f"sweep bounds describe more than {cfg.budget} chains, "
+                f"over the budget of {cfg.budget}"
+            )
+    out.sort(key=lambda c: (math.prod(c), c))
     return out
 
 
@@ -299,50 +281,107 @@ def _residues_by_order(m: int, residues, max_order: int) -> dict[int, list[int]]
     return out
 
 
+def _evaluate_zm(params: tuple[int, ...]) -> tuple[int, int, tuple[str, ...]]:
+    triple = families.zm_validate(*params)
+    if triple is None:
+        raise ValueError(families.zm_invalid_reason(*params))
+    return triple.order, families.zm_divisor_sum(triple), ()
+
+
+def _evaluate_affine(params: tuple[int, ...]) -> tuple[int, int, tuple[str, ...]]:
+    (q,) = params
+    order, total = q * (q - 1), families.affine_divisor_sum(q)
+    notes = () if numtheory.is_prime(q) else (NOTE_FORMULA_ONLY,)
+    if abs(total - 2 * order) == 1:
+        # the classical statement labels the quasi- and almost-Leinster affine
+        # cases the other way around; flag every record where they differ
+        notes += (NOTE_LABEL_DIFFERS,)
+    return order, total, notes
+
+
+def _build_pq(params: tuple[int, ...]) -> oracle.FiniteGroup:
+    """The non-abelian group of order pq, as ZM(q, p, r) for r of order p mod q."""
+    p, q = params
+    for r in range(2, q):
+        if pow(r, p, q) == 1:
+            return oracle.build_zm(q, p, r)
+    raise RuntimeError(f"no element of order {p} modulo {q} (bug)")
+
+
+def _count(key: str) -> Callable[[SweepConfig], int]:
+    return lambda cfg: cfg.bounds.get(key, 1)
+
+
+def _zm_tuple_count(cfg: SweepConfig) -> int:
+    b = cfg.bounds
+    r_span = 1 if cfg.fixed_r is not None else b.get("max_m", 1)
+    n_span = 1 if cfg.paper_mode else b.get("max_n", 1)
+    return b.get("max_m", 1) * n_span * r_span
+
+
+# Every family, in the order the CLI lists them.  Evaluators and builders
+# look the module functions up at call time, so wrapping them (as the bench
+# tracer does) is seen.
+FAMILY: dict[str, Family] = {
+    f.name: f
+    for f in (
+        Family(
+            "cyclic", ("max_n",), 1, _count("max_n"), _n_range(1),
+            lambda p: (p[0], numtheory.divisor_sum(p[0]), ()),
+            lambda p: oracle.build_cyclic(p[0]),
+        ),
+        Family(
+            "zm", ("max_m", "max_n"), 3, _zm_tuple_count, _enumerate_zm,
+            _evaluate_zm,
+            lambda p: oracle.build_zm(*p),
+        ),
+        Family(
+            "affine", ("max_q",), 1, _count("max_q"), _enumerate_affine,
+            _evaluate_affine,
+            lambda p: oracle.build_affine_prime(p[0]) if numtheory.is_prime(p[0]) else None,
+        ),
+        Family(
+            "dihedral", ("max_n", "min_n"), 1, _count("max_n"), _n_range(1),
+            lambda p: (2 * p[0], families.dihedral_divisor_sum(p[0]), ()),
+            lambda p: oracle.build_generalized_dihedral(p),
+        ),
+        Family(
+            "gen-dihedral", ("max_a",), None, None, _enumerate_gen_dihedral,
+            lambda p: (2 * math.prod(p), families.generalized_dihedral_divisor_sum(p), ()),
+            lambda p: oracle.build_generalized_dihedral(p),
+        ),
+        Family(
+            "dicyclic", ("max_n", "min_n"), 1, _count("max_n"), _n_range(2),
+            lambda p: (4 * p[0], families.dicyclic_divisor_sum(p[0]), ()),
+            lambda p: oracle.build_generalized_dicyclic([2 * p[0]], p[0]),
+        ),
+        Family(
+            "pq", ("max_q", "max_p"), 2, lambda cfg: cfg.bounds.get("max_q", 1) ** 2,
+            _enumerate_pq,
+            lambda p: (p[0] * p[1], families.pq_divisor_sum(*p), ()),
+            _build_pq,
+        ),
+    )
+}
+FAMILIES = tuple(FAMILY)
+
+
 def _evaluate(family: str, params: tuple[int, ...]) -> SearchRecord:
-    arity = _FAMILY_ARITY.get(family)
+    try:
+        fam = FAMILY[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}") from None
+    arity = fam.arity
     if arity is not None and len(params) != arity:
         raise ValueError(
             f"{family} takes {arity} parameter{'s' if arity != 1 else ''}, "
             f"got {len(params)}"
         )
-    notes: list[str] = []
-    if family == "cyclic":
-        (n,) = params
-        order, total = n, numtheory.divisor_sum(n)
-    elif family == "dihedral":
-        (n,) = params
-        order, total = 2 * n, families.dihedral_divisor_sum(n)
-    elif family == "dicyclic":
-        (n,) = params
-        order, total = 4 * n, families.dicyclic_divisor_sum(n)
-    elif family == "affine":
-        (q,) = params
-        order, total = q * (q - 1), families.affine_divisor_sum(q)
-        if not numtheory.is_prime(q):
-            notes.append(NOTE_FORMULA_ONLY)
-    elif family == "pq":
-        p, q = params
-        order, total = p * q, families.pq_divisor_sum(p, q)
-    elif family == "gen-dihedral":
-        order = 2 * math.prod(params)
-        total = families.generalized_dihedral_divisor_sum(params)
-    elif family == "zm":
-        m, n, r = params
-        triple = families.zm_validate(m, n, r)
-        if triple is None:
-            raise ValueError(families.zm_invalid_reason(m, n, r))
-        order, total = triple.order, families.zm_divisor_sum(triple)
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    order, total, notes = fam.evaluate(params)
     kind = families.classify_group(total, order).kind
-    if family == "affine" and kind in (GroupKind.QUASI_LEINSTER, GroupKind.ALMOST_LEINSTER):
-        # the classical statement labels these two affine cases the other way
-        # around; flag every record where the definition-derived label differs
-        notes.append(NOTE_LABEL_DIFFERS)
     if order == 1:
-        notes.append(NOTE_EDGE)
-    return SearchRecord(family, tuple(params), order, total, kind, tuple(notes))
+        notes += (NOTE_EDGE,)
+    return SearchRecord(family, tuple(params), order, total, kind, notes)
 
 
 def _evaluate_batch(family: str, batch: list[tuple[int, ...]]) -> list[SearchRecord]:
@@ -383,26 +422,30 @@ def _evaluate_chunks(
         pool.shutdown(cancel_futures=True)
 
 
-def _load_cache(path: Path, family: str) -> dict[tuple[int, ...], SearchRecord]:
-    cached: dict[tuple[int, ...], SearchRecord] = {}
+def _load_cache(path: Path, name: str) -> dict[tuple[int, ...], SearchRecord] | None:
+    """The cached records of family `name`; None (after a warning) if unreadable."""
     if not path.exists():
-        return cached
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = SearchRecord.from_json(line)
-            except (ValueError, KeyError, TypeError) as exc:
-                print(
-                    f"warning: skipping corrupt cache line {lineno}: {exc}",
-                    file=sys.stderr,
-                )
-                continue
-            if record.family == family:
-                cached[record.params] = record
-    return cached
+        return {}
+    by_family: dict[str, dict[tuple[int, ...], SearchRecord]] = {}
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = SearchRecord.from_json(line)
+                except (ValueError, KeyError, TypeError) as exc:
+                    print(
+                        f"warning: skipping corrupt cache line {lineno}: {exc}",
+                        file=sys.stderr,
+                    )
+                    continue
+                by_family.setdefault(record.family, {})[record.params] = record
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"warning: cache read failed ({exc}); sweep continues", file=sys.stderr)
+        return None
+    return by_family.get(name, {})
 
 
 def _append_cache(path: Path, records: list[SearchRecord]) -> bool:
@@ -427,16 +470,19 @@ def run_sweep(cfg: SweepConfig):
     smallest-prime-factor table is open for the whole sweep, in this process
     and in every pool worker.
     """
-    raw = _raw_tuple_count(cfg)
+    family = FAMILY[cfg.family]
+    raw = family.tuple_count(cfg) if family.tuple_count is not None else None
     if raw is not None and raw > cfg.budget:
         raise BudgetError(
             f"sweep bounds describe up to {raw} tuples, over the budget of {cfg.budget}"
         )
     sieve_limit = 2 * max(cfg.bounds.values(), default=0) + 1
     with numtheory.sieve(sieve_limit):
-        params_list = _enumerate_params(cfg)
+        params_list = family.enumerate(cfg)
         cache_path = Path(cfg.cache_path) if cfg.cache_path is not None else None
         cached = _load_cache(cache_path, cfg.family) if cache_path else {}
+        if cached is None:
+            cache_path, cached = None, {}  # warned; the sweep goes on without a cache
         size = max(1, min(_CHUNK, -(-len(params_list) // cfg.workers)))
         chunks = [params_list[i : i + size] for i in range(0, len(params_list), size)]
         todo = [[p for p in chunk if p not in cached] for chunk in chunks]
@@ -458,39 +504,19 @@ def run_sweep(cfg: SweepConfig):
                 yield record
 
 
-def _oracle_group(family: str, params: tuple[int, ...]) -> oracle.FiniteGroup | None:
-    """Brute-force builder for a family instance, or None when out of oracle scope."""
-    if family == "cyclic":
-        return oracle.build_cyclic(params[0])
-    if family == "dihedral":
-        return oracle.build_generalized_dihedral([params[0]])
-    if family == "gen-dihedral":
-        return oracle.build_generalized_dihedral(list(params))
-    if family == "dicyclic":
-        n = params[0]
-        return oracle.build_generalized_dicyclic([2 * n], n)
-    if family == "zm":
-        return oracle.build_zm(*params)
-    if family == "affine":
-        return oracle.build_affine_prime(params[0]) if numtheory.is_prime(params[0]) else None
-    if family == "pq":
-        p, q = params
-        for r in range(2, q):
-            if pow(r, p, q) == 1:
-                return oracle.build_zm(q, p, r)
-        raise RuntimeError(f"no element of order {p} modulo {q} (bug)")
-    return None
-
-
 def oracle_crosscheck(record: SearchRecord) -> bool | None:
     """Check one record's D against the brute-force oracle.
 
     Returns True when the oracle agrees, None when the instance is out of
-    oracle scope (no builder, or order above the cap); raises
+    oracle scope (the family's builder gives None, or the order is above the
+    cap); raises
     OracleMismatchError on disagreement.
     """
+    family = FAMILY.get(record.family)
+    if family is None:
+        return None
     try:
-        group = _oracle_group(record.family, record.params)
+        group = family.build(record.params)
     except oracle.OrderCapError:
         return None
     if group is None:
@@ -513,7 +539,7 @@ def run_classify(
     builder exists and the order fits the oracle cap; a D disagreement raises
     OracleMismatchError.
     """
-    if family not in FAMILIES:
+    if family not in FAMILY:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     record = _evaluate(family, tuple(params))
     if verify:

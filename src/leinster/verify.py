@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import families, numtheory, oracle
+from .search import FAMILY
 
 __all__ = ["CorpusEntry", "InvariantResult", "run_verify"]
 
@@ -38,45 +39,25 @@ class CorpusEntry:
 def _build_corpus(max_order: int) -> list[CorpusEntry]:
     entries: list[CorpusEntry] = []
 
+    def add(label: str, family: str, params: tuple[int, ...], base=None) -> None:
+        group = FAMILY[family].build(params)
+        entries.append(CorpusEntry(label, family, params, group, base))
+
     for n in range(1, max_order + 1):
-        entries.append(CorpusEntry(f"C{n}", "cyclic", (n,), oracle.build_cyclic(n)))
+        add(f"C{n}", "cyclic", (n,))
 
     for n in range(1, max_order // 2 + 1):
-        entries.append(
-            CorpusEntry(
-                f"D{2 * n}",
-                "dihedral",
-                (n,),
-                oracle.build_generalized_dihedral([n]),
-            )
-        )
+        add(f"D{2 * n}", "dihedral", (n,))
 
     dih_cap = min(32, max_order // 2)
     for chain in oracle.abelian_types(dih_cap):
         if len(chain) < 2:
             continue  # cyclic A is covered by the dihedral entries
-        base = oracle.build_abelian(chain)
-        entries.append(
-            CorpusEntry(
-                "Dih(" + "x".join(f"C{d}" for d in chain) + ")",
-                "gen-dihedral",
-                chain,
-                oracle.build_generalized_dihedral(chain),
-                base,
-            )
-        )
+        label = "Dih(" + "x".join(f"C{d}" for d in chain) + ")"
+        add(label, "gen-dihedral", chain, oracle.build_abelian(chain))
 
     for n in range(2, max_order // 4 + 1):
-        base = oracle.build_abelian([2 * n])
-        entries.append(
-            CorpusEntry(
-                f"Dic{4 * n}",
-                "dicyclic",
-                (n,),
-                oracle.build_generalized_dicyclic([2 * n], n),
-                base,
-            )
-        )
+        add(f"Dic{4 * n}", "dicyclic", (n,), oracle.build_abelian([2 * n]))
 
     dic_cap = min(16, max_order // 2)
     seen_digests: set[bytes] = set()
@@ -89,15 +70,8 @@ def _build_corpus(max_order: int) -> list[CorpusEntry]:
             if group.digest() in seen_digests:
                 continue
             seen_digests.add(group.digest())
-            entries.append(
-                CorpusEntry(
-                    "Dic(" + "x".join(f"C{d}" for d in chain) + f",y={y})",
-                    "gen-dicyclic",
-                    chain + (y,),
-                    group,
-                    base,
-                )
-            )
+            label = "Dic(" + "x".join(f"C{d}" for d in chain) + f",y={y})"
+            entries.append(CorpusEntry(label, "gen-dicyclic", chain + (y,), group, base))
 
     zm_cap = min(max_order, 200)
     for m in range(2, zm_cap // 2 + 1):
@@ -106,21 +80,12 @@ def _build_corpus(max_order: int) -> list[CorpusEntry]:
                 continue
             for r in range(2, m):
                 if families.zm_validate(m, n, r) is not None:
-                    entries.append(
-                        CorpusEntry(
-                            f"ZM({m},{n},{r})",
-                            "zm",
-                            (m, n, r),
-                            oracle.build_zm(m, n, r),
-                        )
-                    )
+                    add(f"ZM({m},{n},{r})", "zm", (m, n, r))
 
     p = 2
     while p * (p - 1) <= max_order:
         if numtheory.is_prime(p):
-            entries.append(
-                CorpusEntry(f"Aff({p})", "affine", (p,), oracle.build_affine_prime(p))
-            )
+            add(f"Aff({p})", "affine", (p,))
         p += 1
 
     pq_cap = min(max_order, 200)
@@ -128,12 +93,8 @@ def _build_corpus(max_order: int) -> list[CorpusEntry]:
         if not numtheory.is_prime(q):
             continue
         for p in range(2, q):
-            if p * q > pq_cap or not numtheory.is_prime(p) or (q - 1) % p:
-                continue
-            r = next(r for r in range(2, q) if pow(r, p, q) == 1)
-            entries.append(
-                CorpusEntry(f"G({p},{q})", "pq", (p, q), oracle.build_zm(q, p, r))
-            )
+            if p * q <= pq_cap and numtheory.is_prime(p) and (q - 1) % p == 0:
+                add(f"G({p},{q})", "pq", (p, q))
 
     return entries
 
@@ -323,26 +284,17 @@ def _check_nilpotent_equivalence(corpus: list[CorpusEntry]) -> InvariantResult:
     return _first_fail("nilpotent-equivalence", checked, None)
 
 
-def _formula_divisor_sum(entry: CorpusEntry) -> int | None:
-    if entry.family == "dihedral":
-        return families.dihedral_divisor_sum(entry.params[0])
-    if entry.family == "gen-dihedral":
-        return families.generalized_dihedral_divisor_sum(entry.params)
-    if entry.family == "dicyclic":
-        return families.dicyclic_divisor_sum(entry.params[0])
-    if entry.family == "affine":
-        return families.affine_divisor_sum(entry.params[0])
-    if entry.family == "pq":
-        return families.pq_divisor_sum(*entry.params)
-    return None  # cyclic handled separately; zm has its own three-path check
+# cyclic and zm formulas are held to the oracle by invariants of their own
+_OWN_FORMULA_CHECK = frozenset({"cyclic", "zm"})
 
 
 def _check_family_formulas(corpus: list[CorpusEntry]) -> InvariantResult:
     checked = 0
     for entry in corpus:
-        want = _formula_divisor_sum(entry)
-        if want is None:
+        family = FAMILY.get(entry.family)
+        if family is None or entry.family in _OWN_FORMULA_CHECK:
             continue
+        want = family.evaluate(entry.params)[1]
         checked += 1
         got = oracle.group_divisor_sum(entry.group)
         if got != want:

@@ -1,9 +1,13 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 import leinster
 from leinster import cli
@@ -96,6 +100,24 @@ def test_closed_stdout_pipe_exits_141_without_a_traceback():
     assert err == b""
 
 
+def test_reader_leaving_mid_write_exits_141():
+    src = str(Path(leinster.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "leinster", "search", "cyclic", "--max-n", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = json.loads(proc.stdout.readline())  # ~9 MB follow it
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first["params"] == [2]
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
+    assert err == b""
+
+
 def test_broken_pipe_in_process_maps_to_141(monkeypatch, capsys):
     def closed(args):
         raise BrokenPipeError
@@ -103,3 +125,51 @@ def test_broken_pipe_in_process_maps_to_141(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_search", closed)
     assert cli.main(["search", "cyclic", "--max-n", "5"]) == cli.EXIT_BROKEN_PIPE
     assert capsys.readouterr().err == ""
+
+
+# (command line, exit code, first 16 hex digits of the stdout's sha256, stderr),
+# recorded before the family records replaced the per-family if-chains; verify's
+# elapsed time is masked
+GOLDEN = [
+    ('classify --family cyclic --params 6', 0, '46f70b50202d9df6', ''),
+    ('classify --family cyclic --params 1', 0, '67f3927bafdf844e', ''),
+    ('classify --family dihedral --params 6 --table', 0, 'f940bdf6026b8635', ''),
+    ('classify --family dicyclic --params 3', 0, '86e8c04c267172cd', ''),
+    ('classify --family gen-dihedral --params 2,2,4 --verify', 0, '7ee1cdf00bbca964', 'oracle cross-check: D agrees\n'),
+    ('classify --family zm --params 7,6,3 --verify', 0, '345e57c2398262f4', 'oracle cross-check: D agrees\n'),
+    ('classify --family affine --params 8', 0, 'b09c17739f1eac56', ''),
+    ('classify --family affine --params 7 --table', 0, '6d8b95190f16795f', ''),
+    ('classify --family pq --params 3,7 --verify', 0, '81a0abd0963f4c90', 'oracle cross-check: D agrees\n'),
+    ('search cyclic --max-n 30 --include-edge', 0, '8723e8ed6c0b836c', ''),
+    ('search dihedral --min-n 3 --max-n 30 --table', 0, '6a0e3b5382507001', ''),
+    ('search dicyclic --max-n 20 --class leinster,abundant', 0, 'a41fc2d78b66a006', ''),
+    ('search gen-dihedral --max-a 40', 0, '3748438bc9d4930b', ''),
+    ('search zm --max-m 30 --max-n 10 --dedupe', 0, '6f99c30dc89cdfd4', ''),
+    ('search zm --max-m 40 --max-n 12 --r 2 --table', 0, 'eca1e06d35ee69e1', ''),
+    ('search zm --paper-mode --max-m 60', 0, 'a5ba0ba7bf47f35e', ''),
+    ('search affine --max-q 60 --class quasi,almost', 0, '63ca7e7d51cd6d84', ''),
+    ('search pq --max-q 60 --max-p 5', 0, 'ee6e933c39b743cd', ''),
+    ('verify --max-order 24', 0, 'df2932b46837e4d7', ''),
+    ('classify --family cyclic --params 6,2', 2, 'e3b0c44298fc1c14', 'domain error: cyclic takes 1 parameter, got 2\n'),
+    ('classify --family pq --params 3', 2, 'e3b0c44298fc1c14', 'domain error: pq takes 2 parameters, got 1\n'),
+    ('classify --family zm --params 8,3,3', 2, 'e3b0c44298fc1c14', 'domain error: gcd(m, r-1) = 2 != 1\n'),
+    ('classify --family gen-dihedral --params 2,0', 2, 'e3b0c44298fc1c14', 'domain error: cyclic factor orders must be positive, got 0\n'),
+    ('search cyclic --max-q 10', 2, 'e3b0c44298fc1c14', "domain error: cyclic sweeps accept bounds ['max_n'], got 'max_q'\n"),
+    ('search zm --max-m 10', 2, 'e3b0c44298fc1c14', 'domain error: zm sweep needs the max_n bound\n'),
+    ('search cyclic --min-n 2 --max-n 10', 2, 'e3b0c44298fc1c14', "domain error: cyclic sweeps accept bounds ['max_n'], got 'min_n'\n"),
+    ('search dihedral --max-n 10 --paper-mode', 2, 'e3b0c44298fc1c14', 'domain error: paper mode applies to zm sweeps only\n'),
+    ('search cyclic --max-n 10 --r 2', 2, 'e3b0c44298fc1c14', 'domain error: a fixed r applies to zm sweeps only\n'),
+    ('search zm --max-m 1000 --max-n 1000 --budget 100', 4, 'e3b0c44298fc1c14', 'resource cap: sweep bounds describe up to 1000000000 tuples, over the budget of 100\n'),
+    ('search gen-dihedral --max-a 40 --budget 5', 4, 'e3b0c44298fc1c14', 'resource cap: sweep bounds describe more than 5 chains, over the budget of 5\n'),
+    ('search cyclic --max-n 10 --workers 0', 1, 'e3b0c44298fc1c14', 'usage error: --workers must be at least 1\n'),
+    ('search cyclic --max-n 10 --class bogus', 1, 'e3b0c44298fc1c14', "usage error: unknown class 'bogus'; expected one of ['abundant', 'almost', 'almost-leinster', 'deficient', 'leinster', 'quasi', 'quasi-leinster']\n"),
+]
+
+
+@pytest.mark.parametrize("line, code, digest, err", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_cli_output_is_pinned(line, code, digest, err, capsys):
+    assert cli.main(line.split()) == code
+    captured = capsys.readouterr()
+    stdout = re.sub(r" in \d+\.\d+s\n", " in Xs\n", captured.out)
+    assert hashlib.sha256(stdout.encode()).hexdigest()[:16] == digest
+    assert captured.err == err

@@ -195,6 +195,21 @@ def test_unwritable_cache_warns_once_and_the_sweep_goes_on(tmp_path, capsys):
     assert records == sweep(family="cyclic", bounds=bounds)
 
 
+def test_unreadable_cache_warns_once_and_the_sweep_goes_on(tmp_path, capsys):
+    assert cli.main(["search", "cyclic", "--max-n", "5"]) == 0
+    expected = capsys.readouterr().out
+    not_utf8 = tmp_path / "cache.jsonl"
+    not_utf8.write_bytes(b"\xff\xfe\n")
+    for cache in (tmp_path, not_utf8):  # a directory, then a file that is not UTF-8
+        argv = ["search", "cyclic", "--max-n", "5", "--cache", str(cache)]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err.count("cache read failed") == 1
+        assert "cache write failed" not in captured.err
+    assert not_utf8.read_bytes() == b"\xff\xfe\n"
+
+
 def test_interrupted_sweep_resumes_from_its_cache(tmp_path, monkeypatch, capsys):
     argv = ["search", "cyclic", "--max-n", "20000"]
     assert cli.main(argv) == 0
@@ -353,6 +368,31 @@ def test_classify_verify_crosschecks_oracle():
         ("pq", [3, 7]),
     ]:
         search.run_classify(family, params, verify=True)
+
+
+# a small sweep per family, each instance held to its record's oracle builder
+RECORD_SWEEPS = {
+    "cyclic": {"max_n": 60},
+    "dihedral": {"max_n": 30},
+    "dicyclic": {"max_n": 15},
+    "gen-dihedral": {"max_a": 32},
+    "zm": {"max_m": 30, "max_n": 10},
+    "affine": {"max_q": 23},
+    "pq": {"max_q": 60},
+}
+
+
+@pytest.mark.parametrize("family", search.FAMILIES)
+def test_record_formula_agrees_with_its_oracle_builder(family):
+    records = sweep(family=family, bounds=RECORD_SWEEPS[family], include_edge=True)
+    assert records
+    for record in records:
+        # Aff(q) has an oracle build only for prime q; G(13, 53) and G(29, 59)
+        # are above the oracle's order cap
+        in_scope = record.order <= oracle.order_cap() and (
+            family != "affine" or numtheory.is_prime(record.params[0])
+        )
+        assert search.oracle_crosscheck(record) is (True if in_scope else None), record
 
 
 def test_classify_verify_skips_oversized_oracle():
