@@ -90,14 +90,7 @@ def nilpotent_classify(n: int, is_cyclic: bool) -> GroupKind:
         raise ValueError(f"need n >= 1, got {n}")
     if not is_cyclic:
         return GroupKind.ABUNDANT
-    nc = numtheory.classify_number(n)
-    if nc.is_perfect:
-        return GroupKind.LEINSTER
-    if nc.is_quasi_perfect:
-        return GroupKind.QUASI_LEINSTER
-    if nc.is_almost_perfect:
-        return GroupKind.ALMOST_LEINSTER
-    return GroupKind.ABUNDANT if nc.is_abundant else GroupKind.DEFICIENT
+    return classify_group(numtheory.divisor_sum(n), n).kind
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +194,7 @@ def zm_divisor_sum(t: ZMTriple) -> int:
     divisor_sum(g) is read from that factorization.  The verification suite
     holds this against the summed triple orders and the oracle.
     """
-    m_factors = numtheory.factorize(t.m).factors
+    m_factors = numtheory.factorize(t.m)
     total = 0
     for n1 in numtheory.divisors(t.n):
         g = _zm_gcd(t, n1)

@@ -35,7 +35,6 @@ import numpy as np
 __all__ = [
     "MERSENNE_EXPONENTS",
     "SIEVE_CAP",
-    "Factorization",
     "FactorizationError",
     "NumberClass",
     "carmichael",
@@ -111,22 +110,6 @@ def sieve(limit: int):
 def sieve_limit() -> int:
     """The largest n the open sieve tables answer; 0 outside every `sieve` block."""
     return len(_SPF) - 1 if _SPF is not None else 0
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """Complete prime factorization as ((p1, e1), (p2, e2), ...) sorted by prime."""
-
-    factors: tuple[tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def value(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
 
 
 @dataclass(frozen=True)
@@ -233,8 +216,8 @@ def _brent_rho(n: int, budget: list[int]) -> int:
 
 def factorize(
     n: int, *, trial_bound: int = 1 << 12, rho_budget: int = 2_000_000
-) -> Factorization:
-    """Complete prime factorization of n >= 1.
+) -> tuple[tuple[int, int], ...]:
+    """Complete prime factorization of n >= 1 as ((p1, e1), (p2, e2), ...), sorted by prime.
 
     Trial division by 2, 3 and the 6k +- 1 up to `trial_bound`; the
     cofactor is kept as a prime when `is_prime` says so, and otherwise split
@@ -258,7 +241,7 @@ def factorize(
                 n //= p
                 k += 1
             factors.append((p, k))
-        return Factorization(tuple(factors))
+        return tuple(factors)
     counts: dict[int, int] = {}
     m = n
     for p in (2, 3):
@@ -286,7 +269,7 @@ def factorize(
                 f = _brent_rho(x, budget)
                 stack.append(f)
                 stack.append(x // f)
-    return Factorization(tuple(sorted(counts.items())))
+    return tuple(sorted(counts.items()))
 
 
 def divisor_sum(n: int) -> int:
@@ -338,7 +321,7 @@ def prime_power_decompose(n: int) -> tuple[int, int] | None:
     if n < 2:
         raise ValueError(f"prime_power_decompose needs n >= 2, got {n}")
     if _SPF is not None and n < len(_SPF):
-        f = factorize(n).factors
+        f = factorize(n)
         return f[0] if len(f) == 1 else None
     for k in range(n.bit_length() - 1, 0, -1):
         root = _iroot(n, k)

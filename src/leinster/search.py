@@ -530,21 +530,11 @@ def oracle_crosscheck(record: SearchRecord) -> bool | None:
     return True
 
 
-def run_classify(
-    family: str, params: list[int] | tuple[int, ...], *, verify: bool = False
-) -> SearchRecord:
-    """Classify one instance; optionally cross-check D against the oracle.
-
-    With verify=True the instance is rebuilt as an explicit group when a
-    builder exists and the order fits the oracle cap; a D disagreement raises
-    OracleMismatchError.
-    """
+def run_classify(family: str, params: list[int] | tuple[int, ...]) -> SearchRecord:
+    """Classify one instance in closed form; `oracle_crosscheck` checks the result."""
     if family not in FAMILY:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    record = _evaluate(family, tuple(params))
-    if verify:
-        oracle_crosscheck(record)
-    return record
+    return _evaluate(family, tuple(params))
 
 
 @dataclass(frozen=True)

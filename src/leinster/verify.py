@@ -6,17 +6,26 @@ a maximum order, then checks every closed-form divisor-sum formula and every
 structural invariant of the group divisor-sum function against brute force.
 Each invariant reports a pass/fail verdict together with how many instances
 were checked and the first counterexample on failure.
+
+An invariant is a generator over the corpus that yields None for each
+instance that passes and a detail string for one that fails; `_run` counts
+the instances and stops at the first detail.  Adding an invariant takes one
+such generator and one row in `_INVARIANTS`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from . import families, numtheory, oracle
 from .search import FAMILY
 
 __all__ = ["CorpusEntry", "InvariantResult", "run_verify"]
+
+# what an invariant yields per instance: None when it passes, else the detail
+Outcomes = Iterator[str | None]
 
 
 @dataclass(frozen=True)
@@ -33,7 +42,7 @@ class CorpusEntry:
     family: str
     params: tuple[int, ...]
     group: oracle.FiniteGroup
-    base: oracle.FiniteGroup | None = None  # the abelian A behind Dih/Dic builds
+    base: oracle.FiniteGroup | None = None  # the abelian A behind a Dic build
 
 
 def _build_corpus(max_order: int) -> list[CorpusEntry]:
@@ -54,7 +63,7 @@ def _build_corpus(max_order: int) -> list[CorpusEntry]:
         if len(chain) < 2:
             continue  # cyclic A is covered by the dihedral entries
         label = "Dih(" + "x".join(f"C{d}" for d in chain) + ")"
-        add(label, "gen-dihedral", chain, oracle.build_abelian(chain))
+        add(label, "gen-dihedral", chain)
 
     for n in range(2, max_order // 4 + 1):
         add(f"Dic{4 * n}", "dicyclic", (n,), oracle.build_abelian([2 * n]))
@@ -99,46 +108,25 @@ def _build_corpus(max_order: int) -> list[CorpusEntry]:
     return entries
 
 
-def _first_fail(name: str, checked: int, detail: str | None) -> InvariantResult:
-    if detail is None:
-        return InvariantResult(name, True, checked)
-    return InvariantResult(name, False, checked, detail)
-
-
-def _check_cyclic_dsum(corpus: list[CorpusEntry]) -> InvariantResult:
-    checked = 0
+def _check_cyclic_dsum(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
     for entry in corpus:
         if entry.family != "cyclic":
             continue
-        checked += 1
-        n = entry.params[0]
         got = oracle.group_divisor_sum(entry.group)
-        want = numtheory.divisor_sum(n)
-        if got != want:
-            return _first_fail(
-                "cyclic-group-divisor-sum", checked, f"D({entry.label}) = {got} != {want}"
-            )
-    return _first_fail("cyclic-group-divisor-sum", checked, None)
+        want = numtheory.divisor_sum(entry.params[0])
+        yield f"D({entry.label}) = {got} != {want}" if got != want else None
 
 
-def _check_delta(corpus: list[CorpusEntry]) -> InvariantResult:
-    checked = 0
+def _check_delta(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
     for entry in corpus:
-        if entry.group.order == 1:
+        order = entry.group.order
+        if order == 1:
             continue
-        checked += 1
         total = oracle.group_divisor_sum(entry.group)
-        if total <= entry.group.order:
-            return _first_fail(
-                "delta-exceeds-one",
-                checked,
-                f"{entry.label}: D = {total} <= order {entry.group.order}",
-            )
-    return _first_fail("delta-exceeds-one", checked, None)
+        yield f"{entry.label}: D = {total} <= order {order}" if total <= order else None
 
 
-def _check_multiplicativity(corpus: list[CorpusEntry], max_order: int) -> InvariantResult:
-    checked = 0
+def _check_multiplicativity(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
     for i, left in enumerate(corpus):
         if left.group.order == 1:
             continue
@@ -149,186 +137,155 @@ def _check_multiplicativity(corpus: list[CorpusEntry], max_order: int) -> Invari
                 continue
             if math.gcd(left.group.order, right.group.order) != 1:
                 continue
-            checked += 1
             product = oracle.build_direct_product(left.group, right.group)
             got = oracle.group_divisor_sum(product)
             want = oracle.group_divisor_sum(left.group) * oracle.group_divisor_sum(
                 right.group
             )
-            if got != want:
-                return _first_fail(
-                    "direct-product-multiplicativity",
-                    checked,
-                    f"D({left.label} x {right.label}) = {got} != {want}",
-                )
-    return _first_fail("direct-product-multiplicativity", checked, None)
+            yield f"D({left.label} x {right.label}) = {got} != {want}" if got != want else None
 
 
-def _check_quotient_monotonicity(
-    corpus: list[CorpusEntry], max_order: int
-) -> InvariantResult:
+def _check_quotient_monotonicity(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
     limit = min(100, max_order)
-    checked = 0
     for entry in corpus:
         group = entry.group
         if group.order > limit:
             continue
         d_group = oracle.group_divisor_sum(group)
         for sub in oracle.normal_subgroups(group):
-            checked += 1
             quot = oracle.quotient(group, sub)
             d_quot = oracle.group_divisor_sum(quot)
             # delta(G/N) <= delta(G), cross-multiplied to stay in integers
             if d_quot * group.order > d_group * quot.order:
-                return _first_fail(
-                    "quotient-monotonicity",
-                    checked,
+                yield (
                     f"{entry.label} / N of order {sub.order}: "
-                    f"{d_quot}/{quot.order} > {d_group}/{group.order}",
+                    f"{d_quot}/{quot.order} > {d_group}/{group.order}"
                 )
-    return _first_fail("quotient-monotonicity", checked, None)
+            else:
+                yield None
 
 
-def _check_zm_lattice(corpus: list[CorpusEntry]) -> InvariantResult:
-    checked = 0
+def _check_zm_lattice(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
     for entry in corpus:
         if entry.family != "zm":
             continue
-        checked += 1
         triple = families.zm_validate(*entry.params)
-        subs = len(oracle.all_subgroups(entry.group))
-        norms = len(oracle.normal_subgroups(entry.group))
-        want_subs = len(families.zm_subgroup_triples(triple))
-        want_norms = len(families.zm_normal_triples(triple))
-        if subs != want_subs or norms != want_norms:
-            return _first_fail(
-                "zm-lattice-bijection",
-                checked,
-                f"{entry.label}: subgroup/normal counts ({subs}, {norms}) "
-                f"!= triple counts ({want_subs}, {want_norms})",
-            )
-    return _first_fail("zm-lattice-bijection", checked, None)
+        subs = oracle.all_subgroups(entry.group)
+        got = (len(subs), sum(sub.is_normal for sub in subs))
+        want = (
+            len(families.zm_subgroup_triples(triple)),
+            len(families.zm_normal_triples(triple)),
+        )
+        if got != want:
+            yield f"{entry.label}: subgroup/normal counts {got} != triple counts {want}"
+        else:
+            yield None
 
 
-def _check_zm_three_path(corpus: list[CorpusEntry]) -> InvariantResult:
-    checked = 0
+def _check_zm_three_path(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
     for entry in corpus:
         if entry.family != "zm":
             continue
-        checked += 1
         triple = families.zm_validate(*entry.params)
         formula = families.zm_divisor_sum(triple)
         triple_sum = sum(lt.subgroup_order for lt in families.zm_normal_triples(triple))
         brute = oracle.group_divisor_sum(entry.group)
         if not formula == triple_sum == brute:
-            return _first_fail(
-                "zm-three-path-agreement",
-                checked,
-                f"{entry.label}: {formula} / {triple_sum} / {brute} disagree",
-            )
-    return _first_fail("zm-three-path-agreement", checked, None)
+            yield f"{entry.label}: {formula} / {triple_sum} / {brute} disagree"
+        else:
+            yield None
 
 
-def _check_noncyclic_dihedral(corpus: list[CorpusEntry]) -> InvariantResult:
-    checked = 0
+def _check_noncyclic_dihedral(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
     for entry in corpus:
         if entry.family != "gen-dihedral":
             continue
-        checked += 1
         total = oracle.group_divisor_sum(entry.group)
-        if total <= 2 * entry.group.order + 1:
-            return _first_fail(
-                "noncyclic-dihedral-strictly-abundant",
-                checked,
-                f"{entry.label}: D = {total} <= {2 * entry.group.order + 1}",
-            )
-    return _first_fail("noncyclic-dihedral-strictly-abundant", checked, None)
+        bound = 2 * entry.group.order + 1
+        yield f"{entry.label}: D = {total} <= {bound}" if total <= bound else None
 
 
-def _check_dicyclic_bound(corpus: list[CorpusEntry]) -> InvariantResult:
-    checked = 0
+def _check_dicyclic_bound(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
     for entry in corpus:
         if entry.family not in ("dicyclic", "gen-dicyclic"):
             continue
-        checked += 1
         total = oracle.group_divisor_sum(entry.group)
         half = entry.base.order // 2 * 4  # 4n where |A| = 2n
         base_sum = oracle.group_divisor_sum(entry.base)
         if total < half + base_sum:
-            return _first_fail(
-                "dicyclic-lower-bound",
-                checked,
-                f"{entry.label}: D = {total} < {half} + {base_sum}",
-            )
-    return _first_fail("dicyclic-lower-bound", checked, None)
+            yield f"{entry.label}: D = {total} < {half} + {base_sum}"
+        else:
+            yield None
 
 
-def _check_nilpotent_equivalence(corpus: list[CorpusEntry]) -> InvariantResult:
-    checked = 0
+def _check_nilpotent_equivalence(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
     for entry in corpus:
-        if not oracle.is_nilpotent(entry.group):
-            continue
-        checked += 1
         group = entry.group
+        if not oracle.is_nilpotent(group):
+            continue
         total = oracle.group_divisor_sum(group)
         nc = numtheory.classify_number(group.order)
         small = total <= 2 * group.order
         expected = group.is_cyclic() and (nc.is_perfect or nc.is_deficient)
         if small != expected:
-            return _first_fail(
-                "nilpotent-equivalence",
-                checked,
+            yield (
                 f"{entry.label}: delta <= 2 is {small} but cyclic-and-"
-                f"perfect-or-deficient is {expected}",
+                f"perfect-or-deficient is {expected}"
             )
-    return _first_fail("nilpotent-equivalence", checked, None)
+        else:
+            yield None
 
 
 # cyclic and zm formulas are held to the oracle by invariants of their own
 _OWN_FORMULA_CHECK = frozenset({"cyclic", "zm"})
 
 
-def _check_family_formulas(corpus: list[CorpusEntry]) -> InvariantResult:
-    checked = 0
+def _check_family_formulas(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
     for entry in corpus:
         family = FAMILY.get(entry.family)
         if family is None or entry.family in _OWN_FORMULA_CHECK:
             continue
         want = family.evaluate(entry.params)[1]
-        checked += 1
         got = oracle.group_divisor_sum(entry.group)
-        if got != want:
-            return _first_fail(
-                "family-formula-agreement",
-                checked,
-                f"{entry.label}: oracle D = {got} != formula {want}",
-            )
-    return _first_fail("family-formula-agreement", checked, None)
+        yield f"{entry.label}: oracle D = {got} != formula {want}" if got != want else None
 
 
-def _check_spot_values(max_order: int) -> InvariantResult:
+def _check_spot_values(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
+    # D of named groups, known apart from every formula; each is checked
+    # once the corpus reaches its order
+    spots = {"C6": 12, "Dic12": 24, "ZM(7,6,3)": 85, "Aff(7)": 85}
+    for entry in corpus:
+        want = spots.get(entry.label)
+        if want is None:
+            continue
+        got = oracle.group_divisor_sum(entry.group)
+        yield f"{entry.label}: D = {got} != {want}" if got != want else None
+
+
+# Every invariant in report order.
+_INVARIANTS: tuple[tuple[str, Callable[[list[CorpusEntry], int], Outcomes]], ...] = (
+    ("cyclic-group-divisor-sum", _check_cyclic_dsum),
+    ("delta-exceeds-one", _check_delta),
+    ("direct-product-multiplicativity", _check_multiplicativity),
+    ("quotient-monotonicity", _check_quotient_monotonicity),
+    ("zm-lattice-bijection", _check_zm_lattice),
+    ("zm-three-path-agreement", _check_zm_three_path),
+    ("noncyclic-dihedral-strictly-abundant", _check_noncyclic_dihedral),
+    ("dicyclic-lower-bound", _check_dicyclic_bound),
+    ("nilpotent-equivalence", _check_nilpotent_equivalence),
+    ("family-formula-agreement", _check_family_formulas),
+    ("known-instance-spot-checks", _check_spot_values),
+)
+
+
+def _run(name: str, outcomes: Outcomes) -> InvariantResult:
+    """Count the instances an invariant checks, stopping at the first failure."""
     checked = 0
-    failures: list[str] = []
-
-    def check(label: str, got: int, want: int) -> None:
-        nonlocal checked
+    for detail in outcomes:
         checked += 1
-        if got != want:
-            failures.append(f"{label}: D = {got} != {want}")
-
-    if max_order >= 6:
-        check("C6", oracle.group_divisor_sum(oracle.build_cyclic(6)), 12)
-    if max_order >= 12:
-        check(
-            "Dic12",
-            oracle.group_divisor_sum(oracle.build_generalized_dicyclic([6], 3)),
-            24,
-        )
-    if max_order >= 42:
-        check("ZM(7,6,3)", oracle.group_divisor_sum(oracle.build_zm(7, 6, 3)), 85)
-        check("Aff(7)", oracle.group_divisor_sum(oracle.build_affine_prime(7)), 85)
-    detail = None if not failures else "; ".join(failures)
-    return _first_fail("known-instance-spot-checks", checked, detail)
+        if detail is not None:
+            return InvariantResult(name, False, checked, detail)
+    return InvariantResult(name, True, checked)
 
 
 def run_verify(max_order: int) -> list[InvariantResult]:
@@ -341,16 +298,4 @@ def run_verify(max_order: int) -> list[InvariantResult]:
             f"max_order {max_order} exceeds the oracle cap {cap}"
         )
     corpus = _build_corpus(max_order)
-    return [
-        _check_cyclic_dsum(corpus),
-        _check_delta(corpus),
-        _check_multiplicativity(corpus, max_order),
-        _check_quotient_monotonicity(corpus, max_order),
-        _check_zm_lattice(corpus),
-        _check_zm_three_path(corpus),
-        _check_noncyclic_dihedral(corpus),
-        _check_dicyclic_bound(corpus),
-        _check_nilpotent_equivalence(corpus),
-        _check_family_formulas(corpus),
-        _check_spot_values(max_order),
-    ]
+    return [_run(name, check(corpus, max_order)) for name, check in _INVARIANTS]

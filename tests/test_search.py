@@ -341,14 +341,16 @@ def test_classify_zm():
 
 
 def test_classify_affine_carries_label_note():
-    record = search.run_classify("affine", [7], verify=True)
+    record = search.run_classify("affine", [7])
+    assert search.oracle_crosscheck(record) is True
     assert (record.order, record.D) == (42, 85)
     assert record.kind is GroupKind.QUASI_LEINSTER
     assert "paper-label-differs" in record.notes
 
 
 def test_classify_dicyclic():
-    record = search.run_classify("dicyclic", [3], verify=True)
+    record = search.run_classify("dicyclic", [3])
+    assert search.oracle_crosscheck(record) is True
     assert (record.order, record.D, record.kind) == (12, 24, GroupKind.LEINSTER)
 
 
@@ -367,7 +369,7 @@ def test_classify_verify_crosschecks_oracle():
         ("affine", [11]),
         ("pq", [3, 7]),
     ]:
-        search.run_classify(family, params, verify=True)
+        assert search.oracle_crosscheck(search.run_classify(family, params)) is True
 
 
 # a small sweep per family, each instance held to its record's oracle builder
@@ -396,7 +398,8 @@ def test_record_formula_agrees_with_its_oracle_builder(family):
 
 
 def test_classify_verify_skips_oversized_oracle():
-    record = search.run_classify("zm", [33550337, 33550336, 3], verify=True)
+    record = search.run_classify("zm", [33550337, 33550336, 3])
+    assert search.oracle_crosscheck(record) is None
     assert record.kind is GroupKind.QUASI_LEINSTER
 
 

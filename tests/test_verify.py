@@ -1,6 +1,6 @@
 import pytest
 
-from leinster import oracle, verify
+from leinster import cli, families, oracle, verify
 
 
 def by_name(results):
@@ -57,3 +57,53 @@ def test_rejects_silly_and_oversized_orders():
         verify.run_verify(0)
     with pytest.raises(oracle.OrderCapError):
         verify.run_verify(oracle.order_cap() + 1)
+
+
+def _one_more(monkeypatch, name):
+    # a formula that is off by one: verify must catch it and name the instance
+    formula = getattr(families, name)
+    monkeypatch.setattr(families, name, lambda *args: formula(*args) + 1)
+
+
+def test_a_wrong_pq_formula_fails_only_family_formula_agreement(monkeypatch):
+    _one_more(monkeypatch, "pq_divisor_sum")
+    results = verify.run_verify(24)
+    failed = [r for r in results if not r.passed]
+    assert failed == [
+        verify.InvariantResult(
+            "family-formula-agreement", False, 26, "G(2,3): oracle D = 10 != formula 11"
+        )
+    ]
+    assert len(results) - len(failed) == 10
+
+
+def test_a_wrong_zm_formula_fails_only_zm_three_path_agreement(monkeypatch):
+    _one_more(monkeypatch, "zm_divisor_sum")
+    results = verify.run_verify(24)
+    failed = [r for r in results if not r.passed]
+    assert failed == [
+        verify.InvariantResult(
+            "zm-three-path-agreement", False, 1, "ZM(3,2,2): 11 / 10 / 10 disagree"
+        )
+    ]
+    assert len(results) - len(failed) == 10
+
+
+def test_cli_verify_reports_the_failure_and_exits_3(monkeypatch, capsys):
+    _one_more(monkeypatch, "pq_divisor_sum")
+    assert cli.main(["verify", "--max-order", "24"]) == cli.EXIT_VERIFY == 3
+    out = capsys.readouterr().out.splitlines()
+    assert (
+        "FAIL family-formula-agreement (26 checked): G(2,3): oracle D = 10 != formula 11"
+        in out
+    )
+    assert out[-1].startswith("verify: 10/11 invariants passed in ")
+
+
+def test_spot_checks_report_the_first_wrong_value(monkeypatch):
+    brute = oracle.group_divisor_sum
+    monkeypatch.setattr(oracle, "group_divisor_sum", lambda group: brute(group) + 1)
+    spots = by_name(verify.run_verify(12))["known-instance-spot-checks"]
+    assert spots == verify.InvariantResult(
+        "known-instance-spot-checks", False, 1, "C6: D = 13 != 12"
+    )
