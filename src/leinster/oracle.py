@@ -2,11 +2,20 @@
 
 Groups are dense Cayley tables over elements 0..order-1 with the identity at
 index 0.  The module provides builders for the group families treated
-elsewhere in the package, full subgroup and normal-subgroup enumeration by
-closure fixpoint, quotients, and the normal-subgroup order sum that the
-closed-form family code is checked against.  Each distinct table is
-validated once per process, keyed by the same blake2b digest that keys the
-subgroup-lattice cache.
+elsewhere in the package, quotients, nilpotency, and the normal-subgroup
+order sum that the closed-form family code is checked against.
+
+Two independent enumerators find subgroups:
+
+* the full lattice (`all_subgroups`): every subgroup by closure fixpoint
+  from the cyclic subgroups, each flagged normal by a conjugation test;
+* the normal lattice (`normal_subgroups`, `group_divisor_sum`,
+  `is_nilpotent`): normal closures of the conjugacy classes, closed under
+  products, without the full lattice.
+
+On every table they agree on the normal subgroups; the tests hold them to
+that.  Each distinct table is validated once per process, keyed by the same
+blake2b digest that keys both lattice caches.
 
 Orders above a configurable cap (default 512, override with the
 LEINSTER_ORACLE_CAP environment variable) are refused outright; the oracle
@@ -55,6 +64,10 @@ ORDER_CAP_ENV = "LEINSTER_ORACLE_CAP"
 # Enumeration results keyed by table digest; identical tables recur heavily in
 # the verification corpus (quotients, direct products), so this is load-bearing.
 _LATTICE_CACHE: dict[bytes, tuple[tuple[int, bool], ...]] = {}
+
+# Normal-subgroup bitmasks keyed by table digest, sorted by (order, bitmask):
+# D(G), normal_subgroups and is_nilpotent read these, not the full lattice.
+_NORMAL_CACHE: dict[bytes, tuple[int, ...]] = {}
 
 # Generating sets of the tables that passed validation, under the same digest:
 # verify rebuilds the same quotient and product tables thousands of times, and
@@ -450,6 +463,106 @@ def _enumerate_lattice(group: FiniteGroup) -> tuple[tuple[int, bool], ...]:
     return frozen
 
 
+def _mask_row(mask: int, n: int) -> np.ndarray:
+    """Bitmask as a boolean membership row of length n."""
+    packed = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+
+
+def _normal_lattice(group: FiniteGroup) -> tuple[int, ...]:
+    """Bitmasks of all normal subgroups, sorted by (order, bitmask).
+
+    Independent of `_enumerate_lattice` (A. Hulpke, "Computing normal
+    subgroups", ISSAC 1998):
+
+    * closures: the normal closure ncl(x) of every element x at once.  The
+      union of the cyclic subgroups <y> over the conjugacy class of x is one
+      matrix product; in an abelian table it is already <x>, otherwise each
+      distinct union is closed under products;
+    * products: from {1}, each found normal N is joined with ncl(x) for one
+      x per coset of N outside N.  N*ncl(x) is the union of the N-cosets that
+      meet ncl(x), and it is a subgroup because both factors are normal, so
+      no closure is run.
+
+    This finds every normal M: M is the product of the normal closures of its
+    elements, and N*ncl(n*x) = N*ncl(x) for n in N.
+    """
+    digest = group.digest()
+    cached = _NORMAL_CACHE.get(digest)
+    if cached is not None:
+        return cached
+
+    n = group.order
+    table = group.table
+    ar = np.arange(n)
+    # cyc[x] marks <x>, filled with the powers x, x^2, ... up to the identity
+    cyc = np.zeros((n, n), dtype=bool)
+    power = ar.copy()
+    while True:
+        cyc[ar, power] = True
+        if not power.any():
+            break
+        power = table[power, ar]
+    if group.is_abelian():
+        ncl = cyc
+    else:
+        inv = np.asarray(group.inverses(), dtype=np.intp)
+        conj = table[table, inv[:, None]]  # conj[g, x] = g x g^-1
+        klass = np.zeros((n, n), dtype=np.float32)
+        klass[ar, conj] = 1  # klass[x, y] = 1 iff y is conjugate to x
+        union = (klass @ cyc.astype(np.float32)) > 0
+        ncl = np.empty_like(union)
+        closed: dict[bytes, np.ndarray] = {}
+        for x in range(n):
+            key = union[x].tobytes()
+            row = closed.get(key)
+            if row is None:
+                row = _mask_row(_close_np(table, np.flatnonzero(union[x])), n)
+                closed[key] = row
+            ncl[x] = row
+    # N*ncl(x) depends on x only through ncl(x): one x per distinct closure
+    owner: dict[bytes, int] = {}
+    first = np.array([owner.setdefault(row.tobytes(), x) for x, row in enumerate(ncl)])
+    ncl = ncl.astype(np.float32)
+
+    trivial = np.zeros(n, dtype=bool)
+    trivial[0] = True
+    found = {trivial.tobytes()}
+    worklist = [trivial]
+    i = 0
+    while i < len(worklist):
+        sub = worklist[i]
+        i += 1
+        elems = np.flatnonzero(sub)
+        if elems.size == n:
+            continue
+        # the coset Nx is the column x of the rows of N; its smallest element
+        # is its representative, and reps[0] = 0 stands for N itself
+        rep_of = table[elems].min(axis=0)
+        reps = np.flatnonzero(rep_of == ar)
+        index = np.zeros(n, dtype=np.intp)
+        index[reps] = np.arange(reps.size)
+        coset = index[rep_of]
+        onehot = np.zeros((n, reps.size), dtype=np.float32)
+        onehot[ar, coset] = 1
+        pick = np.zeros(n, dtype=bool)
+        pick[first[reps[1:]]] = True
+        joins = ((ncl[pick] @ onehot) > 0)[:, coset]
+        for row in joins:
+            key = row.tobytes()
+            if key not in found:
+                found.add(key)
+                worklist.append(row)
+
+    masks = [
+        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        for row in worklist
+    ]
+    frozen = tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
+    _NORMAL_CACHE[digest] = frozen
+    return frozen
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """Subgroup of some parent group, as sorted element indices."""
@@ -477,13 +590,18 @@ def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
 
 
 def normal_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    """all_subgroups filtered by conjugation-invariance."""
-    return [s for s in all_subgroups(group) if s.is_normal]
+    """Every normal subgroup exactly once, sorted by (order, bitmask).
+
+    Built from products of normal closures of conjugacy classes, without the
+    full subgroup lattice; the list equals the normal members of
+    all_subgroups, in the same order.
+    """
+    return [Subgroup(tuple(_bits(mask)), True) for mask in _normal_lattice(group)]
 
 
 def group_divisor_sum(group: FiniteGroup) -> int:
     """Sum of |N| over all normal subgroups N, including the group itself."""
-    return sum(mask.bit_count() for mask, normal in _enumerate_lattice(group) if normal)
+    return sum(mask.bit_count() for mask in _normal_lattice(group))
 
 
 def quotient(group: FiniteGroup, sub: Subgroup) -> FiniteGroup:
@@ -520,19 +638,13 @@ def quotient(group: FiniteGroup, sub: Subgroup) -> FiniteGroup:
 
 
 def is_nilpotent(group: FiniteGroup) -> bool:
-    """True iff every Sylow subgroup is normal."""
-    n = group.order
-    if n == 1:
-        return True
-    subs = all_subgroups(group)
-    for p, e in numtheory.factorize(n):
-        target = p**e
-        sylows = [s for s in subs if s.order == target]
-        if not sylows:
-            raise RuntimeError(f"no Sylow subgroup of order {target} found (bug)")
-        if not all(s.is_normal for s in sylows):
-            return False
-    return True
+    """True iff every Sylow subgroup is normal.
+
+    A normal subgroup of order p^e, for p^e exactly dividing |G|, is the
+    unique Sylow p-subgroup, so it suffices that one exists for every p.
+    """
+    orders = {mask.bit_count() for mask in _normal_lattice(group)}
+    return all(p**e in orders for p, e in numtheory.factorize(group.order))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,14 @@ structural invariant of the group divisor-sum function against brute force.
 Each invariant reports a pass/fail verdict together with how many instances
 were checked and the first counterexample on failure.
 
+Some parts of the corpus stop at fixed orders whatever the maximum order:
+generalized dihedral Dih(A) entries have |A| <= 32, generalized dicyclic
+Dic(A, y) entries have |A| <= 16, metacyclic and pq entries go to order 200,
+and quotient-monotonicity checks groups of order at most 100.  So the
+checked counts of quotient-monotonicity, noncyclic-dihedral-strictly-abundant
+and known-instance-spot-checks stop growing past a maximum order of 100, and
+those of the two zm invariants past 200.
+
 An invariant is a generator over the corpus that yields None for each
 instance that passes and a detail string for one that fails; `_run` counts
 the instances and stops at the first detail.  Adding an invariant takes one

@@ -38,6 +38,14 @@ def test_classify_gen_dihedral_verify_skips_above_the_cap(capsys):
     assert "skipped" in capsys.readouterr().err
 
 
+def test_classify_gen_dihedral_verify_crosschecks_at_order_128(capsys):
+    argv = ["classify", "--family", "gen-dihedral", "--params", "2,2,2,2,4", "--verify"]
+    assert cli.main(argv) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["order"] == 128
+    assert captured.err == "oracle cross-check: D agrees\n"
+
+
 def test_classify_gen_dihedral_zero_factor_is_a_domain_error(capsys):
     code = cli.main(["classify", "--family", "gen-dihedral", "--params", "2,0"])
     assert code == cli.EXIT_DOMAIN

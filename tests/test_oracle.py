@@ -302,6 +302,81 @@ def test_group_divisor_sum_exceeds_order():
         assert oracle.group_divisor_sum(group) > group.order
 
 
+def permutation_group(generators):
+    """Table of the group that the permutations generate, identity at index 0.
+
+    Permutations are tuples of images and compose as (p*q)(i) = p[q[i]].
+    """
+    identity = tuple(range(len(generators[0])))
+    elements = [identity]
+    index = {identity: 0}
+    for p in elements:  # grows while it is read: a breadth-first closure
+        for g in generators:
+            q = tuple(p[i] for i in g)
+            if q not in index:
+                index[q] = len(elements)
+                elements.append(q)
+    return oracle.FiniteGroup(
+        [[index[tuple(p[i] for i in q)] for q in elements] for p in elements]
+    )
+
+
+def full_lattice_normals(group):
+    return tuple(mask for mask, normal in oracle._enumerate_lattice(group) if normal)
+
+
+def corpus_and_coprime_products(max_order):
+    """The verify corpus to max_order and its direct-product-multiplicativity
+    products, one group per distinct table."""
+    corpus = verify._build_corpus(max_order)
+    groups = {entry.group.digest(): entry.group for entry in corpus}
+    for i, left in enumerate(corpus):
+        for right in corpus[i + 1 :]:
+            a, b = left.group.order, right.group.order
+            if a > 1 and b > 1 and a * b <= max_order and math.gcd(a, b) == 1:
+                product = oracle.build_direct_product(left.group, right.group)
+                groups.setdefault(product.digest(), product)
+    return list(groups.values())
+
+
+def test_normal_lattice_equals_the_full_lattice_on_the_corpus(monkeypatch):
+    # empty caches, so both enumerators run on every table here
+    monkeypatch.setattr(oracle, "_NORMAL_CACHE", {})
+    monkeypatch.setattr(oracle, "_LATTICE_CACHE", {})
+    groups = corpus_and_coprime_products(100)
+    assert len(groups) == 604
+    for group in groups:
+        assert oracle._normal_lattice(group) == full_lattice_normals(group), group
+
+
+def test_normal_subgroups_of_s4_and_a5():
+    s4 = permutation_group([(1, 0, 2, 3), (1, 2, 3, 0)])
+    a5 = permutation_group([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+    assert (s4.order, a5.order) == (24, 60)
+    assert [s.order for s in oracle.normal_subgroups(s4)] == [1, 4, 12, 24]
+    assert oracle.group_divisor_sum(s4) == 41 == 1 + 4 + 12 + 24
+    # A5 is simple, and the suite's first non-solvable group
+    assert [s.order for s in oracle.normal_subgroups(a5)] == [1, 60]
+    assert oracle.group_divisor_sum(a5) == 61
+    for group in (s4, a5):
+        assert oracle._normal_lattice(group) == full_lattice_normals(group)
+        assert not oracle.is_nilpotent(group)
+    assert len(oracle.all_subgroups(a5)) == 59
+
+
+def test_normal_subgroups_are_the_normal_members_of_all_subgroups():
+    for group in (
+        oracle.build_generalized_dihedral([3]),
+        oracle.build_generalized_dicyclic([4], 2),
+        oracle.build_zm(7, 6, 3),
+        oracle.build_affine_prime(5),
+        oracle.build_abelian([2, 2, 2, 8]),
+    ):
+        assert oracle.normal_subgroups(group) == [
+            s for s in oracle.all_subgroups(group) if s.is_normal
+        ]
+
+
 # ---------------------------------------------------------------------------
 # quotients and nilpotency
 
@@ -374,6 +449,26 @@ def test_is_nilpotent():
     assert oracle.is_nilpotent(oracle.build_cyclic(12))
     assert not oracle.is_nilpotent(oracle.build_generalized_dihedral([3]))
     assert oracle.is_nilpotent(oracle.build_generalized_dicyclic([4], 2))  # Q8
+
+
+def reference_is_nilpotent(group):
+    """The Sylow-subgroup test is_nilpotent ran on the full lattice before."""
+    subs = oracle.all_subgroups(group)
+    for p, e in nt.factorize(group.order):
+        sylows = [s for s in subs if s.order == p**e]
+        assert sylows, f"no Sylow subgroup of order {p**e} found"
+        if not all(s.is_normal for s in sylows):
+            return False
+    return True
+
+
+def test_is_nilpotent_matches_the_sylow_test_on_the_corpus():
+    verdicts = []
+    for entry in verify._build_corpus(100):
+        verdict = oracle.is_nilpotent(entry.group)
+        assert verdict == reference_is_nilpotent(entry.group), entry.label
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_element_orders_and_cyclicity():
