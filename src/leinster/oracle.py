@@ -83,9 +83,12 @@ def order_cap() -> int:
     raw = os.environ.get(ORDER_CAP_ENV)
     if raw is None:
         return DEFAULT_ORDER_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 1:
-        raise ValueError(f"{ORDER_CAP_ENV} must be positive, got {cap}")
+        raise ValueError(f"{ORDER_CAP_ENV} must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -97,27 +100,64 @@ def _check_cap(order: int) -> None:
         raise OrderCapError(f"group order {order} exceeds the oracle cap {cap}")
 
 
+def _to_row(mask: int, n: int) -> np.ndarray:
+    """Bitmask as a boolean membership row of length n."""
+    packed = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+
+
+def _to_mask(row: np.ndarray) -> int:
+    """Boolean membership row as a bitmask (bit e set iff row[e])."""
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+
+
+def _closure(table: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Close the membership row under the table's product, in place; returns it.
+
+    Grows the row by pairwise-product rounds until a round adds nothing, or
+    until every element is reached (then without a confirming round).  No
+    associativity is assumed, so validation can use it too.
+    """
+    n = table.shape[0]
+    count = int(member.sum())
+    while count < n:
+        idx = np.flatnonzero(member)
+        member[table[np.ix_(idx, idx)].reshape(-1)] = True
+        new_count = int(member.sum())
+        if new_count == count:
+            break
+        count = new_count
+    return member
+
+
+def _cosets(table: np.ndarray, elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right cosets Nx of the subgroup N with elements `elems`.
+
+    The coset Nx is the column x of the rows of N, and its smallest element
+    is its representative.  Returns (coset, reps): reps are the
+    representatives in increasing order, so reps[0] = 0 stands for N, and
+    coset[x] is the position in reps of the coset holding x.
+    """
+    n = table.shape[0]
+    rep_of = table[elems].min(axis=0)
+    reps = np.flatnonzero(rep_of == np.arange(n))
+    index = np.zeros(n, dtype=np.intp)
+    index[reps] = np.arange(reps.size)
+    return index[rep_of], reps
+
+
 def _find_generators(arr: np.ndarray) -> list[int]:
     """Greedy generating set under the table's operation (no associativity assumed)."""
     n = arr.shape[0]
     member = np.zeros(n, dtype=bool)
     member[0] = True
-    count = 1
     gens: list[int] = []
     for x in range(1, n):
         if member[x]:
             continue
         gens.append(x)
         member[x] = True
-        count += 1
-        while True:
-            idx = np.flatnonzero(member)
-            member[arr[np.ix_(idx, idx)].reshape(-1)] = True
-            new_count = int(member.sum())
-            if new_count == count:
-                break
-            count = new_count
-        if count == n:
+        if _closure(arr, member).all():
             break
     return gens
 
@@ -158,19 +198,21 @@ class FiniteGroup:
     )
 
     def __init__(self, table):
-        arr = np.ascontiguousarray(np.asarray(table, dtype=np.int32))
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"multiplication table must be square, got {arr.shape}")
-        n = int(arr.shape[0])
+        raw = np.asarray(table)
+        if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
+            raise ValueError(f"multiplication table must be square, got {raw.shape}")
+        n = int(raw.shape[0])
         _check_cap(n)
+        # range-checked before narrowing, which would truncate or wrap
+        if raw.dtype.kind not in "iu" or raw.min() < 0 or raw.max() >= n:
+            raise ValueError("table entries must be element indices in [0, order)")
+        arr = np.ascontiguousarray(raw, dtype=np.int32)
         h = hashlib.blake2b(digest_size=16)
         h.update(n.to_bytes(4, "little"))
         h.update(arr.tobytes())
         digest = h.digest()
         gens = _VALIDATED.get(digest)
         if gens is None:
-            if arr.min(initial=0) < 0 or arr.max(initial=0) >= n:
-                raise ValueError("table entries must be element indices in [0, order)")
             idx = np.arange(n, dtype=np.int32)
             if not (np.array_equal(arr[0], idx) and np.array_equal(arr[:, 0], idx)):
                 raise ValueError("index 0 must act as the identity")
@@ -239,34 +281,6 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def _close(rows: list[list[int]], mask: int, elems: list[int], start: int, n: int) -> int:
-    """Close `elems` under multiplication, mutating it; returns the bitmask.
-
-    Elements before `start` are assumed to already form a closed set, so only
-    products involving at least one new element are computed.
-    """
-    k = start
-    while k < len(elems):
-        u = elems[k]
-        ru = rows[u]
-        j = 0
-        while j < len(elems):
-            v = elems[j]
-            w = ru[v]
-            if not mask >> w & 1:
-                mask |= 1 << w
-                elems.append(w)
-            w = rows[v][u]
-            if not mask >> w & 1:
-                mask |= 1 << w
-                elems.append(w)
-            j += 1
-        if len(elems) == n:
-            return (1 << n) - 1
-        k += 1
-    return mask
-
-
 def _bits(mask: int) -> list[int]:
     out = []
     x = mask
@@ -275,32 +289,6 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         x ^= low
     return out
-
-
-def _close_np(table: np.ndarray, seed: list[int]) -> int:
-    """Vectorized closure, tuned for joins that tend to be large.
-
-    Grows a membership array by pairwise-product rounds; the identity in the
-    seed keeps old members marked.  Once every element is reached the whole
-    group is returned without a confirming round.
-    """
-    n = table.shape[0]
-    member = np.zeros(n, dtype=bool)
-    member[seed] = True
-    count = int(member.sum())
-    while True:
-        idx = np.flatnonzero(member)
-        member[table[np.ix_(idx, idx)].reshape(-1)] = True
-        new_count = int(member.sum())
-        if new_count == n:
-            return (1 << n) - 1
-        if new_count == count:
-            break
-        count = new_count
-    mask = 0
-    for e in np.flatnonzero(member).tolist():
-        mask |= 1 << e
-    return mask
 
 
 def _enumerate_lattice(group: FiniteGroup) -> tuple[tuple[int, bool], ...]:
@@ -318,7 +306,11 @@ def _enumerate_lattice(group: FiniteGroup) -> tuple[tuple[int, bool], ...]:
       |K| >= |H| * |<h*x>| / |H meet <h*x>| because K contains each product
       set H<h*x>.  When the smallest size meeting the constraints is |G|,
       or is realized by an already-found subgroup containing H and x, the
-      join is identified without running a closure.
+      join is identified without running a closure;
+    * when the products h*x do not settle the join, a probe always tries
+      again with the pairwise products of x and the h*x, which often expose
+      a larger cyclic part of K.  Only a join that neither settles is
+      computed by `_closure`, seeded with H, <x> and the products h*x.
     """
     digest = group.digest()
     cached = _LATTICE_CACHE.get(digest)
@@ -413,34 +405,29 @@ def _enumerate_lattice(group: FiniteGroup) -> tuple[tuple[int, bool], ...]:
             target = feasible(least, multiple)
             if target == n or known(target, x, sub):
                 continue
-            if size <= 20:
-                # second-level products often expose a large cyclic part of
-                # the join that no first-level product h*x shows
-                probe = products + [x]
-                for p in probe:
-                    rp = rows[p]
-                    for q in probe:
-                        w = rp[q]
-                        multiple = math.lcm(multiple, orders[w])
-                        if multiple == n:
-                            break
-                        spanned = (
-                            size * orders[w] // (sub & cyclic_masks[w]).bit_count()
-                        )
-                        if spanned > least:
-                            least = spanned
+            # second-level products often expose a large cyclic part of the
+            # join that no first-level product h*x shows
+            probe = products + [x]
+            for p in probe:
+                rp = rows[p]
+                for q in probe:
+                    w = rp[q]
+                    multiple = math.lcm(multiple, orders[w])
                     if multiple == n:
                         break
+                    spanned = size * orders[w] // (sub & cyclic_masks[w]).bit_count()
+                    if spanned > least:
+                        least = spanned
                 if multiple == n:
-                    continue
-                refined = feasible(least, multiple)
-                if refined != target and (refined == n or known(refined, x, sub)):
-                    continue
-            if n > 48:
-                register(_close_np(table, elems + _bits(cyclic_masks[x]) + products))
-            else:
-                join_elems = elems + _bits(cyclic_masks[x] & ~sub)
-                register(_close(rows, sub | cyclic_masks[x], join_elems, size, n))
+                    break
+            if multiple == n:
+                continue
+            refined = feasible(least, multiple)
+            if refined != target and (refined == n or known(refined, x, sub)):
+                continue
+            member = _to_row(sub | cyclic_masks[x], n)
+            member[products] = True
+            register(_to_mask(_closure(table, member)))
 
     gens = group.generators()
     inv = group.inverses()
@@ -461,12 +448,6 @@ def _enumerate_lattice(group: FiniteGroup) -> tuple[tuple[int, bool], ...]:
     frozen = tuple(result)
     _LATTICE_CACHE[digest] = frozen
     return frozen
-
-
-def _mask_row(mask: int, n: int) -> np.ndarray:
-    """Bitmask as a boolean membership row of length n."""
-    packed = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
 
 
 def _normal_lattice(group: FiniteGroup) -> tuple[int, ...]:
@@ -510,16 +491,15 @@ def _normal_lattice(group: FiniteGroup) -> tuple[int, ...]:
         conj = table[table, inv[:, None]]  # conj[g, x] = g x g^-1
         klass = np.zeros((n, n), dtype=np.float32)
         klass[ar, conj] = 1  # klass[x, y] = 1 iff y is conjugate to x
-        union = (klass @ cyc.astype(np.float32)) > 0
-        ncl = np.empty_like(union)
+        # each row starts as a union and is closed in place
+        ncl = (klass @ cyc.astype(np.float32)) > 0
         closed: dict[bytes, np.ndarray] = {}
-        for x in range(n):
-            key = union[x].tobytes()
-            row = closed.get(key)
-            if row is None:
-                row = _mask_row(_close_np(table, np.flatnonzero(union[x])), n)
-                closed[key] = row
-            ncl[x] = row
+        for row in ncl:
+            key = row.tobytes()
+            if key in closed:
+                row[:] = closed[key]
+            else:
+                closed[key] = _closure(table, row)
     # N*ncl(x) depends on x only through ncl(x): one x per distinct closure
     owner: dict[bytes, int] = {}
     first = np.array([owner.setdefault(row.tobytes(), x) for x, row in enumerate(ncl)])
@@ -536,13 +516,7 @@ def _normal_lattice(group: FiniteGroup) -> tuple[int, ...]:
         elems = np.flatnonzero(sub)
         if elems.size == n:
             continue
-        # the coset Nx is the column x of the rows of N; its smallest element
-        # is its representative, and reps[0] = 0 stands for N itself
-        rep_of = table[elems].min(axis=0)
-        reps = np.flatnonzero(rep_of == ar)
-        index = np.zeros(n, dtype=np.intp)
-        index[reps] = np.arange(reps.size)
-        coset = index[rep_of]
+        coset, reps = _cosets(table, elems)
         onehot = np.zeros((n, reps.size), dtype=np.float32)
         onehot[ar, coset] = 1
         pick = np.zeros(n, dtype=bool)
@@ -554,10 +528,7 @@ def _normal_lattice(group: FiniteGroup) -> tuple[int, ...]:
                 found.add(key)
                 worklist.append(row)
 
-    masks = [
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        for row in worklist
-    ]
+    masks = [_to_mask(row) for row in worklist]
     frozen = tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
     _NORMAL_CACHE[digest] = frozen
     return frozen
@@ -628,13 +599,8 @@ def quotient(group: FiniteGroup, sub: Subgroup) -> FiniteGroup:
     if not member[table[table[gens[:, None], idx], inv[gens][:, None]]].all():
         raise ValueError("quotient requires a normal subgroup")
 
-    # the coset Nx is the column x of the rows of N; its smallest element is
-    # its representative
-    rep_of = table[idx].min(axis=0)
-    reps = np.flatnonzero(rep_of == np.arange(n))
-    index = np.zeros(n, dtype=np.intp)
-    index[reps] = np.arange(reps.size)
-    return FiniteGroup(index[rep_of[table[reps[:, None], reps]]])
+    coset, reps = _cosets(table, idx)
+    return FiniteGroup(coset[table[reps[:, None], reps]])
 
 
 def is_nilpotent(group: FiniteGroup) -> bool:

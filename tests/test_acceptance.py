@@ -191,9 +191,12 @@ def test_criterion_8_verify_200_under_a_minute():
             f"  {'PASS' if result.passed else 'FAIL'} "
             f"{result.name} ({result.checked} checked) {result.detail}"
         )
+    checked = [result.checked for result in results]
     report(
         "C8 verify --max-order 200",
-        all(r.passed for r in results) and len(results) >= 6 and elapsed < 60.0,
+        all(r.passed for r in results)
+        and checked == [200, 743, 844, 8453, 289, 289, 23, 93, 267, 211, 4]
+        and elapsed < 60.0,
     )
 
 

@@ -34,6 +34,8 @@ def test_rejects_broken_tables():
         ([[0, 1], [1, 1]], "Latin square"),
         ([[1, 0], [0, 1]], "identity"),
         ([[0, 1], [1, 2]], "element indices"),
+        ([[0, 1.9], [1, 0.2]], "element indices"),  # not truncated to C2
+        ([[0, 1], [1, 2**32]], "element indices"),  # not wrapped or overflowed
         (loop, "not associative"),
     )
     # validation is remembered only for tables that pass it
@@ -57,6 +59,11 @@ def test_order_cap_enforced(monkeypatch):
     with pytest.raises(oracle.OrderCapError):
         oracle.build_cyclic(17)
     oracle.build_cyclic(16)
+    for raw in ("abc", "0"):
+        monkeypatch.setenv(oracle.ORDER_CAP_ENV, raw)
+        message = f"{oracle.ORDER_CAP_ENV} must be a positive integer, got '{raw}'"
+        with pytest.raises(ValueError, match=message):
+            oracle.order_cap()
     monkeypatch.delenv(oracle.ORDER_CAP_ENV)
     assert oracle.order_cap() == oracle.DEFAULT_ORDER_CAP
 
@@ -207,6 +214,8 @@ def test_all_subgroups_against_naive_closure():
         oracle.build_zm(7, 6, 3),
         oracle.build_affine_prime(5),
         oracle.build_abelian([2, 4]),
+        oracle.build_zm(19, 3, 7),  # orders above 48
+        oracle.build_zm(7, 9, 2),
     ):
         fast = {s.elements for s in oracle.all_subgroups(group)}
         assert fast == naive(group)
