@@ -32,6 +32,7 @@ __all__ = [
     "affine_classify",
     "affine_divisor_sum",
     "classify_group",
+    "classify_kind",
     "dicyclic_divisor_sum",
     "dihedral_divisor_sum",
     "generalized_dihedral_divisor_sum",
@@ -63,21 +64,23 @@ class GroupClass:
     order: int
 
 
-def classify_group(D: int, order: int) -> GroupClass:
+def classify_kind(D: int, order: int) -> GroupKind:
     """Five-way classification of (D, order) by comparing D with 2*order."""
     if D < 1 or order < 1:
         raise ValueError(f"need D >= 1 and order >= 1, got ({D}, {order})")
-    if D == 2 * order:
-        kind = GroupKind.LEINSTER
-    elif D == 2 * order + 1:
-        kind = GroupKind.QUASI_LEINSTER
-    elif D == 2 * order - 1:
-        kind = GroupKind.ALMOST_LEINSTER
-    elif D > 2 * order:
-        kind = GroupKind.ABUNDANT
-    else:
-        kind = GroupKind.DEFICIENT
-    return GroupClass(kind, D, order)
+    twice = 2 * order
+    if D == twice:
+        return GroupKind.LEINSTER
+    if D == twice + 1:
+        return GroupKind.QUASI_LEINSTER
+    if D == twice - 1:
+        return GroupKind.ALMOST_LEINSTER
+    return GroupKind.ABUNDANT if D > twice else GroupKind.DEFICIENT
+
+
+def classify_group(D: int, order: int) -> GroupClass:
+    """`classify_kind(D, order)` together with D and order, as one value."""
+    return GroupClass(classify_kind(D, order), D, order)
 
 
 def nilpotent_classify(n: int, is_cyclic: bool) -> GroupKind:
@@ -90,7 +93,7 @@ def nilpotent_classify(n: int, is_cyclic: bool) -> GroupKind:
         raise ValueError(f"need n >= 1, got {n}")
     if not is_cyclic:
         return GroupKind.ABUNDANT
-    return classify_group(numtheory.divisor_sum(n), n).kind
+    return classify_kind(numtheory.divisor_sum(n), n)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ regardless of worker count.
 The tuples are evaluated in ordered chunks, and each finished chunk is
 appended to the cache file (one JSON line per record, file closed) before its
 records are emitted, so an interrupted sweep keeps every finished chunk and a
-rerun with the same cache computes only the missing tuples.  A corrupt or
-mistyped cache line is skipped with a warning and its tuple recomputed.
+rerun with the same cache computes only the missing tuples.  A cache line
+in the canonical form is decoded without a JSON parse and printed as read.
+A corrupt or mistyped cache line, or one whose class disagrees with its D
+and order, is skipped with a warning and its tuple recomputed.
 
 Number theory on the sweep's small integers reads a smallest-prime-factor
 table built once per sweep (`numtheory.sieve`, up to twice the largest
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -59,6 +62,19 @@ DEFAULT_BUDGET = 10_000_000
 _CHUNK = 4096
 
 _KINDS = {kind.value: kind for kind in GroupKind}
+_KIND_JSON = {kind: _json_str(kind.value) for kind in GroupKind}
+
+# The exact line `SearchRecord.to_json` writes when every string is printable
+# ASCII without '"' or '\' (so needs no escape) and every integer is in
+# canonical form (no leading zero, no -0).  A line of this form decodes
+# without `json.loads`; `json.loads` would give the same record.
+_CHARS = r"[ !#-\[\]-~]*"  # printable ASCII but '"' and '\'
+_INT = r"(?:0|-?[1-9][0-9]*)"
+_CANONICAL_LINE = re.compile(
+    rf'{{"family": "({_CHARS})", "params": \[((?:{_INT}(?:, {_INT})*)?)\], '
+    rf'"order": ({_INT}), "D": ({_INT}), "class": "({_CHARS})", '
+    rf'"notes": \[((?:"{_CHARS}"(?:, "{_CHARS}")*)?)\]}}'
+)
 
 
 class BudgetError(Exception):
@@ -69,43 +85,96 @@ class OracleMismatchError(Exception):
     """A formula value disagreed with the brute-force oracle."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SearchRecord:
     """One classified group instance as emitted by sweeps and classify."""
+
+    # Slots, not a __dict__: a warm sweep holds every cached record together
+    # with its line, and a dict per record put 10 MB on the peak RSS of a
+    # 50,000-record sweep.  `_json` is the encoded line, or None.
+    __slots__ = ("family", "params", "order", "D", "kind", "notes", "_json")
 
     family: str
     params: tuple[int, ...]
     order: int
     D: int
     kind: GroupKind
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
+
+    def __init__(
+        self,
+        family: str,
+        params: tuple[int, ...],
+        order: int,
+        D: int,
+        kind: GroupKind,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        # the slots' own setters: the frozen __setattr__ refuses assignment,
+        # and object.__setattr__ per field costs twice as much
+        _set_family(self, family)
+        _set_params(self, params)
+        _set_order(self, order)
+        _set_D(self, D)
+        _set_kind(self, kind)
+        _set_notes(self, notes)
+        _set_json(self, None)
+
+    def __reduce__(self):
+        # pickle's default restore of slots would go through the frozen
+        # __setattr__; the line is not sent, it is cheap to encode again
+        return SearchRecord, (self.family, self.params, self.order, self.D, self.kind, self.notes)
 
     def to_json(self) -> str:
         """The record as one JSON line, byte-identical to `json.dumps` of its dict.
 
         The line is encoded once and kept, so the cache append and stdout
-        share it.
+        share it; a record decoded from a canonical cache line keeps that
+        line and is never encoded.
         """
-        memo = self.__dict__  # a frozen dataclass still has one
-        line = memo.get("_json")
+        line = self._json
         if line is None:
-            line = memo["_json"] = (
+            line = (
                 f'{{"family": {_json_str(self.family)}, '
                 f'"params": [{", ".join(map(str, self.params))}], '
                 f'"order": {self.order}, "D": {self.D}, '
-                f'"class": {_json_str(self.kind.value)}, '
+                f'"class": {_KIND_JSON[self.kind]}, '
                 f'"notes": [{", ".join(map(_json_str, self.notes))}]}}'
             )
+            _set_json(self, line)
         return line
 
     @staticmethod
     def from_json(line: str) -> "SearchRecord":
         """Decode one cache line; a field of the wrong type raises TypeError.
 
-        Numbers must be JSON integers (not floats, strings or booleans) and
-        notes a list of strings, so a mistyped line is rejected instead of
-        coerced into a different record.
+        A line in the exact form `to_json` writes with no string escapes is
+        decoded by one regex match and kept as the record's JSON line.  Any
+        other line goes through `json.loads`: numbers must be JSON integers
+        (not floats, strings or booleans) and notes a list of strings, so a
+        mistyped line is rejected instead of coerced into a different record.
+        An unknown class raises ValueError.
         """
+        match = _CANONICAL_LINE.fullmatch(line)
+        if match is not None:
+            family, params, order, D, name, notes = match.groups()
+            kind = _KINDS.get(name)
+            if kind is None:
+                raise ValueError(f"unknown class {name!r}")
+            if ", " in params:
+                params = tuple(map(int, params.split(", ")))
+            else:  # most families take one parameter
+                params = (int(params),) if params else ()
+            record = SearchRecord(
+                sys.intern(family),  # one string per family, not one per record
+                params,
+                int(order),
+                int(D),
+                kind,
+                tuple(notes[1:-1].split('", "')) if notes else (),
+            )
+            _set_json(record, line)
+            return record
         obj = json.loads(line)
         family, params, order, D = obj["family"], obj["params"], obj["order"], obj["D"]
         notes, kind = obj["notes"], _KINDS.get(obj["class"])
@@ -122,6 +191,11 @@ class SearchRecord:
         ):
             raise TypeError("a record field has the wrong JSON type")
         return SearchRecord(family, tuple(params), order, D, kind, tuple(notes))
+
+
+_set_family, _set_params, _set_order, _set_D, _set_kind, _set_notes, _set_json = (
+    SearchRecord.__dict__[name].__set__ for name in SearchRecord.__slots__
+)
 
 
 @dataclass(frozen=True)
@@ -378,7 +452,7 @@ def _evaluate(family: str, params: tuple[int, ...]) -> SearchRecord:
             f"got {len(params)}"
         )
     order, total, notes = fam.evaluate(params)
-    kind = families.classify_group(total, order).kind
+    kind = families.classify_kind(total, order)
     if order == 1:
         notes += (NOTE_EDGE,)
     return SearchRecord(family, tuple(params), order, total, kind, notes)
@@ -423,10 +497,14 @@ def _evaluate_chunks(
 
 
 def _load_cache(path: Path, name: str) -> dict[tuple[int, ...], SearchRecord] | None:
-    """The cached records of family `name`; None (after a warning) if unreadable."""
+    """The cached records of family `name`; None (after a warning) if unreadable.
+
+    A line that does not decode, or whose class is not the one its D and
+    order give, is skipped with a warning, and its tuple is recomputed.
+    """
     if not path.exists():
         return {}
-    by_family: dict[str, dict[tuple[int, ...], SearchRecord]] = {}
+    cached: dict[tuple[int, ...], SearchRecord] = {}
     try:
         with path.open("r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -435,17 +513,23 @@ def _load_cache(path: Path, name: str) -> dict[tuple[int, ...], SearchRecord] | 
                     continue
                 try:
                     record = SearchRecord.from_json(line)
-                except (ValueError, KeyError, TypeError) as exc:
+                    if record.kind is not families.classify_kind(record.D, record.order):
+                        raise ValueError(
+                            f"class {record.kind.value!r} disagrees with "
+                            f"D = {record.D} and order {record.order}"
+                        )
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
                     print(
                         f"warning: skipping corrupt cache line {lineno}: {exc}",
                         file=sys.stderr,
                     )
                     continue
-                by_family.setdefault(record.family, {})[record.params] = record
+                if record.family == name:
+                    cached[record.params] = record
     except (OSError, UnicodeDecodeError) as exc:
         print(f"warning: cache read failed ({exc}); sweep continues", file=sys.stderr)
         return None
-    return by_family.get(name, {})
+    return cached
 
 
 def _append_cache(path: Path, records: list[SearchRecord]) -> bool:

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import math
 import multiprocessing
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from leinster import cli, families, numtheory, oracle, search
@@ -187,6 +189,57 @@ def test_mistyped_cache_lines_are_skipped_and_recomputed(tmp_path, capsys):
     assert next(r for r in records if r.params == (6,)).D == 12
 
 
+# cache lines to skip that the decoder's type checks alone do not reject
+CORRUPT_CACHE_LINES = {
+    # json.loads raises RecursionError, not ValueError
+    "nested-too-deep": "[" * 100_000,
+    # well typed, but D = 12 = 2 * 6 makes C6 Leinster
+    "class-disagrees-with-D": (
+        '{"family": "cyclic", "params": [6], "order": 6, "D": 12, '
+        '"class": "abundant", "notes": []}'
+    ),
+    # D = 0 has no class at all
+    "D-below-one": (
+        '{"family": "cyclic", "params": [2], "order": 2, "D": 0, '
+        '"class": "deficient", "notes": []}'
+    ),
+}
+
+
+@pytest.mark.parametrize("line", list(CORRUPT_CACHE_LINES.values()), ids=list(CORRUPT_CACHE_LINES))
+def test_corrupt_cache_line_is_skipped_and_recomputed(tmp_path, capsys, line):
+    argv = ["search", "cyclic", "--max-n", "10", "--include-edge"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(line + "\n")
+    assert cli.main(argv + ["--cache", str(cache)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err.count("skipping corrupt cache line 1") == 1
+    assert cache.read_text().splitlines()[1:] == expected.splitlines()
+
+
+def test_warm_sweep_neither_parses_nor_evaluates(tmp_path, monkeypatch, capsys):
+    argv = ["search", "cyclic", "--max-n", "5000", "--cache", str(tmp_path / "c.jsonl")]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    size = (tmp_path / "c.jsonl").stat().st_size
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a warm sweep must not get here")
+
+    monkeypatch.setattr(json, "loads", boom)
+    monkeypatch.setitem(
+        search.FAMILY, "cyclic", dataclasses.replace(search.FAMILY["cyclic"], evaluate=boom)
+    )
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold
+    assert captured.err == ""
+    assert (tmp_path / "c.jsonl").stat().st_size == size
+
+
 def test_unwritable_cache_warns_once_and_the_sweep_goes_on(tmp_path, capsys):
     cache = tmp_path / "missing-directory" / "cache.jsonl"
     bounds = {"max_n": 3 * search._CHUNK}
@@ -266,6 +319,90 @@ def test_to_json_equals_json_dumps(family, params, order, D, kind, notes):
     assert record.to_json() == line
     assert record.to_json() is record.to_json()  # encoded once
     assert SearchRecord.from_json(line) == record
+
+
+# text that the fast decode reads as it stands, with separators a naive
+# split would cut at, and text that a cache line must escape
+PLAIN = st.lists(st.sampled_from([", ", ",", "a", " ", "[", "]", "{", "}", ": "]), max_size=5).map(
+    "".join
+)
+TRICKY = st.lists(
+    st.sampled_from(['", "', ", ", '"', "\\", "\x00", "\x1f", "\x7f", "é", "雪", "a", " "]),
+    max_size=5,
+).map("".join)
+edge_ints = st.sampled_from([0, -1, 1, 2**80, -(2**80)]) | huge_ints
+
+
+@example(family="cyclic", params=[6], order=6, D=12, kind=GroupKind.LEINSTER, notes=["a, b"])
+@example(family='a", "b', params=[0, -1], order=2**80, D=0, kind=GroupKind.ABUNDANT, notes=[])
+@given(
+    family=PLAIN | TRICKY | st.sampled_from(search.FAMILIES),
+    params=st.lists(edge_ints, max_size=4),
+    order=edge_ints,
+    D=edge_ints,
+    kind=st.sampled_from(list(GroupKind)),
+    notes=st.lists(PLAIN | TRICKY | st.text(max_size=6), max_size=4),
+)
+def test_from_json_agrees_with_json_loads(family, params, order, D, kind, notes):
+    line = SearchRecord(family, tuple(params), order, D, kind, tuple(notes)).to_json()
+    obj = json.loads(line)
+    expected = SearchRecord(
+        obj["family"], tuple(obj["params"]), obj["order"], obj["D"],
+        search._KINDS[obj["class"]], tuple(obj["notes"]),
+    )
+    decoded = SearchRecord.from_json(line)
+    assert decoded == expected
+    assert (decoded.family, decoded.notes) == (family, tuple(notes))
+    assert decoded.to_json() == line
+    if search._CANONICAL_LINE.fullmatch(line):
+        assert decoded.to_json() is line  # kept as read, not re-encoded
+
+
+C6 = SearchRecord("cyclic", (6,), 6, 12, GroupKind.LEINSTER)
+C6_LINE = C6.to_json()
+
+
+@pytest.mark.parametrize(
+    "line, expected",
+    [
+        # -0 is a JSON integer; it decodes to 0 and re-encodes as 0
+        (C6_LINE.replace("[6]", "[-0]"), dataclasses.replace(C6, params=(0,))),
+        (C6_LINE.replace('"order": 6', '"order": -0'), dataclasses.replace(C6, order=0)),
+        # a leading zero is not JSON
+        (C6_LINE.replace("[6]", "[007]"), ValueError),
+        (C6_LINE.replace('"D": 12', '"D": 012'), ValueError),
+        (C6_LINE.replace(": ", ":").replace(", ", ","), C6),
+        (
+            '{"notes": [], "class": "leinster", "D": 12, "order": 6, '
+            '"params": [6], "family": "cyclic"}',
+            C6,
+        ),
+        (C6_LINE.replace('"leinster"', '"perfect"'), ValueError),
+        (C6_LINE.replace('"leinster"', '"Leinster"'), ValueError),
+    ],
+    ids=["minus-zero-param", "minus-zero-order", "leading-zeros", "leading-zero-D", "no-spaces",
+         "reordered-keys", "unknown-class", "class-case"],
+)
+def test_noncanonical_lines_decode_as_json_loads_does(line, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            SearchRecord.from_json(line)
+        return
+    decoded = SearchRecord.from_json(line)
+    assert decoded == expected
+    assert decoded.to_json() == expected.to_json() != line
+
+
+def test_record_stays_a_frozen_picklable_dataclass():
+    record = SearchRecord.from_json(C6_LINE)
+    assert [f.name for f in dataclasses.fields(SearchRecord)] == [
+        "family", "params", "order", "D", "kind", "notes"
+    ]
+    assert record == C6 and hash(record) == hash(C6)
+    assert SearchRecord("cyclic", (6,), 6, 12, GroupKind.LEINSTER, ()) == C6
+    assert pickle.loads(pickle.dumps(record)) == record
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.D = 13
 
 
 def brute_force_zm(max_m, max_n, paper_mode=False, fixed_r=None):
