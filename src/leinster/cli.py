@@ -6,7 +6,12 @@ the formula-versus-oracle invariant suite.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification
 failure, 4 resource cap exceeded, 130 interrupted (Ctrl-C), 141 stdout
-closed early (128 + SIGPIPE, as when piped into `head`; nothing is printed).
+closed early (128 + SIGPIPE, as when piped into `head`; nothing more is
+printed).  A sweep writes its JSON records as they come, a chunk's worth
+at a time, so after 130, 141 or an error in mid-sweep stdout holds a prefix
+of whole records: on 130, every record of the chunks finished before the
+interrupt.  `--table` output is written at the end, once the column widths
+are known.
 
 Run it as `leinster` or `python -m leinster`.
 """
@@ -14,9 +19,11 @@ Run it as `leinster` or `python -m leinster`.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
+from itertools import islice
 
 from . import numtheory, oracle, search, verify
 from .families import GroupKind
@@ -29,6 +36,9 @@ EXIT_VERIFY = 3
 EXIT_RESOURCE = 4
 EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
+
+# JSON lines collected per stdout write: one sweep chunk's worth
+_LINES_PER_WRITE = search._CHUNK
 
 _CLASS_ALIASES = {
     "leinster": GroupKind.LEINSTER,
@@ -56,7 +66,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command line's parser, built once per process: it is reused by every `main`."""
     parser = _Parser(prog="leinster", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -143,10 +155,34 @@ def _write_stdout(text: str) -> None:
         data = data[buffer.write(data) :]
 
 
+def _write_lines(lines: list[str]) -> None:
+    if lines:
+        _write_stdout("\n".join(lines + [""]))
+
+
 def _print_records(records, table: bool) -> None:
-    """Write the records to stdout at once: JSON lines, or aligned columns."""
+    """Write the records to stdout: JSON lines as they come, or aligned columns.
+
+    JSON lines are written _LINES_PER_WRITE at a time and, on Ctrl-C, every
+    record taken so far is written before the interrupt goes on, so an
+    interrupted sweep prints each record of its finished chunks.  A table is
+    written at the end, since it needs every row for its column widths.
+    """
     if not table:
-        _write_stdout("\n".join([record.to_json() for record in records] + [""]))
+        records = iter(records)
+        lines: list[str] = []
+        try:
+            while True:
+                # an interrupted list.extend keeps the items it took
+                lines.extend(map(search.SearchRecord.to_json, islice(records, _LINES_PER_WRITE)))
+                if len(lines) < _LINES_PER_WRITE:
+                    break
+                batch, lines = lines, []
+                _write_lines(batch)
+        except KeyboardInterrupt:
+            _write_lines(lines)
+            raise
+        _write_lines(lines)
         return
     headers = ("family", "params", "order", "D", "class", "notes")
     rows = [

@@ -5,13 +5,19 @@ bounds, computes the normal-subgroup order sum through the closed-form path,
 classifies each instance, and emits records in sorted-parameter order
 regardless of worker count.
 
-The tuples are evaluated in ordered chunks, and each finished chunk is
-appended to the cache file (one JSON line per record, file closed) before its
-records are emitted, so an interrupted sweep keeps every finished chunk and a
-rerun with the same cache computes only the missing tuples.  A cache line
-in the canonical form is decoded without a JSON parse and printed as read.
-A corrupt or mistyped cache line, or one whose class disagrees with its D
-and order, is skipped with a warning and its tuple recomputed.
+A sweep is a pipeline over ordered chunks of _CHUNK tuples: it pulls one
+chunk from the family's lazy enumeration, takes the chunk's cached records
+from the cache file, evaluates the rest, appends them to the cache (one JSON
+line per record, file closed) and only then yields the chunk's records.  So
+it holds about one chunk in memory whatever its bounds, an interrupted sweep
+keeps every finished chunk, and a rerun with the same cache computes only
+the missing tuples.  The cache file is read forward in step with the
+enumeration; a sweep writes it in params order, so a rerun holds about one
+chunk of it too.  A cache line in the canonical form is decoded without a
+JSON parse and printed as read.  A corrupt or mistyped cache line of the
+swept family, or one whose class disagrees with its D and order, is skipped
+with a warning and its tuple recomputed; a line of another family is skipped
+by its prefix without a decode.
 
 Number theory on the sweep's small integers reads a smallest-prime-factor
 table built once per sweep (`numtheory.sieve`, up to twice the largest
@@ -26,12 +32,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import sys
-from collections.abc import Callable
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
@@ -60,6 +69,9 @@ DEFAULT_BUDGET = 10_000_000
 
 # tuples per evaluated chunk: the unit of cache appends, and so of resume
 _CHUNK = 4096
+
+# chunks a process pool holds in flight, per worker
+_WINDOW_PER_WORKER = 2
 
 _KINDS = {kind.value: kind for kind in GroupKind}
 _KIND_JSON = {kind: _json_str(kind.value) for kind in GroupKind}
@@ -204,15 +216,18 @@ class Family:
 
     `tuple_count` bounds a sweep's tuple count for the budget gate before
     enumerating; it is None when `enumerate` counts against the budget
-    itself.  `evaluate` maps params to (order, D, notes) in closed form;
-    `build` gives the explicit group for the oracle, or None out of scope.
+    itself.  `enumerate` gives the valid params in bounds, sorted, as any
+    iterable: a generator is pulled one chunk at a time, so a large family
+    is never held whole.  `evaluate` maps params to (order, D, notes) in
+    closed form; `build` gives the explicit group for the oracle, or None
+    out of scope.
     """
 
     name: str
     bounds: tuple[str, ...]  # the sweep bound keys it accepts
     arity: int | None  # parameters per instance; None for any number
     tuple_count: Callable[[SweepConfig], int] | None
-    enumerate: Callable[[SweepConfig], list[tuple[int, ...]]]
+    enumerate: Callable[[SweepConfig], Iterable[tuple[int, ...]]]
     evaluate: Callable[[tuple[int, ...]], tuple[int, int, tuple[str, ...]]]
     build: Callable[[tuple[int, ...]], oracle.FiniteGroup | None]
 
@@ -264,18 +279,17 @@ class SweepConfig:
 
 
 def _n_range(lo: int):
-    """Enumerator of (n,) for n from max(lo, min_n) to max_n."""
-    return lambda cfg: [
-        (n,) for n in range(max(lo, cfg.bounds.get("min_n", lo)), cfg.bound("max_n") + 1)
-    ]
+    """Enumerator of (n,) for n from max(lo, min_n) to max_n, lazily.
+
+    zip over one iterable yields its items as 1-tuples.
+    """
+    return lambda cfg: zip(range(max(lo, cfg.bounds.get("min_n", lo)), cfg.bound("max_n") + 1))
 
 
-def _enumerate_affine(cfg: SweepConfig) -> list[tuple[int, ...]]:
-    return [
-        (q,)
-        for q in range(2, cfg.bound("max_q") + 1)
-        if numtheory.prime_power_decompose(q) is not None
-    ]
+def _enumerate_affine(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
+    for q in range(2, cfg.bound("max_q") + 1):
+        if numtheory.prime_power_decompose(q) is not None:
+            yield (q,)
 
 
 def _enumerate_pq(cfg: SweepConfig) -> list[tuple[int, ...]]:
@@ -308,8 +322,8 @@ def _enumerate_gen_dihedral(cfg: SweepConfig) -> list[tuple[int, ...]]:
     return out
 
 
-def _enumerate_zm(cfg: SweepConfig) -> list[tuple[int, ...]]:
-    """The valid (m, n, r), sorted, with r reduced mod m.
+def _enumerate_zm(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
+    """The valid (m, n, r), sorted, with r reduced mod m; generated per m.
 
     A residue r gives a valid triple with n iff gcd(m, n) = 1,
     gcd(r - 1, m) = 1 and ord_m(r) | n (r^n = 1 makes r a unit).  So each
@@ -318,7 +332,6 @@ def _enumerate_zm(cfg: SweepConfig) -> list[tuple[int, ...]]:
     """
     max_m = cfg.bound("max_m")
     max_n = cfg.bounds.get("max_n") if cfg.paper_mode else cfg.bound("max_n")
-    out: list[tuple[int, ...]] = []
     for m in range(1, max_m + 1):
         if cfg.paper_mode:
             if not numtheory.is_prime(m) or (max_n is not None and m - 1 > max_n):
@@ -335,8 +348,7 @@ def _enumerate_zm(cfg: SweepConfig) -> list[tuple[int, ...]]:
         for n in sorted(rows):
             for r in sorted(rows[n]):
                 if families.zm_validate(m, n, r) is not None:
-                    out.append((m, n, r))
-    return out
+                    yield (m, n, r)
 
 
 def _residues_by_order(m: int, residues, max_order: int) -> dict[int, list[int]]:
@@ -479,80 +491,177 @@ def _open_worker_sieve(limit: int) -> None:
         _WORKER_SIEVE.__enter__()
 
 
-def _evaluate_chunks(
-    family: str, workers: int, batches: list[list[tuple[int, ...]]], sieve_limit: int
-):
-    """Yield the evaluated records of each batch, in batch order."""
-    if workers == 1 or not any(batches):
-        for batch in batches:
-            yield _evaluate_batch(family, batch)
-        return
-    pool = ProcessPoolExecutor(
-        max_workers=workers, initializer=_open_worker_sieve, initargs=(sieve_limit,)
-    )
-    try:
-        yield from pool.map(_evaluate_batch, repeat(family), batches)
-    finally:
-        pool.shutdown(cancel_futures=True)
+def _evaluate_chunks(family: str, workers: int, chunks: Iterator, sieve_limit: int):
+    """Yield (hits, fresh) for each (hits, todo) of `chunks`, in order.
 
-
-def _load_cache(path: Path, name: str) -> dict[tuple[int, ...], SearchRecord] | None:
-    """The cached records of family `name`; None (after a warning) if unreadable.
-
-    A line that does not decode, or whose class is not the one its D and
-    order give, is skipped with a warning, and its tuple is recomputed.
+    `fresh` is the records of `todo`, evaluated in this process or, with
+    several workers, over a process pool started at the first chunk with
+    work.  The pool holds at most _WINDOW_PER_WORKER * workers chunks in
+    flight (`Executor.map` would submit every chunk before the first result).
     """
-    if not path.exists():
-        return {}
-    cached: dict[tuple[int, ...], SearchRecord] = {}
+    if workers == 1:
+        for hits, todo in chunks:
+            yield hits, _evaluate_batch(family, todo)
+        return
+    limit = _WINDOW_PER_WORKER * workers
+    pool = None
+    window: deque = deque()
     try:
-        with path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = SearchRecord.from_json(line)
-                    if record.kind is not families.classify_kind(record.D, record.order):
-                        raise ValueError(
-                            f"class {record.kind.value!r} disagrees with "
-                            f"D = {record.D} and order {record.order}"
-                        )
-                except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                    print(
-                        f"warning: skipping corrupt cache line {lineno}: {exc}",
-                        file=sys.stderr,
+        while True:
+            for hits, todo in islice(chunks, limit - len(window)):
+                if todo and pool is None:
+                    pool = ProcessPoolExecutor(
+                        max_workers=workers,
+                        initializer=_open_worker_sieve,
+                        initargs=(sieve_limit,),
                     )
-                    continue
-                if record.family == name:
-                    cached[record.params] = record
-    except (OSError, UnicodeDecodeError) as exc:
+                window.append((hits, pool.submit(_evaluate_batch, family, todo) if todo else None))
+            if not window:
+                return
+            hits, future = window.popleft()
+            yield hits, future.result() if future is not None else []
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+# the start of a cache line of any family whose name needs no escape
+_ANY_FAMILY_PREFIX = re.compile(rf'{{"family": "{_CHARS}", ')
+
+
+class _Cache:
+    """A sweep's resume file: read forward in step with the sweep, appended per chunk.
+
+    The reader reads only the bytes the file held when it was opened, never
+    the chunks this sweep appends.  A line of another family is skipped by
+    its prefix, without a decode.  Any other line is decoded and class-checked
+    once, when the reader passes it; one that fails is skipped with a warning,
+    so its tuple is recomputed.  A record read before its params are asked
+    for waits in `_ahead`: a sweep writes its cache in params order, so that
+    is about one chunk, and a cache out of order holds up to the whole family.
+    For params on several valid lines, the first line wins.  A cache that
+    cannot be read is dropped, reads and appends alike, after one warning;
+    one that cannot be written is no longer appended to.
+    """
+
+    def __init__(self, path: Path, name: str) -> None:
+        self.path: Path | None = path  # None once appends stop
+        self._name = name
+        self._own = f'{{"family": {_json_str(name)}, '
+        self._ahead: dict[tuple[int, ...], SearchRecord] = {}
+        self._fh = None
+        self._left = 0  # bytes of the opening size not read yet
+        self._lineno = 0
+        try:
+            self._fh = path.open("rb")
+            self._left = os.fstat(self._fh.fileno()).st_size
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            self._read_failed(exc)
+
+    def __enter__(self) -> "_Cache":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._close()
+
+    def _close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+    def _read_failed(self, exc: Exception) -> None:
         print(f"warning: cache read failed ({exc}); sweep continues", file=sys.stderr)
-        return None
-    return cached
+        self._close()
+        self.path = None
+
+    def spent(self) -> bool:
+        """Whether every record the file had to give is taken."""
+        return self._fh is None and not self._ahead
+
+    def take(self, params: tuple[int, ...]) -> SearchRecord | None:
+        """The cached record for `params`, or None: kept from earlier, or read up to."""
+        record = self._ahead.pop(params, None)
+        while record is None and self._fh is not None:
+            record = self._read_record()
+            if record is not None and record.params != params:
+                self._ahead.setdefault(record.params, record)
+                record = None
+        return record
+
+    def _read_record(self) -> SearchRecord | None:
+        """The valid record of this family on the next line; None for any other line."""
+        try:
+            raw = self._fh.readline(self._left)
+            line = raw.decode("utf-8").strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            self._read_failed(exc)
+            return None
+        if not raw:
+            self._close()
+            return None
+        self._left -= len(raw)
+        self._lineno += 1
+        if not line or (not line.startswith(self._own) and _ANY_FAMILY_PREFIX.match(line)):
+            return None
+        try:
+            record = SearchRecord.from_json(line)
+            if record.kind is not families.classify_kind(record.D, record.order):
+                raise ValueError(
+                    f"class {record.kind.value!r} disagrees with "
+                    f"D = {record.D} and order {record.order}"
+                )
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            print(f"warning: skipping corrupt cache line {self._lineno}: {exc}", file=sys.stderr)
+            return None
+        return record if record.family == self._name else None
+
+    def append(self, records: list[SearchRecord]) -> None:
+        """Append one finished chunk; stop appending (after a warning) on failure.
+
+        A file whose last line has no newline (a torn write) gets one first,
+        so the chunk's first record starts a line of its own.
+        """
+        if self.path is None:
+            return
+        data = "\n".join([record.to_json() for record in records] + [""]).encode("utf-8")
+        try:
+            with self.path.open("a+b") as fh:
+                end = fh.seek(0, os.SEEK_END)
+                if end:
+                    fh.seek(end - 1)
+                    if fh.read(1) != b"\n":
+                        data = b"\n" + data
+                fh.write(data)
+        except OSError as exc:
+            print(f"warning: cache write failed ({exc}); sweep continues", file=sys.stderr)
+            self.path = None
 
 
-def _append_cache(path: Path, records: list[SearchRecord]) -> bool:
-    """Append one finished chunk to the cache; False (after a warning) on failure."""
-    try:
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write("\n".join([record.to_json() for record in records] + [""]))
-    except OSError as exc:
-        print(f"warning: cache write failed ({exc}); sweep continues", file=sys.stderr)
-        return False
-    return True
+def _take_cached(chunks: Iterator[list[tuple[int, ...]]], cache: _Cache | None):
+    """Yield (hits, todo) per chunk: its cached records (None where missing) and the rest."""
+    for chunk in chunks:
+        if cache is None or cache.spent():  # a cold sweep asks nothing per params
+            yield [None] * len(chunk), chunk
+            continue
+        hits = [cache.take(params) for params in chunk]
+        yield hits, [params for params, hit in zip(chunk, hits) if hit is None]
 
 
 def run_sweep(cfg: SweepConfig):
     """Yield classified records for every valid tuple in bounds, sorted by params.
 
-    The sorted tuples are cut into chunks of at most _CHUNK (and at most
-    1/workers of the tuples, so that every worker gets one).  Chunks are
-    evaluated in order, serially or over a process pool; each finished chunk
-    is appended to the cache (opened, written and closed) before its records
-    are yielded.  Output is byte-identical for any worker count.  The
-    smallest-prime-factor table is open for the whole sweep, in this process
-    and in every pool worker.
+    A pipeline over chunks: the family's enumeration is pulled _CHUNK tuples
+    at a time; each chunk's cached records are taken from the cache file and
+    the rest evaluated, serially or over a process pool holding at most
+    _WINDOW_PER_WORKER * workers chunks; the evaluated records are appended
+    to the cache (opened, written and closed) before the chunk's records are
+    yielded.  So a sweep holds about one chunk (one window with a pool),
+    plus the cached records read ahead of their turn, which a cache in params
+    order keeps to about one chunk.  Output is byte-identical for any worker
+    count.  The smallest-prime-factor table is open for the whole sweep, in
+    this process and in every pool worker.
     """
     family = FAMILY[cfg.family]
     raw = family.tuple_count(cfg) if family.tuple_count is not None else None
@@ -562,30 +671,26 @@ def run_sweep(cfg: SweepConfig):
         )
     sieve_limit = 2 * max(cfg.bounds.values(), default=0) + 1
     with numtheory.sieve(sieve_limit):
-        params_list = family.enumerate(cfg)
-        cache_path = Path(cfg.cache_path) if cfg.cache_path is not None else None
-        cached = _load_cache(cache_path, cfg.family) if cache_path else {}
-        if cached is None:
-            cache_path, cached = None, {}  # warned; the sweep goes on without a cache
-        size = max(1, min(_CHUNK, -(-len(params_list) // cfg.workers)))
-        chunks = [params_list[i : i + size] for i in range(0, len(params_list), size)]
-        todo = [[p for p in chunk if p not in cached] for chunk in chunks]
-        evaluated = _evaluate_chunks(cfg.family, cfg.workers, todo, sieve_limit)
-        for chunk, fresh in zip(chunks, evaluated):
-            if cache_path and fresh and not _append_cache(cache_path, fresh):
-                cache_path = None  # warned once; the sweep goes on without a cache
-            computed = iter(fresh)
-            for params in chunk:
-                record = cached.pop(params, None) or next(computed)
-                if NOTE_EDGE in record.notes and not cfg.include_edge:
-                    continue
-                if cfg.classes is not None and record.kind not in cfg.classes:
-                    continue
-                if cfg.dedupe and cfg.family == "zm":
-                    triple = families.ZMTriple(*record.params)
-                    if families.zm_canonical(triple) != triple:
+        params = iter(family.enumerate(cfg))
+        chunks = iter(lambda: list(islice(params, _CHUNK)), [])
+        path = cfg.cache_path
+        with _Cache(Path(path), cfg.family) if path is not None else nullcontext() as cache:
+            pending = _take_cached(chunks, cache)
+            for hits, fresh in _evaluate_chunks(cfg.family, cfg.workers, pending, sieve_limit):
+                if fresh and cache is not None:
+                    cache.append(fresh)
+                computed = iter(fresh)
+                for hit in hits:
+                    record = hit or next(computed)
+                    if NOTE_EDGE in record.notes and not cfg.include_edge:
                         continue
-                yield record
+                    if cfg.classes is not None and record.kind not in cfg.classes:
+                        continue
+                    if cfg.dedupe and cfg.family == "zm":
+                        triple = families.ZMTriple(*record.params)
+                        if families.zm_canonical(triple) != triple:
+                            continue
+                    yield record
 
 
 def oracle_crosscheck(record: SearchRecord) -> bool | None:

@@ -126,6 +126,10 @@ def test_reader_leaving_mid_write_exits_141():
     assert err == b""
 
 
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_broken_pipe_in_process_maps_to_141(monkeypatch, capsys):
     def closed(args):
         raise BrokenPipeError

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import pickle
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -280,8 +281,9 @@ def test_interrupted_sweep_resumes_from_its_cache(tmp_path, monkeypatch, capsys)
 
     monkeypatch.setattr(search, "_evaluate", lambda f, p: counting(f, p, stop_after=10_000))
     assert cli.main(argv) == cli.EXIT_INTERRUPTED
-    assert capsys.readouterr().out == ""
     kept = 10_000 // search._CHUNK * search._CHUNK  # every finished chunk
+    # the records of n = 2..kept, printed before the interrupt (n = 1 is an edge)
+    assert capsys.readouterr().out == "".join(expected.splitlines(keepends=True)[: kept - 1])
     assert len(cache.read_text().splitlines()) == kept > 0
 
     calls.clear()
@@ -290,6 +292,166 @@ def test_interrupted_sweep_resumes_from_its_cache(tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().out == expected
     assert len(calls) == 20_000 - kept
     assert len(cache.read_text().splitlines()) == 20_000
+
+
+def test_torn_cache_tail_gets_its_own_line(tmp_path, capsys):
+    argv = ["search", "cyclic", "--max-n", "3", "--include-edge"]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    cache = tmp_path / "cache.jsonl"
+    torn = '{"family": "cyclic", "params": [1'  # a write cut short, no newline
+    cache.write_text(torn)
+    argv += ["--cache", str(cache)]
+    sizes = []
+    for _ in range(3):
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cold
+        assert captured.err.count("skipping corrupt cache line 1") == 1
+        sizes.append(cache.stat().st_size)
+    assert cache.read_text().splitlines() == [torn, *cold.splitlines()]
+    assert sizes[0] == sizes[1] == sizes[2]  # the reruns append nothing
+
+
+def test_other_families_cache_lines_are_skipped_without_a_decode(tmp_path, monkeypatch, capsys):
+    lines = {}
+    for family in ("cyclic", "dihedral"):
+        assert cli.main(["search", family, "--max-n", "40", "--include-edge"]) == 0
+        lines[family] = capsys.readouterr().out.splitlines()
+    mixed = [line for pair in zip(lines["cyclic"], lines["dihedral"]) for line in pair]
+    mixed.insert(20, "not json at all")
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("\n".join(mixed) + "\n")
+    argv = ["search", "dihedral", "--max-n", "40"]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+
+    decoded = []
+    from_json = SearchRecord.from_json
+
+    def counting(line):
+        decoded.append(line)
+        return from_json(line)
+
+    monkeypatch.setattr(SearchRecord, "from_json", staticmethod(counting))
+    assert cli.main(argv + ["--cache", str(cache)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold
+    assert captured.err == (
+        "warning: skipping corrupt cache line 21: Expecting value: line 1 column 1 (char 0)\n"
+    )
+    assert decoded == [line for line in mixed if not line.startswith('{"family": "cyclic", ')]
+    assert cache.read_text() == "\n".join(mixed) + "\n"
+
+
+def test_cache_reader_reads_only_the_bytes_there_when_it_opened(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(C6_LINE + "\n")
+    with search._Cache(path, "cyclic") as cache:
+        cache.append([search.run_classify("cyclic", [7])])
+        assert cache.take((7,)) is None  # appended by this sweep, so not read
+        assert cache.take((6,)) == C6
+    assert path.read_text().splitlines()[1:] == [search.run_classify("cyclic", [7]).to_json()]
+
+
+def test_first_valid_cache_line_for_params_wins(tmp_path):
+    # well formed and self-consistent, so trusted; D is not that of C6
+    first = C6_LINE.replace('"D": 12', '"D": 13').replace('"leinster"', '"quasi-leinster"')
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(f"{first}\n{C6_LINE}\n")  # both read ahead of (1,), ..., (5,)
+    records = sweep(family="cyclic", bounds={"max_n": 8}, cache_path=cache)
+    assert next(r for r in records if r.params == (6,)).to_json() == first
+
+
+def counting_enumerator(monkeypatch, family):
+    """Install a copy of `family` whose enumeration records every params pulled."""
+    pulled = []
+    enumerate_ = search.FAMILY[family].enumerate
+
+    def counting(cfg):
+        for params in enumerate_(cfg):
+            pulled.append(params)
+            yield params
+
+    monkeypatch.setitem(
+        search.FAMILY, family, dataclasses.replace(search.FAMILY[family], enumerate=counting)
+    )
+    return pulled
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_pulls_one_chunk_or_one_window_before_its_first_record(monkeypatch, workers):
+    pulled = counting_enumerator(monkeypatch, "cyclic")
+    in_flight = 1 if workers == 1 else search._WINDOW_PER_WORKER * workers
+    bounds = {"max_n": (in_flight + 3) * search._CHUNK}
+    records = search.run_sweep(SweepConfig(family="cyclic", bounds=bounds, workers=workers))
+    assert next(records).params == (2,)
+    assert 0 < len(pulled) <= in_flight * search._CHUNK
+    records.close()
+
+
+def test_pool_output_and_cache_equal_serial_over_several_chunks(tmp_path):
+    bounds = {"max_n": 3 * search._CHUNK + 100}
+    runs = {}
+    for workers in (1, 2):
+        cache = tmp_path / f"workers-{workers}.jsonl"
+        cold = sweep(family="cyclic", bounds=bounds, workers=workers, cache_path=cache)
+        written = cache.read_bytes()
+        warm = sweep(family="cyclic", bounds=bounds, workers=workers, cache_path=cache)
+        assert cache.read_bytes() == written  # nothing appended
+        # resumed from the first chunk and a bit
+        resumed = tmp_path / f"resumed-{workers}.jsonl"
+        sweep(family="cyclic", bounds={"max_n": search._CHUNK + 7}, cache_path=resumed)
+        sweep(family="cyclic", bounds=bounds, workers=workers, cache_path=resumed)
+        assert resumed.read_bytes() == written
+        runs[workers] = cold, warm, written
+    assert runs[1] == runs[2]
+    cold, warm, written = runs[1]
+    assert cold == warm == sweep(family="cyclic", bounds=bounds)
+    assert written.decode().splitlines()[1:] == [record.to_json() for record in cold]
+
+
+def test_out_of_order_caches_give_the_cold_output_and_append_nothing(tmp_path, capsys):
+    argv = ["search", "dihedral", "--max-n", str(2 * search._CHUNK + 10)]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+
+    reversed_cache = tmp_path / "reversed.jsonl"
+    assert cli.main(argv + ["--cache", str(reversed_cache)]) == 0
+    capsys.readouterr()
+    lines = reversed_cache.read_text().splitlines(keepends=True)
+    reversed_cache.write_text("".join(reversed(lines)))
+
+    # written from min_n = _CHUNK up, then extended down to min_n = 1
+    extended = tmp_path / "extended.jsonl"
+    for min_n in (search._CHUNK, 1):
+        assert cli.main(argv + ["--min-n", str(min_n), "--cache", str(extended)]) == 0
+    assert capsys.readouterr().out.endswith(cold)
+
+    for cache in (reversed_cache, extended):
+        size = cache.stat().st_size
+        assert cli.main(argv + ["--cache", str(cache)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cold
+        assert captured.err == ""
+        assert cache.stat().st_size == size
+
+
+def test_warm_sweep_holds_about_one_chunk(tmp_path):
+    cfg = SweepConfig(family="cyclic", bounds={"max_n": 50_000}, cache_path=tmp_path / "c.jsonl")
+    for _ in search.run_sweep(cfg):
+        pass
+    assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 50_000
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in search.run_sweep(cfg))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 49_999
+    # about 3.5 MiB: one chunk of records, and the sieve; holding the whole
+    # cache as records peaked at 24.9 MiB
+    assert peak < 8 * 2**20
 
 
 NOTES = [search.NOTE_EDGE, search.NOTE_LABEL_DIFFERS, search.NOTE_FORMULA_ONLY]
@@ -443,12 +605,12 @@ def test_zm_enumeration_equals_brute_force(paper_mode, fixed_r):
             fixed_r=fixed_r,
         )
         expected = brute_force_zm(max_m, max_n, paper_mode, fixed_r)
-        assert search._enumerate_zm(cfg) == expected
+        assert list(search._enumerate_zm(cfg)) == expected
         assert expected or fixed_r in (0, 1)
 
 
 def test_zm_enumeration_keeps_the_m_equals_1_records():
-    params = search._enumerate_zm(SweepConfig(family="zm", bounds={"max_m": 3, "max_n": 4}))
+    params = list(search._enumerate_zm(SweepConfig(family="zm", bounds={"max_m": 3, "max_n": 4})))
     assert [p for p in params if p[0] == 1] == [(1, n, 0) for n in range(1, 5)]
 
 
