@@ -68,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """The command line's parser, built once per process: it is reused by every `main`."""
+    """The command line's parser, built once per process, at import: every `main` reuses it."""
     parser = _Parser(prog="leinster", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -269,6 +269,11 @@ def _cmd_verify(args) -> int:
         f"in {elapsed:.1f}s"
     )
     return EXIT_OK if failed == 0 else EXIT_VERIFY
+
+
+# Built at import, not by the first `main`: in a process that calls `main`
+# many times, every call then costs the same.
+_build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
