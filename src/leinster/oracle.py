@@ -11,7 +11,8 @@ Two independent enumerators find subgroups:
   from the cyclic subgroups, each flagged normal by a conjugation test;
 * the normal lattice (`normal_subgroups`, `group_divisor_sum`,
   `is_nilpotent`): normal closures of the conjugacy classes, closed under
-  products, without the full lattice.
+  products, without the full lattice.  The normal subgroups of one order
+  are joined in one batch of array operations, one order after another.
 
 On every table they agree on the normal subgroups; the tests hold them to
 that.  Each distinct table is validated once per process, keyed by the same
@@ -74,6 +75,10 @@ _NORMAL_CACHE: dict[bytes, tuple[int, ...]] = {}
 # each distinct table is validated only the first time it is built.
 _VALIDATED: dict[bytes, tuple[int, ...]] = {}
 
+# Cells one batch of `_normal_lattice` joins may hold in a temporary: the
+# normal subgroups of one order are joined in slices that stay under it.
+_BATCH_CELLS = 1 << 18
+
 
 class OrderCapError(Exception):
     """Requested group order exceeds the configured cap."""
@@ -128,6 +133,37 @@ def _closure(table: np.ndarray, member: np.ndarray) -> np.ndarray:
             break
         count = new_count
     return member
+
+
+def _powers(table: np.ndarray) -> np.ndarray:
+    """Powers of every element: row j - 1 holds x^j in column x, for j = 1..k.
+
+    Built by doubling, x^(k+j) = x^j x^k, so it takes log2(exponent) gathers;
+    k is the first power of two at which every column has met the identity,
+    so k >= the exponent and column x lists all of <x>.
+    """
+    power = np.arange(table.shape[0], dtype=table.dtype)[None, :]
+    while not (power == 0).any(axis=0).all():
+        power = np.concatenate([power, table[power, power[-1]]])
+    return power
+
+
+def _words(rows: np.ndarray) -> np.ndarray:
+    """Boolean rows as bitmask words: bit y of a row is bit y % 64 of word y // 64."""
+    r, n = rows.shape
+    padded = np.zeros((r, 64 * -(-n // 64)), dtype=bool)
+    padded[:, :n] = rows
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, which): the distinct boolean rows are rows[first], and row i
+    equals row first[which[i]]."""
+    words = _words(rows)
+    _, first, which = np.unique(
+        words.view(f"V{words.shape[1] * 8}").ravel(), return_index=True, return_inverse=True
+    )
+    return first, which.reshape(-1)
 
 
 def _cosets(table: np.ndarray, elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,15 +285,8 @@ class FiniteGroup:
 
     def element_orders(self) -> list[int]:
         if self._orders is None:
-            rows = self.rows
-            out = [1] * self.order
-            for x in range(1, self.order):
-                k, y = 1, x
-                while y != 0:
-                    y = rows[y][x]
-                    k += 1
-                out[x] = k
-            self._orders = out
+            # the order of x is the first j >= 1 with x^j = 1
+            self._orders = (np.argmax(_powers(self.table) == 0, axis=0) + 1).tolist()
         return self._orders
 
     def element_order(self, a: int) -> int:
@@ -457,16 +486,25 @@ def _normal_lattice(group: FiniteGroup) -> tuple[int, ...]:
     subgroups", ISSAC 1998):
 
     * closures: the normal closure ncl(x) of every element x at once.  The
-      union of the cyclic subgroups <y> over the conjugacy class of x is one
-      matrix product; in an abelian table it is already <x>, otherwise each
-      distinct union is closed under products;
+      powers of x come from the doubled power table (`_powers`).  The union
+      of the <y> over the conjugacy class of x holds z iff the class of z
+      holds a power of x, so it is one scatter and one gather over the
+      table; in an abelian table it is already <x>, otherwise each distinct
+      union is closed under products;
     * products: from {1}, each found normal N is joined with ncl(x) for one
       x per coset of N outside N.  N*ncl(x) is the union of the N-cosets that
       meet ncl(x), and it is a subgroup because both factors are normal, so
       no closure is run.
 
     This finds every normal M: M is the product of the normal closures of its
-    elements, and N*ncl(n*x) = N*ncl(x) for n in N.
+    elements, and N*ncl(n*x) = N*ncl(x) for n in N.  A join with x outside N
+    is larger than N, so the normal subgroups are joined one order at a time,
+    in increasing order: when an order d is reached, every normal subgroup of
+    order d is already found, and all of them are joined in one batch
+    (`_join_batch`), sliced so that no temporary exceeds about _BATCH_CELLS
+    cells.  An order d with no divisor of |G| strictly between d and |G|
+    that it divides is skipped: every join from it is G.  Found subgroups
+    are kept as packed bitmask bytes and deduplicated by set operations.
     """
     digest = group.digest()
     cached = _NORMAL_CACHE.get(digest)
@@ -476,62 +514,99 @@ def _normal_lattice(group: FiniteGroup) -> tuple[int, ...]:
     n = group.order
     table = group.table
     ar = np.arange(n)
-    # cyc[x] marks <x>, filled with the powers x, x^2, ... up to the identity
-    cyc = np.zeros((n, n), dtype=bool)
-    power = ar.copy()
-    while True:
-        cyc[ar, power] = True
-        if not power.any():
-            break
-        power = table[power, ar]
-    if group.is_abelian():
-        ncl = cyc
+    power = _powers(table)
+    union = np.zeros((n, n), dtype=bool)
+    abelian = group.is_abelian()
+    if abelian:
+        union[ar, power] = True  # union[x] marks <x>
     else:
+        # a class is named by its smallest member; the union of the <y> over
+        # the class of x holds z iff the class of z holds a power of x
         inv = np.asarray(group.inverses(), dtype=np.intp)
-        conj = table[table, inv[:, None]]  # conj[g, x] = g x g^-1
-        klass = np.zeros((n, n), dtype=np.float32)
-        klass[ar, conj] = 1  # klass[x, y] = 1 iff y is conjugate to x
-        # each row starts as a union and is closed in place
-        ncl = (klass @ cyc.astype(np.float32)) > 0
-        closed: dict[bytes, np.ndarray] = {}
-        for row in ncl:
-            key = row.tobytes()
-            if key in closed:
-                row[:] = closed[key]
-            else:
-                closed[key] = _closure(table, row)
-    # N*ncl(x) depends on x only through ncl(x): one x per distinct closure
-    owner: dict[bytes, int] = {}
-    first = np.array([owner.setdefault(row.tobytes(), x) for x, row in enumerate(ncl)])
-    ncl = ncl.astype(np.float32)
+        klass = table[table, inv[:, None]].min(axis=0)  # over g of g x g^-1
+        union[ar, klass[power]] = True
+        union = union[:, klass]
+    # N*ncl(x) depends on x only through ncl(x): owner[x] is one element with
+    # the closure of x, and members[x] lists that closure, padded with the
+    # identity; each distinct union is closed once, in place
+    owner, closure_of = _distinct(union)
+    closures = union[owner]
+    if not abelian:
+        for row in closures:
+            _closure(table, row)
+        again, closure_of_union = _distinct(closures)
+        owner, closure_of, closures = owner[again], closure_of_union[closure_of], closures[again]
+    size = closures.sum(axis=1)
+    listed = np.argsort(~closures, axis=1, kind="stable")[:, : size.max()]
+    listed[np.arange(listed.shape[1]) >= size[:, None]] = 0
+    owner, members = owner[closure_of], listed[closure_of]
 
-    trivial = np.zeros(n, dtype=bool)
-    trivial[0] = True
-    found = {trivial.tobytes()}
-    worklist = [trivial]
-    i = 0
-    while i < len(worklist):
-        sub = worklist[i]
-        i += 1
-        elems = np.flatnonzero(sub)
-        if elems.size == n:
-            continue
-        coset, reps = _cosets(table, elems)
-        onehot = np.zeros((n, reps.size), dtype=np.float32)
-        onehot[ar, coset] = 1
-        pick = np.zeros(n, dtype=bool)
-        pick[first[reps[1:]]] = True
-        joins = ((ncl[pick] @ onehot) > 0)[:, coset]
-        for row in joins:
-            key = row.tobytes()
-            if key not in found:
-                found.add(key)
-                worklist.append(row)
+    # the joins of {1} are the closures themselves
+    seeds = _words(np.vstack([closures, np.ones(n, dtype=bool)]))
+    width = seeds.shape[1] * 8  # bytes per bitmask key
+    found: set[bytes] = set()
+    by_order: dict[int, list[bytes]] = {}
 
-    masks = [_to_mask(row) for row in worklist]
+    def register(words: np.ndarray, sizes: np.ndarray) -> None:
+        raw = words.astype("<u8", copy=False).tobytes()
+        keys = [raw[i : i + width] for i in range(0, len(raw), width)]
+        size_of = dict(zip(keys, sizes.tolist()))
+        new = size_of.keys() - found
+        found.update(new)
+        for key in new:
+            by_order.setdefault(size_of[key], []).append(key)
+
+    register(seeds, np.append(size, n))
+    divisors = numtheory.divisors(n)
+    for i, d in enumerate(divisors[1:-1], start=1):
+        keys = by_order.pop(d, [])
+        if all(e % d for e in divisors[i + 1 : -1]):
+            continue  # no order between d and n: every join is the whole group
+        m = n // d
+        step = max(1, _BATCH_CELLS // (n * max(d, m)))
+        for start in range(0, len(keys), step):
+            batch = keys[start : start + step]
+            packed = np.frombuffer(b"".join(batch), dtype=np.uint8).reshape(len(batch), width)
+            subs = np.unpackbits(packed, axis=1, count=n, bitorder="little")
+            register(*_join_batch(table, subs, d, owner, members))
+
+    masks = [int.from_bytes(key, "little") for key in found]
     frozen = tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
     _NORMAL_CACHE[digest] = frozen
     return frozen
+
+
+def _join_batch(
+    table: np.ndarray, subs: np.ndarray, d: int, owner: np.ndarray, members: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bitmask words and orders of the joins N*ncl(x) for normal N of order d.
+
+    `subs` holds one membership row per N.  Every N has index m = n/d, so the
+    cosets are regular arrays: coset[i, y] numbers the coset of N_i holding
+    y, in the order of the cosets' smallest elements (0 for N_i itself).  One
+    x per coset outside N_i is taken, mapped to owner[x], one fixed element
+    with the normal closure of x, and each distinct (N_i, x) gives one join:
+    the cosets of N_i that the members of ncl(x), members[x], fall in.  Its
+    bitmask is the sum of those cosets' bitmasks, which are disjoint.
+    """
+    b, n = subs.shape
+    m = n // d
+    elems = subs.nonzero()[1].reshape(b, d)
+    rep_of = table[elems].min(axis=1)  # the smallest element of each coset N_i y
+    is_rep = rep_of == np.arange(n)
+    batch = np.arange(b)[:, None]
+    coset = (np.cumsum(is_rep, axis=1) - 1)[batch, rep_of]
+    pick = np.zeros((b, n), dtype=bool)
+    pick[batch, owner[is_rep.nonzero()[1].reshape(b, m)[:, 1:]]] = True
+    sub_of, x = pick.nonzero()
+    hit = np.zeros((x.size, m), dtype=bool)
+    hit[np.arange(x.size)[:, None], coset[sub_of[:, None], members[x]]] = True
+    onehot = np.zeros((b * m, n), dtype=bool)
+    onehot[batch * m + coset, np.arange(n)] = True
+    words = _words(onehot).reshape(b, m, -1)  # the bitmask of each coset
+    pair, c = hit.nonzero()  # by pair, each starting with coset 0 (the identity's)
+    joins = np.add.reduceat(words[sub_of[pair], c], np.flatnonzero(c == 0))
+    return joins, d * hit.sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -218,9 +218,10 @@ class Family:
     enumerating; it is None when `enumerate` counts against the budget
     itself.  `enumerate` gives the valid params in bounds, sorted, as any
     iterable: a generator is pulled one chunk at a time, so a large family
-    is never held whole.  `evaluate` maps params to (order, D, notes) in
-    closed form; `build` gives the explicit group for the oracle, or None
-    out of scope.
+    is never held whole.  `ascending` says that it sorts them as tuples (not
+    so for gen-dihedral, whose chains come by group order).  `evaluate` maps
+    params to (order, D, notes) in closed form; `build` gives the explicit
+    group for the oracle, or None out of scope.
     """
 
     name: str
@@ -230,6 +231,7 @@ class Family:
     enumerate: Callable[[SweepConfig], Iterable[tuple[int, ...]]]
     evaluate: Callable[[tuple[int, ...]], tuple[int, int, tuple[str, ...]]]
     build: Callable[[tuple[int, ...]], oracle.FiniteGroup | None]
+    ascending: bool = True
 
 
 @dataclass
@@ -435,6 +437,7 @@ FAMILY: dict[str, Family] = {
             "gen-dihedral", ("max_a",), None, None, _enumerate_gen_dihedral,
             lambda p: (2 * math.prod(p), families.generalized_dihedral_divisor_sum(p), ()),
             lambda p: oracle.build_generalized_dihedral(p),
+            ascending=False,
         ),
         Family(
             "dicyclic", ("max_n", "min_n"), 1, _count("max_n"), _n_range(2),
@@ -539,14 +542,18 @@ class _Cache:
     so its tuple is recomputed.  A record read before its params are asked
     for waits in `_ahead`: a sweep writes its cache in params order, so that
     is about one chunk, and a cache out of order holds up to the whole family.
-    For params on several valid lines, the first line wins.  A cache that
-    cannot be read is dropped, reads and appends alike, after one warning;
-    one that cannot be written is no longer appended to.
+    When the sweep asks in ascending tuple order (`ascending`), a record below
+    the params asked for can never be taken, and it is dropped as it is
+    passed, so a sweep narrower than its cache (a fixed r, a higher min_n)
+    does not keep it.  For params on several valid lines, the first line
+    wins.  A cache that cannot be read is dropped, reads and appends alike,
+    after one warning; one that cannot be written is no longer appended to.
     """
 
-    def __init__(self, path: Path, name: str) -> None:
+    def __init__(self, path: Path, name: str, ascending: bool = False) -> None:
         self.path: Path | None = path  # None once appends stop
         self._name = name
+        self._ascending = ascending
         self._own = f'{{"family": {_json_str(name)}, '
         self._ahead: dict[tuple[int, ...], SearchRecord] = {}
         self._fh = None
@@ -586,7 +593,8 @@ class _Cache:
         while record is None and self._fh is not None:
             record = self._read_record()
             if record is not None and record.params != params:
-                self._ahead.setdefault(record.params, record)
+                if not (self._ascending and record.params < params):
+                    self._ahead.setdefault(record.params, record)
                 record = None
         return record
 
@@ -674,7 +682,8 @@ def run_sweep(cfg: SweepConfig):
         params = iter(family.enumerate(cfg))
         chunks = iter(lambda: list(islice(params, _CHUNK)), [])
         path = cfg.cache_path
-        with _Cache(Path(path), cfg.family) if path is not None else nullcontext() as cache:
+        reader = None if path is None else _Cache(Path(path), cfg.family, family.ascending)
+        with reader or nullcontext() as cache:
             pending = _take_cached(chunks, cache)
             for hits, fresh in _evaluate_chunks(cfg.family, cfg.workers, pending, sieve_limit):
                 if fresh and cache is not None:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from leinster import families, oracle, verify
 from leinster import numtheory as nt
-from leinster import oracle, verify
 
 
 def brute_subgroup_check(group, sub):
@@ -373,6 +373,75 @@ def test_normal_subgroups_of_s4_and_a5():
     assert len(oracle.all_subgroups(a5)) == 59
 
 
+def gaussian_binomial(k, j, p):
+    """The number of subgroups of order p^j in C_p^k."""
+    value = 1
+    for i in range(j):
+        value = value * (p ** (k - i) - 1) // (p ** (i + 1) - 1)
+    return value
+
+
+def test_normal_lattice_of_elementary_abelian_groups_past_the_full_lattice(monkeypatch):
+    # every subgroup is normal, and C2^7 has too many for the full lattice
+    monkeypatch.setattr(oracle, "_NORMAL_CACHE", {})
+    for p, k, total in ((2, 7, 29_212), (3, 4, 212)):
+        masks = oracle._normal_lattice(oracle.build_abelian([p] * k))
+        orders = [mask.bit_count() for mask in masks]
+        assert orders == sorted(orders)
+        assert len(orders) == total
+        for j in range(k + 1):
+            assert orders.count(p**j) == gaussian_binomial(k, j, p), (p, k, j)
+
+
+@pytest.mark.parametrize("chain", [(2, 2, 2, 2, 4), (2, 2, 2, 4, 4), (2, 2, 2, 2, 2, 4)])
+def test_generalized_dihedral_oracle_equals_the_closed_form_past_the_full_lattice(chain):
+    group = oracle.build_generalized_dihedral(chain)
+    assert oracle.group_divisor_sum(group) == families.generalized_dihedral_divisor_sum(chain)
+
+
+def test_batches_sliced_to_one_subgroup_give_the_same_masks(monkeypatch):
+    s4 = permutation_group([(1, 0, 2, 3), (1, 2, 3, 0)])
+    a5 = permutation_group([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+    groups = [s4, a5, oracle.build_abelian([2] * 5)]
+    groups += {entry.group.digest(): entry.group for entry in verify._build_corpus(48)}.values()
+    monkeypatch.setattr(oracle, "_NORMAL_CACHE", {})
+    whole = [oracle._normal_lattice(group) for group in groups]
+
+    sizes = []
+    join_batch = oracle._join_batch
+
+    def watched(table, subs, *args):
+        sizes.append(subs.shape[0])
+        return join_batch(table, subs, *args)
+
+    monkeypatch.setattr(oracle, "_join_batch", watched)
+    monkeypatch.setattr(oracle, "_BATCH_CELLS", 1)
+    monkeypatch.setattr(oracle, "_NORMAL_CACHE", {})
+    assert [oracle._normal_lattice(group) for group in groups] == whole
+    assert len(sizes) > len(groups) and set(sizes) == {1}
+
+
+def reference_element_orders(group):
+    """The order of each element by stepping through its powers."""
+    rows = group.rows
+    out = [1] * group.order
+    for x in range(1, group.order):
+        k, y = 1, x
+        while y != 0:
+            y = rows[y][x]
+            k += 1
+        out[x] = k
+    return out
+
+
+def test_element_orders_equal_the_power_loop():
+    s4 = permutation_group([(1, 0, 2, 3), (1, 2, 3, 0)])
+    a5 = permutation_group([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+    groups = {entry.group.digest(): entry.group for entry in verify._build_corpus(100)}
+    for group in [s4, a5, *groups.values()]:
+        assert oracle.FiniteGroup(group.table).element_orders() == reference_element_orders(group)
+
+
 def test_normal_subgroups_are_the_normal_members_of_all_subgroups():
     for group in (
         oracle.build_generalized_dihedral([3]),
@@ -491,19 +560,12 @@ def test_element_orders_and_cyclicity():
 
 def test_elementary_abelian_counts_match_gaussian_binomials():
     """Subgroup counts of C_p^k per order, against the closed-form count."""
-
-    def gaussian(k, j, p):
-        value = 1
-        for i in range(j):
-            value = value * (p ** (k - i) - 1) // (p ** (i + 1) - 1)
-        return value
-
     for p, kmax in ((2, 6), (3, 3), (5, 2)):
         for k in range(1, kmax + 1):
             group = oracle.build_abelian([p] * k)
             subs = oracle.all_subgroups(group)
             for j in range(k + 1):
-                expected = gaussian(k, j, p)
+                expected = gaussian_binomial(k, j, p)
                 assert sum(1 for s in subs if s.order == p**j) == expected, (p, k, j)
 
 

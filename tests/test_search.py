@@ -454,6 +454,49 @@ def test_warm_sweep_holds_about_one_chunk(tmp_path):
     assert peak < 8 * 2**20
 
 
+def test_sweep_narrower_than_its_cache_drops_the_records_it_passes(tmp_path, monkeypatch, capsys):
+    argv = ["search", "zm", "--max-m", "60", "--max-n", "12"]
+    cache = tmp_path / "zm.jsonl"
+    assert cli.main(argv + ["--cache", str(cache)]) == 0
+    assert len(cache.read_text().splitlines()) == 434
+    capsys.readouterr()
+    assert cli.main(argv + ["--r", "2"]) == 0
+    cold = capsys.readouterr().out
+
+    held = []
+    take = search._Cache.take
+
+    def watched(self, params):
+        record = take(self, params)
+        held.append(len(self._ahead))
+        return record
+
+    monkeypatch.setattr(search._Cache, "take", watched)
+    assert cli.main(argv + ["--r", "2", "--cache", str(cache)]) == 0
+    assert capsys.readouterr().out == cold
+    assert len(cold.splitlines()) == 33
+    # the records of r != 2 passed on the way are dropped; they were all
+    # kept, 360 of them by the end
+    assert held and max(held) <= search._CHUNK
+    assert max(held) == 0
+
+
+def test_gen_dihedral_cache_in_tuple_order_is_read_whole(tmp_path):
+    # chains come by group order, not as ascending tuples, so a record passed
+    # below the chain asked for may still be asked for, and is kept
+    assert [name for name, f in search.FAMILY.items() if not f.ascending] == ["gen-dihedral"]
+    cache = tmp_path / "g.jsonl"
+    bounds = {"max_a": 40}
+    cold = sweep(family="gen-dihedral", bounds=bounds, cache_path=cache)
+    lines = cache.read_text().splitlines()
+    by_tuple = sorted(lines, key=lambda line: json.loads(line)["params"])
+    assert by_tuple != lines
+    cache.write_text("\n".join(by_tuple) + "\n")
+    written = cache.read_bytes()
+    assert sweep(family="gen-dihedral", bounds=bounds, cache_path=cache) == cold
+    assert cache.read_bytes() == written  # nothing recomputed
+
+
 NOTES = [search.NOTE_EDGE, search.NOTE_LABEL_DIFFERS, search.NOTE_FORMULA_ONLY]
 huge_ints = st.integers(min_value=-(2**80), max_value=2**80)
 
