@@ -18,6 +18,11 @@ On every table they agree on the normal subgroups; the tests hold them to
 that.  Each distinct table is validated once per process, keyed by the same
 blake2b digest that keys both lattice caches.
 
+Quotients are batched like the joins: `normal_quotients` (every G/N of a
+group) and `quotient` (one G/N) check the subgroups, number their cosets
+and gather their quotient tables one subgroup order at a time, in one batch
+of array operations per order.
+
 Orders above a configurable cap (default 512, override with the
 LEINSTER_ORACLE_CAP environment variable) are refused outright; the oracle
 never degrades to sampling or partial answers.
@@ -26,9 +31,10 @@ never degrades to sampling or partial answers.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +59,7 @@ __all__ = [
     "group_divisor_sum",
     "is_nilpotent",
     "iter_abelian_types",
+    "normal_quotients",
     "normal_subgroups",
     "order_cap",
     "order_two_elements",
@@ -75,8 +82,8 @@ _NORMAL_CACHE: dict[bytes, tuple[int, ...]] = {}
 # each distinct table is validated only the first time it is built.
 _VALIDATED: dict[bytes, tuple[int, ...]] = {}
 
-# Cells one batch of `_normal_lattice` joins may hold in a temporary: the
-# normal subgroups of one order are joined in slices that stay under it.
+# Cells one batch of `_normal_lattice` joins or of `_quotients` may hold in a
+# temporary: the subgroups of one order are taken in slices that stay under it.
 _BATCH_CELLS = 1 << 18
 
 
@@ -157,29 +164,32 @@ def _words(rows: np.ndarray) -> np.ndarray:
 
 
 def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, which): the distinct boolean rows are rows[first], and row i
-    equals row first[which[i]]."""
-    words = _words(rows)
+    """(first, which): the distinct rows of a C-contiguous 2-D array are
+    rows[first], and row i equals row first[which[i]]."""
+    if rows.shape[0] == 1:
+        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
     _, first, which = np.unique(
-        words.view(f"V{words.shape[1] * 8}").ravel(), return_index=True, return_inverse=True
+        rows.view(f"V{rows.shape[1] * rows.itemsize}").ravel(),
+        return_index=True,
+        return_inverse=True,
     )
     return first, which.reshape(-1)
 
 
 def _cosets(table: np.ndarray, elems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right cosets Nx of the subgroup N with elements `elems`.
+    """Right cosets N_i y of a batch of subgroups of one order; elems[i] lists N_i.
 
-    The coset Nx is the column x of the rows of N, and its smallest element
-    is its representative.  Returns (coset, reps): reps are the
-    representatives in increasing order, so reps[0] = 0 stands for N, and
-    coset[x] is the position in reps of the coset holding x.
+    The coset N_i y is the column y of the rows of N_i, and its smallest
+    element is its representative.  Returns (coset, reps): reps[i] holds the
+    representatives of the cosets of N_i in increasing order, so reps[i, 0] = 0
+    stands for N_i, and coset[i, y] is the position in reps[i] of the coset
+    holding y.
     """
-    n = table.shape[0]
-    rep_of = table[elems].min(axis=0)
-    reps = np.flatnonzero(rep_of == np.arange(n))
-    index = np.zeros(n, dtype=np.intp)
-    index[reps] = np.arange(reps.size)
-    return index[rep_of], reps
+    b = elems.shape[0]
+    rep_of = table[elems].min(axis=1)
+    is_rep = rep_of == np.arange(table.shape[0])
+    coset = (np.cumsum(is_rep, axis=1) - 1)[np.arange(b)[:, None], rep_of]
+    return coset, is_rep.nonzero()[1].reshape(b, -1)
 
 
 def _find_generators(arr: np.ndarray) -> list[int]:
@@ -529,12 +539,12 @@ def _normal_lattice(group: FiniteGroup) -> tuple[int, ...]:
     # N*ncl(x) depends on x only through ncl(x): owner[x] is one element with
     # the closure of x, and members[x] lists that closure, padded with the
     # identity; each distinct union is closed once, in place
-    owner, closure_of = _distinct(union)
+    owner, closure_of = _distinct(_words(union))
     closures = union[owner]
     if not abelian:
         for row in closures:
             _closure(table, row)
-        again, closure_of_union = _distinct(closures)
+        again, closure_of_union = _distinct(_words(closures))
         owner, closure_of, closures = owner[again], closure_of_union[closure_of], closures[again]
     size = closures.sum(axis=1)
     listed = np.argsort(~closures, axis=1, kind="stable")[:, : size.max()]
@@ -591,13 +601,10 @@ def _join_batch(
     """
     b, n = subs.shape
     m = n // d
-    elems = subs.nonzero()[1].reshape(b, d)
-    rep_of = table[elems].min(axis=1)  # the smallest element of each coset N_i y
-    is_rep = rep_of == np.arange(n)
+    coset, reps = _cosets(table, subs.nonzero()[1].reshape(b, d))
     batch = np.arange(b)[:, None]
-    coset = (np.cumsum(is_rep, axis=1) - 1)[batch, rep_of]
     pick = np.zeros((b, n), dtype=bool)
-    pick[batch, owner[is_rep.nonzero()[1].reshape(b, m)[:, 1:]]] = True
+    pick[batch, owner[reps[:, 1:]]] = True
     sub_of, x = pick.nonzero()
     hit = np.zeros((x.size, m), dtype=bool)
     hit[np.arange(x.size)[:, None], coset[sub_of[:, None], members[x]]] = True
@@ -653,29 +660,86 @@ def group_divisor_sum(group: FiniteGroup) -> int:
 def quotient(group: FiniteGroup, sub: Subgroup) -> FiniteGroup:
     """Quotient by a normal subgroup; the identity coset gets index 0.
 
-    Cosets are numbered by their smallest element, in increasing order.
+    Cosets are numbered by their smallest element, in increasing order.  The
+    elements must be distinct indices of the group, and must form a normal
+    subgroup; anything else raises ValueError.
     """
     n = group.order
-    table = group.table
     for e in sub.elements:
         if not 0 <= e < n:
             raise ValueError(f"subgroup element {e} outside the parent group")
-    idx = np.asarray(sub.elements, dtype=np.intp)
-    member = np.zeros(n, dtype=bool)
-    member[idx] = True
-    if not member[0]:
-        raise ValueError("subgroup must contain the identity")
-    if not member[table[idx[:, None], idx]].all():
-        raise ValueError("quotient requires a subgroup: set is not closed")
-    if n % idx.size != 0:
-        raise ValueError("subgroup order does not divide the group order")
-    gens = np.asarray(group.generators(), dtype=np.intp)
-    inv = np.asarray(group.inverses(), dtype=np.intp)
-    if not member[table[table[gens[:, None], idx], inv[gens][:, None]]].all():
-        raise ValueError("quotient requires a normal subgroup")
+    if len(set(sub.elements)) != len(sub.elements):
+        raise ValueError("subgroup elements must be distinct")
+    return _quotients(group, [sum(1 << e for e in sub.elements)])[0]
 
-    coset, reps = _cosets(table, idx)
-    return FiniteGroup(coset[table[reps[:, None], reps]])
+
+def normal_quotients(group: FiniteGroup) -> list[FiniteGroup]:
+    """G/N for every normal subgroup N, in the order of normal_subgroups.
+
+    Each is the table `quotient` gives; equal tables of one subgroup order
+    are one FiniteGroup object.
+    """
+    return _quotients(group, _normal_lattice(group))
+
+
+def _quotients(group: FiniteGroup, masks: Sequence[int]) -> list[FiniteGroup]:
+    """G/N for the subgroup N with each bitmask, in the order of the masks.
+
+    The masks are taken in runs of one subgroup order d (the masks of
+    `_normal_lattice` are sorted by order), in slices that keep every
+    temporary under about _BATCH_CELLS cells.  One slice is one batch of
+    array operations: each N is checked to hold the identity, to be closed
+    and to be normal (conjugation by each generator maps N into N); the
+    cosets come from `_cosets`; every quotient table is one gather of the
+    coset numbers of the products of coset representatives.  Each distinct
+    table of a slice is built as a FiniteGroup once.
+    """
+    n = group.order
+    table = group.table
+    if not all(mask & 1 for mask in masks):
+        raise ValueError("subgroup must contain the identity")
+    gens = np.asarray(group.generators(), dtype=np.intp)
+    gen_inv = np.asarray(group.inverses(), dtype=np.intp)[gens]
+    width = (n + 7) // 8
+    out: list[FiniteGroup] = []
+    for d, run in itertools.groupby(masks, key=int.bit_count):
+        run = list(run)
+        if d == 1 or d == n:  # G/{1} is G, table and all; G/G is trivial
+            out.extend([group if d == 1 else build_cyclic(1)] * len(run))
+            continue
+        step = max(1, _BATCH_CELLS // (n * max(d, n // d)))
+        for start in range(0, len(run), step):
+            part = run[start : start + step]
+            raw = b"".join(mask.to_bytes(width, "little") for mask in part)
+            packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(part), width)
+            subs = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+            tables = _quotient_batch(table, subs, d, gens, gen_inv)
+            first, which = _distinct(tables.reshape(len(part), -1))
+            built = [FiniteGroup(t) for t in tables[first]]
+            out.extend(built[k] for k in which.tolist())
+    return out
+
+
+def _quotient_batch(
+    table: np.ndarray, subs: np.ndarray, d: int, gens: np.ndarray, gen_inv: np.ndarray
+) -> np.ndarray:
+    """Quotient tables G/N_i, shape (b, m, m), for the b rows of `subs`.
+
+    Each row of `subs` marks a set N_i of d elements holding the identity;
+    raises ValueError unless every N_i is a normal subgroup.
+    """
+    b, n = subs.shape
+    batch = np.arange(b)[:, None, None]
+    elems = subs.nonzero()[1].reshape(b, d)
+    if not subs[batch, table[elems[:, :, None], elems[:, None, :]]].all():
+        raise ValueError("quotient requires a subgroup: set is not closed")
+    if n % d != 0:
+        raise ValueError("subgroup order does not divide the group order")
+    conj = table[table[gens[:, None, None], elems], gen_inv[:, None, None]]  # g x g^-1
+    if not subs[batch[:, 0], conj].all():
+        raise ValueError("quotient requires a normal subgroup")
+    coset, reps = _cosets(table, elems)
+    return coset[batch, table[reps[:, :, None], reps[:, None, :]]].astype(np.int32)
 
 
 def is_nilpotent(group: FiniteGroup) -> bool:

@@ -160,13 +160,16 @@ def _check_quotient_monotonicity(corpus: list[CorpusEntry], max_order: int) -> O
         if group.order > limit:
             continue
         d_group = oracle.group_divisor_sum(group)
-        for sub in oracle.normal_subgroups(group):
-            quot = oracle.quotient(group, sub)
-            d_quot = oracle.group_divisor_sum(quot)
+        # D is read once per distinct quotient table of the group
+        d_of: dict[bytes, int] = {}
+        for quot in oracle.normal_quotients(group):
+            d_quot = d_of.get(quot.digest())
+            if d_quot is None:
+                d_quot = d_of[quot.digest()] = oracle.group_divisor_sum(quot)
             # delta(G/N) <= delta(G), cross-multiplied to stay in integers
             if d_quot * group.order > d_group * quot.order:
                 yield (
-                    f"{entry.label} / N of order {sub.order}: "
+                    f"{entry.label} / N of order {group.order // quot.order}: "
                     f"{d_quot}/{quot.order} > {d_group}/{group.order}"
                 )
             else:

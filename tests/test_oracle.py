@@ -503,14 +503,93 @@ def reference_quotient_table(group, sub):
 def test_quotient_matches_the_coset_loop_on_the_corpus():
     checked = 0
     for entry in verify._build_corpus(48):
-        for sub in oracle.normal_subgroups(entry.group):
-            quot = oracle.quotient(entry.group, sub)
-            assert quot.table.tolist() == reference_quotient_table(entry.group, sub), (
-                entry.label,
-                sub.elements,
-            )
+        subs = oracle.normal_subgroups(entry.group)
+        batched = oracle.normal_quotients(entry.group)
+        assert len(batched) == len(subs)
+        for sub, quot in zip(subs, batched):
+            want = reference_quotient_table(entry.group, sub)
+            assert quot.table.tolist() == want, (entry.label, sub.elements)
+            assert oracle.quotient(entry.group, sub).table.tolist() == want
             checked += 1
     assert checked > 1000
+
+
+def test_quotient_divisor_sums_follow_the_correspondence_theorem():
+    # the normal subgroups of G/N are the M/N for the normal M of G holding N,
+    # so D(G/N) is the sum of |M|/|N| over those M, without building G/N
+    pairs = 0
+    for entry in verify._build_corpus(48):
+        masks = oracle._normal_lattice(entry.group)
+        for sub, quot in zip(masks, oracle.normal_quotients(entry.group)):
+            want = sum(m.bit_count() for m in masks if m & sub == sub) // sub.bit_count()
+            assert oracle.group_divisor_sum(quot) == want, (entry.label, sub)
+            pairs += 1
+    assert pairs == 3890
+
+
+def test_quotient_batches_sliced_to_one_subgroup_give_the_same_tables(monkeypatch):
+    s4 = permutation_group([(1, 0, 2, 3), (1, 2, 3, 0)])
+    groups = [s4, oracle.build_abelian([2] * 5), oracle.build_generalized_dihedral([2, 2, 4])]
+    whole = [[q.table.tolist() for q in oracle.normal_quotients(g)] for g in groups]
+    assert [len(tables) for tables in whole] == [
+        sum(sub.is_normal for sub in oracle.all_subgroups(g)) for g in groups
+    ]
+
+    sizes = []
+    quotient_batch = oracle._quotient_batch
+
+    def watched(table, subs, *args):
+        sizes.append(subs.shape[0])
+        return quotient_batch(table, subs, *args)
+
+    monkeypatch.setattr(oracle, "_quotient_batch", watched)
+    monkeypatch.setattr(oracle, "_BATCH_CELLS", 1)
+    assert [[q.table.tolist() for q in oracle.normal_quotients(g)] for g in groups] == whole
+    assert len(sizes) > 300 and set(sizes) == {1}
+
+
+def test_equal_quotient_tables_of_one_batch_are_one_group():
+    klein = oracle.build_abelian([2, 2])
+    trivial, *order_two, whole = oracle.normal_quotients(klein)
+    assert trivial is klein and whole.order == 1
+    assert len(order_two) == 3 and all(q is order_two[0] for q in order_two)
+
+
+def test_quotient_rejects_repeated_elements():
+    c4 = oracle.build_cyclic(4)
+    with pytest.raises(ValueError, match="distinct"):
+        oracle.quotient(c4, oracle.Subgroup((0, 0), True))
+    with pytest.raises(ValueError, match="distinct"):
+        oracle.quotient(c4, oracle.Subgroup((0, 2, 2), True))
+    assert oracle.quotient(c4, oracle.Subgroup((0, 2), True)).order == 2
+
+
+def _mask(elements):
+    return sum(1 << e for e in elements)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((0, 4), "quotient requires a normal subgroup"),  # a reflection
+        ((0, 1), "quotient requires a subgroup: set is not closed"),
+        ((0, 1, 2, 4), "quotient requires a subgroup: set is not closed"),
+        ((0, 4, 5, 6), "quotient requires a subgroup: set is not closed"),
+    ],
+)
+def test_a_bad_mask_in_a_batch_of_normal_ones_raises_the_quotient_error(bad, message):
+    # in D8, 0..3 are the rotations and 4..7 the reflections
+    d8 = oracle.build_generalized_dihedral([4])
+    with pytest.raises(ValueError) as alone:
+        oracle.quotient(d8, oracle.Subgroup(bad, True))
+    assert str(alone.value) == message
+    normal = [m for m in oracle._normal_lattice(d8) if m.bit_count() == len(bad)]
+    assert normal  # the bad mask joins a batch of normal subgroups of its order
+    for at in (0, len(normal)):
+        masks = normal[:at] + [_mask(bad)] + normal[at:]
+        with pytest.raises(ValueError) as batched:
+            oracle._quotients(d8, masks)
+        assert str(batched.value) == message
 
 
 def test_quotient_rejects_missing_identity_and_outside_elements():

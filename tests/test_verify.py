@@ -107,3 +107,44 @@ def test_spot_checks_report_the_first_wrong_value(monkeypatch):
     assert spots == verify.InvariantResult(
         "known-instance-spot-checks", False, 1, "C6: D = 13 != 12"
     )
+
+
+def test_a_wrong_quotient_divisor_sum_fails_quotient_monotonicity(monkeypatch, capsys):
+    # Dih(C2 x C6) / <3> is the first quotient table of the corpus to order 24
+    # that is no corpus group, so only quotient-monotonicity reads its D
+    group = oracle.build_generalized_dihedral([2, 6])
+    target = oracle.quotient(group, oracle.Subgroup((0, 3), True)).digest()
+    brute = oracle.group_divisor_sum
+    monkeypatch.setattr(
+        oracle, "group_divisor_sum", lambda g: brute(g) + 100 * (g.digest() == target)
+    )
+    detail = "Dih(C2xC6) / N of order 2: 136/12 > 164/24"
+    results = verify.run_verify(24)
+    assert [r for r in results if not r.passed] == [
+        verify.InvariantResult("quotient-monotonicity", False, 254, detail)
+    ]
+    assert cli.main(["verify", "--max-order", "24"]) == cli.EXIT_VERIFY == 3
+    out = capsys.readouterr().out.splitlines()
+    assert f"FAIL quotient-monotonicity (254 checked): {detail}" in out
+    assert out[-1].startswith("verify: 10/11 invariants passed in ")
+
+
+def test_quotient_monotonicity_reads_d_once_per_distinct_quotient_table(monkeypatch):
+    corpus = verify._build_corpus(24)
+    want = []
+    for entry in corpus:
+        want.append(entry.group.digest())
+        tables = [q.digest() for q in oracle.normal_quotients(entry.group)]
+        want += dict.fromkeys(tables)  # each distinct table, first seen first
+    asked = []
+    brute = oracle.group_divisor_sum
+
+    def watched(group):
+        asked.append(group.digest())
+        return brute(group)
+
+    monkeypatch.setattr(oracle, "group_divisor_sum", watched)
+    assert all(outcome is None for outcome in verify._check_quotient_monotonicity(corpus, 24))
+    assert asked == want
+    pairs = sum(len(oracle.normal_subgroups(entry.group)) for entry in corpus)
+    assert len(asked) < len(corpus) + pairs  # fewer reads than one per pair
