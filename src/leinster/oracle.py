@@ -1,9 +1,10 @@
 """Brute-force finite-group engine.
 
 Groups are dense Cayley tables over elements 0..order-1 with the identity at
-index 0.  The module provides builders for the group families treated
-elsewhere in the package, quotients, nilpotency, and the normal-subgroup
-order sum that the closed-form family code is checked against.
+index 0, stored as C-contiguous uint16 arrays.  The module provides builders
+for the group families treated elsewhere in the package, quotients,
+nilpotency, and the normal-subgroup order sum that the closed-form family
+code is checked against.
 
 Two independent enumerators find subgroups:
 
@@ -24,8 +25,9 @@ and gather their quotient tables one subgroup order at a time, in one batch
 of array operations per order.
 
 Orders above a configurable cap (default 512, override with the
-LEINSTER_ORACLE_CAP environment variable) are refused outright; the oracle
-never degrades to sampling or partial answers.
+LEINSTER_ORACLE_CAP environment variable, at most 65,536 so that element
+indices fit in 16 bits) are refused outright; the oracle never degrades to
+sampling or partial answers.
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ __all__ = [
 DEFAULT_ORDER_CAP = 512
 ORDER_CAP_ENV = "LEINSTER_ORACLE_CAP"
 
+# Tables hold element indices as uint16, so no order above 2**16 is allowed.
+_INDEX = np.uint16
+_CAP_CEILING = 1 << 16
+
 # Enumeration results keyed by table digest; identical tables recur heavily in
 # the verification corpus (quotients, direct products), so this is load-bearing.
 _LATTICE_CACHE: dict[bytes, tuple[tuple[int, bool], ...]] = {}
@@ -101,6 +107,11 @@ def order_cap() -> int:
         cap = 0
     if cap < 1:
         raise ValueError(f"{ORDER_CAP_ENV} must be a positive integer, got {raw!r}")
+    if cap > _CAP_CEILING:
+        raise ValueError(
+            f"{ORDER_CAP_ENV} must be a positive integer at most {_CAP_CEILING} "
+            f"(element indices are 16-bit), got {raw!r}"
+        )
     return cap
 
 
@@ -134,7 +145,7 @@ def _closure(table: np.ndarray, member: np.ndarray) -> np.ndarray:
     count = int(member.sum())
     while count < n:
         idx = np.flatnonzero(member)
-        member[table[np.ix_(idx, idx)].reshape(-1)] = True
+        member[table[idx[:, None], idx].reshape(-1)] = True
         new_count = int(member.sum())
         if new_count == count:
             break
@@ -224,9 +235,11 @@ def _check_associativity(arr: np.ndarray, gens: tuple[int, ...]) -> None:
 class FiniteGroup:
     """Finite group as an order x order multiplication table.
 
-    table[i][j] is the index of the product of elements i and j; index 0 is
-    the identity.  Construction validates the Latin-square property and
-    associativity, so downstream code can trust the table blindly.  Each
+    table[i, j] is the index of the product of elements i and j; index 0 is
+    the identity.  The table is a read-only, C-contiguous uint16 array; the
+    entries are range-checked before they are narrowed to it.  Construction
+    validates the Latin-square property and associativity, so downstream code
+    can trust the table blindly.  Each
     distinct table is validated once per process: the generating set found
     then is kept under the table's digest (the key of the lattice cache), and
     a later build of an equal table reuses it.  A table that fails validation
@@ -237,7 +250,6 @@ class FiniteGroup:
         "order",
         "table",
         "_gens",
-        "_rows",
         "_inv",
         "_orders",
         "_digest",
@@ -252,14 +264,14 @@ class FiniteGroup:
         # range-checked before narrowing, which would truncate or wrap
         if raw.dtype.kind not in "iu" or raw.min() < 0 or raw.max() >= n:
             raise ValueError("table entries must be element indices in [0, order)")
-        arr = np.ascontiguousarray(raw, dtype=np.int32)
+        arr = np.ascontiguousarray(raw, dtype=_INDEX)
         h = hashlib.blake2b(digest_size=16)
         h.update(n.to_bytes(4, "little"))
-        h.update(arr.tobytes())
+        h.update(arr)
         digest = h.digest()
         gens = _VALIDATED.get(digest)
         if gens is None:
-            idx = np.arange(n, dtype=np.int32)
+            idx = np.arange(n, dtype=_INDEX)
             if not (np.array_equal(arr[0], idx) and np.array_equal(arr[:, 0], idx)):
                 raise ValueError("index 0 must act as the identity")
             if not (
@@ -276,17 +288,14 @@ class FiniteGroup:
         self.order = n
         self.table = arr
         self._gens = gens
-        self._rows = None
         self._inv = None
         self._orders = None
         self._digest = digest
 
     @property
     def rows(self) -> list[list[int]]:
-        """Table as nested Python lists (fast scalar lookups in hot loops)."""
-        if self._rows is None:
-            self._rows = self.table.tolist()
-        return self._rows
+        """The table as nested Python lists, built anew on every access."""
+        return self.table.tolist()
 
     def inverses(self) -> list[int]:
         if self._inv is None:
@@ -357,8 +366,10 @@ def _enumerate_lattice(group: FiniteGroup) -> tuple[tuple[int, bool], ...]:
         return cached
 
     n = group.order
-    rows = group.rows
     table = group.table
+    # scalar lookups in the loops below; the list dies with the call, and the
+    # lattice is cached, so each table is listed once
+    rows = table.tolist()
     orders = group.element_orders()
     divisors_n = numtheory.divisors(n)
     full = (1 << n) - 1
@@ -702,10 +713,15 @@ def _quotients(group: FiniteGroup, masks: Sequence[int]) -> list[FiniteGroup]:
     gen_inv = np.asarray(group.inverses(), dtype=np.intp)[gens]
     width = (n + 7) // 8
     out: list[FiniteGroup] = []
+    trivial = None  # G/G, built at most once per call
     for d, run in itertools.groupby(masks, key=int.bit_count):
         run = list(run)
-        if d == 1 or d == n:  # G/{1} is G, table and all; G/G is trivial
-            out.extend([group if d == 1 else build_cyclic(1)] * len(run))
+        if d == 1:  # G/{1} is G, table and all
+            out.extend([group] * len(run))
+            continue
+        if d == n:
+            trivial = trivial or build_cyclic(1)
+            out.extend([trivial] * len(run))
             continue
         step = max(1, _BATCH_CELLS // (n * max(d, n // d)))
         for start in range(0, len(run), step):
@@ -739,7 +755,7 @@ def _quotient_batch(
     if not subs[batch[:, 0], conj].all():
         raise ValueError("quotient requires a normal subgroup")
     coset, reps = _cosets(table, elems)
-    return coset[batch, table[reps[:, :, None], reps[:, None, :]]].astype(np.int32)
+    return coset[batch, table[reps[:, :, None], reps[:, None, :]]].astype(_INDEX)
 
 
 def is_nilpotent(group: FiniteGroup) -> bool:

@@ -176,7 +176,8 @@ def _oracle_on_a_dihedral_sum(chain):
     # the former implementation: enumerate A's subgroup lattice with the oracle
     a = oracle.build_abelian(chain)
     subs = oracle.all_subgroups(a)
-    squares = {a.rows[x][x] for x in range(a.order)}
+    rows = a.table.tolist()
+    squares = {rows[x][x] for x in range(a.order)}
     containing = sum(1 for s in subs if squares.issubset(s.elements))
     return sum(s.order for s in subs) + 2 * a.order * containing
 

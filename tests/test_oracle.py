@@ -8,7 +8,7 @@ from leinster import numtheory as nt
 
 
 def brute_subgroup_check(group, sub):
-    rows = group.rows
+    rows = group.table.tolist()
     elems = set(sub.elements)
     assert 0 in elems
     for a in elems:
@@ -36,6 +36,7 @@ def test_rejects_broken_tables():
         ([[0, 1], [1, 2]], "element indices"),
         ([[0, 1.9], [1, 0.2]], "element indices"),  # not truncated to C2
         ([[0, 1], [1, 2**32]], "element indices"),  # not wrapped or overflowed
+        ([[0, 1], [1, 2**16]], "element indices"),  # not wrapped to C2 in 16 bits
         (loop, "not associative"),
     )
     # validation is remembered only for tables that pass it
@@ -66,6 +67,40 @@ def test_order_cap_enforced(monkeypatch):
             oracle.order_cap()
     monkeypatch.delenv(oracle.ORDER_CAP_ENV)
     assert oracle.order_cap() == oracle.DEFAULT_ORDER_CAP
+
+
+def test_order_cap_ceiling_is_the_largest_16_bit_order(monkeypatch):
+    # only the cap is read; no table of that size is built
+    monkeypatch.setenv(oracle.ORDER_CAP_ENV, "65536")
+    assert oracle.order_cap() == 65536
+    monkeypatch.setenv(oracle.ORDER_CAP_ENV, "65537")
+    with pytest.raises(ValueError, match=f"{oracle.ORDER_CAP_ENV} must be .* at most 65536"):
+        oracle.order_cap()
+    with pytest.raises(ValueError, match=oracle.ORDER_CAP_ENV):
+        oracle.build_cyclic(2)
+
+
+def test_every_builder_stores_a_read_only_uint16_table():
+    dih = oracle.build_generalized_dihedral([2, 6])
+    groups = {
+        "cyclic": oracle.build_cyclic(12),
+        "abelian": oracle.build_abelian([2, 6]),
+        "direct product": oracle.build_direct_product(
+            oracle.build_cyclic(3), oracle.build_generalized_dihedral([4])
+        ),
+        "Dih(A)": dih,
+        "Dic(A, y)": oracle.build_generalized_dicyclic([2, 4], 4),
+        "zm": oracle.build_zm(7, 6, 3),
+        "affine": oracle.build_affine_prime(7),
+        "quotient": oracle.quotient(dih, oracle.normal_subgroups(dih)[3]),
+        **{f"normal quotient {i}": q for i, q in enumerate(oracle.normal_quotients(dih))},
+        "python list": oracle.FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+    }
+    for name, group in groups.items():
+        table, n = group.table, group.order
+        assert table.dtype == np.uint16, name
+        assert table.nbytes == 2 * n * n, name
+        assert table.flags.c_contiguous and not table.flags.writeable, name
 
 
 def test_build_cyclic():
@@ -178,7 +213,7 @@ def test_all_subgroups_sorted_by_order_then_bitmask():
 
 def test_all_subgroups_against_naive_closure():
     def naive(group):
-        rows = group.rows
+        rows = group.table.tolist()
         n = group.order
 
         def closure(seed):
@@ -225,7 +260,7 @@ def test_enumeration_cross_validated_on_small_corpus():
     """Every family builder at order <= 30, against naive closure + full conjugation."""
 
     def naive_subgroups(group):
-        rows = group.rows
+        rows = group.table.tolist()
         n = group.order
 
         def closure(seed):
@@ -282,7 +317,7 @@ def test_enumeration_cross_validated_on_small_corpus():
         fast = {s.elements: s.is_normal for s in oracle.all_subgroups(group)}
         naive = naive_subgroups(group)
         assert set(fast) == {tuple(sorted(s)) for s in naive}, group
-        rows = group.rows
+        rows = group.table.tolist()
         inv = group.inverses()
         for elements, flagged in fast.items():
             members = set(elements)
@@ -423,7 +458,7 @@ def test_batches_sliced_to_one_subgroup_give_the_same_masks(monkeypatch):
 
 def reference_element_orders(group):
     """The order of each element by stepping through its powers."""
-    rows = group.rows
+    rows = group.table.tolist()
     out = [1] * group.order
     for x in range(1, group.order):
         k, y = 1, x
@@ -463,6 +498,8 @@ def test_quotient_examples():
     g = oracle.build_generalized_dihedral([3])
     whole = [s for s in oracle.normal_subgroups(g) if s.order == 6][0]
     assert oracle.quotient(g, whole).order == 1
+    one = oracle.build_cyclic(1)
+    assert oracle.normal_quotients(one) == [one]  # G/{1} = G/G is G itself
     trivial = [s for s in oracle.normal_subgroups(g) if s.order == 1][0]
     lifted = oracle.quotient(g, trivial)
     assert oracle.group_divisor_sum(lifted) == oracle.group_divisor_sum(g)
@@ -486,7 +523,7 @@ def test_quotient_rejects_non_subgroup():
 
 def reference_quotient_table(group, sub):
     """Quotient table by the coset loop the oracle used before numpy."""
-    rows = group.rows
+    rows = group.table.tolist()
     elems = list(sub.elements)
     rep_of = [-1] * group.order
     reps = []
