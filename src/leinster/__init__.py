@@ -5,7 +5,14 @@ G, classifies groups by comparing D(G) with 2|G| (exactly twice: Leinster;
 off by one: quasi/almost), provides closed-form D for cyclic, metacyclic,
 affine, generalized dihedral and generalized dicyclic families, and backs
 every formula with a brute-force oracle on explicit multiplication tables.
+
+`import leinster` loads neither numpy nor the oracle.  The names of
+`leinster.oracle` and `leinster.verify` (the builders, `group_divisor_sum`,
+`run_verify`, ...) and the two modules themselves are imported on first
+access, so `leinster.build_zm` and `from leinster import *` work as before.
 """
+
+import importlib
 
 from .families import (
     GroupClass,
@@ -29,6 +36,7 @@ from .families import (
 from .numtheory import (
     FactorizationError,
     NumberClass,
+    OrderCapError,
     classify_number,
     divisor_sum,
     divisors,
@@ -40,26 +48,47 @@ from .numtheory import (
     perfect_plus_one,
     prime_power_decompose,
 )
-from .oracle import (
-    FiniteGroup,
-    OrderCapError,
-    Subgroup,
-    all_subgroups,
-    build_abelian,
-    build_affine_prime,
-    build_cyclic,
-    build_direct_product,
-    build_generalized_dicyclic,
-    build_generalized_dihedral,
-    build_zm,
-    group_divisor_sum,
-    is_nilpotent,
-    normal_quotients,
-    normal_subgroups,
-    quotient,
-)
 from .search import SearchRecord, SweepConfig, run_classify, run_perfect_plus_one, run_sweep
-from .verify import InvariantResult, run_verify
+
+# Names of the modules that load numpy, given on first access (PEP 562), so
+# that `import leinster` and the closed-form commands never import them.
+_LAZY = {
+    "oracle": (
+        "FiniteGroup",
+        "Subgroup",
+        "all_subgroups",
+        "build_abelian",
+        "build_affine_prime",
+        "build_cyclic",
+        "build_direct_product",
+        "build_generalized_dicyclic",
+        "build_generalized_dihedral",
+        "build_zm",
+        "group_divisor_sum",
+        "is_nilpotent",
+        "normal_quotients",
+        "normal_subgroups",
+        "quotient",
+    ),
+    "verify": ("InvariantResult", "run_verify"),
+}
+_LAZY_NAME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _LAZY_NAME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_NAME})
+
 
 __all__ = [
     "FactorizationError",

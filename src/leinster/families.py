@@ -13,12 +13,15 @@ with the subgroup sum taken from Birkhoff's count of the subgroups of each
 type in an abelian p-group (L. M. Butler, Subgroup Lattices and Symmetric
 Functions, Mem. AMS 539, 1994).  Every formula here has a brute-force
 counterpart in :mod:`leinster.oracle`; the verification suite holds the two
-sides together.
+sides together.  The finite abelian groups A are enumerated here too, as
+invariant-factor chains (`iter_abelian_types`), for the gen-dihedral sweep
+and the verify corpus.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,6 +32,7 @@ __all__ = [
     "GroupKind",
     "LatticeTriple",
     "ZMTriple",
+    "abelian_types",
     "affine_classify",
     "affine_divisor_sum",
     "classify_group",
@@ -36,6 +40,7 @@ __all__ = [
     "dicyclic_divisor_sum",
     "dihedral_divisor_sum",
     "generalized_dihedral_divisor_sum",
+    "iter_abelian_types",
     "nilpotent_classify",
     "pq_divisor_sum",
     "zm_canonical",
@@ -336,6 +341,32 @@ def generalized_dihedral_divisor_sum(a_factors: list[int] | tuple[int, ...]) -> 
     r = len(exponents.get(2, ()))
     containing = sum(_gaussian_binomial(r, k, 2) for k in range(r + 1))
     return lattice_sum + 2 * math.prod(a_factors) * containing
+
+
+def iter_abelian_types(max_order: int) -> Iterator[tuple[int, ...]]:
+    """Invariant-factor chains d1 | d2 | ... | dk (d1 >= 2) with product <= max_order.
+
+    One chain per isomorphism type of finite abelian group, the empty chain
+    standing for the trivial group.  The empty chain comes first and the rest
+    in depth-first order, one at a time, so a caller can stop early.
+    """
+
+    def extend(chain: tuple[int, ...], prod: int) -> Iterator[tuple[int, ...]]:
+        yield chain
+        last = chain[-1]
+        d = last
+        while prod * d <= max_order:
+            yield from extend(chain + (d,), prod * d)
+            d += last
+
+    yield ()
+    for d in range(2, max_order + 1):
+        yield from extend((d,), d)
+
+
+def abelian_types(max_order: int) -> list[tuple[int, ...]]:
+    """The chains of iter_abelian_types, sorted by (order, chain)."""
+    return sorted(iter_abelian_types(max_order), key=lambda c: (math.prod(c), c))
 
 
 # ---------------------------------------------------------------------------

@@ -18,25 +18,30 @@ Inside `with sieve(limit):` a smallest-prime-factor table up to
 min(limit, SIEVE_CAP) is built once, and `factorize`, `divisor_sum`,
 `is_prime` and `prime_power_decompose` read their answers for any n inside
 it from the table (same results, a few lookups per call).  Larger n take the
-paths above.  The table is a 2-byte-per-entry array and lives only as long
-as the block.
+paths above.  The table is a 2-byte-per-entry `array('H')`, filled by slice
+assignment in pure Python, and lives only as long as the block.
+
+The module imports no numpy: the closed-form commands run on it without
+loading the oracle.  So `OrderCapError`, which the oracle raises and the
+command line maps to its resource exit code, is defined here beside
+FactorizationError.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 __all__ = [
     "MERSENNE_EXPONENTS",
     "SIEVE_CAP",
     "FactorizationError",
     "NumberClass",
+    "OrderCapError",
     "carmichael",
     "classify_number",
     "divisor_sum",
@@ -58,6 +63,10 @@ class FactorizationError(Exception):
     """Factoring exceeded its effort cap; raised instead of guessing."""
 
 
+class OrderCapError(Exception):
+    """Requested group order exceeds the configured cap."""
+
+
 # Deterministic Miller-Rabin witness set: exact for all n < 3.3e24, which
 # covers the whole 64-bit range.  Above the limit the same witnesses are used
 # plus `rounds` pseudo-random ones (seeded from n, so results are stable).
@@ -76,17 +85,27 @@ SIEVE_CAP = 1 << 22
 # tables of every open block.  Entry n is the smallest prime factor of a
 # composite n and 0 for a prime (and for 0 and 1), so every entry is at most
 # isqrt(SIEVE_CAP) and fits two bytes.
-_SPF: memoryview | None = None
-_OPEN_TABLES: list[memoryview] = []
+_SPF: array | None = None
+_OPEN_TABLES: list[array] = []
 
 
-def _spf_table(limit: int) -> memoryview:
-    table = np.zeros(limit + 1, dtype=np.uint16)
-    for p in range(2, math.isqrt(limit) + 1):
-        if not table[p]:
-            multiples = table[p * p :: p]
-            multiples[multiples == 0] = p
-    return memoryview(table)
+def _spf_table(limit: int) -> array:
+    """Smallest-prime-factor table of 0..limit, in the encoding of `_SPF`.
+
+    Every prime p <= isqrt(limit) writes p over its multiples from p*p on,
+    the largest prime first, so the smallest prime dividing n writes last.
+    """
+    root = math.isqrt(limit)
+    composite = bytearray(root + 1)
+    primes = []
+    for p in range(2, root + 1):
+        if not composite[p]:
+            primes.append(p)
+            composite[p * p :: p] = b"\x01" * len(range(p * p, root + 1, p))
+    table = array("H", bytes(2 * (limit + 1)))
+    for p in reversed(primes):
+        table[p * p :: p] = array("H", [p]) * len(range(p * p, limit + 1, p))
+    return table
 
 
 @contextmanager

@@ -36,12 +36,13 @@ import hashlib
 import itertools
 import math
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numtheory
+from .numtheory import OrderCapError
 
 __all__ = [
     "DEFAULT_ORDER_CAP",
@@ -49,7 +50,6 @@ __all__ = [
     "FiniteGroup",
     "OrderCapError",
     "Subgroup",
-    "abelian_types",
     "all_subgroups",
     "build_abelian",
     "build_affine_prime",
@@ -60,7 +60,6 @@ __all__ = [
     "build_zm",
     "group_divisor_sum",
     "is_nilpotent",
-    "iter_abelian_types",
     "normal_quotients",
     "normal_subgroups",
     "order_cap",
@@ -91,10 +90,6 @@ _VALIDATED: dict[bytes, tuple[int, ...]] = {}
 # Cells one batch of `_normal_lattice` joins or of `_quotients` may hold in a
 # temporary: the subgroups of one order are taken in slices that stay under it.
 _BATCH_CELLS = 1 << 18
-
-
-class OrderCapError(Exception):
-    """Requested group order exceeds the configured cap."""
 
 
 def order_cap() -> int:
@@ -236,10 +231,11 @@ class FiniteGroup:
     """Finite group as an order x order multiplication table.
 
     table[i, j] is the index of the product of elements i and j; index 0 is
-    the identity.  The table is a read-only, C-contiguous uint16 array; the
-    entries are range-checked before they are narrowed to it.  Construction
-    validates the Latin-square property and associativity, so downstream code
-    can trust the table blindly.  Each
+    the identity.  The table is a read-only, C-contiguous uint16 array that
+    the group owns: the input is copied, never kept, so the caller cannot
+    change it later; the entries are range-checked before they are narrowed
+    to it.  Construction validates the Latin-square property and
+    associativity, so downstream code can trust the table blindly.  Each
     distinct table is validated once per process: the generating set found
     then is kept under the table's digest (the key of the lattice cache), and
     a later build of an equal table reuses it.  A table that fails validation
@@ -264,7 +260,8 @@ class FiniteGroup:
         # range-checked before narrowing, which would truncate or wrap
         if raw.dtype.kind not in "iu" or raw.min() < 0 or raw.max() >= n:
             raise ValueError("table entries must be element indices in [0, order)")
-        arr = np.ascontiguousarray(raw, dtype=_INDEX)
+        # always a copy: a caller's array would stay writable under the digest
+        arr = np.array(raw, dtype=_INDEX, order="C")
         h = hashlib.blake2b(digest_size=16)
         h.update(n.to_bytes(4, "little"))
         h.update(arr)
@@ -878,29 +875,3 @@ def build_affine_prime(p: int) -> FiniteGroup:
     a = a + 1
     c = c + 1
     return FiniteGroup((a * c % p - 1) * p + (a * d + b) % p)
-
-
-def iter_abelian_types(max_order: int) -> Iterator[tuple[int, ...]]:
-    """Invariant-factor chains d1 | d2 | ... | dk (d1 >= 2) with product <= max_order.
-
-    One chain per isomorphism type of finite abelian group, the empty chain
-    standing for the trivial group.  The empty chain comes first and the rest
-    in depth-first order, one at a time, so a caller can stop early.
-    """
-
-    def extend(chain: tuple[int, ...], prod: int) -> Iterator[tuple[int, ...]]:
-        yield chain
-        last = chain[-1]
-        d = last
-        while prod * d <= max_order:
-            yield from extend(chain + (d,), prod * d)
-            d += last
-
-    yield ()
-    for d in range(2, max_order + 1):
-        yield from extend((d,), d)
-
-
-def abelian_types(max_order: int) -> list[tuple[int, ...]]:
-    """The chains of iter_abelian_types, sorted by (order, chain)."""
-    return sorted(iter_abelian_types(max_order), key=lambda c: (math.prod(c), c))

@@ -26,6 +26,10 @@ triples are enumerated from the residues of each m grouped by multiplicative
 order, so the max_n factor of the old max_m^2 * max_n scan is gone; the scan
 over the residues of each m is still Theta(max_m^2).  The budget gate still
 counts max_m * max_n * max_m.
+
+Importing the module loads neither numpy nor the oracle: the family builders
+and `oracle_crosscheck` import `leinster.oracle` when first called, and a
+sweep imports `concurrent.futures` only to start a pool (`workers > 1`).
 """
 
 from __future__ import annotations
@@ -37,15 +41,18 @@ import re
 import sys
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
-from . import families, numtheory, oracle
+from . import families, numtheory
 from .families import GroupKind
+
+TYPE_CHECKING = False  # True to type checkers only; importing typing costs 5 ms
+if TYPE_CHECKING:
+    from .oracle import FiniteGroup
 
 __all__ = [
     "FAMILIES",
@@ -230,7 +237,7 @@ class Family:
     tuple_count: Callable[[SweepConfig], int] | None
     enumerate: Callable[[SweepConfig], Iterable[tuple[int, ...]]]
     evaluate: Callable[[tuple[int, ...]], tuple[int, int, tuple[str, ...]]]
-    build: Callable[[tuple[int, ...]], oracle.FiniteGroup | None]
+    build: Callable[[tuple[int, ...]], FiniteGroup | None]
     ascending: bool = True
 
 
@@ -311,7 +318,7 @@ def _enumerate_pq(cfg: SweepConfig) -> list[tuple[int, ...]]:
 def _enumerate_gen_dihedral(cfg: SweepConfig) -> list[tuple[int, ...]]:
     """The non-trivial chains of order <= max_a, counted against the budget."""
     out = []
-    for chain in oracle.iter_abelian_types(cfg.bound("max_a")):
+    for chain in families.iter_abelian_types(cfg.bound("max_a")):
         if not chain:
             continue
         out.append(chain)
@@ -387,12 +394,19 @@ def _evaluate_affine(params: tuple[int, ...]) -> tuple[int, int, tuple[str, ...]
     return order, total, notes
 
 
-def _build_pq(params: tuple[int, ...]) -> oracle.FiniteGroup:
+def _oracle():
+    """The oracle module, imported on first use: it loads numpy, which no closed form needs."""
+    from . import oracle
+
+    return oracle
+
+
+def _build_pq(params: tuple[int, ...]) -> FiniteGroup:
     """The non-abelian group of order pq, as ZM(q, p, r) for r of order p mod q."""
     p, q = params
     for r in range(2, q):
         if pow(r, p, q) == 1:
-            return oracle.build_zm(q, p, r)
+            return _oracle().build_zm(q, p, r)
     raise RuntimeError(f"no element of order {p} modulo {q} (bug)")
 
 
@@ -409,40 +423,40 @@ def _zm_tuple_count(cfg: SweepConfig) -> int:
 
 # Every family, in the order the CLI lists them.  Evaluators and builders
 # look the module functions up at call time, so wrapping them (as the bench
-# tracer does) is seen.
+# tracer does) is seen; builders import the oracle when first called.
 FAMILY: dict[str, Family] = {
     f.name: f
     for f in (
         Family(
             "cyclic", ("max_n",), 1, _count("max_n"), _n_range(1),
             lambda p: (p[0], numtheory.divisor_sum(p[0]), ()),
-            lambda p: oracle.build_cyclic(p[0]),
+            lambda p: _oracle().build_cyclic(p[0]),
         ),
         Family(
             "zm", ("max_m", "max_n"), 3, _zm_tuple_count, _enumerate_zm,
             _evaluate_zm,
-            lambda p: oracle.build_zm(*p),
+            lambda p: _oracle().build_zm(*p),
         ),
         Family(
             "affine", ("max_q",), 1, _count("max_q"), _enumerate_affine,
             _evaluate_affine,
-            lambda p: oracle.build_affine_prime(p[0]) if numtheory.is_prime(p[0]) else None,
+            lambda p: _oracle().build_affine_prime(p[0]) if numtheory.is_prime(p[0]) else None,
         ),
         Family(
             "dihedral", ("max_n", "min_n"), 1, _count("max_n"), _n_range(1),
             lambda p: (2 * p[0], families.dihedral_divisor_sum(p[0]), ()),
-            lambda p: oracle.build_generalized_dihedral(p),
+            lambda p: _oracle().build_generalized_dihedral(p),
         ),
         Family(
             "gen-dihedral", ("max_a",), None, None, _enumerate_gen_dihedral,
             lambda p: (2 * math.prod(p), families.generalized_dihedral_divisor_sum(p), ()),
-            lambda p: oracle.build_generalized_dihedral(p),
+            lambda p: _oracle().build_generalized_dihedral(p),
             ascending=False,
         ),
         Family(
             "dicyclic", ("max_n", "min_n"), 1, _count("max_n"), _n_range(2),
             lambda p: (4 * p[0], families.dicyclic_divisor_sum(p[0]), ()),
-            lambda p: oracle.build_generalized_dicyclic([2 * p[0]], p[0]),
+            lambda p: _oracle().build_generalized_dicyclic([2 * p[0]], p[0]),
         ),
         Family(
             "pq", ("max_q", "max_p"), 2, lambda cfg: cfg.bounds.get("max_q", 1) ** 2,
@@ -499,13 +513,16 @@ def _evaluate_chunks(family: str, workers: int, chunks: Iterator, sieve_limit: i
 
     `fresh` is the records of `todo`, evaluated in this process or, with
     several workers, over a process pool started at the first chunk with
-    work.  The pool holds at most _WINDOW_PER_WORKER * workers chunks in
-    flight (`Executor.map` would submit every chunk before the first result).
+    work (`concurrent.futures` is imported only then).  The pool holds at
+    most _WINDOW_PER_WORKER * workers chunks in flight (`Executor.map` would
+    submit every chunk before the first result).
     """
     if workers == 1:
         for hits, todo in chunks:
             yield hits, _evaluate_batch(family, todo)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     limit = _WINDOW_PER_WORKER * workers
     pool = None
     window: deque = deque()
@@ -715,11 +732,11 @@ def oracle_crosscheck(record: SearchRecord) -> bool | None:
         return None
     try:
         group = family.build(record.params)
-    except oracle.OrderCapError:
+    except numtheory.OrderCapError:
         return None
     if group is None:
         return None
-    oracle_total = oracle.group_divisor_sum(group)
+    oracle_total = _oracle().group_divisor_sum(group)
     if oracle_total != record.D:
         raise OracleMismatchError(
             f"{record.family}{record.params}: formula D = {record.D} "

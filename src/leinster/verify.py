@@ -67,7 +67,7 @@ def _build_corpus(max_order: int) -> list[CorpusEntry]:
         add(f"D{2 * n}", "dihedral", (n,))
 
     dih_cap = min(32, max_order // 2)
-    for chain in oracle.abelian_types(dih_cap):
+    for chain in families.abelian_types(dih_cap):
         if len(chain) < 2:
             continue  # cyclic A is covered by the dihedral entries
         label = "Dih(" + "x".join(f"C{d}" for d in chain) + ")"
@@ -78,7 +78,7 @@ def _build_corpus(max_order: int) -> list[CorpusEntry]:
 
     dic_cap = min(16, max_order // 2)
     seen_digests: set[bytes] = set()
-    for chain in oracle.abelian_types(dic_cap):
+    for chain in families.abelian_types(dic_cap):
         if len(chain) < 2 or math.prod(chain) % 2 or math.prod(chain) <= 2:
             continue
         base = oracle.build_abelian(chain)

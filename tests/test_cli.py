@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import leinster
-from leinster import cli
+from leinster import cli, search
 
 
 def test_classify_gen_dihedral_c2_to_the_ninth(capsys):
@@ -90,6 +90,88 @@ def test_python_dash_m_runs_the_cli(capsys):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == expected
+
+
+# Runs `cli.main(argv)` in a fresh interpreter.  With argv[1] == "blocked",
+# numpy cannot be imported (a None entry in sys.modules makes `import numpy`
+# raise) and the oracle must stay unloaded; otherwise the oracle must load.
+_CLI_IN_A_SUBPROCESS = """
+import sys
+blocked = sys.argv.pop(1) == "blocked"
+if blocked:
+    sys.modules["numpy"] = None
+from leinster import cli
+code = cli.main(sys.argv[1:])
+assert ("leinster.oracle" in sys.modules) is not blocked, sorted(sys.modules)
+raise SystemExit(code)
+"""
+
+
+def _run_cli_subprocess(argv, blocked):
+    src = str(Path(leinster.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    mode = "blocked" if blocked else "normal"
+    return subprocess.run(
+        [sys.executable, "-c", _CLI_IN_A_SUBPROCESS, mode, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+# one classify per family, small sweeps and the perfect-number scan: none
+# builds a group
+_CLASSIFY_PARAMS = {
+    "cyclic": "6",
+    "zm": "7,6,3",
+    "affine": "8",
+    "dihedral": "6",
+    "gen-dihedral": "2,2,4",
+    "dicyclic": "3",
+    "pq": "3,7",
+}
+CLOSED_FORM = [
+    *(["classify", "--family", f, "--params", p] for f, p in _CLASSIFY_PARAMS.items()),
+    ["search", "cyclic", "--max-n", "100"],
+    ["search", "dihedral", "--max-n", "50"],
+    ["search", "zm", "--max-m", "20", "--max-n", "10"],
+    ["search", "gen-dihedral", "--max-a", "40"],
+    ["perfect-plus-one", "--count", "8"],
+    ["--help"],
+]
+
+
+def test_closed_form_commands_cover_every_family():
+    assert set(_CLASSIFY_PARAMS) == set(search.FAMILIES)
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM, ids=" ".join)
+def test_closed_form_commands_run_without_numpy(argv, capsys):
+    try:
+        assert cli.main(argv) == cli.EXIT_OK
+    except SystemExit as exc:  # --help
+        assert exc.code == 0
+    expected = capsys.readouterr().out
+    done = _run_cli_subprocess(argv, blocked=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected
+    assert done.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["classify", "--family", "zm", "--params", "7,6,3", "--verify"], "oracle cross-check: D agrees\n"),
+        (["verify", "--max-order", "12"], ""),
+    ],
+    ids=["classify --verify", "verify"],
+)
+def test_commands_that_build_groups_load_the_oracle(argv, err):
+    done = _run_cli_subprocess(argv, blocked=False)
+    assert done.returncode == 0, done.stderr  # verify exits 3 on a FAIL
+    assert done.stderr == err
 
 
 def test_closed_stdout_pipe_exits_141_without_a_traceback():

@@ -182,8 +182,25 @@ def _oracle_on_a_dihedral_sum(chain):
     return sum(s.order for s in subs) + 2 * a.order * containing
 
 
+def test_abelian_types():
+    types = fam.abelian_types(8)
+    assert types == [
+        (),
+        (2,),
+        (3,),
+        (2, 2),
+        (4,),
+        (5,),
+        (6,),
+        (7,),
+        (2, 2, 2),
+        (2, 4),
+        (8,),
+    ]
+
+
 def test_generalized_dihedral_closed_form_matches_oracle_on_a():
-    chains = oracle.abelian_types(127)
+    chains = fam.abelian_types(127)
     assert len(chains) == 232  # the trivial group's empty chain included
     for chain in chains:
         assert fam.generalized_dihedral_divisor_sum(chain) == _oracle_on_a_dihedral_sum(
@@ -192,7 +209,7 @@ def test_generalized_dihedral_closed_form_matches_oracle_on_a():
 
 
 def test_generalized_dihedral_closed_form_matches_oracle_on_dih_a():
-    for chain in oracle.abelian_types(32):
+    for chain in fam.abelian_types(32):
         assert fam.generalized_dihedral_divisor_sum(chain) == oracle.group_divisor_sum(
             oracle.build_generalized_dihedral(chain)
         ), chain
@@ -354,7 +371,7 @@ def test_pq_formula_oracle_agreement_to_200():
 
 
 def test_noncyclic_generalized_dihedral_strictly_abundant():
-    for chain in oracle.abelian_types(32):
+    for chain in fam.abelian_types(32):
         if len(chain) < 2:
             continue
         group = oracle.build_generalized_dihedral(chain)
@@ -362,7 +379,7 @@ def test_noncyclic_generalized_dihedral_strictly_abundant():
 
 
 def test_dicyclic_lower_bound():
-    for chain in oracle.abelian_types(24):
+    for chain in fam.abelian_types(24):
         size = math.prod(chain)
         if size % 2 or size <= 2:
             continue

@@ -326,6 +326,23 @@ def test_sieve_answers_equal_the_untabled_path_to_10_to_the_5():
     assert tabled == untabled
 
 
+def _smallest_prime_factor(n):
+    """Trial division: the table's entry for n (0 for 0, 1 and the primes)."""
+    for d in range(2, math.isqrt(n) + 1):
+        if n % d == 0:
+            return d
+    return 0
+
+
+def test_sieve_table_equals_trial_division():
+    table = nt._spf_table(10**5)
+    assert list(table) == [_smallest_prime_factor(n) for n in range(10**5 + 1)]
+    table = nt._spf_table(nt.SIEVE_CAP)
+    assert len(table) == nt.SIEVE_CAP + 1
+    window = range(nt.SIEVE_CAP - 2000, nt.SIEVE_CAP + 1)
+    assert [table[n] for n in window] == [_smallest_prime_factor(n) for n in window]
+
+
 def test_sieve_lives_only_inside_its_blocks():
     assert nt._SPF is None
     with nt.sieve(100):

@@ -103,6 +103,17 @@ def test_every_builder_stores_a_read_only_uint16_table():
         assert table.flags.c_contiguous and not table.flags.writeable, name
 
 
+def test_the_callers_array_is_copied_not_kept(monkeypatch):
+    c3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    base = np.array(c3, dtype=np.uint16)  # already the table dtype and layout
+    group = oracle.FiniteGroup(base[:, :])
+    base[1, 1] = 1  # the caller's array stays writable
+    assert not np.shares_memory(group.table, base)
+    assert group.table.tolist() == c3
+    monkeypatch.setattr(oracle, "_NORMAL_CACHE", {})  # D from the table, not the cache
+    assert oracle.group_divisor_sum(group) == 4
+
+
 def test_build_cyclic():
     trivial = oracle.build_cyclic(1)
     assert trivial.order == 1
@@ -293,13 +304,13 @@ def test_enumeration_cross_validated_on_small_corpus():
     groups += [oracle.build_generalized_dihedral([n]) for n in range(1, 16)]
     groups += [
         oracle.build_generalized_dihedral(chain)
-        for chain in oracle.abelian_types(15)
+        for chain in families.abelian_types(15)
         if len(chain) >= 2
     ]
     groups += [oracle.build_generalized_dicyclic([2 * n], n) for n in range(2, 8)]
     groups += [
         oracle.build_generalized_dicyclic(chain, y)
-        for chain in oracle.abelian_types(12)
+        for chain in families.abelian_types(12)
         if len(chain) >= 2 and math.prod(chain) % 2 == 0 and math.prod(chain) > 2
         for y in oracle.order_two_elements(oracle.build_abelian(chain))
     ]
@@ -683,21 +694,3 @@ def test_elementary_abelian_counts_match_gaussian_binomials():
             for j in range(k + 1):
                 expected = gaussian_binomial(k, j, p)
                 assert sum(1 for s in subs if s.order == p**j) == expected, (p, k, j)
-
-
-def test_abelian_types():
-    types = oracle.abelian_types(8)
-    assert types == [
-        (),
-        (2,),
-        (3,),
-        (2, 2),
-        (4,),
-        (5,),
-        (6,),
-        (7,),
-        (2, 2, 2),
-        (2, 4),
-        (8,),
-    ]
-

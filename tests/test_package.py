@@ -1,0 +1,58 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import leinster
+from leinster import families, numtheory, oracle, search, verify
+
+SUBMODULES = (families, numtheory, oracle, search, verify)
+
+
+def test_every_public_name_is_its_submodules_object():
+    listed = set(dir(leinster))
+    for name in leinster.__all__:
+        value = getattr(leinster, name)
+        homes = [module for module in SUBMODULES if name in vars(module)]
+        assert homes, name
+        assert all(getattr(module, name) is value for module in homes), name
+        assert name in listed, name
+
+
+def test_star_import_gives_every_public_name():
+    namespace = {}
+    exec("from leinster import *", namespace)
+    assert set(leinster.__all__) <= set(namespace)
+    assert namespace["run_verify"] is verify.run_verify
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        leinster.no_such_name  # noqa: B018
+
+
+def test_importing_the_cli_loads_no_numpy_and_the_lazy_names_resolve():
+    # `leinster.oracle` and `leinster.verify` must resolve after `import
+    # leinster.cli` alone: the bench tracer reads them so
+    script = """
+import sys
+import leinster.cli
+assert "numpy" not in sys.modules and "leinster.oracle" not in sys.modules
+assert "leinster.verify" not in sys.modules
+import leinster
+assert {"oracle", "verify", "build_zm", "run_verify"} <= set(dir(leinster))
+assert "numpy" not in sys.modules
+assert leinster.oracle.__name__ == "leinster.oracle" and "numpy" in sys.modules
+assert leinster.verify.__name__ == "leinster.verify"
+assert leinster.build_zm is leinster.oracle.build_zm
+assert leinster.group_divisor_sum(leinster.build_zm(7, 6, 3)) == 85
+"""
+    src = str(Path(leinster.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
