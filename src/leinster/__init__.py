@@ -19,14 +19,12 @@ from .families import (
     GroupKind,
     LatticeTriple,
     ZMTriple,
-    affine_classify,
     affine_divisor_sum,
     classify_group,
     classify_kind,
     dicyclic_divisor_sum,
     dihedral_divisor_sum,
     generalized_dihedral_divisor_sum,
-    nilpotent_classify,
     pq_divisor_sum,
     zm_divisor_sum,
     zm_normal_triples,
@@ -103,7 +101,6 @@ __all__ = [
     "Subgroup",
     "SweepConfig",
     "ZMTriple",
-    "affine_classify",
     "affine_divisor_sum",
     "all_subgroups",
     "build_abelian",
@@ -128,7 +125,6 @@ __all__ = [
     "is_prime",
     "lucas_lehmer",
     "mult_order",
-    "nilpotent_classify",
     "normal_quotients",
     "normal_subgroups",
     "perfect_plus_one",

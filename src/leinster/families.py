@@ -1,7 +1,7 @@
 """Closed-form normal-subgroup order sums for structured group families.
 
-Covers cyclic/nilpotent groups, the metacyclic ZM(m, n, r) family together
-with its lattice-triple machinery, affine groups over finite fields,
+Covers the metacyclic ZM(m, n, r) family together with its lattice-triple
+machinery, affine groups over finite fields,
 dihedral groups and the generalized dihedral groups Dih(A) over any finite
 abelian A, dicyclic groups over cyclic A, and nonabelian groups of order p*q.
 Everything here is integer arithmetic on the parameters; no group table is
@@ -33,7 +33,6 @@ __all__ = [
     "LatticeTriple",
     "ZMTriple",
     "abelian_types",
-    "affine_classify",
     "affine_divisor_sum",
     "classify_group",
     "classify_kind",
@@ -41,7 +40,6 @@ __all__ = [
     "dihedral_divisor_sum",
     "generalized_dihedral_divisor_sum",
     "iter_abelian_types",
-    "nilpotent_classify",
     "pq_divisor_sum",
     "zm_canonical",
     "zm_invalid_reason",
@@ -86,19 +84,6 @@ def classify_kind(D: int, order: int) -> GroupKind:
 def classify_group(D: int, order: int) -> GroupClass:
     """`classify_kind(D, order)` together with D and order, as one value."""
     return GroupClass(classify_kind(D, order), D, order)
-
-
-def nilpotent_classify(n: int, is_cyclic: bool) -> GroupKind:
-    """Classification of a nilpotent group of order n known (only) to be cyclic or not.
-
-    A cyclic group classifies exactly as its order does; a non-cyclic
-    nilpotent group always lands strictly above 2n + 1.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not is_cyclic:
-        return GroupKind.ABUNDANT
-    return classify_kind(numtheory.divisor_sum(n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +234,6 @@ def affine_divisor_sum(q: int) -> int:
     if q < 2 or numtheory.prime_power_decompose(q) is None:
         raise ValueError(f"affine group needs a prime-power field order, got {q}")
     return 1 + q * numtheory.divisor_sum(q - 1)
-
-
-def affine_classify(q: int) -> GroupClass:
-    """Classification of the affine group over F_q by the standard definitions."""
-    return classify_group(affine_divisor_sum(q), q * (q - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -292,9 +292,28 @@ def factorize(
 
 
 def divisor_sum(n: int) -> int:
-    """Sum of all divisors of n, including n itself."""
+    """Sum of all divisors of n, including n itself.
+
+    Inside a `sieve` block, sigma(n) is multiplied up during the walk of the
+    smallest-prime-factor table, one 1 + p + ... + p^e per prime, with no
+    factor tuple built; above the table it comes from `factorize`.
+    """
     if n < 1:
         raise ValueError(f"divisor_sum undefined for {n}: need n >= 1")
+    spf = _SPF
+    if spf is not None and n < len(spf):
+        total = 1
+        while n > 1:
+            p = spf[n] or n
+            n //= p
+            power = p
+            term = 1 + p
+            while n % p == 0:
+                n //= p
+                power *= p
+                term += power
+            total *= term
+        return total
     total = 1
     for p, e in factorize(n):
         total *= (p ** (e + 1) - 1) // (p - 1)

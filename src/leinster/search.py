@@ -11,21 +11,33 @@ from the cache file, evaluates the rest, appends them to the cache (one JSON
 line per record, file closed) and only then yields the chunk's records.  So
 it holds about one chunk in memory whatever its bounds, an interrupted sweep
 keeps every finished chunk, and a rerun with the same cache computes only
-the missing tuples.  The cache file is read forward in step with the
-enumeration; a sweep writes it in params order, so a rerun holds about one
-chunk of it too.  A cache line in the canonical form is decoded without a
-JSON parse and printed as read.  A corrupt or mistyped cache line of the
-swept family, or one whose class disagrees with its D and order, is skipped
-with a warning and its tuple recomputed; a line of another family is skipped
-by its prefix without a decode.
+the missing tuples.
 
-Number theory on the sweep's small integers reads a smallest-prime-factor
-table built once per sweep (`numtheory.sieve`, up to twice the largest
-bound); pool workers that do not inherit it by fork build their own.  ZM
-triples are enumerated from the residues of each m grouped by multiplicative
-order, so the max_n factor of the old max_m^2 * max_n scan is gone; the scan
-over the residues of each m is still Theta(max_m^2).  The budget gate still
-counts max_m * max_n * max_m.
+A record costs a few microseconds of Python, and the path is kept short.
+`_evaluate_batch` is the one evaluation path, for sweeps and for
+`run_classify`: it looks the family up once per chunk, then per tuple checks
+the arity, evaluates the closed form, classifies by `classify_kind` and notes
+an order-1 edge.  Number theory on the sweep's small integers reads a
+smallest-prime-factor table built once per sweep (`numtheory.sieve`, up to
+twice the largest bound; sigma is multiplied up during the walk of that
+table); pool workers that do not inherit it by fork build their own.  A
+record of one parameter and no notes is encoded by one format string.
+
+The cache file is read forward in step with the enumeration, _BLOCK bytes at
+a time; a sweep writes it in params order, so a rerun holds about one chunk
+of it too.  A cache line in the canonical form is decoded without a JSON
+parse and printed as read.  A block whose lines are all canonical lines of
+the swept family is decoded in one pass: one regex scan of the block, the
+integers converted a column at a time, and every line class-checked by
+`classify_kind`.  Any other block is read line by line.  A corrupt or
+mistyped cache line of the swept family, or one whose class disagrees with
+its D and order, is skipped with a warning and its tuple recomputed; a line
+of another family is skipped by its prefix without a decode.
+
+ZM triples are enumerated from the residues of each m grouped by
+multiplicative order, so the max_n factor of the old max_m^2 * max_n scan is
+gone; the scan over the residues of each m is still Theta(max_m^2).  The
+budget gate still counts max_m * max_n * max_m.
 
 Importing the module loads neither numpy nor the oracle: the family builders
 and `oracle_crosscheck` import `leinster.oracle` when first called, and a
@@ -43,7 +55,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
@@ -80,8 +92,12 @@ _CHUNK = 4096
 # chunks a process pool holds in flight, per worker
 _WINDOW_PER_WORKER = 2
 
+# bytes of a cache file read and decoded at a time: about 170 one-parameter lines
+_BLOCK = 1 << 14
+
 _KINDS = {kind.value: kind for kind in GroupKind}
-_KIND_JSON = {kind: _json_str(kind.value) for kind in GroupKind}
+# keyed by the value, not the member: Enum.__hash__ is a Python-level call
+_KIND_JSON = {kind.value: _json_str(kind.value) for kind in GroupKind}
 
 # The exact line `SearchRecord.to_json` writes when every string is printable
 # ASCII without '"' or '\' (so needs no escape) and every integer is in
@@ -89,10 +105,16 @@ _KIND_JSON = {kind: _json_str(kind.value) for kind in GroupKind}
 # without `json.loads`; `json.loads` would give the same record.
 _CHARS = r"[ !#-\[\]-~]*"  # printable ASCII but '"' and '\'
 _INT = r"(?:0|-?[1-9][0-9]*)"
+# Anchored at line ends, so it serves `fullmatch` on one line and `findall`
+# over a block of lines.  The lists are written as alternatives (none, one,
+# several), not as an optional repeat: a repeated group costs the regex
+# engine an allocation each time it is entered, so a line of one parameter
+# and no notes, which enters none, matches in about two thirds of the time.
 _CANONICAL_LINE = re.compile(
-    rf'{{"family": "({_CHARS})", "params": \[((?:{_INT}(?:, {_INT})*)?)\], '
+    rf'^{{"family": "({_CHARS})", "params": \[(|{_INT}|{_INT}(?:, {_INT})+)\], '
     rf'"order": ({_INT}), "D": ({_INT}), "class": "({_CHARS})", '
-    rf'"notes": \[((?:"{_CHARS}"(?:, "{_CHARS}")*)?)\]}}'
+    rf'"notes": \[(|"{_CHARS}"|"{_CHARS}"(?:, "{_CHARS}")+)\]}}$',
+    re.MULTILINE,
 )
 
 
@@ -149,17 +171,24 @@ class SearchRecord:
 
         The line is encoded once and kept, so the cache append and stdout
         share it; a record decoded from a canonical cache line keeps that
-        line and is never encoded.
+        line and is never encoded.  A record of one parameter and no notes
+        (most of a sweep) is written without the joins.
         """
         line = self._json
         if line is None:
-            line = (
-                f'{{"family": {_json_str(self.family)}, '
-                f'"params": [{", ".join(map(str, self.params))}], '
-                f'"order": {self.order}, "D": {self.D}, '
-                f'"class": {_KIND_JSON[self.kind]}, '
-                f'"notes": [{", ".join(map(_json_str, self.notes))}]}}'
-            )
+            params, kind = self.params, _KIND_JSON[self.kind._value_]
+            if len(params) == 1 and not self.notes:
+                line = (
+                    f'{{"family": {_json_str(self.family)}, "params": [{params[0]}], '
+                    f'"order": {self.order}, "D": {self.D}, "class": {kind}, "notes": []}}'
+                )
+            else:
+                line = (
+                    f'{{"family": {_json_str(self.family)}, '
+                    f'"params": [{", ".join(map(str, params))}], '
+                    f'"order": {self.order}, "D": {self.D}, "class": {kind}, '
+                    f'"notes": [{", ".join(map(_json_str, self.notes))}]}}'
+                )
             _set_json(self, line)
         return line
 
@@ -212,9 +241,9 @@ class SearchRecord:
         return SearchRecord(family, tuple(params), order, D, kind, tuple(notes))
 
 
-_set_family, _set_params, _set_order, _set_D, _set_kind, _set_notes, _set_json = (
-    SearchRecord.__dict__[name].__set__ for name in SearchRecord.__slots__
-)
+# the setter of each slot, in __slots__ order
+_SET_SLOT = tuple(SearchRecord.__dict__[name].__set__ for name in SearchRecord.__slots__)
+_set_family, _set_params, _set_order, _set_D, _set_kind, _set_notes, _set_json = _SET_SLOT
 
 
 @dataclass(frozen=True)
@@ -469,26 +498,30 @@ FAMILY: dict[str, Family] = {
 FAMILIES = tuple(FAMILY)
 
 
-def _evaluate(family: str, params: tuple[int, ...]) -> SearchRecord:
+def _evaluate_batch(family: str, batch: list[tuple[int, ...]]) -> list[SearchRecord]:
+    """The records of `batch`, tuples of one family: the one evaluation path.
+
+    The family is looked up once per batch.  Each tuple has its arity
+    checked, is evaluated in closed form and classified by `classify_kind`,
+    and a record of order 1 gets the edge note.
+    """
     try:
         fam = FAMILY[family]
     except KeyError:
         raise ValueError(f"unknown family {family!r}") from None
-    arity = fam.arity
-    if arity is not None and len(params) != arity:
-        raise ValueError(
-            f"{family} takes {arity} parameter{'s' if arity != 1 else ''}, "
-            f"got {len(params)}"
-        )
-    order, total, notes = fam.evaluate(params)
-    kind = families.classify_kind(total, order)
-    if order == 1:
-        notes += (NOTE_EDGE,)
-    return SearchRecord(family, tuple(params), order, total, kind, notes)
-
-
-def _evaluate_batch(family: str, batch: list[tuple[int, ...]]) -> list[SearchRecord]:
-    return [_evaluate(family, params) for params in batch]
+    arity, evaluate, classify = fam.arity, fam.evaluate, families.classify_kind
+    records = []
+    for params in batch:
+        if arity is not None and len(params) != arity:
+            raise ValueError(
+                f"{family} takes {arity} parameter{'s' if arity != 1 else ''}, "
+                f"got {len(params)}"
+            )
+        order, total, notes = evaluate(params)
+        if order == 1:
+            notes += (NOTE_EDGE,)
+        records.append(SearchRecord(family, params, order, total, classify(total, order), notes))
+    return records
 
 
 # a pool worker's own sieve block, referenced so that it stays open for the
@@ -553,10 +586,11 @@ class _Cache:
     """A sweep's resume file: read forward in step with the sweep, appended per chunk.
 
     The reader reads only the bytes the file held when it was opened, never
-    the chunks this sweep appends.  A line of another family is skipped by
-    its prefix, without a decode.  Any other line is decoded and class-checked
-    once, when the reader passes it; one that fails is skipped with a warning,
-    so its tuple is recomputed.  A record read before its params are asked
+    the chunks this sweep appends, and reads them _BLOCK bytes at a time.  A
+    line of another family is skipped by its prefix, without a decode.  Any
+    other line is decoded and class-checked once, when the reader passes its
+    block; one that fails is skipped with a warning, so its tuple is
+    recomputed.  A record read before its params are asked
     for waits in `_ahead`: a sweep writes its cache in params order, so that
     is about one chunk, and a cache out of order holds up to the whole family.
     When the sweep asks in ascending tuple order (`ascending`), a record below
@@ -571,11 +605,10 @@ class _Cache:
         self.path: Path | None = path  # None once appends stop
         self._name = name
         self._ascending = ascending
-        self._own = f'{{"family": {_json_str(name)}, '
         self._ahead: dict[tuple[int, ...], SearchRecord] = {}
         self._fh = None
         self._left = 0  # bytes of the opening size not read yet
-        self._lineno = 0
+        self._done = False  # every line read
         try:
             self._fh = path.open("rb")
             self._left = os.fstat(self._fh.fileno()).st_size
@@ -583,6 +616,7 @@ class _Cache:
             pass
         except OSError as exc:
             self._read_failed(exc)
+        self._records = self._read_records()
 
     def __enter__(self) -> "_Cache":
         return self
@@ -602,45 +636,92 @@ class _Cache:
 
     def spent(self) -> bool:
         """Whether every record the file had to give is taken."""
-        return self._fh is None and not self._ahead
+        return self._done and not self._ahead
 
     def take(self, params: tuple[int, ...]) -> SearchRecord | None:
         """The cached record for `params`, or None: kept from earlier, or read up to."""
-        record = self._ahead.pop(params, None)
-        while record is None and self._fh is not None:
-            record = self._read_record()
-            if record is not None and record.params != params:
-                if not (self._ascending and record.params < params):
-                    self._ahead.setdefault(record.params, record)
-                record = None
-        return record
+        ahead = self._ahead
+        if ahead:
+            record = ahead.pop(params, None)
+            if record is not None:
+                return record
+        for record in self._records:
+            if record.params == params:
+                return record
+            if not (self._ascending and record.params < params):
+                ahead.setdefault(record.params, record)
+        return None
 
-    def _read_record(self) -> SearchRecord | None:
-        """The valid record of this family on the next line; None for any other line."""
+    def _read_records(self) -> Iterator[SearchRecord]:
+        """The valid records of this family, in file order, read _BLOCK bytes at a time.
+
+        A block is decoded as one string and split into lines; a line cut by
+        the block's end is carried into the next block, and bytes that are
+        not UTF-8 fail the read at the line that holds them.  A block of
+        canonical lines of this family alone is decoded in one pass
+        (`_decode_canonical`); any other block line by line (`_decode_lines`).
+        """
+        lineno = 0  # lines passed
+        carry = b""
         try:
-            raw = self._fh.readline(self._left)
-            line = raw.decode("utf-8").strip()
-        except (OSError, UnicodeDecodeError) as exc:
-            self._read_failed(exc)
-            return None
-        if not raw:
-            self._close()
-            return None
-        self._left -= len(raw)
-        self._lineno += 1
-        if not line or (not line.startswith(self._own) and _ANY_FAMILY_PREFIX.match(line)):
-            return None
-        try:
-            record = SearchRecord.from_json(line)
-            if record.kind is not families.classify_kind(record.D, record.order):
-                raise ValueError(
-                    f"class {record.kind.value!r} disagrees with "
-                    f"D = {record.D} and order {record.order}"
-                )
-        except (ValueError, KeyError, TypeError, RecursionError) as exc:
-            print(f"warning: skipping corrupt cache line {self._lineno}: {exc}", file=sys.stderr)
-            return None
-        return record if record.family == self._name else None
+            while self._fh is not None:
+                try:
+                    block = self._fh.read(min(self._left, _BLOCK))
+                except OSError as exc:
+                    self._read_failed(exc)
+                    return
+                self._left -= len(block)
+                data = carry + block
+                if block and self._left:
+                    cut = data.rfind(b"\n") + 1
+                    data, carry = data[:cut], data[cut:]
+                else:  # the last of the bytes the file held when opened
+                    self._close()
+                bad = None
+                try:
+                    text = data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    good = data.rfind(b"\n", 0, exc.start) + 1
+                    text, bad = data[:good].decode("utf-8"), data[good:]
+                lines = text.split("\n")
+                if not lines[-1]:
+                    lines.pop()  # the text ends with a newline, or is empty
+                records = _decode_canonical(self._name, text, lines)
+                yield from records if records is not None else self._decode_lines(lines, lineno)
+                lineno += len(lines)
+                if bad is not None:
+                    try:
+                        bad.decode("utf-8")
+                    except UnicodeDecodeError as exc:  # as the line alone fails
+                        self._read_failed(exc)
+                        return
+        finally:
+            self._done = True
+
+    def _decode_lines(self, lines: list[str], lineno: int) -> Iterator[SearchRecord]:
+        """The valid records of this family on `lines`, the lines after line `lineno`.
+
+        Each line is read as the sweep reaches it.  A line of another family
+        is skipped by its prefix, without a decode; any other line is decoded
+        and class-checked, and skipped with a warning when that fails.
+        """
+        own = f'{{"family": {_json_str(self._name)}, '
+        for lineno, line in enumerate(lines, lineno + 1):
+            line = line.strip()
+            if not line or (not line.startswith(own) and _ANY_FAMILY_PREFIX.match(line)):
+                continue
+            try:
+                record = SearchRecord.from_json(line)
+                if record.kind is not families.classify_kind(record.D, record.order):
+                    raise ValueError(
+                        f"class {record.kind.value!r} disagrees with "
+                        f"D = {record.D} and order {record.order}"
+                    )
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                print(f"warning: skipping corrupt cache line {lineno}: {exc}", file=sys.stderr)
+                continue
+            if record.family == self._name:
+                yield record
 
     def append(self, records: list[SearchRecord]) -> None:
         """Append one finished chunk; stop appending (after a warning) on failure.
@@ -662,6 +743,43 @@ class _Cache:
         except OSError as exc:
             print(f"warning: cache write failed ({exc}); sweep continues", file=sys.stderr)
             self.path = None
+
+
+def _decode_canonical(family: str, text: str, lines: list[str]) -> list[SearchRecord] | None:
+    """The records of `lines`, decoded together when each is a canonical line of `family`.
+
+    None when any line is not one, names an unknown class, or has a class
+    that disagrees with its D and order: the caller then reads the lines one
+    by one, as `SearchRecord.from_json` would.  The records are those
+    `from_json` gives, and keep their lines.
+    """
+    rows = _CANONICAL_LINE.findall(text)
+    if not lines or len(rows) != len(lines):
+        return None
+    names, params, orders, Ds, kinds, notes = zip(*rows)
+    kinds = list(map(_KINDS.get, kinds))
+    if names.count(family) != len(lines) or None in kinds:
+        return None
+    try:
+        orders, Ds = list(map(int, orders)), list(map(int, Ds))
+        try:
+            params = list(zip(map(int, params)))
+        except ValueError:  # some record has other than one parameter
+            params = [tuple(map(int, p.split(", "))) if p else () for p in params]
+        if list(map(families.classify_kind, Ds, orders)) != kinds:
+            return None
+    except ValueError:  # D or order below 1, or more digits than int() takes
+        return None
+    if any(notes):
+        notes = [tuple(n[1:-1].split('", "')) if n else () for n in notes]
+    else:
+        notes = repeat(())
+    # filled a slot at a time, as __init__ fills them, with the lines kept
+    records = list(map(object.__new__, repeat(SearchRecord, len(lines))))
+    columns = (repeat(family), params, orders, Ds, kinds, notes, lines)
+    for set_slot, column in zip(_SET_SLOT, columns):
+        deque(map(set_slot, records, column), 0)
+    return records
 
 
 def _take_cached(chunks: Iterator[list[tuple[int, ...]]], cache: _Cache | None):
@@ -749,7 +867,8 @@ def run_classify(family: str, params: list[int] | tuple[int, ...]) -> SearchReco
     """Classify one instance in closed form; `oracle_crosscheck` checks the result."""
     if family not in FAMILY:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    return _evaluate(family, tuple(params))
+    (record,) = _evaluate_batch(family, [tuple(params)])
+    return record
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,15 @@ __all__ = ["CorpusEntry", "InvariantResult", "run_verify"]
 # what an invariant yields per instance: None when it passes, else the detail
 Outcomes = Iterator[str | None]
 
+# The corpus caps that hold whatever the maximum order (`verify --help`
+# states them): quotient-monotonicity checks groups up to _QUOTIENT_CAP,
+# Dih(A) and Dic(A, y) entries have |A| up to _DIH_CAP and _DIC_CAP, and zm
+# and pq entries go to order _ZM_PQ_CAP.
+_QUOTIENT_CAP = 100
+_DIH_CAP = 32
+_DIC_CAP = 16
+_ZM_PQ_CAP = 200
+
 
 @dataclass(frozen=True)
 class InvariantResult:
@@ -66,7 +75,7 @@ def _build_corpus(max_order: int) -> list[CorpusEntry]:
     for n in range(1, max_order // 2 + 1):
         add(f"D{2 * n}", "dihedral", (n,))
 
-    dih_cap = min(32, max_order // 2)
+    dih_cap = min(_DIH_CAP, max_order // 2)
     for chain in families.abelian_types(dih_cap):
         if len(chain) < 2:
             continue  # cyclic A is covered by the dihedral entries
@@ -76,7 +85,7 @@ def _build_corpus(max_order: int) -> list[CorpusEntry]:
     for n in range(2, max_order // 4 + 1):
         add(f"Dic{4 * n}", "dicyclic", (n,), oracle.build_abelian([2 * n]))
 
-    dic_cap = min(16, max_order // 2)
+    dic_cap = min(_DIC_CAP, max_order // 2)
     seen_digests: set[bytes] = set()
     for chain in families.abelian_types(dic_cap):
         if len(chain) < 2 or math.prod(chain) % 2 or math.prod(chain) <= 2:
@@ -90,7 +99,7 @@ def _build_corpus(max_order: int) -> list[CorpusEntry]:
             label = "Dic(" + "x".join(f"C{d}" for d in chain) + f",y={y})"
             entries.append(CorpusEntry(label, "gen-dicyclic", chain + (y,), group, base))
 
-    zm_cap = min(max_order, 200)
+    zm_cap = min(max_order, _ZM_PQ_CAP)
     for m in range(2, zm_cap // 2 + 1):
         for n in range(2, zm_cap // m + 1):
             if math.gcd(m, n) != 1:
@@ -105,7 +114,7 @@ def _build_corpus(max_order: int) -> list[CorpusEntry]:
             add(f"Aff({p})", "affine", (p,))
         p += 1
 
-    pq_cap = min(max_order, 200)
+    pq_cap = min(max_order, _ZM_PQ_CAP)
     for q in range(3, pq_cap + 1):
         if not numtheory.is_prime(q):
             continue
@@ -154,7 +163,7 @@ def _check_multiplicativity(corpus: list[CorpusEntry], max_order: int) -> Outcom
 
 
 def _check_quotient_monotonicity(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
-    limit = min(100, max_order)
+    limit = min(_QUOTIENT_CAP, max_order)
     for entry in corpus:
         group = entry.group
         if group.order > limit:

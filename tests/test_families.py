@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from leinster import families as fam
 from leinster import numtheory as nt
-from leinster import oracle
+from leinster import oracle, search
 from leinster.families import GroupKind
 
 
@@ -136,10 +136,12 @@ def test_affine_divisor_sum():
 
 
 def test_affine_classify():
-    assert fam.affine_classify(7).kind is GroupKind.QUASI_LEINSTER
-    assert fam.affine_classify(2).kind is GroupKind.ALMOST_LEINSTER
-    five = fam.affine_classify(5)
+    # Aff(F_q) by the standard definitions, as `classify` gives it
+    assert search.run_classify("affine", [7]).kind is GroupKind.QUASI_LEINSTER
+    assert search.run_classify("affine", [2]).kind is GroupKind.ALMOST_LEINSTER
+    five = search.run_classify("affine", [5])
     assert five.kind is GroupKind.DEFICIENT and five.D == 36
+    assert fam.classify_kind(fam.affine_divisor_sum(5), 5 * 4) is GroupKind.DEFICIENT
 
 
 def test_dihedral_divisor_sum():
@@ -287,21 +289,25 @@ def test_classify_group_trichotomy(D, order):
 
 
 def test_nilpotent_classify():
-    assert fam.nilpotent_classify(6, True) is GroupKind.LEINSTER
-    assert fam.nilpotent_classify(8, True) is GroupKind.ALMOST_LEINSTER
-    assert fam.nilpotent_classify(4, False) is GroupKind.ABUNDANT
-    # the Klein four-group realizes the non-cyclic case: D = 11 > 2*4 + 1
+    # a cyclic group classifies exactly as its order does, D(C_n) = sigma(n)
+    assert fam.classify_kind(nt.divisor_sum(6), 6) is GroupKind.LEINSTER
+    assert fam.classify_kind(nt.divisor_sum(8), 8) is GroupKind.ALMOST_LEINSTER
+    assert search.run_classify("cyclic", [12]).kind is GroupKind.ABUNDANT
+    assert search.run_classify("cyclic", [10]).kind is GroupKind.DEFICIENT
+    # a non-cyclic nilpotent group lands above 2n + 1: the Klein four-group,
+    # Dih(C2), has D = 11 > 2*4 + 1
     klein = oracle.build_abelian([2, 2])
     assert oracle.group_divisor_sum(klein) == 11 > 2 * 4 + 1
-    assert fam.nilpotent_classify(12, True) is GroupKind.ABUNDANT
-    assert fam.nilpotent_classify(10, True) is GroupKind.DEFICIENT
+    assert fam.classify_kind(11, 4) is GroupKind.ABUNDANT
+    dih_c2 = search.run_classify("gen-dihedral", [2])
+    assert (dih_c2.order, dih_c2.D, dih_c2.kind) == (4, 11, GroupKind.ABUNDANT)
 
 
 def test_cyclic_nilpotent_matches_oracle():
     for n in range(1, 80):
-        kind = fam.nilpotent_classify(n, True)
+        kind = search.run_classify("cyclic", [n]).kind
         total = oracle.group_divisor_sum(oracle.build_cyclic(n))
-        assert fam.classify_group(total, n).kind is kind
+        assert fam.classify_kind(total, n) is kind
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,35 @@ def test_sieve_limit_reports_the_open_table():
     assert nt.sieve_limit() == 0
 
 
+def _sigma_from_factors(n):
+    """sigma(n) as the product of (p^(e+1) - 1) / (p - 1) over factorize(n)."""
+    return math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in nt.factorize(n))
+
+
+def test_tabled_divisor_sum_equals_the_product_over_factorize():
+    limit = 2**16 - 1  # so the first n past the table is the prime power 2^16
+    with nt.sieve(limit):
+        assert nt.sieve_limit() == limit
+        numbers = range(1, limit + 1)
+        assert [nt.divisor_sum(n) for n in numbers] == [_sigma_from_factors(n) for n in numbers]
+        assert nt.divisor_sum(1) == 1
+        for p in (2, 3, 251, 65521):  # primes, the last the largest in the table
+            assert nt.divisor_sum(p) == p + 1
+        for p, k in ((2, 15), (3, 10), (7, 5), (251, 2)):  # prime powers
+            assert nt.divisor_sum(p**k) == (p ** (k + 1) - 1) // (p - 1)
+        assert nt.divisor_sum(limit + 1) == 2**17 - 1 == _sigma_from_factors(limit + 1)
+        with pytest.raises(ValueError):
+            nt.divisor_sum(0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(nt.SIEVE_CAP + 1, 2**40))
+def test_divisor_sum_above_the_sieve_cap(n):
+    with nt.sieve(2**12):  # a table below n, as every table is
+        total = nt.divisor_sum(n)
+    assert total == _sigma_from_factors(n) == sum(nt.divisors(n))
+
+
 def test_sieve_is_capped_and_falls_back_above_its_limit():
     with nt.sieve(10**12):
         assert len(nt._SPF) == nt.SIEVE_CAP + 1

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import pickle
+import re
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
@@ -199,6 +200,11 @@ CORRUPT_CACHE_LINES = {
         '{"family": "cyclic", "params": [6], "order": 6, "D": 12, '
         '"class": "abundant", "notes": []}'
     ),
+    # more digits than int() converts
+    "D-past-the-digit-limit": (
+        '{"family": "cyclic", "params": [2], "order": 2, "D": 1' + "0" * 5000 + ', '
+        '"class": "abundant", "notes": []}'
+    ),
     # D = 0 has no class at all
     "D-below-one": (
         '{"family": "cyclic", "params": [2], "order": 2, "D": 0, '
@@ -270,16 +276,21 @@ def test_interrupted_sweep_resumes_from_its_cache(tmp_path, monkeypatch, capsys)
     expected = capsys.readouterr().out
     cache = tmp_path / "cache.jsonl"
     argv += ["--cache", str(cache)]
-    evaluate = search._evaluate
+    evaluate_batch = search._evaluate_batch
     calls = []
 
-    def counting(family, params, stop_after=None):
-        calls.append(params)
-        if stop_after is not None and len(calls) > stop_after:
-            raise KeyboardInterrupt
-        return evaluate(family, params)
+    def counting(family, batch, stop_after=None):
+        # one tuple at a time, so the interrupt comes after exactly
+        # stop_after evaluations
+        records = []
+        for params in batch:
+            calls.append(params)
+            if stop_after is not None and len(calls) > stop_after:
+                raise KeyboardInterrupt
+            records += evaluate_batch(family, [params])
+        return records
 
-    monkeypatch.setattr(search, "_evaluate", lambda f, p: counting(f, p, stop_after=10_000))
+    monkeypatch.setattr(search, "_evaluate_batch", lambda f, b: counting(f, b, stop_after=10_000))
     assert cli.main(argv) == cli.EXIT_INTERRUPTED
     kept = 10_000 // search._CHUNK * search._CHUNK  # every finished chunk
     # the records of n = 2..kept, printed before the interrupt (n = 1 is an edge)
@@ -287,7 +298,7 @@ def test_interrupted_sweep_resumes_from_its_cache(tmp_path, monkeypatch, capsys)
     assert len(cache.read_text().splitlines()) == kept > 0
 
     calls.clear()
-    monkeypatch.setattr(search, "_evaluate", counting)
+    monkeypatch.setattr(search, "_evaluate_batch", counting)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
     assert len(calls) == 20_000 - kept
@@ -598,6 +609,142 @@ def test_noncanonical_lines_decode_as_json_loads_does(line, expected):
     assert decoded.to_json() == expected.to_json() != line
 
 
+# the old form of the canonical-line pattern: each list an optional repeat
+_REFERENCE_CANONICAL_LINE = re.compile(
+    rf'{{"family": "({search._CHARS})", '
+    rf'"params": \[((?:{search._INT}(?:, {search._INT})*)?)\], '
+    rf'"order": ({search._INT}), "D": ({search._INT}), "class": "({search._CHARS})", '
+    rf'"notes": \[((?:"{search._CHARS}"(?:, "{search._CHARS}")*)?)\]}}'
+)
+LINE_PIECES = st.sampled_from(
+    ["", "0", "-0", "7", "-12", "007", ", ", ",", "[", "]", '"', '", "', "a", " ", "\\", "}"]
+)
+
+
+@example(line=C6_LINE.replace("[6]", "[6, 7]").replace("[]", '["a", "b, c"]'))
+@given(
+    line=st.builds(
+        lambda record, cuts, pieces: _splice(record.to_json(), cuts, pieces),
+        st.builds(
+            SearchRecord,
+            family=PLAIN | st.sampled_from(search.FAMILIES),
+            params=st.lists(edge_ints, max_size=3).map(tuple),
+            order=edge_ints,
+            D=edge_ints,
+            kind=st.sampled_from(list(GroupKind)),
+            notes=st.lists(PLAIN | st.sampled_from(NOTES), max_size=3).map(tuple),
+        ),
+        st.lists(st.integers(0, 200), max_size=2),
+        st.lists(LINE_PIECES, max_size=2),
+    )
+)
+def test_canonical_line_pattern_matches_as_its_reference_form(line):
+    ours = search._CANONICAL_LINE.fullmatch(line)
+    reference = _REFERENCE_CANONICAL_LINE.fullmatch(line)
+    assert (ours is None) == (reference is None)
+    if ours is not None:
+        assert ours.groups() == reference.groups()
+
+
+def _splice(line, cuts, pieces):
+    """`line` with each piece written over the text at its cut."""
+    for cut, piece in zip(cuts, pieces):
+        cut = min(cut, len(line))
+        line = line[:cut] + piece + line[cut + len(piece):]
+    return line
+
+
+@given(
+    records=st.lists(
+        st.builds(
+            lambda params, order, D, notes: SearchRecord(
+                "zm", params, order, D, families.classify_kind(D, order), notes
+            ),
+            st.lists(st.integers(0, 10**30), max_size=3).map(tuple),
+            st.integers(1, 10**30),
+            st.integers(1, 10**30),
+            st.lists(PLAIN | st.sampled_from(NOTES), max_size=3).map(tuple),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    spoil=st.sampled_from([None, "other-family", "class", "noncanonical", "unknown-class"]),
+)
+def test_a_block_decodes_together_as_its_lines_decode_one_by_one(records, spoil):
+    lines = [record.to_json() for record in records]
+    if spoil == "other-family":
+        lines[-1] = lines[-1].replace('"zm"', '"cyclic"', 1)
+    elif spoil == "class":
+        kind = records[-1].kind
+        lines[-1] = dataclasses.replace(
+            records[-1], kind=GroupKind.ABUNDANT if kind is GroupKind.DEFICIENT else GroupKind.DEFICIENT
+        ).to_json()
+    elif spoil == "noncanonical":
+        lines[-1] = lines[-1].replace(": ", ":")
+    elif spoil == "unknown-class":
+        lines[-1] = lines[-1].replace(f'"{records[-1].kind.value}"', '"perfect"')
+    decoded = search._decode_canonical("zm", "\n".join(lines) + "\n", lines)
+    if spoil is not None:
+        assert decoded is None
+        return
+    assert decoded == records
+    assert [record.to_json() for record in decoded] == lines
+    assert all(record.to_json() is line for record, line in zip(decoded, lines))
+
+
+def test_cache_read_in_blocks_skips_and_recomputes_as_line_by_line(tmp_path, capsys):
+    argv = ["search", "cyclic", "--max-n", str(3 * search._CHUNK), "--include-edge"]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    lines = cold.splitlines()
+    assert len(cold) > 5 * search._BLOCK
+    corrupt = lines[3000].replace('"class": "deficient"', '"class": "abundant"')
+    assert corrupt != lines[3000]
+    cached = list(lines)
+    cached[3000] = corrupt  # n = 3001, a prime: skipped with a warning, and recomputed
+    cached[5999] = lines[5999].replace(": ", ":")  # decoded by json.loads
+    cached[8999] = "  " + lines[8999] + "\r"  # stripped, then decoded
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("\n".join(cached) + "\n")
+    assert cli.main(argv + ["--cache", str(cache)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold
+    assert captured.err == (
+        "warning: skipping corrupt cache line 3001: class 'abundant' disagrees with "
+        "D = 3002 and order 3001\n"
+    )
+    assert cache.read_bytes().decode().split("\n") == cached + [lines[3000], ""]
+
+
+def test_cache_bytes_not_utf8_fail_the_read_at_their_line(tmp_path, monkeypatch, capsys):
+    argv = ["search", "cyclic", "--max-n", "2000", "--include-edge"]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    lines = [line.encode() for line in cold.splitlines()]
+    cache = tmp_path / "cache.jsonl"
+    data = b"\n".join(lines[:1500] + [b'{"fam\xffily"'] + lines[1500:]) + b"\n"
+    cache.write_bytes(data)
+    evaluate_batch = search._evaluate_batch
+    computed = []
+
+    def counting(family, batch):
+        computed.extend(batch)
+        return evaluate_batch(family, batch)
+
+    monkeypatch.setattr(search, "_evaluate_batch", counting)
+    assert cli.main(argv + ["--cache", str(cache)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold
+    # the lines before the bad bytes are read; the rest is computed, and the
+    # cache is dropped, so not appended to
+    assert computed == [(n,) for n in range(1501, 2001)]
+    assert captured.err == (
+        "warning: cache read failed ('utf-8' codec can't decode byte 0xff in position 5: "
+        "invalid start byte); sweep continues\n"
+    )
+    assert cache.read_bytes() == data
+
+
 def test_record_stays_a_frozen_picklable_dataclass():
     record = SearchRecord.from_json(C6_LINE)
     assert [f.name for f in dataclasses.fields(SearchRecord)] == [
@@ -737,6 +884,58 @@ def test_record_formula_agrees_with_its_oracle_builder(family):
             family != "affine" or numtheory.is_prime(record.params[0])
         )
         assert search.oracle_crosscheck(record) is (True if in_scope else None), record
+
+
+def reference_evaluate(family, params):
+    """One tuple's record, evaluated on its own: the per-tuple path that the
+    batch evaluator replaced, kept here as the reference."""
+    try:
+        fam = search.FAMILY[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}") from None
+    arity = fam.arity
+    if arity is not None and len(params) != arity:
+        raise ValueError(
+            f"{family} takes {arity} parameter{'s' if arity != 1 else ''}, "
+            f"got {len(params)}"
+        )
+    order, total, notes = fam.evaluate(params)
+    kind = families.classify_kind(total, order)
+    if order == 1:
+        notes += (search.NOTE_EDGE,)
+    return SearchRecord(family, tuple(params), order, total, kind, notes)
+
+
+@pytest.mark.parametrize("family", search.FAMILIES)
+def test_sweep_and_classify_equal_the_per_tuple_reference(family):
+    cfg = SweepConfig(family=family, bounds=RECORD_SWEEPS[family], include_edge=True)
+    swept = list(search.run_sweep(cfg))
+    with numtheory.sieve(2 * max(cfg.bounds.values()) + 1):
+        reference = [reference_evaluate(family, p) for p in search.FAMILY[family].enumerate(cfg)]
+    classified = [search.run_classify(family, list(r.params)) for r in reference]
+    assert swept == classified == reference
+    lines = [r.to_json() for r in reference]
+    assert [r.to_json() for r in swept] == [r.to_json() for r in classified] == lines
+    assert [r.params for r in swept if search.NOTE_EDGE in r.notes] == {
+        "cyclic": [(1,)], "zm": [(1, 1, 0)]
+    }.get(family, [])
+    arity = search.FAMILY[family].arity
+    if arity is not None:
+        for params in ([], [2] * (arity + 1)):
+            with pytest.raises(ValueError) as expected:
+                reference_evaluate(family, tuple(params))
+            with pytest.raises(ValueError) as got:
+                search.run_classify(family, params)
+            assert str(got.value) == str(expected.value)
+
+
+def test_batch_evaluator_refuses_an_unknown_family_as_the_reference_does():
+    with pytest.raises(ValueError, match="unknown family 'nope'"):
+        reference_evaluate("nope", (1,))
+    with pytest.raises(ValueError, match="unknown family 'nope'"):
+        search._evaluate_batch("nope", [(1,)])
+    with pytest.raises(ValueError, match="unknown family 'nope'; expected one of"):
+        search.run_classify("nope", [1])
 
 
 def test_classify_verify_skips_oversized_oracle():

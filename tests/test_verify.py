@@ -148,3 +148,14 @@ def test_quotient_monotonicity_reads_d_once_per_distinct_quotient_table(monkeypa
     assert asked == want
     pairs = sum(len(oracle.normal_subgroups(entry.group)) for entry in corpus)
     assert len(asked) < len(corpus) + pairs  # fewer reads than one per pair
+
+
+def test_verify_help_states_the_fixed_corpus_caps(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"quotient-monotonicity checks groups of order at most {verify._QUOTIENT_CAP} only" in text
+    assert f"Dih(A) entries have |A| <= {verify._DIH_CAP}" in text
+    assert f"Dic(A, y) entries have |A| <= {verify._DIC_CAP}" in text
+    assert f"zm and pq entries go to order {verify._ZM_PQ_CAP}" in text
