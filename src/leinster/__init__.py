@@ -15,12 +15,10 @@ access, so `leinster.build_zm` and `from leinster import *` work as before.
 import importlib
 
 from .families import (
-    GroupClass,
     GroupKind,
     LatticeTriple,
     ZMTriple,
     affine_divisor_sum,
-    classify_group,
     classify_kind,
     dicyclic_divisor_sum,
     dihedral_divisor_sum,
@@ -91,7 +89,6 @@ def __dir__() -> list[str]:
 __all__ = [
     "FactorizationError",
     "FiniteGroup",
-    "GroupClass",
     "GroupKind",
     "InvariantResult",
     "LatticeTriple",
@@ -110,7 +107,6 @@ __all__ = [
     "build_generalized_dicyclic",
     "build_generalized_dihedral",
     "build_zm",
-    "classify_group",
     "classify_kind",
     "classify_number",
     "dicyclic_divisor_sum",

@@ -28,13 +28,11 @@ from enum import Enum
 from . import numtheory
 
 __all__ = [
-    "GroupClass",
     "GroupKind",
     "LatticeTriple",
     "ZMTriple",
     "abelian_types",
     "affine_divisor_sum",
-    "classify_group",
     "classify_kind",
     "dicyclic_divisor_sum",
     "dihedral_divisor_sum",
@@ -58,15 +56,6 @@ class GroupKind(Enum):
     DEFICIENT = "deficient"
 
 
-@dataclass(frozen=True)
-class GroupClass:
-    """Classification of a group from its normal-subgroup order sum D and order."""
-
-    kind: GroupKind
-    D: int
-    order: int
-
-
 def classify_kind(D: int, order: int) -> GroupKind:
     """Five-way classification of (D, order) by comparing D with 2*order."""
     if D < 1 or order < 1:
@@ -79,11 +68,6 @@ def classify_kind(D: int, order: int) -> GroupKind:
     if D == twice - 1:
         return GroupKind.ALMOST_LEINSTER
     return GroupKind.ABUNDANT if D > twice else GroupKind.DEFICIENT
-
-
-def classify_group(D: int, order: int) -> GroupClass:
-    """`classify_kind(D, order)` together with D and order, as one value."""
-    return GroupClass(classify_kind(D, order), D, order)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ code is checked against.
 
 Two independent enumerators find subgroups:
 
-* the full lattice (`all_subgroups`): every subgroup by closure fixpoint
-  from the cyclic subgroups, each flagged normal by a conjugation test;
+* the full lattice (`all_subgroups`): every subgroup by cyclic extension
+  (each H extended by the x in its normalizer with xH of prime order),
+  without any closure, one subgroup order at a time in one batch of array
+  operations, each flagged normal when its normalizer is the whole group.
+  It covers the solvable groups and every group of order below 120;
 * the normal lattice (`normal_subgroups`, `group_divisor_sum`,
   `is_nilpotent`): normal closures of the conjugacy classes, closed under
   products, without the full lattice.  The normal subgroups of one order
@@ -116,17 +119,6 @@ def _check_cap(order: int) -> None:
     cap = order_cap()
     if order > cap:
         raise OrderCapError(f"group order {order} exceeds the oracle cap {cap}")
-
-
-def _to_row(mask: int, n: int) -> np.ndarray:
-    """Bitmask as a boolean membership row of length n."""
-    packed = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
-
-
-def _to_mask(row: np.ndarray) -> int:
-    """Boolean membership row as a bitmask (bit e set iff row[e])."""
-    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
 
 
 def _closure(table: np.ndarray, member: np.ndarray) -> np.ndarray:
@@ -336,26 +328,46 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _rows(keys: list[bytes], n: int) -> np.ndarray:
+    """Packed bitmask keys (little-endian bytes) as boolean membership rows."""
+    packed = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(len(keys), -1)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
+def _register(
+    found: set[bytes], by_order: dict[int, list[bytes]], words: np.ndarray, sizes: np.ndarray
+) -> None:
+    """Add each bitmask of `words` not yet in `found` to it, and to by_order[size]."""
+    raw = words.astype("<u8", copy=False).tobytes()
+    width = words.shape[1] * 8
+    keys = [raw[i : i + width] for i in range(0, len(raw), width)]
+    size_of = dict(zip(keys, sizes.tolist()))
+    new = size_of.keys() - found
+    found.update(new)
+    for key in new:
+        by_order.setdefault(size_of[key], []).append(key)
+
+
 def _enumerate_lattice(group: FiniteGroup) -> tuple[tuple[int, bool], ...]:
-    """All subgroups as (bitmask, is_normal), by closure fixpoint.
+    """All subgroups as (bitmask, is_normal), sorted by (order, bitmask).
 
-    Seeds with every cyclic subgroup, then repeatedly joins each found
-    subgroup H with each outside element x until no new subgroup appears.
-    Correctness-preserving prunings keep this tractable:
+    Cyclic extension (J. Neubüser, Numer. Math. 2, 1960), batched like
+    `_normal_lattice`.  A solvable K > 1 has a normal subgroup H of prime
+    index p, and then K = H ∪ Hx ∪ … ∪ Hx^(p-1) for any x in K outside H.
+    Conversely, for x outside H in its normalizer N(H) with x^p in H, that
+    union H<x> is a subgroup of order p|H|.  So from {1}, the found
+    subgroups are extended one order d at a time, in increasing order, in
+    slices that keep every temporary under about _BATCH_CELLS cells
+    (`_extend_batch`); when d is reached, every solvable subgroup of order d
+    has been found from one of order d/p.  No closure is run.  H is normal
+    iff N(H) = G, so the normal flags come with the extension.
 
-    * <H, x> = <H, h*x> for h in H, so only one x per coset Hx is tried;
-    * joins are deduplicated on (H, <x>), since <H, x> only depends on the
-      cyclic subgroup generated by x;
-    * the join K = <H, x> satisfies three exact constraints: |K| divides
-      |G|; |K| is a multiple of lcm(|H|, orders of the products h*x); and
-      |K| >= |H| * |<h*x>| / |H meet <h*x>| because K contains each product
-      set H<h*x>.  When the smallest size meeting the constraints is |G|,
-      or is realized by an already-found subgroup containing H and x, the
-      join is identified without running a closure;
-    * when the products h*x do not settle the join, a probe always tries
-      again with the pairwise products of x and the h*x, which often expose
-      a larger cyclic part of K.  Only a join that neither settles is
-      computed by `_closure`, seeded with H, <x> and the products h*x.
+    This reaches exactly the solvable subgroups, so G is added at the end.
+    Below order 120 every proper subgroup has order below 60 and is
+    solvable, so the lattice is whole even for a non-solvable G (A5 has 59
+    subgroups).  A G of order 120 or more that is not reached raises
+    ValueError: it is not solvable, and a non-solvable proper subgroup (the
+    A5 in S5) would be missed.
     """
     digest = group.digest()
     cached = _LATTICE_CACHE.get(digest)
@@ -363,138 +375,68 @@ def _enumerate_lattice(group: FiniteGroup) -> tuple[tuple[int, bool], ...]:
         return cached
 
     n = group.order
-    table = group.table
-    # scalar lookups in the loops below; the list dies with the call, and the
-    # lattice is cached, so each table is listed once
-    rows = table.tolist()
-    orders = group.element_orders()
-    divisors_n = numtheory.divisors(n)
-    full = (1 << n) - 1
-
-    cyclic_masks = [0] * n
-    for x in range(n):
-        mask, y = 1, x
-        while y != 0:
-            mask |= 1 << y
-            y = rows[y][x]
-        cyclic_masks[x] = mask
-
-    found = {1}
-    # masks indexed by (size, member element) so join-certificate scans only
-    # ever look at candidates already containing the extension element
-    by_size_elem: dict[tuple[int, int], list[int]] = {}
-    worklist = [1]
-
-    def register(mask: int) -> None:
-        if mask not in found:
-            found.add(mask)
-            size = mask.bit_count()
-            for e in _bits(mask):
-                by_size_elem.setdefault((size, e), []).append(mask)
-            worklist.append(mask)
-
-    for mask in cyclic_masks:
-        register(mask)
-    register(full)
-
-    def feasible(lo: int, mult: int) -> int:
-        # smallest divisor of n that is >= lo and a multiple of mult
-        for d in divisors_n:
-            if d >= lo and d % mult == 0:
-                return d
-        return n
-
-    def known(size_wanted: int, where: int, sub: int) -> bool:
-        # a found subgroup of the minimal feasible size containing H and the
-        # extension element must equal the join
-        for k in by_size_elem.get((size_wanted, where), ()):
-            if k & sub == sub:
-                return True
-        return False
-
-    resolved: set[int] = set()  # seed-union masks whose join is already settled
-    i = 0
-    while i < len(worklist):
-        sub = worklist[i]
-        i += 1
-        if sub == full or sub == 1:
-            continue  # no proper joins / joins with the trivial group are the seeds
-        elems = _bits(sub)
-        size = len(elems)
-        # canonical representative of the coset Hx, for every x at once
-        reps = table[elems].min(axis=0).tolist()
-        seen: set[int] = set()
-        for x in range(1, n):
-            if sub >> x & 1:
-                continue
-            rep = reps[x]
-            if rep in seen:
-                continue
-            seen.add(rep)
-            key = sub | cyclic_masks[x]
-            if key in resolved:
-                continue
-            resolved.add(key)
-            multiple = size
-            least = 2 * size
-            products = []
-            for a in elems:
-                w = rows[a][x]
-                products.append(w)
-                multiple = math.lcm(multiple, orders[w])
-                if multiple == n:
-                    break
-                spanned = size * orders[w] // (sub & cyclic_masks[w]).bit_count()
-                if spanned > least:
-                    least = spanned
-            if multiple == n:
-                continue  # join is the whole group, already registered
-            target = feasible(least, multiple)
-            if target == n or known(target, x, sub):
-                continue
-            # second-level products often expose a large cyclic part of the
-            # join that no first-level product h*x shows
-            probe = products + [x]
-            for p in probe:
-                rp = rows[p]
-                for q in probe:
-                    w = rp[q]
-                    multiple = math.lcm(multiple, orders[w])
-                    if multiple == n:
-                        break
-                    spanned = size * orders[w] // (sub & cyclic_masks[w]).bit_count()
-                    if spanned > least:
-                        least = spanned
-                if multiple == n:
-                    break
-            if multiple == n:
-                continue
-            refined = feasible(least, multiple)
-            if refined != target and (refined == n or known(refined, x, sub)):
-                continue
-            member = _to_row(sub | cyclic_masks[x], n)
-            member[products] = True
-            register(_to_mask(_closure(table, member)))
-
-    gens = group.generators()
-    inv = group.inverses()
-    result = []
-    for mask in sorted(found, key=lambda m: (m.bit_count(), m)):
-        elems = _bits(mask)
-        normal = True
-        for g in gens:
-            rg = rows[g]
-            ig = inv[g]
-            for a in elems:
-                if not mask >> rows[rg[a]][ig] & 1:
-                    normal = False
-                    break
-            if not normal:
-                break
-        result.append((mask, normal))
-    frozen = tuple(result)
+    power = _powers(group.table)
+    # x^p for each prime p dividing |G|: for x in N(H) outside H, one of them
+    # lies in H iff xH has prime order in N(H)/H
+    steps = power[[p - 1 for p, _ in numtheory.factorize(n)]].T
+    inv = np.asarray(group.inverses(), dtype=np.intp)
+    width = 8 * -(-n // 64)  # bytes per bitmask key
+    found = {(1).to_bytes(width, "little")}
+    by_order = {1: list(found)}
+    normal: dict[bytes, bool] = {}
+    for d in numtheory.divisors(n)[:-1]:
+        keys = by_order.pop(d, [])
+        step = max(1, _BATCH_CELLS // (n * max(d, n // d)))
+        for start in range(0, len(keys), step):
+            batch = keys[start : start + step]
+            flags, words, sizes = _extend_batch(group.table, _rows(batch, n), d, inv, power, steps)
+            normal.update(zip(batch, flags.tolist()))
+            _register(found, by_order, words, sizes)
+    whole = ((1 << n) - 1).to_bytes(width, "little")
+    if whole not in found and n >= 120:
+        raise ValueError(
+            "the full subgroup lattice needs a solvable group or an order "
+            f"below 120; this group of order {n} is not solvable"
+        )
+    normal[whole] = True
+    masks = ((int.from_bytes(key, "little"), flag) for key, flag in normal.items())
+    frozen = tuple(sorted(masks, key=lambda item: (item[0].bit_count(), item[0])))
     _LATTICE_CACHE[digest] = frozen
     return frozen
+
+
+def _extend_batch(
+    table: np.ndarray,
+    subs: np.ndarray,
+    d: int,
+    inv: np.ndarray,
+    power: np.ndarray,
+    steps: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normal flags of subgroups H_i of order d, and their cyclic extensions.
+
+    `subs` holds one membership row per H_i.  x normalizes H_i iff x^-1 h x
+    is in H_i for every h in H_i; N(H_i) is a union of cosets of H_i, so
+    this is tested on the least element of each coset only, in one gather
+    over the batch.  One x per coset outside H_i is tried, the coset's least
+    element, and kept when it normalizes H_i and one of steps[x] lies in
+    H_i.  H_i<x> is the union of the cosets of H_i that hold a power of x.
+    Returns the flags N(H_i) = G and the bitmask words and orders of the
+    extensions.
+    """
+    b, n = subs.shape
+    batch = np.arange(b)[:, None]
+    elems = subs.nonzero()[1].reshape(b, d)
+    coset, reps = _cosets(table, elems)
+    conj = table[table[inv[reps][:, None, :], elems[:, :, None]], reps[:, None, :]]
+    norm = subs[batch[:, :, None], conj].all(axis=1)
+    keep = norm[:, 1:] & subs[batch[:, :, None], steps[reps[:, 1:]]].any(axis=2)
+    which, col = keep.nonzero()
+    x = reps[which, col + 1]
+    pair = np.arange(x.size)[:, None]
+    hit = np.zeros((x.size, n // d), dtype=bool)
+    hit[pair, coset[which[:, None], power[:, x].T]] = True
+    return norm.all(axis=1), _words(hit[pair, coset[which]]), d * hit.sum(axis=1)
 
 
 def _normal_lattice(group: FiniteGroup) -> tuple[int, ...]:
@@ -561,20 +503,9 @@ def _normal_lattice(group: FiniteGroup) -> tuple[int, ...]:
 
     # the joins of {1} are the closures themselves
     seeds = _words(np.vstack([closures, np.ones(n, dtype=bool)]))
-    width = seeds.shape[1] * 8  # bytes per bitmask key
     found: set[bytes] = set()
     by_order: dict[int, list[bytes]] = {}
-
-    def register(words: np.ndarray, sizes: np.ndarray) -> None:
-        raw = words.astype("<u8", copy=False).tobytes()
-        keys = [raw[i : i + width] for i in range(0, len(raw), width)]
-        size_of = dict(zip(keys, sizes.tolist()))
-        new = size_of.keys() - found
-        found.update(new)
-        for key in new:
-            by_order.setdefault(size_of[key], []).append(key)
-
-    register(seeds, np.append(size, n))
+    _register(found, by_order, seeds, np.append(size, n))
     divisors = numtheory.divisors(n)
     for i, d in enumerate(divisors[1:-1], start=1):
         keys = by_order.pop(d, [])
@@ -583,10 +514,8 @@ def _normal_lattice(group: FiniteGroup) -> tuple[int, ...]:
         m = n // d
         step = max(1, _BATCH_CELLS // (n * max(d, m)))
         for start in range(0, len(keys), step):
-            batch = keys[start : start + step]
-            packed = np.frombuffer(b"".join(batch), dtype=np.uint8).reshape(len(batch), width)
-            subs = np.unpackbits(packed, axis=1, count=n, bitorder="little")
-            register(*_join_batch(table, subs, d, owner, members))
+            subs = _rows(keys[start : start + step], n)
+            _register(found, by_order, *_join_batch(table, subs, d, owner, members))
 
     masks = [int.from_bytes(key, "little") for key in found]
     frozen = tuple(sorted(masks, key=lambda m: (m.bit_count(), m)))
@@ -638,6 +567,11 @@ class Subgroup:
 
 def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """Every subgroup exactly once, sorted by (order, bitmask).
+
+    Found by cyclic extension, which reaches the solvable subgroups: the
+    lattice is whole for a solvable group and for any group of order below
+    120 (A5 included).  A non-solvable group of order 120 or more, such as
+    S5, raises ValueError.
 
     The bitmask is the sum of 2**e over the elements e, so within one order
     the subgroups are compared by their largest elements first, not by the
@@ -723,9 +657,7 @@ def _quotients(group: FiniteGroup, masks: Sequence[int]) -> list[FiniteGroup]:
         step = max(1, _BATCH_CELLS // (n * max(d, n // d)))
         for start in range(0, len(run), step):
             part = run[start : start + step]
-            raw = b"".join(mask.to_bytes(width, "little") for mask in part)
-            packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(part), width)
-            subs = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+            subs = _rows([mask.to_bytes(width, "little") for mask in part], n)
             tables = _quotient_batch(table, subs, d, gens, gen_inv)
             first, which = _distinct(tables.reshape(len(part), -1))
             built = [FiniteGroup(t) for t in tables[first]]

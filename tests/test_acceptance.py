@@ -41,7 +41,7 @@ def test_criterion_1_zm763_three_paths_agree():
     triple_sum = sum(t.subgroup_order for t in families.zm_normal_triples(triple))
     brute = oracle.group_divisor_sum(oracle.build_zm(7, 6, 3))
     elapsed = time.perf_counter() - start
-    kind = families.classify_group(closed_form, 42).kind
+    kind = families.classify_kind(closed_form, 42)
     report(
         "C1 zm(7,6,3) three-path",
         closed_form == triple_sum == brute == 85
@@ -207,7 +207,7 @@ def test_criterion_9_property_suite():
         cls = numtheory.classify_number(n)
         assert sum([cls.is_perfect, cls.is_abundant, cls.is_deficient]) == 1
         total = rng.randrange(1, 4 * n)
-        kind = families.classify_group(total, n).kind
+        kind = families.classify_kind(total, n)
         assert (
             sum(
                 [

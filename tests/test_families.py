@@ -264,18 +264,18 @@ def test_pq_divisor_sum():
 # classification
 
 
-def test_classify_group_examples():
-    assert fam.classify_group(24, 12).kind is GroupKind.LEINSTER
-    assert fam.classify_group(85, 42).kind is GroupKind.QUASI_LEINSTER
-    assert fam.classify_group(1, 1).kind is GroupKind.ALMOST_LEINSTER
+def test_classify_kind_examples():
+    assert fam.classify_kind(24, 12) is GroupKind.LEINSTER
+    assert fam.classify_kind(85, 42) is GroupKind.QUASI_LEINSTER
+    assert fam.classify_kind(1, 1) is GroupKind.ALMOST_LEINSTER
     with pytest.raises(ValueError):
-        fam.classify_group(0, 1)
+        fam.classify_kind(0, 1)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 10**9), st.integers(1, 10**6))
-def test_classify_group_trichotomy(D, order):
-    kind = fam.classify_group(D, order).kind
+def test_classify_kind_trichotomy(D, order):
+    kind = fam.classify_kind(D, order)
     if kind is GroupKind.QUASI_LEINSTER:
         assert D > 2 * order
     if kind is GroupKind.ALMOST_LEINSTER:

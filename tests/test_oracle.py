@@ -416,7 +416,21 @@ def test_normal_subgroups_of_s4_and_a5():
     for group in (s4, a5):
         assert oracle._normal_lattice(group) == full_lattice_normals(group)
         assert not oracle.is_nilpotent(group)
+    assert len(oracle.all_subgroups(s4)) == 30
     assert len(oracle.all_subgroups(a5)) == 59
+
+
+def test_all_subgroups_refuses_non_solvable_groups_from_order_120():
+    # cyclic extension reaches only solvable subgroups, so it would miss the
+    # A5 inside each of these
+    s5 = permutation_group([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+    a5 = permutation_group([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
+    a5_c2 = oracle.build_direct_product(a5, oracle.build_cyclic(2))
+    for group in (s5, a5_c2):
+        assert group.order == 120
+        with pytest.raises(ValueError, match="not solvable"):
+            oracle.all_subgroups(group)
+    assert oracle.group_divisor_sum(s5) == 1 + 60 + 120
 
 
 def gaussian_binomial(k, j, p):
@@ -687,10 +701,11 @@ def test_element_orders_and_cyclicity():
 
 def test_elementary_abelian_counts_match_gaussian_binomials():
     """Subgroup counts of C_p^k per order, against the closed-form count."""
-    for p, kmax in ((2, 6), (3, 3), (5, 2)):
+    for p, kmax, total in ((2, 6, 2825), (3, 4, 212), (5, 3, 64)):
         for k in range(1, kmax + 1):
             group = oracle.build_abelian([p] * k)
             subs = oracle.all_subgroups(group)
             for j in range(k + 1):
                 expected = gaussian_binomial(k, j, p)
                 assert sum(1 for s in subs if s.order == p**j) == expected, (p, k, j)
+        assert len(subs) == total == sum(gaussian_binomial(kmax, j, p) for j in range(kmax + 1))

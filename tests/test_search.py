@@ -12,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from leinster import cli, families, numtheory, oracle, search
-from leinster.families import GroupKind, classify_group
+from leinster.families import GroupKind
 from leinster.search import SearchRecord, SweepConfig
 
 QUASI = frozenset({GroupKind.QUASI_LEINSTER})
@@ -55,7 +55,7 @@ def test_cyclic_sweep_classes_rederivable():
     records = sweep(family="cyclic", bounds={"max_n": 50})
     assert len(records) == 49  # n = 1 is an edge, excluded by default
     for record in records:
-        assert record.kind is classify_group(record.D, record.order).kind
+        assert record.kind is families.classify_kind(record.D, record.order)
     leinsters = [r.params for r in records if r.kind is GroupKind.LEINSTER]
     assert leinsters == [(6,), (28,)]
 
