@@ -69,9 +69,10 @@ class OrderCapError(Exception):
 
 # Deterministic Miller-Rabin witness set: exact for all n < 3.3e24, which
 # covers the whole 64-bit range.  Above the limit the same witnesses are used
-# plus `rounds` pseudo-random ones (seeded from n, so results are stable).
+# plus _RANDOM_ROUNDS pseudo-random ones (seeded from n, so results are stable).
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _WITNESS_LIMIT = 1 << 64
+_RANDOM_ROUNDS = 40
 
 #: First 12 known Mersenne prime exponents.  Not trusted as-is: each is
 #: re-proved by lucas_lehmer on first use (see verified_mersenne_exponents).
@@ -154,11 +155,11 @@ def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
     return False
 
 
-def is_prime(n: int, *, rounds: int = 40) -> bool:
+def is_prime(n: int) -> bool:
     """Primality test: exact below 2**64, a probable-prime test above.
 
-    Above the exact range, `rounds` extra pseudo-random witnesses are tried,
-    seeded from n, so the verdict is reproducible but not a proof.
+    Above the exact range, _RANDOM_ROUNDS extra pseudo-random witnesses are
+    tried, seeded from n, so the verdict is reproducible but not a proof.
     """
     spf = _SPF
     if spf is not None and n < len(spf):
@@ -181,7 +182,7 @@ def is_prime(n: int, *, rounds: int = 40) -> bool:
     if n < _WITNESS_LIMIT:
         return True
     rng = random.Random(n)
-    for _ in range(rounds):
+    for _ in range(_RANDOM_ROUNDS):
         a = rng.randrange(2, n - 1)
         if not _miller_rabin_round(n, a, d, s):
             return False

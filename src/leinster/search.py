@@ -34,10 +34,10 @@ mistyped cache line of the swept family, or one whose class disagrees with
 its D and order, is skipped with a warning and its tuple recomputed; a line
 of another family is skipped by its prefix without a decode.
 
-ZM triples are enumerated from the residues of each m grouped by
-multiplicative order, so the max_n factor of the old max_m^2 * max_n scan is
-gone; the scan over the residues of each m is still Theta(max_m^2).  The
-budget gate still counts max_m * max_n * max_m.
+ZM triples are enumerated from the residues of each odd m (an even m has
+none) grouped by multiplicative order, and `dedupe` drops a triple there,
+before it is evaluated or cached.  The scan over the residues of each m is
+still Theta(max_m^2), and the budget gate still counts max_m * max_n * max_m.
 
 Importing the module loads neither numpy nor the oracle: the family builders
 and `oracle_crosscheck` import `leinster.oracle` when first called, and a
@@ -330,18 +330,15 @@ def _enumerate_affine(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
             yield (q,)
 
 
-def _enumerate_pq(cfg: SweepConfig) -> list[tuple[int, ...]]:
+def _enumerate_pq(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
+    """The prime pairs (p, q) with q = 1 (mod p), in (p, q) order; p walks its odd q only."""
     max_q = cfg.bound("max_q")
-    max_p = cfg.bounds.get("max_p", max_q)
-    out = []
-    for q in range(3, max_q + 1):
-        if not numtheory.is_prime(q):
-            continue
-        for p in range(2, min(q - 1, max_p) + 1):
-            if (q - 1) % p == 0 and numtheory.is_prime(p):
-                out.append((p, q))
-    out.sort()
-    return out
+    for p in range(2, min(cfg.bounds.get("max_p", max_q), max_q - 1) + 1):
+        if numtheory.is_prime(p):
+            step = p if p == 2 else 2 * p
+            for q in range(1 + step, max_q + 1, step):
+                if numtheory.is_prime(q):
+                    yield (p, q)
 
 
 def _enumerate_gen_dihedral(cfg: SweepConfig) -> list[tuple[int, ...]]:
@@ -366,11 +363,12 @@ def _enumerate_zm(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
     A residue r gives a valid triple with n iff gcd(m, n) = 1,
     gcd(r - 1, m) = 1 and ord_m(r) | n (r^n = 1 makes r a unit).  So each
     m's residues are grouped by their order once, and every multiple n of an
-    order takes that group.  zm_validate still gates every emitted triple.
+    order takes that group.  An even m has none, as r and r - 1 are not both
+    prime to it.  A triple `dedupe` drops is never evaluated or cached.
     """
     max_m = cfg.bound("max_m")
     max_n = cfg.bounds.get("max_n") if cfg.paper_mode else cfg.bound("max_n")
-    for m in range(1, max_m + 1):
+    for m in range(1, max_m + 1, 2):  # odd m only, m = 1 included
         if cfg.paper_mode:
             if not numtheory.is_prime(m) or (max_n is not None and m - 1 > max_n):
                 continue
@@ -385,7 +383,7 @@ def _enumerate_zm(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
                     rows.setdefault(n, []).extend(rs)
         for n in sorted(rows):
             for r in sorted(rows[n]):
-                if families.zm_validate(m, n, r) is not None:
+                if not cfg.dedupe or families.zm_canonical(families.ZMTriple(m, n, r)).r == r:
                     yield (m, n, r)
 
 
@@ -830,10 +828,6 @@ def run_sweep(cfg: SweepConfig):
                         continue
                     if cfg.classes is not None and record.kind not in cfg.classes:
                         continue
-                    if cfg.dedupe and cfg.family == "zm":
-                        triple = families.ZMTriple(*record.params)
-                        if families.zm_canonical(triple) != triple:
-                            continue
                     yield record
 
 

@@ -5,7 +5,10 @@ dicyclic, metacyclic, prime affine, and their coprime direct products) up to
 a maximum order, then checks every closed-form divisor-sum formula and every
 structural invariant of the group divisor-sum function against brute force.
 Each invariant reports a pass/fail verdict together with how many instances
-were checked and the first counterexample on failure.
+were checked and the first counterexample on failure.  A family's corpus
+entries come from its `search.FAMILY` record alone, its enumerator and its
+builder, so a new enumerator or builder reaches the corpus with no edit
+here; Dic(A, y) has no record yet and keeps a loop of its own.
 
 Some parts of the corpus stop at fixed orders whatever the maximum order:
 generalized dihedral Dih(A) entries have |A| <= 32, generalized dicyclic
@@ -28,7 +31,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from . import families, numtheory, oracle
-from .search import FAMILY
+from .search import FAMILY, SweepConfig
 
 __all__ = ["CorpusEntry", "InvariantResult", "run_verify"]
 
@@ -59,69 +62,61 @@ class CorpusEntry:
     family: str
     params: tuple[int, ...]
     group: oracle.FiniteGroup
-    base: oracle.FiniteGroup | None = None  # the abelian A behind a Dic build
+
+
+# The corpus, part by part.  A registry family's row is (name, cap, bounds,
+# label, keep): its entries are the params its enumerator gives under the
+# sweep bounds `bounds(cap)` that `keep(params, cap)` accepts (None: all),
+# built by its builder, less those the builder gives None for.  `cap` is the
+# part's order cap (None: the maximum order); `keep` drops the params above
+# it, and ZM(1, n, 0) = C_n and Dih(C_n) = D_2n, which are held already.
+_PARTS: tuple[tuple, ...] = (
+    ("cyclic", None, lambda c: {"max_n": c}, lambda p: f"C{p[0]}", None),
+    ("dihedral", None, lambda c: {"max_n": c // 2}, lambda p: f"D{2 * p[0]}", None),
+    ("gen-dihedral", 2 * _DIH_CAP, lambda c: {"max_a": c // 2},
+     lambda p: "Dih({})".format("x".join(f"C{d}" for d in p)), lambda p, c: len(p) > 1),
+    ("dicyclic", None, lambda c: {"max_n": c // 4}, lambda p: f"Dic{4 * p[0]}", None),
+    ("gen-dicyclic",),  # no registry record yet: a loop of its own
+    ("zm", _ZM_PQ_CAP, lambda c: {"max_m": c // 2, "max_n": c // 3},
+     lambda p: "ZM({},{},{})".format(*p), lambda p, c: p[0] > 1 and p[0] * p[1] <= c),
+    ("affine", None, lambda c: {"max_q": math.isqrt(c) + 1},
+     lambda p: f"Aff({p[0]})", lambda p, c: p[0] * (p[0] - 1) <= c),
+    ("pq", _ZM_PQ_CAP, lambda c: {"max_q": c // 2},
+     lambda p: "G({},{})".format(*p), lambda p, c: p[0] * p[1] <= c),
+)
+
+
+def _family_part(max_order: int, name: str, cap, bounds, label, keep) -> Iterator[CorpusEntry]:
+    family = FAMILY[name]
+    cap = max_order if cap is None else min(cap, max_order)
+    bounds = bounds(cap)
+    if min(bounds.values()) < 1:
+        return  # no group of the family is that small
+    for params in family.enumerate(SweepConfig(name, bounds)):
+        if keep is None or keep(params, cap):
+            group = family.build(params)
+            if group is not None:
+                yield CorpusEntry(label(params), name, params, group)
+
+
+def _gen_dicyclic_part(max_order: int) -> Iterator[CorpusEntry]:
+    """Dic(A, y) for non-cyclic A of even order > 2, one entry per distinct table."""
+    seen_digests: set[bytes] = set()
+    for chain in families.abelian_types(min(_DIC_CAP, max_order // 2)):
+        if len(chain) < 2 or math.prod(chain) % 2 or math.prod(chain) <= 2:
+            continue
+        for y in oracle.order_two_elements(oracle.build_abelian(chain)):
+            group = oracle.build_generalized_dicyclic(chain, y)
+            if group.digest() not in seen_digests:
+                seen_digests.add(group.digest())
+                label = "Dic(" + "x".join(f"C{d}" for d in chain) + f",y={y})"
+                yield CorpusEntry(label, "gen-dicyclic", chain + (y,), group)
 
 
 def _build_corpus(max_order: int) -> list[CorpusEntry]:
     entries: list[CorpusEntry] = []
-
-    def add(label: str, family: str, params: tuple[int, ...], base=None) -> None:
-        group = FAMILY[family].build(params)
-        entries.append(CorpusEntry(label, family, params, group, base))
-
-    for n in range(1, max_order + 1):
-        add(f"C{n}", "cyclic", (n,))
-
-    for n in range(1, max_order // 2 + 1):
-        add(f"D{2 * n}", "dihedral", (n,))
-
-    dih_cap = min(_DIH_CAP, max_order // 2)
-    for chain in families.abelian_types(dih_cap):
-        if len(chain) < 2:
-            continue  # cyclic A is covered by the dihedral entries
-        label = "Dih(" + "x".join(f"C{d}" for d in chain) + ")"
-        add(label, "gen-dihedral", chain)
-
-    for n in range(2, max_order // 4 + 1):
-        add(f"Dic{4 * n}", "dicyclic", (n,), oracle.build_abelian([2 * n]))
-
-    dic_cap = min(_DIC_CAP, max_order // 2)
-    seen_digests: set[bytes] = set()
-    for chain in families.abelian_types(dic_cap):
-        if len(chain) < 2 or math.prod(chain) % 2 or math.prod(chain) <= 2:
-            continue
-        base = oracle.build_abelian(chain)
-        for y in oracle.order_two_elements(base):
-            group = oracle.build_generalized_dicyclic(chain, y)
-            if group.digest() in seen_digests:
-                continue
-            seen_digests.add(group.digest())
-            label = "Dic(" + "x".join(f"C{d}" for d in chain) + f",y={y})"
-            entries.append(CorpusEntry(label, "gen-dicyclic", chain + (y,), group, base))
-
-    zm_cap = min(max_order, _ZM_PQ_CAP)
-    for m in range(2, zm_cap // 2 + 1):
-        for n in range(2, zm_cap // m + 1):
-            if math.gcd(m, n) != 1:
-                continue
-            for r in range(2, m):
-                if families.zm_validate(m, n, r) is not None:
-                    add(f"ZM({m},{n},{r})", "zm", (m, n, r))
-
-    p = 2
-    while p * (p - 1) <= max_order:
-        if numtheory.is_prime(p):
-            add(f"Aff({p})", "affine", (p,))
-        p += 1
-
-    pq_cap = min(max_order, _ZM_PQ_CAP)
-    for q in range(3, pq_cap + 1):
-        if not numtheory.is_prime(q):
-            continue
-        for p in range(2, q):
-            if p * q <= pq_cap and numtheory.is_prime(p) and (q - 1) % p == 0:
-                add(f"G({p},{q})", "pq", (p, q))
-
+    for name, *part in _PARTS:
+        entries += _family_part(max_order, name, *part) if part else _gen_dicyclic_part(max_order)
     return entries
 
 
@@ -229,9 +224,12 @@ def _check_dicyclic_bound(corpus: list[CorpusEntry], max_order: int) -> Outcomes
     for entry in corpus:
         if entry.family not in ("dicyclic", "gen-dicyclic"):
             continue
+        # A is C_2n for Dic4n, and the chain before y for Dic(A, y)
+        chain = (2 * entry.params[0],) if entry.family == "dicyclic" else entry.params[:-1]
+        base = oracle.build_abelian(chain)
         total = oracle.group_divisor_sum(entry.group)
-        half = entry.base.order // 2 * 4  # 4n where |A| = 2n
-        base_sum = oracle.group_divisor_sum(entry.base)
+        half = 2 * base.order  # 4n where |A| = 2n
+        base_sum = oracle.group_divisor_sum(base)
         if total < half + base_sum:
             yield f"{entry.label}: D = {total} < {half} + {base_sum}"
         else:

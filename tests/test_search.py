@@ -804,6 +804,59 @@ def test_zm_enumeration_keeps_the_m_equals_1_records():
     assert [p for p in params if p[0] == 1] == [(1, n, 0) for n in range(1, 5)]
 
 
+def test_zm_dedupe_evaluates_only_canonical_triples(monkeypatch):
+    seen = []
+    evaluate = search._evaluate_batch
+
+    def watched(family, batch):
+        seen.extend(batch)
+        return evaluate(family, batch)
+
+    monkeypatch.setattr(search, "_evaluate_batch", watched)
+    bounds = {"max_m": 40, "max_n": 12}
+    records = sweep(family="zm", bounds=bounds, dedupe=True)
+    assert seen
+    for params in seen:
+        triple = families.ZMTriple(*params)
+        assert families.zm_canonical(triple) == triple, params
+    everything = sweep(family="zm", bounds=bounds)
+    assert records == [
+        r for r in everything if families.zm_canonical(families.ZMTriple(*r.params)).r == r.params[2]
+    ]
+
+
+def scan_and_sort_pq(max_q, max_p=None):
+    """The pq pairs as a scan of every p below every prime q, then a sort."""
+    max_p = max_q if max_p is None else max_p
+    out = []
+    for q in range(3, max_q + 1):
+        if not numtheory.is_prime(q):
+            continue
+        for p in range(2, min(q - 1, max_p) + 1):
+            if (q - 1) % p == 0 and numtheory.is_prime(p):
+                out.append((p, q))
+    out.sort()
+    return out
+
+
+@pytest.mark.parametrize("max_p", [None, 1, 2, 3, 7, 5000])
+@pytest.mark.parametrize("max_q", [1, 2, 3, 4, 7, 50, 2000])
+def test_pq_enumeration_equals_scan_and_sort(max_q, max_p):
+    bounds = {"max_q": max_q} | ({"max_p": max_p} if max_p is not None else {})
+    pairs = search._enumerate_pq(SweepConfig(family="pq", bounds=bounds))
+    assert not isinstance(pairs, list)  # generated in order, never held whole
+    assert list(pairs) == scan_and_sort_pq(max_q, max_p)
+
+
+def test_pq_enumeration_yields_its_first_pair_at_once(monkeypatch):
+    calls = []
+    is_prime = numtheory.is_prime
+    monkeypatch.setattr(numtheory, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    pairs = search._enumerate_pq(SweepConfig(family="pq", bounds={"max_q": 3000}))
+    assert next(pairs) == (2, 3)
+    assert len(calls) <= 3
+
+
 def test_worker_count_does_not_change_output():
     serial = sweep(family="zm", bounds={"max_m": 15, "max_n": 8})
     parallel = sweep(family="zm", bounds={"max_m": 15, "max_n": 8}, workers=3)

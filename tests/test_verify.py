@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from leinster import cli, families, oracle, verify
+from leinster import cli, families, numtheory, oracle, verify
 
 
 def by_name(results):
@@ -42,6 +44,44 @@ def test_corpus_contains_each_family():
         "affine",
         "pq",
     } <= families
+
+
+def corpus_params_by_loops(max_order):
+    """The zm, pq, affine and gen-dihedral params of the corpus, found by loops
+    of their own rather than by the families' enumerators."""
+    cap = min(max_order, verify._ZM_PQ_CAP)
+    zm = []
+    for m in range(2, cap // 2 + 1):
+        for n in range(2, cap // m + 1):
+            if math.gcd(m, n) != 1:
+                continue
+            for r in range(2, m):
+                if families.zm_validate(m, n, r) is not None:
+                    zm.append((m, n, r))
+    pq = []
+    for q in range(3, cap + 1):
+        if not numtheory.is_prime(q):
+            continue
+        for p in range(2, q):
+            if p * q <= cap and numtheory.is_prime(p) and (q - 1) % p == 0:
+                pq.append((p, q))
+    affine = []
+    p = 2
+    while p * (p - 1) <= max_order:
+        if numtheory.is_prime(p):
+            affine.append((p,))
+        p += 1
+    dih_cap = min(verify._DIH_CAP, max_order // 2)
+    gen_dihedral = [chain for chain in families.abelian_types(dih_cap) if len(chain) >= 2]
+    return {"zm": zm, "pq": sorted(pq), "affine": affine, "gen-dihedral": gen_dihedral}
+
+
+@pytest.mark.parametrize("max_order", [1, 2, 5, 6, 24, 100, 200])
+def test_corpus_takes_each_family_from_its_enumerator(max_order):
+    corpus = verify._build_corpus(max_order)
+    for family, want in corpus_params_by_loops(max_order).items():
+        assert [e.params for e in corpus if e.family == family] == want, family
+    assert all(entry.group.order <= max_order for entry in corpus)
 
 
 def test_small_run_includes_key_instances():
