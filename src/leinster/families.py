@@ -15,11 +15,16 @@ Functions, Mem. AMS 539, 1994).  Every formula here has a brute-force
 counterpart in :mod:`leinster.oracle`; the verification suite holds the two
 sides together.  The finite abelian groups A are enumerated here too, as
 invariant-factor chains (`iter_abelian_types`), for the gen-dihedral sweep
-and the verify corpus.
+and the verify corpus: one group order n at a time, each chain from one
+partition of e for each p^e || n, so their number (`count_abelian_types`)
+is known before they are built.  Birkhoff's sum is kept per Sylow type
+(p, lambda), so a sweep computes it once per type.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -34,6 +39,7 @@ __all__ = [
     "abelian_types",
     "affine_divisor_sum",
     "classify_kind",
+    "count_abelian_types",
     "dicyclic_divisor_sum",
     "dihedral_divisor_sum",
     "generalized_dihedral_divisor_sum",
@@ -237,6 +243,12 @@ def dihedral_divisor_sum(n: int) -> int:
     return numtheory.divisor_sum(n) + extra
 
 
+# Entries of each cache of generalized_dihedral_divisor_sum.  A sweep to
+# max_a = 10^5 meets 10,869 Sylow types, 9,592 of them C_p for a prime p,
+# which are cheap to compute again; the 1,277 others and the few r fit.
+_SUM_CACHE_SIZE = 1 << 12
+
+
 def _gaussian_binomial(n: int, k: int, q: int) -> int:
     """[n, k]_q: the number of k-dimensional subspaces of an n-dimensional F_q-space."""
     num = den = 1
@@ -246,11 +258,14 @@ def _gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def _p_group_subgroup_order_sum(p: int, exponents: list[int]) -> int:
+@functools.lru_cache(maxsize=_SUM_CACHE_SIZE)
+def _p_group_subgroup_order_sum(p: int, partition: tuple[int, ...]) -> int:
     """Sum of |H| over the subgroups H of the abelian p-group of type lambda.
 
-    lambda is the partition `exponents`.  By Birkhoff's formula the subgroups
-    of type mu number the product over the columns i = 1..lambda_1 of
+    lambda is `partition`, its parts in non-increasing order: callers sort
+    them, so each type is one cache entry.  By Birkhoff's formula the
+    subgroups of type mu number the product over the columns i = 1..lambda_1
+    of
 
         p^(mu'_{i+1} (lambda'_i - mu'_i)) [lambda'_i - mu'_{i+1}, mu'_i - mu'_{i+1}]_p
 
@@ -259,9 +274,7 @@ def _p_group_subgroup_order_sum(p: int, exponents: list[int]) -> int:
     runs column by column from the last to the first, with one running total
     per value of the current column mu'_i.
     """
-    columns = [
-        sum(1 for e in exponents if e >= i) for i in range(1, max(exponents) + 1)
-    ]
+    columns = [sum(1 for e in partition if e >= i) for i in range(1, partition[0] + 1)]
     totals = [1]  # indexed by mu'_{i+1}; past the last column mu' is 0
     for lam in reversed(columns):
         totals = [
@@ -273,6 +286,12 @@ def _p_group_subgroup_order_sum(p: int, exponents: list[int]) -> int:
             for a in range(lam + 1)
         ]
     return sum(totals)
+
+
+@functools.lru_cache(maxsize=_SUM_CACHE_SIZE)
+def _subgroup_count_2(r: int) -> int:
+    """The number of subgroups of C2^r, the Galois number sum_k [r, k]_2."""
+    return sum(_gaussian_binomial(r, k, 2) for k in range(r + 1))
 
 
 def generalized_dihedral_divisor_sum(a_factors: list[int] | tuple[int, ...]) -> int:
@@ -290,8 +309,10 @@ def generalized_dihedral_divisor_sum(a_factors: list[int] | tuple[int, ...]) -> 
     even factors: sum_k [r, k]_2.  The first sum is multiplicative over the
     Sylow subgroups of A and is evaluated for each of them from Birkhoff's
     subgroup count (L. M. Butler, Subgroup Lattices and Symmetric Functions,
-    Mem. AMS 539, 1994).  No cap applies to |A|; only factoring a huge
-    factor can hit numtheory's effort cap.
+    Mem. AMS 539, 1994).  Both are kept per Sylow type (p, lambda) and per r
+    (`_SUM_CACHE_SIZE` of each, least recently used first out), so a sweep
+    computes each about once.  No cap applies to |A|; only factoring a huge factor
+    can hit numtheory's effort cap.
     """
     exponents: dict[int, list[int]] = {}
     for f in a_factors:
@@ -301,36 +322,65 @@ def generalized_dihedral_divisor_sum(a_factors: list[int] | tuple[int, ...]) -> 
             exponents.setdefault(p, []).append(e)
     lattice_sum = 1
     for p, exps in exponents.items():
-        lattice_sum *= _p_group_subgroup_order_sum(p, exps)
+        lattice_sum *= _p_group_subgroup_order_sum(p, tuple(sorted(exps, reverse=True)))
     r = len(exponents.get(2, ()))
-    containing = sum(_gaussian_binomial(r, k, 2) for k in range(r + 1))
-    return lattice_sum + 2 * math.prod(a_factors) * containing
+    return lattice_sum + 2 * math.prod(a_factors) * _subgroup_count_2(r)
+
+
+@functools.lru_cache(maxsize=None)
+def _partitions(e: int) -> tuple[tuple[int, ...], ...]:
+    """The partitions of e >= 1, each as its parts in non-increasing order.
+
+    An exponent e of a prime power dividing an order is at most log2 of it,
+    so the cache holds a few dozen entries.
+    """
+    out = []
+    stack = [((), e, e)]  # (parts so far, rest to split, largest part allowed)
+    while stack:
+        parts, rest, largest = stack.pop()
+        if not rest:
+            out.append(parts)
+            continue
+        for part in range(1, min(rest, largest) + 1):
+            stack.append((parts + (part,), rest - part, part))
+    return tuple(out)
+
+
+def count_abelian_types(n: int) -> int:
+    """The number of abelian groups of order n up to isomorphism.
+
+    It is the product over p^e || n of the number of partitions of e.
+    """
+    return math.prod(len(_partitions(e)) for _, e in numtheory.factorize(n))
 
 
 def iter_abelian_types(max_order: int) -> Iterator[tuple[int, ...]]:
     """Invariant-factor chains d1 | d2 | ... | dk (d1 >= 2) with product <= max_order.
 
     One chain per isomorphism type of finite abelian group, the empty chain
-    standing for the trivial group.  The empty chain comes first and the rest
-    in depth-first order, one at a time, so a caller can stop early.
+    standing for the trivial group, in (order, chain) order: one order n at
+    a time, so a caller can stop early and nothing but one order's chains
+    is held.  A chain of order n takes one partition lambda_p of e for each
+    p^e || n, and its i-th largest invariant factor is the product over p of
+    p^(lambda_p[i]) (a missing part counting as 0).
     """
-
-    def extend(chain: tuple[int, ...], prod: int) -> Iterator[tuple[int, ...]]:
-        yield chain
-        last = chain[-1]
-        d = last
-        while prod * d <= max_order:
-            yield from extend(chain + (d,), prod * d)
-            d += last
-
     yield ()
-    for d in range(2, max_order + 1):
-        yield from extend((d,), d)
+    for n in range(2, max_order + 1):
+        sylow = numtheory.factorize(n)
+        chains = []
+        for choice in itertools.product(*(_partitions(e) for _, e in sylow)):
+            factors = [1] * max(map(len, choice))
+            for (p, _), parts in zip(sylow, choice):
+                for i, part in enumerate(parts):
+                    factors[i] *= p**part
+            chains.append(tuple(reversed(factors)))
+        chains.sort()
+        yield from chains
 
 
 def abelian_types(max_order: int) -> list[tuple[int, ...]]:
-    """The chains of iter_abelian_types, sorted by (order, chain)."""
-    return sorted(iter_abelian_types(max_order), key=lambda c: (math.prod(c), c))
+    """The chains of iter_abelian_types, as a list in (order, chain) order."""
+    return list(iter_abelian_types(max_order))
 
 
 # ---------------------------------------------------------------------------

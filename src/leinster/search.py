@@ -38,6 +38,11 @@ ZM triples are enumerated from the residues of each odd m (an even m has
 none) grouped by multiplicative order, and `dedupe` drops a triple there,
 before it is evaluated or cached.  The scan over the residues of each m is
 still Theta(max_m^2), and the budget gate still counts max_m * max_n * max_m.
+The pq gate bounds the steps of the pq walk by (max_q - 1) * (1 + ln P),
+P = min(max_p, max_q - 1).  Gen-dihedral chains come one group order at a
+time from `families.iter_abelian_types`; they are counted first, so a sweep
+over the budget is refused before any chain is evaluated, and only one chunk
+of them is held.
 
 Importing the module loads neither numpy nor the oracle: the family builders
 and `oracle_crosscheck` import `leinster.oracle` when first called, and a
@@ -308,6 +313,8 @@ class SweepConfig:
             raise ValueError("paper mode applies to zm sweeps only")
         if self.fixed_r is not None and self.family != "zm":
             raise ValueError("a fixed r applies to zm sweeps only")
+        if self.dedupe and self.family != "zm":
+            raise ValueError("dedupe applies to zm sweeps only")
 
     def bound(self, key: str) -> int:
         try:
@@ -341,20 +348,25 @@ def _enumerate_pq(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
                     yield (p, q)
 
 
-def _enumerate_gen_dihedral(cfg: SweepConfig) -> list[tuple[int, ...]]:
-    """The non-trivial chains of order <= max_a, counted against the budget."""
-    out = []
-    for chain in families.iter_abelian_types(cfg.bound("max_a")):
-        if not chain:
-            continue
-        out.append(chain)
-        if len(out) > cfg.budget:
+def _enumerate_gen_dihedral(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
+    """The non-trivial chains of order <= max_a in (order, chain) order, as a stream.
+
+    They are counted first, order by order by `count_abelian_types`, and the
+    count stops one past the budget: a sweep over it is refused before any
+    chain is evaluated.
+    """
+    max_a = cfg.bound("max_a")
+    count = 0
+    for n in range(2, max_a + 1):
+        count += families.count_abelian_types(n)
+        if count > cfg.budget:
             raise BudgetError(
                 f"sweep bounds describe more than {cfg.budget} chains, "
                 f"over the budget of {cfg.budget}"
             )
-    out.sort(key=lambda c: (math.prod(c), c))
-    return out
+    chains = families.iter_abelian_types(max_a)
+    next(chains)  # the trivial group's empty chain
+    return chains
 
 
 def _enumerate_zm(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
@@ -441,6 +453,20 @@ def _count(key: str) -> Callable[[SweepConfig], int]:
     return lambda cfg: cfg.bounds.get(key, 1)
 
 
+def _pq_step_count(cfg: SweepConfig) -> int:
+    """A bound on the steps of `_enumerate_pq`: (max_q - 1) * ceil(1 + ln P).
+
+    P = min(max_p, max_q - 1).  The walk takes one step per p <= P, at most
+    max_q - 1 in all, and a prime p tries at most (max_q - 1) / p values of
+    q; so it takes at most (max_q - 1) times the harmonic number H_P, and
+    H_P <= 1 + ln P.  The product is formed in integers, so no bound is too
+    large for it.
+    """
+    max_q = cfg.bounds.get("max_q", 1)
+    top = max(1, min(cfg.bounds.get("max_p", max_q), max_q - 1))
+    return (max_q - 1) * math.ceil(1 + math.log(top))
+
+
 def _zm_tuple_count(cfg: SweepConfig) -> int:
     b = cfg.bounds
     r_span = 1 if cfg.fixed_r is not None else b.get("max_m", 1)
@@ -486,8 +512,7 @@ FAMILY: dict[str, Family] = {
             lambda p: _oracle().build_generalized_dicyclic([2 * p[0]], p[0]),
         ),
         Family(
-            "pq", ("max_q", "max_p"), 2, lambda cfg: cfg.bounds.get("max_q", 1) ** 2,
-            _enumerate_pq,
+            "pq", ("max_q", "max_p"), 2, _pq_step_count, _enumerate_pq,
             lambda p: (p[0] * p[1], families.pq_divisor_sum(*p), ()),
             _build_pq,
         ),

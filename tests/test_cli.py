@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import leinster
-from leinster import cli, search
+from leinster import cli, families, search
 
 
 def test_classify_gen_dihedral_c2_to_the_ninth(capsys):
@@ -52,14 +52,35 @@ def test_classify_gen_dihedral_zero_factor_is_a_domain_error(capsys):
     assert "domain error" in capsys.readouterr().err
 
 
-def test_gen_dihedral_sweep_counts_chains_for_the_budget(capsys):
+def test_gen_dihedral_sweep_counts_chains_for_the_budget(capsys, monkeypatch):
     argv = ["search", "gen-dihedral", "--max-a", "3200"]
     assert cli.main(argv) == cli.EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 6965
-    assert cli.main(argv + ["--budget", "6964"]) == cli.EXIT_RESOURCE
-    assert "over the budget of 6964" in capsys.readouterr().err
+    # refused before the first chain is evaluated
+    with monkeypatch.context() as m:
+        m.setattr(families, "generalized_dihedral_divisor_sum", None)
+        assert cli.main(argv + ["--budget", "6964"]) == cli.EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "over the budget of 6964" in captured.err
     assert cli.main(argv + ["--budget", "6965"]) == cli.EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 6965
+
+
+def test_pq_budget_counts_the_steps_walked(capsys):
+    argv = ["search", "pq", "--max-q", "4000"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 1580
+    assert cli.main(argv + ["--budget", "1000"]) == cli.EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "resource cap: sweep bounds describe up to 39990 tuples, over the budget of 1000\n"
+    )
+    # the bound is an integer product: no float overflows on a huge max_q
+    huge = ["search", "pq", "--max-q", str(10**400), "--budget", "5"]
+    assert cli.main(huge) == cli.EXIT_RESOURCE
+    assert capsys.readouterr().out == ""
 
 
 def test_ctrl_c_exits_130_with_one_line(monkeypatch, capsys):
@@ -253,6 +274,7 @@ GOLDEN = [
     ('search cyclic --min-n 2 --max-n 10', 2, 'e3b0c44298fc1c14', "domain error: cyclic sweeps accept bounds ['max_n'], got 'min_n'\n"),
     ('search dihedral --max-n 10 --paper-mode', 2, 'e3b0c44298fc1c14', 'domain error: paper mode applies to zm sweeps only\n'),
     ('search cyclic --max-n 10 --r 2', 2, 'e3b0c44298fc1c14', 'domain error: a fixed r applies to zm sweeps only\n'),
+    ('search cyclic --max-n 6 --dedupe', 2, 'e3b0c44298fc1c14', 'domain error: dedupe applies to zm sweeps only\n'),
     ('search zm --max-m 1000 --max-n 1000 --budget 100', 4, 'e3b0c44298fc1c14', 'resource cap: sweep bounds describe up to 1000000000 tuples, over the budget of 100\n'),
     ('search gen-dihedral --max-a 40 --budget 5', 4, 'e3b0c44298fc1c14', 'resource cap: sweep bounds describe more than 5 chains, over the budget of 5\n'),
     ('search cyclic --max-n 10 --workers 0', 1, 'e3b0c44298fc1c14', 'usage error: --workers must be at least 1\n'),

@@ -201,6 +201,118 @@ def test_abelian_types():
     ]
 
 
+def _depth_first_abelian_types(max_order):
+    # the former iter_abelian_types: every chain d1 | d2 | ... | dk (d1 >= 2)
+    # of product <= max_order, depth first, then sorted by (order, chain)
+    def extend(chain, prod):
+        yield chain
+        last = chain[-1]
+        d = last
+        while prod * d <= max_order:
+            yield from extend(chain + (d,), prod * d)
+            d += last
+
+    def walk():
+        yield ()
+        for d in range(2, max_order + 1):
+            yield from extend((d,), d)
+
+    return sorted(walk(), key=lambda c: (math.prod(c), c))
+
+
+def test_abelian_types_by_order_equal_the_depth_first_walk():
+    # The walk at a bound m is its walk at 3000 cut to the chains of order
+    # <= m, and the stream at m is its stream at 3000 cut after order m (it
+    # goes one order at a time), so the two agree at every m <= 3000.
+    # Small bounds are compared whole as well, for the cut itself.
+    full = fam.abelian_types(3000)
+    assert full == _depth_first_abelian_types(3000)
+    assert len(full) == 6493  # the trivial group's empty chain included
+    for m in range(0, 300):
+        assert fam.abelian_types(m) == _depth_first_abelian_types(m), m
+    per_order = [0] * 3001
+    for chain in full:
+        per_order[math.prod(chain)] += 1
+    assert per_order[1:] == [fam.count_abelian_types(n) for n in range(1, 3001)]
+
+
+def _partitions(k, largest=None):
+    largest = k if largest is None else largest
+    if k == 0:
+        yield ()
+    for first in range(min(k, largest), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_and_abelian_type_counts():
+    # the partition numbers p(1), ..., p(12)
+    counts = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+    for k, count in enumerate(counts, 1):
+        assert sorted(fam._partitions(k)) == sorted(_partitions(k))
+        assert fam.count_abelian_types(2**k) == count
+    assert fam.count_abelian_types(1) == 1
+    assert fam.count_abelian_types(2**3 * 3**2 * 5 * 7**4) == 3 * 2 * 1 * 5
+
+
+def _uncached_p_group_subgroup_order_sum(p, exponents):
+    # Birkhoff's sum as it was before it was cached: any order of the parts
+    def gauss(n, k):
+        num = den = 1
+        for i in range(k):
+            num *= p ** (n - i) - 1
+            den *= p ** (i + 1) - 1
+        return num // den
+
+    columns = [sum(1 for e in exponents if e >= i) for i in range(1, max(exponents) + 1)]
+    totals = [1]
+    for lam in reversed(columns):
+        totals = [
+            p**a
+            * sum(
+                w * p ** (b * (lam - a)) * gauss(lam - b, a - b)
+                for b, w in enumerate(totals[: a + 1])
+            )
+            for a in range(lam + 1)
+        ]
+    return sum(totals)
+
+
+def _uncached_generalized_dihedral_divisor_sum(factors):
+    exponents = {}
+    for f in factors:
+        for p, e in nt.factorize(f):
+            exponents.setdefault(p, []).append(e)
+    lattice_sum = math.prod(
+        _uncached_p_group_subgroup_order_sum(p, exps) for p, exps in exponents.items()
+    )
+    r = len(exponents.get(2, ()))
+    containing = sum(fam._gaussian_binomial(r, k, 2) for k in range(r + 1))
+    return lattice_sum + 2 * math.prod(factors) * containing
+
+
+def test_cached_birkhoff_sum_equals_the_uncached_body():
+    for p in (2, 3, 5):
+        for k in range(1, 11):
+            for lam in _partitions(k):
+                assert fam._p_group_subgroup_order_sum(p, lam) == (
+                    _uncached_p_group_subgroup_order_sum(p, lam)
+                ), (p, lam)
+    # factor lists that are not chains: the parts of one prime out of order,
+    # so the cache must be keyed by the sorted partition
+    for factors in ([2, 4, 3], [4, 2], [8, 2, 4, 9, 3], [3, 9, 27, 5], [12, 18, 2], [1, 7, 49]):
+        assert fam.generalized_dihedral_divisor_sum(factors) == (
+            _uncached_generalized_dihedral_divisor_sum(factors)
+        ), factors
+        assert fam.generalized_dihedral_divisor_sum(factors[::-1]) == (
+            _uncached_generalized_dihedral_divisor_sum(factors)
+        ), factors
+    for r in range(12):
+        assert fam._subgroup_count_2(r) == sum(
+            fam._gaussian_binomial(r, k, 2) for k in range(r + 1)
+        )
+
+
 def test_generalized_dihedral_closed_form_matches_oracle_on_a():
     chains = fam.abelian_types(127)
     assert len(chains) == 232  # the trivial group's empty chain included

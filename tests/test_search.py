@@ -848,6 +848,21 @@ def test_pq_enumeration_equals_scan_and_sort(max_q, max_p):
     assert list(pairs) == scan_and_sort_pq(max_q, max_p)
 
 
+@pytest.mark.parametrize("max_p", [None, 1, 2, 3, 7, 5000])
+@pytest.mark.parametrize("max_q", [1, 2, 3, 4, 7, 50, 2000, 4000])
+def test_pq_budget_bounds_the_steps_walked(max_q, max_p):
+    # _enumerate_pq takes one step per p <= P and one per q it tries
+    bounds = {"max_q": max_q} | ({"max_p": max_p} if max_p is not None else {})
+    top = min(max_q if max_p is None else max_p, max_q - 1)
+    steps = 0
+    for p in range(2, top + 1):
+        steps += 1
+        if numtheory.is_prime(p):
+            steps += len(range(1 + (p if p == 2 else 2 * p), max_q + 1, p if p == 2 else 2 * p))
+    count = search.FAMILY["pq"].tuple_count(SweepConfig(family="pq", bounds=bounds))
+    assert steps <= count
+
+
 def test_pq_enumeration_yields_its_first_pair_at_once(monkeypatch):
     calls = []
     is_prime = numtheory.is_prime
