@@ -31,12 +31,9 @@ from .families import (
 )
 from .numtheory import (
     FactorizationError,
-    NumberClass,
     OrderCapError,
-    classify_number,
     divisor_sum,
     divisors,
-    even_perfect,
     factorize,
     is_prime,
     lucas_lehmer,
@@ -44,7 +41,7 @@ from .numtheory import (
     perfect_plus_one,
     prime_power_decompose,
 )
-from .search import SearchRecord, SweepConfig, run_classify, run_perfect_plus_one, run_sweep
+from .search import SearchRecord, SweepConfig, run_classify, run_sweep
 
 # Names of the modules that load numpy, given on first access (PEP 562), so
 # that `import leinster` and the closed-form commands never import them.
@@ -92,7 +89,6 @@ __all__ = [
     "GroupKind",
     "InvariantResult",
     "LatticeTriple",
-    "NumberClass",
     "OrderCapError",
     "SearchRecord",
     "Subgroup",
@@ -108,12 +104,10 @@ __all__ = [
     "build_generalized_dihedral",
     "build_zm",
     "classify_kind",
-    "classify_number",
     "dicyclic_divisor_sum",
     "dihedral_divisor_sum",
     "divisor_sum",
     "divisors",
-    "even_perfect",
     "factorize",
     "generalized_dihedral_divisor_sum",
     "group_divisor_sum",
@@ -128,7 +122,6 @@ __all__ = [
     "prime_power_decompose",
     "quotient",
     "run_classify",
-    "run_perfect_plus_one",
     "run_sweep",
     "run_verify",
     "zm_divisor_sum",

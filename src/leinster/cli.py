@@ -261,11 +261,11 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_perfect_plus_one(args) -> int:
-    report = search.run_perfect_plus_one(args.count)
-    for i, perfect, plus_one, prime in report.rows:
+    rows = numtheory.perfect_plus_one(args.count)
+    for i, perfect, prime in rows:
         verdict = f"prime (p = {prime})" if prime is not None else "not a prime power"
-        print(f"i={i}  P={perfect}  P+1={plus_one}  {verdict}")
-    print("solutions: {" + ", ".join(str(i) for i in report.solutions) + "}")
+        print(f"i={i}  P={perfect}  P+1={perfect + 1}  {verdict}")
+    print("solutions: {" + ", ".join(str(i) for i, _, prime in rows if prime is not None) + "}")
     return EXIT_OK
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "GroupKind",
     "LatticeTriple",
     "ZMTriple",
-    "abelian_types",
     "affine_divisor_sum",
     "classify_kind",
     "count_abelian_types",
@@ -376,11 +375,6 @@ def iter_abelian_types(max_order: int) -> Iterator[tuple[int, ...]]:
             chains.append(tuple(reversed(factors)))
         chains.sort()
         yield from chains
-
-
-def abelian_types(max_order: int) -> list[tuple[int, ...]]:
-    """The chains of iter_abelian_types, as a list in (order, chain) order."""
-    return list(iter_abelian_types(max_order))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,23 @@
 """Exact arbitrary-precision number theory.
 
-Divisor sums, the perfect/abundant/deficient classification, primality,
-factoring with an explicit effort cap, Mersenne machinery, and multiplicative
-orders.  Everything is pure-integer and reproducible; when an answer cannot
-be computed within the configured effort, an exception is raised rather than
+Divisor sums, primality, factoring with an explicit effort cap, Mersenne
+machinery with the table of even perfect numbers P_i and whether P_i + 1 is
+a prime power (`perfect_plus_one`), and multiplicative orders.  A number n
+is perfect, abundant, deficient, almost or quasi perfect as the cyclic group
+C_n is Leinster, abundant, deficient, almost- or quasi-Leinster, since
+D(C_n) = sigma(n); `families.classify_kind(divisor_sum(n), n)` names it.
+
+Everything is pure-integer and reproducible; when an answer cannot be
+computed within the configured effort, an exception is raised rather than
 returning a possibly wrong result.
 
 `is_prime` is exact below 2**64.  Above it, it is a Miller-Rabin
 probable-prime test whose extra witnesses are seeded from n, so a verdict is
 reproducible but not proved.  `factorize` divides out the primes below
-`trial_bound` (default 2**12), accepts the cofactor when `is_prime` does, and
+`_TRIAL_BOUND` (2**12), accepts the cofactor when `is_prime` does, and
 splits a composite cofactor with Brent's rho under an iteration budget
-(default 2,000,000 steps), raising FactorizationError when the budget runs
-out.  Its prime factors above 2**64 are therefore probable primes.
+(`_RHO_BUDGET`, 2,000,000 steps), raising FactorizationError when the budget
+runs out.  Its prime factors above 2**64 are therefore probable primes.
 
 Inside `with sieve(limit):` a smallest-prime-factor table up to
 min(limit, SIEVE_CAP) is built once, and `factorize`, `divisor_sum`,
@@ -33,20 +38,16 @@ import math
 import random
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
     "MERSENNE_EXPONENTS",
     "SIEVE_CAP",
     "FactorizationError",
-    "NumberClass",
     "OrderCapError",
     "carmichael",
-    "classify_number",
     "divisor_sum",
     "divisors",
-    "even_perfect",
     "factorize",
     "is_prime",
     "lucas_lehmer",
@@ -132,17 +133,6 @@ def sieve_limit() -> int:
     return len(_SPF) - 1 if _SPF is not None else 0
 
 
-@dataclass(frozen=True)
-class NumberClass:
-    """Five-way classification of an integer by its full divisor sum."""
-
-    is_perfect: bool
-    is_abundant: bool
-    is_deficient: bool
-    is_almost_perfect: bool
-    is_quasi_perfect: bool
-
-
 def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
     """One strong-pseudoprime round; True means 'possibly prime'."""
     x = pow(a, d, n)
@@ -187,6 +177,12 @@ def is_prime(n: int) -> bool:
         if not _miller_rabin_round(n, a, d, s):
             return False
     return True
+
+
+# `factorize` trial-divides to _TRIAL_BOUND and gives Brent rho _RHO_BUDGET
+# iterations for all the splits of one cofactor.
+_TRIAL_BOUND = 1 << 12
+_RHO_BUDGET = 2_000_000
 
 
 def _brent_rho(n: int, budget: list[int]) -> int:
@@ -234,14 +230,12 @@ def _brent_rho(n: int, budget: list[int]) -> int:
             return g
 
 
-def factorize(
-    n: int, *, trial_bound: int = 1 << 12, rho_budget: int = 2_000_000
-) -> tuple[tuple[int, int], ...]:
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Complete prime factorization of n >= 1 as ((p1, e1), (p2, e2), ...), sorted by prime.
 
-    Trial division by 2, 3 and the 6k +- 1 up to `trial_bound`; the
+    Trial division by 2, 3 and the 6k +- 1 up to `_TRIAL_BOUND`; the
     cofactor is kept as a prime when `is_prime` says so, and otherwise split
-    by Brent rho under an iteration budget shared by every split.  Rho finds a factor
+    by Brent rho under `_RHO_BUDGET` iterations shared by every split.  Rho finds a factor
     below 10**6 in about a thousand steps, so a short trial division is
     cheaper than a long one.  Above 2**64 `is_prime` is a seeded
     probable-prime test, so prime factors that large are probable primes.
@@ -269,7 +263,7 @@ def factorize(
             counts[p] = counts.get(p, 0) + 1
             m //= p
     d = 5
-    while d <= trial_bound and d * d <= m:
+    while d <= _TRIAL_BOUND and d * d <= m:
         for q in (d, d + 2):
             while m % q == 0:
                 counts[q] = counts.get(q, 0) + 1
@@ -279,7 +273,7 @@ def factorize(
         if d * d > m or is_prime(m):
             counts[m] = counts.get(m, 0) + 1
         else:
-            budget = [rho_budget]
+            budget = [_RHO_BUDGET]
             stack = [m]
             while stack:
                 x = stack.pop()
@@ -329,18 +323,6 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def classify_number(n: int) -> NumberClass:
-    """Classify n >= 1 by comparing its full divisor sum against 2n."""
-    total = divisor_sum(n)
-    return NumberClass(
-        is_perfect=total == 2 * n,
-        is_abundant=total > 2 * n,
-        is_deficient=total < 2 * n,
-        is_almost_perfect=total == 2 * n - 1,
-        is_quasi_perfect=total == 2 * n + 1,
-    )
-
-
 def _iroot(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0."""
     if n == 0:
@@ -384,15 +366,6 @@ def lucas_lehmer(r: int) -> bool:
     return s == 0
 
 
-def even_perfect(r: int) -> int | None:
-    """2**(r-1) * (2**r - 1) when 2**r - 1 is prime, else None."""
-    if r < 2:
-        raise ValueError(f"even_perfect needs r >= 2, got {r}")
-    if not lucas_lehmer(r):
-        return None
-    return (1 << (r - 1)) * ((1 << r) - 1)
-
-
 @lru_cache(maxsize=1)
 def verified_mersenne_exponents() -> tuple[int, ...]:
     """The configured Mersenne exponent list, each re-proved by lucas_lehmer."""
@@ -402,31 +375,32 @@ def verified_mersenne_exponents() -> tuple[int, ...]:
     return MERSENNE_EXPONENTS
 
 
-def perfect_plus_one(count: int) -> list[tuple[int, int, int]]:
-    """Indices i <= count where the i-th even perfect number plus one is a prime power.
+def perfect_plus_one(count: int) -> list[tuple[int, int, int | None]]:
+    """One row (i, P_i, p) for each i <= count: P_i + 1 = p when it is a prime power.
 
-    Returns (i, P_i, p) triples.  Any prime-power hit must have exponent 1;
-    a violation would mean the surrounding arithmetic is broken and raises
-    RuntimeError.
+    P_i is the i-th even perfect number, 2**(r-1) * (2**r - 1) for the i-th
+    verified Mersenne exponent r, and p is None when P_i + 1 is not a prime
+    power.  Any prime-power hit must have exponent 1; a violation would mean
+    the surrounding arithmetic is broken and raises RuntimeError.
     """
     exponents = verified_mersenne_exponents()
     if not 1 <= count <= len(exponents):
         raise ValueError(
             f"count must be between 1 and {len(exponents)} (configured exponents), got {count}"
         )
-    hits = []
+    rows = []
     for i, r in enumerate(exponents[:count], start=1):
         p_i = (1 << (r - 1)) * ((1 << r) - 1)
         decomposition = prime_power_decompose(p_i + 1)
-        if decomposition is None:
-            continue
-        p, k = decomposition
-        if k != 1:
-            raise RuntimeError(
-                f"internal invariant violated: perfect+1 = {p}**{k} with k > 1"
-            )
-        hits.append((i, p_i, p))
-    return hits
+        p = None
+        if decomposition is not None:
+            p, k = decomposition
+            if k != 1:
+                raise RuntimeError(
+                    f"internal invariant violated: perfect+1 = {p}**{k} with k > 1"
+                )
+        rows.append((i, p_i, p))
+    return rows
 
 
 def carmichael(m: int) -> int:

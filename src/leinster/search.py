@@ -77,11 +77,9 @@ __all__ = [
     "Family",
     "BudgetError",
     "OracleMismatchError",
-    "PerfectPlusOneReport",
     "SearchRecord",
     "SweepConfig",
     "run_classify",
-    "run_perfect_plus_one",
     "run_sweep",
 ]
 
@@ -888,21 +886,3 @@ def run_classify(family: str, params: list[int] | tuple[int, ...]) -> SearchReco
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     (record,) = _evaluate_batch(family, [tuple(params)])
     return record
-
-
-@dataclass(frozen=True)
-class PerfectPlusOneReport:
-    """Outcome of the even-perfect-plus-one prime-power scan."""
-
-    rows: tuple[tuple[int, int, int, int | None], ...]  # (i, P_i, P_i + 1, p or None)
-    solutions: tuple[int, ...]
-
-
-def run_perfect_plus_one(count: int) -> PerfectPlusOneReport:
-    """Scan the first `count` even perfect numbers for P + 1 being a prime power."""
-    hits = {i: p for i, _, p in numtheory.perfect_plus_one(count)}
-    rows = []
-    for i, r in enumerate(numtheory.verified_mersenne_exponents()[:count], start=1):
-        p_i = (1 << (r - 1)) * ((1 << r) - 1)
-        rows.append((i, p_i, p_i + 1, hits.get(i)))
-    return PerfectPlusOneReport(tuple(rows), tuple(sorted(hits)))

@@ -102,7 +102,7 @@ def _family_part(max_order: int, name: str, cap, bounds, label, keep) -> Iterato
 def _gen_dicyclic_part(max_order: int) -> Iterator[CorpusEntry]:
     """Dic(A, y) for non-cyclic A of even order > 2, one entry per distinct table."""
     seen_digests: set[bytes] = set()
-    for chain in families.abelian_types(min(_DIC_CAP, max_order // 2)):
+    for chain in families.iter_abelian_types(min(_DIC_CAP, max_order // 2)):
         if len(chain) < 2 or math.prod(chain) % 2 or math.prod(chain) <= 2:
             continue
         for y in oracle.order_two_elements(oracle.build_abelian(chain)):
@@ -242,9 +242,9 @@ def _check_nilpotent_equivalence(corpus: list[CorpusEntry], max_order: int) -> O
         if not oracle.is_nilpotent(group):
             continue
         total = oracle.group_divisor_sum(group)
-        nc = numtheory.classify_number(group.order)
         small = total <= 2 * group.order
-        expected = group.is_cyclic() and (nc.is_perfect or nc.is_deficient)
+        # sigma(|G|) <= 2|G|: the order is perfect or deficient
+        expected = group.is_cyclic() and numtheory.divisor_sum(group.order) <= 2 * group.order
         if small != expected:
             yield (
                 f"{entry.label}: delta <= 2 is {small} but cyclic-and-"

@@ -112,15 +112,17 @@ def test_criterion_3_general_quasi_sweep_exceeds_paper_mode():
 
 def test_criterion_4_perfect_plus_one():
     start = time.perf_counter()
-    result = search.run_perfect_plus_one(8)
+    rows = numtheory.perfect_plus_one(8)
     elapsed = time.perf_counter() - start
+    solutions = tuple(i for i, _, p in rows if p is not None)
     exponent_ok = all(
         numtheory.prime_power_decompose(perfect + 1) == (p, 1)
-        for i, perfect, p in numtheory.perfect_plus_one(8)
+        for i, perfect, p in rows
+        if p is not None
     )
     report(
         "C4 perfect-plus-one count=8",
-        result.solutions == (1, 2, 5, 7) and exponent_ok and elapsed < 5.0,
+        solutions == (1, 2, 5, 7) and exponent_ok and elapsed < 5.0,
     )
 
 
@@ -204,8 +206,18 @@ def test_criterion_9_property_suite():
     rng = random.Random(2024)
     for _ in range(10_000):
         n = rng.randrange(1, 10**6)
-        cls = numtheory.classify_number(n)
-        assert sum([cls.is_perfect, cls.is_abundant, cls.is_deficient]) == 1
+        # perfect, abundant or deficient: exactly one
+        number_kind = families.classify_kind(numtheory.divisor_sum(n), n)
+        assert (
+            sum(
+                [
+                    number_kind is GroupKind.LEINSTER,
+                    number_kind in (GroupKind.ABUNDANT, GroupKind.QUASI_LEINSTER),
+                    number_kind in (GroupKind.DEFICIENT, GroupKind.ALMOST_LEINSTER),
+                ]
+            )
+            == 1
+        )
         total = rng.randrange(1, 4 * n)
         kind = families.classify_kind(total, n)
         assert (

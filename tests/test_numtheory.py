@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leinster import numtheory as nt
+from leinster.families import GroupKind, classify_kind
 
 
 def sigma_sieve(limit):
@@ -19,7 +20,11 @@ def sigma_sieve(limit):
 
 
 # ---------------------------------------------------------------------------
-# divisor_sum / classify_number
+# divisor_sum, and the class of a number: that of C_n, as D(C_n) = sigma(n)
+
+
+def number_class(n):
+    return classify_kind(nt.divisor_sum(n), n)
 
 
 @pytest.mark.parametrize(
@@ -36,35 +41,39 @@ def test_divisor_sum_rejects_zero():
 
 
 def test_classify_examples():
-    assert nt.classify_number(6).is_perfect
-    eight = nt.classify_number(8)
-    assert eight.is_deficient and eight.is_almost_perfect
+    assert number_class(6) is GroupKind.LEINSTER  # perfect
+    # almost perfect: deficient, with sigma(8) = 15 = 2 * 8 - 1
+    assert number_class(8) is GroupKind.ALMOST_LEINSTER
     # direct divisor enumeration: sigma(12) = 1+2+3+4+6+12 = 28 > 25
     assert sum(d for d in range(1, 13) if 12 % d == 0) == 28
-    twelve = nt.classify_number(12)
-    assert twelve.is_abundant and not twelve.is_quasi_perfect
+    assert number_class(12) is GroupKind.ABUNDANT  # not quasi perfect
 
 
 def test_classify_rejects_zero():
     with pytest.raises(ValueError):
-        nt.classify_number(0)
+        number_class(0)
 
 
 def test_one_is_deficient_and_almost_perfect():
-    one = nt.classify_number(1)
-    assert one.is_deficient and one.is_almost_perfect
+    assert nt.divisor_sum(1) < 2 * 1
+    assert number_class(1) is GroupKind.ALMOST_LEINSTER
 
 
 def test_divisor_sum_matches_sieve_to_10000():
     sieve = sigma_sieve(10000)
     for n in range(1, 10001):
         assert nt.divisor_sum(n) == sieve[n]
-        cls = nt.classify_number(n)
-        assert sum([cls.is_perfect, cls.is_abundant, cls.is_deficient]) == 1
-        if cls.is_almost_perfect:
-            assert cls.is_deficient
-        if cls.is_quasi_perfect:
-            assert cls.is_abundant
+        kind = number_class(n)
+        # perfect, abundant or deficient; almost perfect is deficient and
+        # quasi perfect abundant
+        if kind is GroupKind.LEINSTER:
+            assert sieve[n] == 2 * n
+        elif kind in (GroupKind.ABUNDANT, GroupKind.QUASI_LEINSTER):
+            assert sieve[n] > 2 * n
+        else:
+            assert sieve[n] < 2 * n
+        assert (kind is GroupKind.ALMOST_LEINSTER) == (sieve[n] == 2 * n - 1)
+        assert (kind is GroupKind.QUASI_LEINSTER) == (sieve[n] == 2 * n + 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,10 +138,12 @@ def test_factorize_rejects_zero():
         nt.factorize(0)
 
 
-def test_factorize_gives_up_loudly():
+def test_factorize_gives_up_loudly(monkeypatch):
     hard = ((1 << 61) - 1) * ((1 << 89) - 1)
+    monkeypatch.setattr(nt, "_TRIAL_BOUND", 100)
+    monkeypatch.setattr(nt, "_RHO_BUDGET", 50)
     with pytest.raises(nt.FactorizationError):
-        nt.factorize(hard, trial_bound=100, rho_budget=50)
+        nt.factorize(hard)
 
 
 def _random_prime(rng, low, high):
@@ -146,14 +157,16 @@ def _factors_of(primes):
     return tuple(sorted(Counter(primes).items()))
 
 
-def test_factorize_short_trial_division_matches_long():
+def test_factorize_short_trial_division_matches_long(monkeypatch):
     rng = random.Random(2024)
-    for _ in range(200):
-        n = rng.randrange(1, 1 << 64)
-        assert nt.factorize(n) == nt.factorize(n, trial_bound=10**6), n
+    numbers = [rng.randrange(1, 1 << 64) for _ in range(200)]
+    short = [nt.factorize(n) for n in numbers]
+    monkeypatch.setattr(nt, "_TRIAL_BOUND", 10**6)
+    for n, factors in zip(numbers, short):
+        assert nt.factorize(n) == factors, n
 
 
-def test_factorize_primes_past_trial_division_with_a_small_rho_budget():
+def test_factorize_primes_past_trial_division_with_a_small_rho_budget(monkeypatch):
     # every prime lies between the default trial bound (2^12) and 10^6, so
     # rho splits them all; a few thousand steps suffice
     rng = random.Random(12)
@@ -164,9 +177,10 @@ def test_factorize_primes_past_trial_division_with_a_small_rho_budget():
         p = _random_prime(rng, 1 << 12, 10**6)
         q = _random_prime(rng, 1 << 12, 10**6)
         cases += [[p, p], [p, p, p], [p, p, q], [p, p, p, q, q]]
+    monkeypatch.setattr(nt, "_RHO_BUDGET", 10_000)
     for primes in cases:
         n = math.prod(primes)
-        assert nt.factorize(n, rho_budget=10_000) == _factors_of(primes), primes
+        assert nt.factorize(n) == _factors_of(primes), primes
 
 
 def _split_p_minus_1_shapes():
@@ -233,28 +247,40 @@ def test_lucas_lehmer_agrees_with_is_prime_to_61():
         assert nt.lucas_lehmer(r) == nt.is_prime((1 << r) - 1), r
 
 
+def _even_perfect_by_exponent():
+    exponents = nt.verified_mersenne_exponents()
+    rows = nt.perfect_plus_one(len(exponents))
+    return {r: perfect for r, (_, perfect, _) in zip(exponents, rows)}
+
+
 @pytest.mark.parametrize("r, expected", [(2, 6), (4, None), (19, 137438691328)])
 def test_even_perfect(r, expected):
-    assert nt.even_perfect(r) == expected
+    # row i of perfect_plus_one holds 2**(r-1) * (2**r - 1) for the i-th
+    # Mersenne exponent r; an r whose 2**r - 1 is composite has no row
+    assert _even_perfect_by_exponent().get(r) == expected
+    assert nt.lucas_lehmer(r) == (expected is not None)
 
 
 def test_even_perfect_values_classify_perfect():
-    for r in nt.verified_mersenne_exponents():
-        value = nt.even_perfect(r)
-        assert value is not None
-        assert nt.classify_number(value).is_perfect
+    for r, value in _even_perfect_by_exponent().items():
+        assert value == (1 << (r - 1)) * ((1 << r) - 1)
+        assert number_class(value) is GroupKind.LEINSTER
 
 
 def test_perfect_plus_one_counts():
     assert nt.perfect_plus_one(1) == [(1, 6, 7)]
     assert nt.perfect_plus_one(2) == [(1, 6, 7), (2, 28, 29)]
-    assert [i for i, _, _ in nt.perfect_plus_one(8)] == [1, 2, 5, 7]
-    assert [i for i, _, _ in nt.perfect_plus_one(12)] == [1, 2, 5, 7]
+    assert nt.perfect_plus_one(3) == [(1, 6, 7), (2, 28, 29), (3, 496, None)]
+    for count in (8, 12):
+        rows = nt.perfect_plus_one(count)
+        assert [i for i, _, _ in rows] == list(range(1, count + 1))
+        assert [i for i, _, p in rows if p is not None] == [1, 2, 5, 7]
 
 
 def test_perfect_plus_one_hits_are_plain_primes():
     for _, perfect, p in nt.perfect_plus_one(12):
-        assert nt.prime_power_decompose(perfect + 1) == (p, 1)
+        want = None if p is None else (p, 1)
+        assert nt.prime_power_decompose(perfect + 1) == want
 
 
 def test_perfect_plus_one_count_bounds():

@@ -304,13 +304,13 @@ def test_enumeration_cross_validated_on_small_corpus():
     groups += [oracle.build_generalized_dihedral([n]) for n in range(1, 16)]
     groups += [
         oracle.build_generalized_dihedral(chain)
-        for chain in families.abelian_types(15)
+        for chain in families.iter_abelian_types(15)
         if len(chain) >= 2
     ]
     groups += [oracle.build_generalized_dicyclic([2 * n], n) for n in range(2, 8)]
     groups += [
         oracle.build_generalized_dicyclic(chain, y)
-        for chain in families.abelian_types(12)
+        for chain in families.iter_abelian_types(12)
         if len(chain) >= 2 and math.prod(chain) % 2 == 0 and math.prod(chain) > 2
         for y in oracle.order_two_elements(oracle.build_abelian(chain))
     ]

@@ -21,6 +21,21 @@ def test_every_public_name_is_its_submodules_object():
         assert name in listed, name
 
 
+@pytest.mark.parametrize("module", SUBMODULES, ids=lambda module: module.__name__)
+def test_every_name_a_submodule_exports_is_defined_there(module):
+    missing = [name for name in module.__all__ if name not in vars(module)]
+    assert not missing
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_every_lazy_name_is_exported_by_its_module():
+    homes = {"oracle": oracle, "verify": verify}
+    assert set(leinster._LAZY) == set(homes)
+    for module_name, names in leinster._LAZY.items():
+        missing = set(names) - set(homes[module_name].__all__)
+        assert not missing, module_name
+
+
 def test_star_import_gives_every_public_name():
     namespace = {}
     exec("from leinster import *", namespace)

@@ -72,7 +72,7 @@ def corpus_params_by_loops(max_order):
             affine.append((p,))
         p += 1
     dih_cap = min(verify._DIH_CAP, max_order // 2)
-    gen_dihedral = [chain for chain in families.abelian_types(dih_cap) if len(chain) >= 2]
+    gen_dihedral = [chain for chain in families.iter_abelian_types(dih_cap) if len(chain) >= 2]
     return {"zm": zm, "pq": sorted(pq), "affine": affine, "gen-dihedral": gen_dihedral}
 
 
