@@ -383,7 +383,7 @@ def full_lattice_normals(group):
 def corpus_and_coprime_products(max_order):
     """The verify corpus to max_order and its direct-product-multiplicativity
     products, one group per distinct table."""
-    corpus = verify._build_corpus(max_order)
+    corpus = list(verify._corpus(max_order))
     groups = {entry.group.digest(): entry.group for entry in corpus}
     for i, left in enumerate(corpus):
         for right in corpus[i + 1 :]:
@@ -463,7 +463,7 @@ def test_batches_sliced_to_one_subgroup_give_the_same_masks(monkeypatch):
     s4 = permutation_group([(1, 0, 2, 3), (1, 2, 3, 0)])
     a5 = permutation_group([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
     groups = [s4, a5, oracle.build_abelian([2] * 5)]
-    groups += {entry.group.digest(): entry.group for entry in verify._build_corpus(48)}.values()
+    groups += {entry.group.digest(): entry.group for entry in verify._corpus(48)}.values()
     monkeypatch.setattr(oracle, "_NORMAL_CACHE", {})
     whole = [oracle._normal_lattice(group) for group in groups]
 
@@ -497,7 +497,7 @@ def reference_element_orders(group):
 def test_element_orders_equal_the_power_loop():
     s4 = permutation_group([(1, 0, 2, 3), (1, 2, 3, 0)])
     a5 = permutation_group([(1, 2, 0, 3, 4), (1, 2, 3, 4, 0)])
-    groups = {entry.group.digest(): entry.group for entry in verify._build_corpus(100)}
+    groups = {entry.group.digest(): entry.group for entry in verify._corpus(100)}
     for group in [s4, a5, *groups.values()]:
         assert oracle.FiniteGroup(group.table).element_orders() == reference_element_orders(group)
 
@@ -564,7 +564,7 @@ def reference_quotient_table(group, sub):
 
 def test_quotient_matches_the_coset_loop_on_the_corpus():
     checked = 0
-    for entry in verify._build_corpus(48):
+    for entry in verify._corpus(48):
         subs = oracle.normal_subgroups(entry.group)
         batched = oracle.normal_quotients(entry.group)
         assert len(batched) == len(subs)
@@ -580,7 +580,7 @@ def test_quotient_divisor_sums_follow_the_correspondence_theorem():
     # the normal subgroups of G/N are the M/N for the normal M of G holding N,
     # so D(G/N) is the sum of |M|/|N| over those M, without building G/N
     pairs = 0
-    for entry in verify._build_corpus(48):
+    for entry in verify._corpus(48):
         masks = oracle._normal_lattice(entry.group)
         for sub, quot in zip(masks, oracle.normal_quotients(entry.group)):
             want = sum(m.bit_count() for m in masks if m & sub == sub) // sub.bit_count()
@@ -683,7 +683,7 @@ def reference_is_nilpotent(group):
 
 def test_is_nilpotent_matches_the_sylow_test_on_the_corpus():
     verdicts = []
-    for entry in verify._build_corpus(100):
+    for entry in verify._corpus(100):
         verdict = oracle.is_nilpotent(entry.group)
         assert verdict == reference_is_nilpotent(entry.group), entry.label
         verdicts.append(verdict)

@@ -32,7 +32,7 @@ def test_order_12_run_covers_the_leinster_dicyclic_group():
 
 
 def test_corpus_contains_each_family():
-    corpus = verify._build_corpus(60)
+    corpus = list(verify._corpus(60))
     families = {entry.family for entry in corpus}
     assert {
         "cyclic",
@@ -78,18 +78,120 @@ def corpus_params_by_loops(max_order):
 
 @pytest.mark.parametrize("max_order", [1, 2, 5, 6, 24, 100, 200])
 def test_corpus_takes_each_family_from_its_enumerator(max_order):
-    corpus = verify._build_corpus(max_order)
+    corpus = list(verify._corpus(max_order))
     for family, want in corpus_params_by_loops(max_order).items():
         assert [e.params for e in corpus if e.family == family] == want, family
     assert all(entry.group.order <= max_order for entry in corpus)
 
 
 def test_small_run_includes_key_instances():
-    corpus = verify._build_corpus(42)
+    corpus = list(verify._corpus(42))
     labels = {entry.label for entry in corpus}
     assert "ZM(7,6,3)" in labels
     assert "Dic12" in labels
     assert "Aff(7)" in labels
+
+
+def eager_verify(max_order):
+    """run_verify over the whole corpus held at once: each invariant's
+    generator over every entry, counted up to its first failure."""
+    corpus = list(verify._corpus(max_order))
+    results = []
+    for name, check, _ in verify._INVARIANTS:
+        checked, detail = 0, ""
+        for outcome in check(corpus, max_order):
+            checked += 1
+            if outcome is not None:
+                detail = outcome
+                break
+        results.append(verify.InvariantResult(name, not detail, checked, detail))
+    return results
+
+
+@pytest.mark.parametrize("max_order", [1, 6, 60, 100])
+def test_the_streamed_run_equals_the_whole_corpus_run(max_order):
+    assert verify.run_verify(max_order) == eager_verify(max_order)
+
+
+def test_one_entry_chunks_give_the_whole_corpus_run(monkeypatch):
+    monkeypatch.setattr(verify, "_CHUNK_CELLS", 1)
+    assert verify.run_verify(60) == eager_verify(60)
+
+
+def test_a_failure_in_a_later_chunk_keeps_its_count_and_the_rest_run(monkeypatch):
+    chunks = list(verify._chunks(verify._corpus(100)))
+    late = chunks[2][1].label
+
+    def wrong_delta(corpus, max_order):
+        for entry in corpus:
+            yield f"{entry.label}: wrong" if entry.label == late else None
+
+    rows = [
+        (name, wrong_delta if name == "delta-exceeds-one" else check, over_pairs)
+        for name, check, over_pairs in verify._INVARIANTS
+    ]
+    monkeypatch.setattr(verify, "_INVARIANTS", tuple(rows))
+    results = verify.run_verify(100)
+    assert results == eager_verify(100)
+    failed = [r for r in results if not r.passed]
+    checked = len(chunks[0]) + len(chunks[1]) + 2
+    assert failed == [verify.InvariantResult("delta-exceeds-one", False, checked, f"{late}: wrong")]
+    assert [r.checked for r in results] == [100, checked, 311, 8453, 102, 102, 23, 68, 165, 120, 4]
+
+
+def coprime_pairs(entries, max_order):
+    """The labels of the entry pairs direct-product-multiplicativity checks, in its order."""
+    return [
+        (left.label, right.label)
+        for i, left in enumerate(entries)
+        for right in entries[i + 1 :]
+        if left.group.order > 1
+        and right.group.order > 1
+        and left.group.order * right.group.order <= max_order
+        and math.gcd(left.group.order, right.group.order) == 1
+    ]
+
+
+@pytest.mark.parametrize("max_order", [100, 200])
+def test_the_held_entries_give_every_product_pair(max_order):
+    corpus = list(verify._corpus(max_order))
+    held = [entry for entry in corpus if verify._pairable(entry.group.order, max_order)]
+    pairs = coprime_pairs(held, max_order)
+    assert pairs == coprime_pairs(corpus, max_order)
+    # and no more is held: each held entry is a factor of some pair
+    assert {label for pair in pairs for label in pair} == {entry.label for entry in held}
+
+
+@pytest.mark.parametrize("cells", [1 << 18, 5000])
+def test_a_chunk_passes_the_cell_budget_only_when_it_holds_one_table(monkeypatch, cells):
+    monkeypatch.setattr(verify, "_CHUNK_CELLS", cells)
+    corpus = list(verify._corpus(100))
+    chunks = list(verify._chunks(iter(corpus)))
+    assert [entry for chunk in chunks for entry in chunk] == corpus
+    sizes = [sum(entry.group.order**2 for entry in chunk) for chunk in chunks]
+    assert all(size <= cells or len(chunk) == 1 for size, chunk in zip(sizes, chunks))
+    # each chunk is cut only where the next table would not fit
+    assert all(
+        size + chunk[0].group.order**2 > cells for size, chunk in zip(sizes, chunks[1:])
+    )
+    assert len(chunks) > 1
+    assert any(size > cells for size in sizes) == (cells < 100**2)
+
+
+def test_each_product_table_pair_is_built_once(monkeypatch):
+    corpus = list(verify._corpus(100))
+    built = []
+    build = oracle.build_direct_product
+
+    def watched(g, h):
+        built.append((g.digest(), h.digest()))
+        return build(g, h)
+
+    monkeypatch.setattr(oracle, "build_direct_product", watched)
+    outcomes = list(verify._check_multiplicativity(corpus, 100))
+    assert outcomes == [None] * 311
+    # 51 of the 311 pairs repeat a pair of tables, as C5 x G(2,3) does C5 x ZM(3,2,2)
+    assert len(built) == len(set(built)) == 311 - 51
 
 
 def test_rejects_silly_and_oversized_orders():
@@ -170,7 +272,7 @@ def test_a_wrong_quotient_divisor_sum_fails_quotient_monotonicity(monkeypatch, c
 
 
 def test_quotient_monotonicity_reads_d_once_per_distinct_quotient_table(monkeypatch):
-    corpus = verify._build_corpus(24)
+    corpus = list(verify._corpus(24))
     want = []
     for entry in corpus:
         want.append(entry.group.digest())
