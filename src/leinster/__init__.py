@@ -61,7 +61,6 @@ _LAZY = {
         "is_nilpotent",
         "normal_quotients",
         "normal_subgroups",
-        "quotient",
     ),
     "verify": ("InvariantResult", "run_verify"),
 }
@@ -120,7 +119,6 @@ __all__ = [
     "perfect_plus_one",
     "pq_divisor_sum",
     "prime_power_decompose",
-    "quotient",
     "run_classify",
     "run_sweep",
     "run_verify",

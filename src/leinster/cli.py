@@ -11,7 +11,8 @@ printed).  A sweep writes its JSON records as they come, a chunk's worth
 at a time, so after 130, 141 or an error in mid-sweep stdout holds a prefix
 of whole records: on 130, every record of the chunks finished before the
 interrupt.  `--table` output is written at the end, once the column widths
-are known.
+are known.  D and the order are printed as exact integers of any size, in
+JSON and in `--table` alike.
 
 Only `verify` and `classify --verify` build groups, and only they import the
 brute-force oracle and numpy; `classify`, `search` and `perfect-plus-one`
@@ -295,6 +296,12 @@ _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
+    # D and the order are exact integers of any size, and Python 3.10.7 on
+    # refuses to turn one of more than 4,300 digits into a string (or back)
+    # unless the process lifts that limit
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is not None:
+        lift(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

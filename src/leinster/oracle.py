@@ -23,9 +23,9 @@ that.  Each distinct table is validated once per process, keyed by the same
 blake2b digest that keys both lattice caches.
 
 Quotients are batched like the joins: `normal_quotients` (every G/N of a
-group) and `quotient` (one G/N) check the subgroups, number their cosets
-and gather their quotient tables one subgroup order at a time, in one batch
-of array operations per order.
+group) numbers the cosets of the normal subgroups and gathers their quotient
+tables one subgroup order at a time, in one batch of array operations per
+order.
 
 Orders above a configurable cap (default 512, override with the
 LEINSTER_ORACLE_CAP environment variable, at most 65,536 so that element
@@ -67,7 +67,6 @@ __all__ = [
     "normal_subgroups",
     "order_cap",
     "order_two_elements",
-    "quotient",
 ]
 
 DEFAULT_ORDER_CAP = 512
@@ -599,27 +598,12 @@ def group_divisor_sum(group: FiniteGroup) -> int:
     return sum(mask.bit_count() for mask in _normal_lattice(group))
 
 
-def quotient(group: FiniteGroup, sub: Subgroup) -> FiniteGroup:
-    """Quotient by a normal subgroup; the identity coset gets index 0.
-
-    Cosets are numbered by their smallest element, in increasing order.  The
-    elements must be distinct indices of the group, and must form a normal
-    subgroup; anything else raises ValueError.
-    """
-    n = group.order
-    for e in sub.elements:
-        if not 0 <= e < n:
-            raise ValueError(f"subgroup element {e} outside the parent group")
-    if len(set(sub.elements)) != len(sub.elements):
-        raise ValueError("subgroup elements must be distinct")
-    return _quotients(group, [sum(1 << e for e in sub.elements)])[0]
-
-
 def normal_quotients(group: FiniteGroup) -> list[FiniteGroup]:
     """G/N for every normal subgroup N, in the order of normal_subgroups.
 
-    Each is the table `quotient` gives; equal tables of one subgroup order
-    are one FiniteGroup object.
+    Cosets are numbered by their smallest element, in increasing order, so
+    the identity coset gets index 0; equal tables of one subgroup order are
+    one FiniteGroup object.
     """
     return _quotients(group, _normal_lattice(group))
 

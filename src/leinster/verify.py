@@ -18,21 +18,21 @@ checked counts of quotient-monotonicity, noncyclic-dihedral-strictly-abundant
 and known-instance-spot-checks stop growing past a maximum order of 100, and
 those of the two zm invariants past 200.
 
-The corpus is never held whole.  `run_verify` makes one pass over it, in
-chunks of consecutive entries whose tables hold at most `_CHUNK_CELLS` cells
-(a larger table is a chunk by itself), and runs every invariant over each
-chunk in turn.  After a chunk it keeps only the entries that can be a factor
-of a coprime product of order at most the maximum order, and
+The corpus is never held whole.  `run_verify` makes one pass over it and
+checks each entry with every invariant before it builds the next one.  Of
+the entries it has checked it keeps only those that can be a factor of a
+coprime product of order at most the maximum order, and
 direct-product-multiplicativity, the one invariant over pairs of entries,
 runs over those after the pass.  So `verify --max-order 300` peaks at about
 45 MB and `--max-order 512` at about 65 MB, where holding the whole corpus
 took 83 MB and 221 MB.
 
-An invariant is a generator over a list of corpus entries, in corpus order,
-that yields None for each instance that passes and a detail string for one
-that fails; each invariant's instances are counted across the chunks, and
-it stops at its first detail.  Adding an invariant takes one such generator
-and one row in `_INVARIANTS`.
+An invariant is a generator over one corpus entry that yields None for
+each instance that passes and a detail string for one that fails (an
+invariant about one family yields nothing for the entries of another).
+Each invariant's instances are counted over the corpus, in corpus order,
+and it is not run again after its first detail.  Adding an invariant takes
+one such generator and one row in `_INVARIANTS`.
 """
 
 from __future__ import annotations
@@ -57,9 +57,6 @@ _QUOTIENT_CAP = 100
 _DIH_CAP = 32
 _DIC_CAP = 16
 _ZM_PQ_CAP = 200
-
-# The most table cells (order squared, summed) one chunk of the corpus holds.
-_CHUNK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -133,22 +130,6 @@ def _corpus(max_order: int) -> Iterator[CorpusEntry]:
         yield from _family_part(max_order, name, *part) if part else _gen_dicyclic_part(max_order)
 
 
-def _chunks(entries: Iterator[CorpusEntry]) -> Iterator[list[CorpusEntry]]:
-    """Consecutive entries whose tables hold at most _CHUNK_CELLS cells in all;
-    a table larger than that is a chunk by itself."""
-    chunk: list[CorpusEntry] = []
-    cells = 0
-    for entry in entries:
-        size = entry.group.order**2
-        if chunk and cells + size > _CHUNK_CELLS:
-            yield chunk
-            chunk, cells = [], 0
-        chunk.append(entry)
-        cells += size
-    if chunk:
-        yield chunk
-
-
 def _pairable(order: int, max_order: int) -> bool:
     """Whether a group of this order can be a factor of a coprime direct
     product of order at most max_order with another nontrivial group.
@@ -164,22 +145,20 @@ def _pairable(order: int, max_order: int) -> bool:
     return order * q <= max_order
 
 
-def _check_cyclic_dsum(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
-    for entry in corpus:
-        if entry.family != "cyclic":
-            continue
-        got = oracle.group_divisor_sum(entry.group)
-        want = numtheory.divisor_sum(entry.params[0])
-        yield f"D({entry.label}) = {got} != {want}" if got != want else None
+def _check_cyclic_dsum(entry: CorpusEntry, max_order: int) -> Outcomes:
+    if entry.family != "cyclic":
+        return
+    got = oracle.group_divisor_sum(entry.group)
+    want = numtheory.divisor_sum(entry.params[0])
+    yield f"D({entry.label}) = {got} != {want}" if got != want else None
 
 
-def _check_delta(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
-    for entry in corpus:
-        order = entry.group.order
-        if order == 1:
-            continue
-        total = oracle.group_divisor_sum(entry.group)
-        yield f"{entry.label}: D = {total} <= order {order}" if total <= order else None
+def _check_delta(entry: CorpusEntry, max_order: int) -> Outcomes:
+    order = entry.group.order
+    if order == 1:
+        return
+    total = oracle.group_divisor_sum(entry.group)
+    yield f"{entry.label}: D = {total} <= order {order}" if total <= order else None
 
 
 def _check_multiplicativity(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
@@ -208,133 +187,124 @@ def _check_multiplicativity(corpus: list[CorpusEntry], max_order: int) -> Outcom
             yield f"D({left.label} x {right.label}) = {got} != {want}" if got != want else None
 
 
-def _check_quotient_monotonicity(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
-    limit = min(_QUOTIENT_CAP, max_order)
-    for entry in corpus:
-        group = entry.group
-        if group.order > limit:
-            continue
-        d_group = oracle.group_divisor_sum(group)
-        # D is read once per distinct quotient table of the group
-        d_of: dict[bytes, int] = {}
-        for quot in oracle.normal_quotients(group):
-            d_quot = d_of.get(quot.digest())
-            if d_quot is None:
-                d_quot = d_of[quot.digest()] = oracle.group_divisor_sum(quot)
-            # delta(G/N) <= delta(G), cross-multiplied to stay in integers
-            if d_quot * group.order > d_group * quot.order:
-                yield (
-                    f"{entry.label} / N of order {group.order // quot.order}: "
-                    f"{d_quot}/{quot.order} > {d_group}/{group.order}"
-                )
-            else:
-                yield None
-
-
-def _check_zm_lattice(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
-    for entry in corpus:
-        if entry.family != "zm":
-            continue
-        triple = families.zm_validate(*entry.params)
-        subs = oracle.all_subgroups(entry.group)
-        got = (len(subs), sum(sub.is_normal for sub in subs))
-        want = (
-            len(families.zm_subgroup_triples(triple)),
-            len(families.zm_normal_triples(triple)),
-        )
-        if got != want:
-            yield f"{entry.label}: subgroup/normal counts {got} != triple counts {want}"
-        else:
-            yield None
-
-
-def _check_zm_three_path(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
-    for entry in corpus:
-        if entry.family != "zm":
-            continue
-        triple = families.zm_validate(*entry.params)
-        formula = families.zm_divisor_sum(triple)
-        triple_sum = sum(lt.subgroup_order for lt in families.zm_normal_triples(triple))
-        brute = oracle.group_divisor_sum(entry.group)
-        if not formula == triple_sum == brute:
-            yield f"{entry.label}: {formula} / {triple_sum} / {brute} disagree"
-        else:
-            yield None
-
-
-def _check_noncyclic_dihedral(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
-    for entry in corpus:
-        if entry.family != "gen-dihedral":
-            continue
-        total = oracle.group_divisor_sum(entry.group)
-        bound = 2 * entry.group.order + 1
-        yield f"{entry.label}: D = {total} <= {bound}" if total <= bound else None
-
-
-def _check_dicyclic_bound(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
-    for entry in corpus:
-        if entry.family not in ("dicyclic", "gen-dicyclic"):
-            continue
-        # A is C_2n for Dic4n, and the chain before y for Dic(A, y)
-        chain = (2 * entry.params[0],) if entry.family == "dicyclic" else entry.params[:-1]
-        base = oracle.build_abelian(chain)
-        total = oracle.group_divisor_sum(entry.group)
-        half = 2 * base.order  # 4n where |A| = 2n
-        base_sum = oracle.group_divisor_sum(base)
-        if total < half + base_sum:
-            yield f"{entry.label}: D = {total} < {half} + {base_sum}"
-        else:
-            yield None
-
-
-def _check_nilpotent_equivalence(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
-    for entry in corpus:
-        group = entry.group
-        if not oracle.is_nilpotent(group):
-            continue
-        total = oracle.group_divisor_sum(group)
-        small = total <= 2 * group.order
-        # sigma(|G|) <= 2|G|: the order is perfect or deficient
-        expected = group.is_cyclic() and numtheory.divisor_sum(group.order) <= 2 * group.order
-        if small != expected:
+def _check_quotient_monotonicity(entry: CorpusEntry, max_order: int) -> Outcomes:
+    group = entry.group
+    if group.order > min(_QUOTIENT_CAP, max_order):
+        return
+    d_group = oracle.group_divisor_sum(group)
+    # D is read once per distinct quotient table of the group
+    d_of: dict[bytes, int] = {}
+    for quot in oracle.normal_quotients(group):
+        d_quot = d_of.get(quot.digest())
+        if d_quot is None:
+            d_quot = d_of[quot.digest()] = oracle.group_divisor_sum(quot)
+        # delta(G/N) <= delta(G), cross-multiplied to stay in integers
+        if d_quot * group.order > d_group * quot.order:
             yield (
-                f"{entry.label}: delta <= 2 is {small} but cyclic-and-"
-                f"perfect-or-deficient is {expected}"
+                f"{entry.label} / N of order {group.order // quot.order}: "
+                f"{d_quot}/{quot.order} > {d_group}/{group.order}"
             )
         else:
             yield None
+
+
+def _check_zm_lattice(entry: CorpusEntry, max_order: int) -> Outcomes:
+    if entry.family != "zm":
+        return
+    triple = families.zm_validate(*entry.params)
+    subs = oracle.all_subgroups(entry.group)
+    got = (len(subs), sum(sub.is_normal for sub in subs))
+    want = (
+        len(families.zm_subgroup_triples(triple)),
+        len(families.zm_normal_triples(triple)),
+    )
+    if got != want:
+        yield f"{entry.label}: subgroup/normal counts {got} != triple counts {want}"
+    else:
+        yield None
+
+
+def _check_zm_three_path(entry: CorpusEntry, max_order: int) -> Outcomes:
+    if entry.family != "zm":
+        return
+    triple = families.zm_validate(*entry.params)
+    formula = families.zm_divisor_sum(triple)
+    triple_sum = sum(lt.subgroup_order for lt in families.zm_normal_triples(triple))
+    brute = oracle.group_divisor_sum(entry.group)
+    if not formula == triple_sum == brute:
+        yield f"{entry.label}: {formula} / {triple_sum} / {brute} disagree"
+    else:
+        yield None
+
+
+def _check_noncyclic_dihedral(entry: CorpusEntry, max_order: int) -> Outcomes:
+    if entry.family != "gen-dihedral":
+        return
+    total = oracle.group_divisor_sum(entry.group)
+    bound = 2 * entry.group.order + 1
+    yield f"{entry.label}: D = {total} <= {bound}" if total <= bound else None
+
+
+def _check_dicyclic_bound(entry: CorpusEntry, max_order: int) -> Outcomes:
+    if entry.family not in ("dicyclic", "gen-dicyclic"):
+        return
+    # A is C_2n for Dic4n, and the chain before y for Dic(A, y)
+    chain = (2 * entry.params[0],) if entry.family == "dicyclic" else entry.params[:-1]
+    base = oracle.build_abelian(chain)
+    total = oracle.group_divisor_sum(entry.group)
+    half = 2 * base.order  # 4n where |A| = 2n
+    base_sum = oracle.group_divisor_sum(base)
+    if total < half + base_sum:
+        yield f"{entry.label}: D = {total} < {half} + {base_sum}"
+    else:
+        yield None
+
+
+def _check_nilpotent_equivalence(entry: CorpusEntry, max_order: int) -> Outcomes:
+    group = entry.group
+    if not oracle.is_nilpotent(group):
+        return
+    total = oracle.group_divisor_sum(group)
+    small = total <= 2 * group.order
+    # sigma(|G|) <= 2|G|: the order is perfect or deficient
+    expected = group.is_cyclic() and numtheory.divisor_sum(group.order) <= 2 * group.order
+    if small != expected:
+        yield (
+            f"{entry.label}: delta <= 2 is {small} but cyclic-and-"
+            f"perfect-or-deficient is {expected}"
+        )
+    else:
+        yield None
 
 
 # cyclic and zm formulas are held to the oracle by invariants of their own
 _OWN_FORMULA_CHECK = frozenset({"cyclic", "zm"})
 
 
-def _check_family_formulas(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
-    for entry in corpus:
-        family = FAMILY.get(entry.family)
-        if family is None or entry.family in _OWN_FORMULA_CHECK:
-            continue
-        want = family.evaluate(entry.params)[1]
-        got = oracle.group_divisor_sum(entry.group)
-        yield f"{entry.label}: oracle D = {got} != formula {want}" if got != want else None
+def _check_family_formulas(entry: CorpusEntry, max_order: int) -> Outcomes:
+    family = FAMILY.get(entry.family)
+    if family is None or entry.family in _OWN_FORMULA_CHECK:
+        return
+    want = family.evaluate(entry.params)[1]
+    got = oracle.group_divisor_sum(entry.group)
+    yield f"{entry.label}: oracle D = {got} != formula {want}" if got != want else None
 
 
-def _check_spot_values(corpus: list[CorpusEntry], max_order: int) -> Outcomes:
+def _check_spot_values(entry: CorpusEntry, max_order: int) -> Outcomes:
     # D of named groups, known apart from every formula; each is checked
     # once the corpus reaches its order
     spots = {"C6": 12, "Dic12": 24, "ZM(7,6,3)": 85, "Aff(7)": 85}
-    for entry in corpus:
-        want = spots.get(entry.label)
-        if want is None:
-            continue
-        got = oracle.group_divisor_sum(entry.group)
-        yield f"{entry.label}: D = {got} != {want}" if got != want else None
+    want = spots.get(entry.label)
+    if want is None:
+        return
+    got = oracle.group_divisor_sum(entry.group)
+    yield f"{entry.label}: D = {got} != {want}" if got != want else None
 
 
 # Every invariant in report order, as (name, generator, over pairs).  An
-# invariant over pairs runs once, after the pass, over the entries that
-# `_pairable` keeps; every other runs over each chunk of the corpus.
-_INVARIANTS: tuple[tuple[str, Callable[[list[CorpusEntry], int], Outcomes], bool], ...] = (
+# invariant over pairs runs once, after the pass, over the list of entries
+# that `_pairable` keeps; every other runs over each entry of the corpus.
+_INVARIANTS: tuple[tuple[str, Callable[..., Outcomes], bool], ...] = (
     ("cyclic-group-divisor-sum", _check_cyclic_dsum, False),
     ("delta-exceeds-one", _check_delta, False),
     ("direct-product-multiplicativity", _check_multiplicativity, True),
@@ -371,12 +341,13 @@ def run_verify(max_order: int) -> list[InvariantResult]:
     # name -> (instances checked, first failure's detail or None)
     tallies: dict[str, tuple[int, str | None]] = {name: (0, None) for name, *_ in _INVARIANTS}
     held: list[CorpusEntry] = []
-    for chunk in _chunks(_corpus(max_order)):
+    for entry in _corpus(max_order):
         for name, check, over_pairs in _INVARIANTS:
             checked, detail = tallies[name]
             if not over_pairs and detail is None:
-                tallies[name] = _run(check(chunk, max_order), checked)
-        held += [entry for entry in chunk if _pairable(entry.group.order, max_order)]
+                tallies[name] = _run(check(entry, max_order), checked)
+        if _pairable(entry.group.order, max_order):
+            held.append(entry)
     for name, check, over_pairs in _INVARIANTS:
         if over_pairs:
             tallies[name] = _run(check(held, max_order), 0)

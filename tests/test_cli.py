@@ -181,6 +181,25 @@ def test_closed_form_commands_run_without_numpy(argv, capsys):
     assert done.stderr == ""
 
 
+def test_classify_prints_a_d_of_more_than_4300_digits(capsys):
+    # D(Dih(C3^200)) has about 4,800 digits; a fresh process refuses to turn
+    # an int of more than 4,300 into a string (Python 3.10.7 on) unless the
+    # cli lifts that limit
+    argv = ["classify", "--family", "gen-dihedral", "--params", ",".join(["3"] * 200)]
+    out = {}
+    for extra in ([], ["--table"]):
+        done = _run_cli_subprocess(argv + extra, blocked=True)
+        assert done.returncode == 0, done.stderr
+        assert cli.main(argv + extra) == cli.EXIT_OK
+        assert capsys.readouterr().out == done.stdout
+        out[bool(extra)] = done.stdout
+    want = families.generalized_dihedral_divisor_sum((3,) * 200)
+    assert want > 10**4300
+    assert json.loads(out[False])["D"] == want
+    header, row = out[True].splitlines()
+    assert row.split()[header.split().index("D")] == str(want)
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [

@@ -200,11 +200,6 @@ CORRUPT_CACHE_LINES = {
         '{"family": "cyclic", "params": [6], "order": 6, "D": 12, '
         '"class": "abundant", "notes": []}'
     ),
-    # more digits than int() converts
-    "D-past-the-digit-limit": (
-        '{"family": "cyclic", "params": [2], "order": 2, "D": 1' + "0" * 5000 + ', '
-        '"class": "abundant", "notes": []}'
-    ),
     # D = 0 has no class at all
     "D-below-one": (
         '{"family": "cyclic", "params": [2], "order": 2, "D": 0, '
@@ -225,6 +220,25 @@ def test_corrupt_cache_line_is_skipped_and_recomputed(tmp_path, capsys, line):
     assert captured.out == expected
     assert captured.err.count("skipping corrupt cache line 1") == 1
     assert cache.read_text().splitlines()[1:] == expected.splitlines()
+
+
+def test_a_cached_d_of_more_than_4300_digits_is_read_back_exactly(tmp_path, capsys):
+    # cli.main lifts the limit on int-to-string digits (4,300 from Python
+    # 3.10.7 on), so this line is well formed and its class agrees with its D
+    # and order: the cache takes it, as it takes any such line, and it is
+    # printed as it was read
+    line = (
+        '{"family": "cyclic", "params": [2], "order": 2, "D": 1' + "0" * 5000 + ', '
+        '"class": "abundant", "notes": []}'
+    )
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(line + "\n")
+    argv = ["search", "cyclic", "--max-n", "10", "--include-edge", "--cache", str(cache)]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[1] == line
+    assert json.loads(line)["D"] == 10**5000
 
 
 def test_warm_sweep_neither_parses_nor_evaluates(tmp_path, monkeypatch, capsys):

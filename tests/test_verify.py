@@ -93,13 +93,18 @@ def test_small_run_includes_key_instances():
 
 
 def eager_verify(max_order):
-    """run_verify over the whole corpus held at once: each invariant's
-    generator over every entry, counted up to its first failure."""
+    """run_verify over the whole corpus held at once: each invariant in turn
+    over every entry (the product check over the whole list), counted up to
+    its first failure."""
     corpus = list(verify._corpus(max_order))
     results = []
-    for name, check, _ in verify._INVARIANTS:
+    for name, check, over_pairs in verify._INVARIANTS:
+        if over_pairs:
+            outcomes = check(corpus, max_order)
+        else:
+            outcomes = (outcome for entry in corpus for outcome in check(entry, max_order))
         checked, detail = 0, ""
-        for outcome in check(corpus, max_order):
+        for outcome in outcomes:
             checked += 1
             if outcome is not None:
                 detail = outcome
@@ -113,18 +118,13 @@ def test_the_streamed_run_equals_the_whole_corpus_run(max_order):
     assert verify.run_verify(max_order) == eager_verify(max_order)
 
 
-def test_one_entry_chunks_give_the_whole_corpus_run(monkeypatch):
-    monkeypatch.setattr(verify, "_CHUNK_CELLS", 1)
-    assert verify.run_verify(60) == eager_verify(60)
+def test_a_failure_at_a_late_entry_keeps_its_count_and_the_rest_run(monkeypatch):
+    labels = [entry.label for entry in verify._corpus(100)]
+    late = labels[299]
+    assert labels.count(late) == 1
 
-
-def test_a_failure_in_a_later_chunk_keeps_its_count_and_the_rest_run(monkeypatch):
-    chunks = list(verify._chunks(verify._corpus(100)))
-    late = chunks[2][1].label
-
-    def wrong_delta(corpus, max_order):
-        for entry in corpus:
-            yield f"{entry.label}: wrong" if entry.label == late else None
+    def wrong_delta(entry, max_order):
+        yield f"{entry.label}: wrong" if entry.label == late else None
 
     rows = [
         (name, wrong_delta if name == "delta-exceeds-one" else check, over_pairs)
@@ -134,9 +134,41 @@ def test_a_failure_in_a_later_chunk_keeps_its_count_and_the_rest_run(monkeypatch
     results = verify.run_verify(100)
     assert results == eager_verify(100)
     failed = [r for r in results if not r.passed]
-    checked = len(chunks[0]) + len(chunks[1]) + 2
-    assert failed == [verify.InvariantResult("delta-exceeds-one", False, checked, f"{late}: wrong")]
-    assert [r.checked for r in results] == [100, checked, 311, 8453, 102, 102, 23, 68, 165, 120, 4]
+    assert failed == [verify.InvariantResult("delta-exceeds-one", False, 300, f"{late}: wrong")]
+    assert [r.checked for r in results] == [100, 300, 311, 8453, 102, 102, 23, 68, 165, 120, 4]
+
+
+def test_every_invariant_is_done_with_an_entry_before_the_next_is_built(monkeypatch):
+    events = []
+    corpus = verify._corpus
+
+    def pulled(max_order):
+        for entry in corpus(max_order):
+            events.append(("built", entry.label))
+            yield entry
+
+    def watched(name, check):
+        def run(entry, max_order):
+            yield from check(entry, max_order)
+            events.append((name, entry.label))
+
+        return run
+
+    rows = [
+        (name, check if over_pairs else watched(name, check), over_pairs)
+        for name, check, over_pairs in verify._INVARIANTS
+    ]
+    monkeypatch.setattr(verify, "_corpus", pulled)
+    monkeypatch.setattr(verify, "_INVARIANTS", tuple(rows))
+    assert all(result.passed for result in verify.run_verify(24))
+    per_entry = [name for name, _, over_pairs in rows if not over_pairs]
+    built = [label for what, label in events if what == "built"]
+    assert len(built) > 50
+    assert events == [
+        event
+        for label in built
+        for event in [("built", label)] + [(name, label) for name in per_entry]
+    ]
 
 
 def coprime_pairs(entries, max_order):
@@ -160,22 +192,6 @@ def test_the_held_entries_give_every_product_pair(max_order):
     assert pairs == coprime_pairs(corpus, max_order)
     # and no more is held: each held entry is a factor of some pair
     assert {label for pair in pairs for label in pair} == {entry.label for entry in held}
-
-
-@pytest.mark.parametrize("cells", [1 << 18, 5000])
-def test_a_chunk_passes_the_cell_budget_only_when_it_holds_one_table(monkeypatch, cells):
-    monkeypatch.setattr(verify, "_CHUNK_CELLS", cells)
-    corpus = list(verify._corpus(100))
-    chunks = list(verify._chunks(iter(corpus)))
-    assert [entry for chunk in chunks for entry in chunk] == corpus
-    sizes = [sum(entry.group.order**2 for entry in chunk) for chunk in chunks]
-    assert all(size <= cells or len(chunk) == 1 for size, chunk in zip(sizes, chunks))
-    # each chunk is cut only where the next table would not fit
-    assert all(
-        size + chunk[0].group.order**2 > cells for size, chunk in zip(sizes, chunks[1:])
-    )
-    assert len(chunks) > 1
-    assert any(size > cells for size in sizes) == (cells < 100**2)
 
 
 def test_each_product_table_pair_is_built_once(monkeypatch):
@@ -255,7 +271,7 @@ def test_a_wrong_quotient_divisor_sum_fails_quotient_monotonicity(monkeypatch, c
     # Dih(C2 x C6) / <3> is the first quotient table of the corpus to order 24
     # that is no corpus group, so only quotient-monotonicity reads its D
     group = oracle.build_generalized_dihedral([2, 6])
-    target = oracle.quotient(group, oracle.Subgroup((0, 3), True)).digest()
+    target = oracle._quotients(group, [1 | 1 << 3])[0].digest()
     brute = oracle.group_divisor_sum
     monkeypatch.setattr(
         oracle, "group_divisor_sum", lambda g: brute(g) + 100 * (g.digest() == target)
@@ -286,7 +302,11 @@ def test_quotient_monotonicity_reads_d_once_per_distinct_quotient_table(monkeypa
         return brute(group)
 
     monkeypatch.setattr(oracle, "group_divisor_sum", watched)
-    assert all(outcome is None for outcome in verify._check_quotient_monotonicity(corpus, 24))
+    assert all(
+        outcome is None
+        for entry in corpus
+        for outcome in verify._check_quotient_monotonicity(entry, 24)
+    )
     assert asked == want
     pairs = sum(len(oracle.normal_subgroups(entry.group)) for entry in corpus)
     assert len(asked) < len(corpus) + pairs  # fewer reads than one per pair
