@@ -113,7 +113,13 @@ def _build_parser() -> _Parser:
     srch.add_argument(
         "--include-edge", action="store_true", help="keep order-1 edge instances"
     )
-    srch.add_argument("--workers", type=int, default=1)
+    srch.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored, but must be at least 1: "
+        "sweeps run in one process",
+    )
     srch.add_argument("--cache", help="append-only resume cache path")
     srch.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET)
     srch.add_argument("--table", action="store_true")
@@ -253,7 +259,6 @@ def _cmd_search(args) -> int:
         classes=_parse_classes(args.classes),
         dedupe=args.dedupe,
         include_edge=args.include_edge,
-        workers=args.workers,
         cache_path=args.cache,
         budget=args.budget,
     )

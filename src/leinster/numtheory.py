@@ -55,7 +55,6 @@ __all__ = [
     "perfect_plus_one",
     "prime_power_decompose",
     "sieve",
-    "sieve_limit",
     "verified_mersenne_exponents",
 ]
 
@@ -126,11 +125,6 @@ def sieve(limit: int):
     finally:
         del _OPEN_TABLES[next(i for i, t in enumerate(_OPEN_TABLES) if t is table)]
         _SPF = max(_OPEN_TABLES, key=len, default=None)
-
-
-def sieve_limit() -> int:
-    """The largest n the open sieve tables answer; 0 outside every `sieve` block."""
-    return len(_SPF) - 1 if _SPF is not None else 0
 
 
 def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:

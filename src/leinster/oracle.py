@@ -20,7 +20,8 @@ Two independent enumerators find subgroups:
 
 On every table they agree on the normal subgroups; the tests hold them to
 that.  Each distinct table is validated once per process, keyed by the same
-blake2b digest that keys both lattice caches.
+blake2b digest that keys the normal-lattice cache.  The full lattice is not
+cached: no command asks for it twice on one table.
 
 Quotients are batched like the joins: `normal_quotients` (every G/N of a
 group) numbers the cosets of the normal subgroups and gathers their quotient
@@ -75,10 +76,6 @@ ORDER_CAP_ENV = "LEINSTER_ORACLE_CAP"
 # Tables hold element indices as uint16, so no order above 2**16 is allowed.
 _INDEX = np.uint16
 _CAP_CEILING = 1 << 16
-
-# Enumeration results keyed by table digest; identical tables recur heavily in
-# the verification corpus (quotients, direct products), so this is load-bearing.
-_LATTICE_CACHE: dict[bytes, tuple[tuple[int, bool], ...]] = {}
 
 # Normal-subgroup bitmasks keyed by table digest, sorted by (order, bitmask):
 # D(G), normal_subgroups and is_nilpotent read these, not the full lattice.
@@ -228,9 +225,9 @@ class FiniteGroup:
     to it.  Construction validates the Latin-square property and
     associativity, so downstream code can trust the table blindly.  Each
     distinct table is validated once per process: the generating set found
-    then is kept under the table's digest (the key of the lattice cache), and
-    a later build of an equal table reuses it.  A table that fails validation
-    is not kept and raises every time it is built.
+    then is kept under the table's digest (the key of the normal-lattice
+    cache), and a later build of an equal table reuses it.  A table that
+    fails validation is not kept and raises every time it is built.
     """
 
     __slots__ = (
@@ -368,11 +365,6 @@ def _enumerate_lattice(group: FiniteGroup) -> tuple[tuple[int, bool], ...]:
     ValueError: it is not solvable, and a non-solvable proper subgroup (the
     A5 in S5) would be missed.
     """
-    digest = group.digest()
-    cached = _LATTICE_CACHE.get(digest)
-    if cached is not None:
-        return cached
-
     n = group.order
     power = _powers(group.table)
     # x^p for each prime p dividing |G|: for x in N(H) outside H, one of them
@@ -399,9 +391,7 @@ def _enumerate_lattice(group: FiniteGroup) -> tuple[tuple[int, bool], ...]:
         )
     normal[whole] = True
     masks = ((int.from_bytes(key, "little"), flag) for key, flag in normal.items())
-    frozen = tuple(sorted(masks, key=lambda item: (item[0].bit_count(), item[0])))
-    _LATTICE_CACHE[digest] = frozen
-    return frozen
+    return tuple(sorted(masks, key=lambda item: (item[0].bit_count(), item[0])))
 
 
 def _extend_batch(

@@ -2,37 +2,36 @@
 
 A sweep enumerates the valid parameter tuples of one family inside inclusive
 bounds, computes the normal-subgroup order sum through the closed-form path,
-classifies each instance, and emits records in sorted-parameter order
-regardless of worker count.
+classifies each instance, and emits records in sorted-parameter order.
 
-A sweep is a pipeline over ordered chunks of _CHUNK tuples: it pulls one
-chunk from the family's lazy enumeration, takes the chunk's cached records
-from the cache file, evaluates the rest, appends them to the cache (one JSON
-line per record, file closed) and only then yields the chunk's records.  So
-it holds about one chunk in memory whatever its bounds, an interrupted sweep
-keeps every finished chunk, and a rerun with the same cache computes only
-the missing tuples.
+A sweep is one loop, in one process, over ordered chunks of _CHUNK tuples:
+it pulls one chunk from the family's lazy enumeration, takes the chunk's
+cached records from the cache file, evaluates the rest, appends them to the
+cache (one JSON line per record, file closed) and only then yields the
+chunk's records.  So it holds about one chunk in memory whatever its bounds,
+an interrupted sweep keeps every finished chunk, and a rerun with the same
+cache computes only the missing tuples.
 
-A record costs a few microseconds of Python, and the path is kept short.
+A record costs a few microseconds of Python, and the path is kept short:
+shipping chunks to a process pool cost more than it saved.
 `_evaluate_batch` is the one evaluation path, for sweeps and for
-`run_classify`: it looks the family up once per chunk, then per tuple checks
-the arity, evaluates the closed form, classifies by `classify_kind` and notes
-an order-1 edge.  Number theory on the sweep's small integers reads a
-smallest-prime-factor table built once per sweep (`numtheory.sieve`, up to
-twice the largest bound; sigma is multiplied up during the walk of that
-table); pool workers that do not inherit it by fork build their own.  A
-record of one parameter and no notes is encoded by one format string.
+`run_classify`: per tuple it evaluates the closed form, classifies by
+`classify_kind` and notes an order-1 edge.  Number theory on the sweep's
+small integers reads a smallest-prime-factor table built once per sweep
+(`numtheory.sieve`, up to twice the largest bound; sigma is multiplied up
+during the walk of that table).  A record of one parameter and no notes is
+encoded by one format string.
 
 The cache file is read forward in step with the enumeration, _BLOCK bytes at
 a time; a sweep writes it in params order, so a rerun holds about one chunk
-of it too.  A cache line in the canonical form is decoded without a JSON
-parse and printed as read.  A block whose lines are all canonical lines of
-the swept family is decoded in one pass: one regex scan of the block, the
-integers converted a column at a time, and every line class-checked by
-`classify_kind`.  Any other block is read line by line.  A corrupt or
-mistyped cache line of the swept family, or one whose class disagrees with
-its D and order, is skipped with a warning and its tuple recomputed; a line
-of another family is skipped by its prefix without a decode.
+of it too.  A block whose lines are all canonical lines of the swept family
+is decoded in one pass, without a JSON parse: one regex scan of the block,
+the integers converted a column at a time, and every line class-checked by
+`classify_kind`; its lines are printed as read.  Any other block is read
+line by line, by `json.loads`.  A corrupt or mistyped cache line of the
+swept family, or one whose class disagrees with its D and order, is skipped
+with a warning and its tuple recomputed; a line of another family is skipped
+by its prefix without a decode.
 
 ZM triples are enumerated from the residues of each odd m (an even m has
 none) grouped by multiplicative order, and `dedupe` drops a triple there,
@@ -45,8 +44,7 @@ over the budget is refused before any chain is evaluated, and only one chunk
 of them is held.
 
 Importing the module loads neither numpy nor the oracle: the family builders
-and `oracle_crosscheck` import `leinster.oracle` when first called, and a
-sweep imports `concurrent.futures` only to start a pool (`workers > 1`).
+and `oracle_crosscheck` import `leinster.oracle` when first called.
 """
 
 from __future__ import annotations
@@ -92,9 +90,6 @@ DEFAULT_BUDGET = 10_000_000
 # tuples per evaluated chunk: the unit of cache appends, and so of resume
 _CHUNK = 4096
 
-# chunks a process pool holds in flight, per worker
-_WINDOW_PER_WORKER = 2
-
 # bytes of a cache file read and decoded at a time: about 170 one-parameter lines
 _BLOCK = 1 << 14
 
@@ -104,15 +99,16 @@ _KIND_JSON = {kind.value: _json_str(kind.value) for kind in GroupKind}
 
 # The exact line `SearchRecord.to_json` writes when every string is printable
 # ASCII without '"' or '\' (so needs no escape) and every integer is in
-# canonical form (no leading zero, no -0).  A line of this form decodes
-# without `json.loads`; `json.loads` would give the same record.
+# canonical form (no leading zero, no -0).  A block of lines of this form
+# decodes without `json.loads` (`_decode_canonical`); `json.loads` would give
+# the same records.
 _CHARS = r"[ !#-\[\]-~]*"  # printable ASCII but '"' and '\'
 _INT = r"(?:0|-?[1-9][0-9]*)"
-# Anchored at line ends, so it serves `fullmatch` on one line and `findall`
-# over a block of lines.  The lists are written as alternatives (none, one,
-# several), not as an optional repeat: a repeated group costs the regex
-# engine an allocation each time it is entered, so a line of one parameter
-# and no notes, which enters none, matches in about two thirds of the time.
+# Anchored at line ends, so `findall` over a block of lines matches whole
+# lines.  The lists are written as alternatives (none, one, several), not as
+# an optional repeat: a repeated group costs the regex engine an allocation
+# each time it is entered, so a line of one parameter and no notes, which
+# enters none, matches in about two thirds of the time.
 _CANONICAL_LINE = re.compile(
     rf'^{{"family": "({_CHARS})", "params": \[(|{_INT}|{_INT}(?:, {_INT})+)\], '
     rf'"order": ({_INT}), "D": ({_INT}), "class": "({_CHARS})", '
@@ -197,35 +193,13 @@ class SearchRecord:
 
     @staticmethod
     def from_json(line: str) -> "SearchRecord":
-        """Decode one cache line; a field of the wrong type raises TypeError.
+        """Decode one cache line by `json.loads`; a field of the wrong type raises TypeError.
 
-        A line in the exact form `to_json` writes with no string escapes is
-        decoded by one regex match and kept as the record's JSON line.  Any
-        other line goes through `json.loads`: numbers must be JSON integers
-        (not floats, strings or booleans) and notes a list of strings, so a
-        mistyped line is rejected instead of coerced into a different record.
-        An unknown class raises ValueError.
+        Numbers must be JSON integers (not floats, strings or booleans) and
+        notes a list of strings, so a mistyped line is rejected instead of
+        coerced into a different record.  An unknown class raises
+        ValueError.  The record keeps no line: `to_json` encodes it again.
         """
-        match = _CANONICAL_LINE.fullmatch(line)
-        if match is not None:
-            family, params, order, D, name, notes = match.groups()
-            kind = _KINDS.get(name)
-            if kind is None:
-                raise ValueError(f"unknown class {name!r}")
-            if ", " in params:
-                params = tuple(map(int, params.split(", ")))
-            else:  # most families take one parameter
-                params = (int(params),) if params else ()
-            record = SearchRecord(
-                sys.intern(family),  # one string per family, not one per record
-                params,
-                int(order),
-                int(D),
-                kind,
-                tuple(notes[1:-1].split('", "')) if notes else (),
-            )
-            _set_json(record, line)
-            return record
         obj = json.loads(line)
         family, params, order, D = obj["family"], obj["params"], obj["order"], obj["D"]
         notes, kind = obj["notes"], _KINDS.get(obj["class"])
@@ -287,7 +261,6 @@ class SweepConfig:
     classes: frozenset[GroupKind] | None = None
     dedupe: bool = False
     include_edge: bool = False
-    workers: int = 1
     cache_path: str | Path | None = None
     budget: int = DEFAULT_BUDGET
 
@@ -295,8 +268,6 @@ class SweepConfig:
         family = FAMILY.get(self.family)
         if family is None:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         allowed = family.bounds
@@ -522,81 +493,23 @@ FAMILIES = tuple(FAMILY)
 def _evaluate_batch(family: str, batch: list[tuple[int, ...]]) -> list[SearchRecord]:
     """The records of `batch`, tuples of one family: the one evaluation path.
 
-    The family is looked up once per batch.  Each tuple has its arity
-    checked, is evaluated in closed form and classified by `classify_kind`,
-    and a record of order 1 gets the edge note.
+    The family is looked up once per batch.  Each tuple is evaluated in
+    closed form and classified by `classify_kind`, and a record of order 1
+    gets the edge note.  The arity is not checked here: an enumerator gives
+    the family's, and `run_classify` checks a caller's.
     """
     try:
-        fam = FAMILY[family]
+        evaluate = FAMILY[family].evaluate
     except KeyError:
         raise ValueError(f"unknown family {family!r}") from None
-    arity, evaluate, classify = fam.arity, fam.evaluate, families.classify_kind
+    classify = families.classify_kind
     records = []
     for params in batch:
-        if arity is not None and len(params) != arity:
-            raise ValueError(
-                f"{family} takes {arity} parameter{'s' if arity != 1 else ''}, "
-                f"got {len(params)}"
-            )
         order, total, notes = evaluate(params)
         if order == 1:
             notes += (NOTE_EDGE,)
         records.append(SearchRecord(family, params, order, total, classify(total, order), notes))
     return records
-
-
-# a pool worker's own sieve block, referenced so that it stays open for the
-# worker's life (see _open_worker_sieve)
-_WORKER_SIEVE = None
-
-
-def _open_worker_sieve(limit: int) -> None:
-    """Pool initializer: give the worker the sweep's smallest-prime-factor table.
-
-    A forked worker inherits the parent's open table and keeps it; a spawned
-    or forkserver worker starts without one and builds its own.
-    """
-    global _WORKER_SIEVE
-    if numtheory.sieve_limit() < min(limit, numtheory.SIEVE_CAP):
-        _WORKER_SIEVE = numtheory.sieve(limit)
-        _WORKER_SIEVE.__enter__()
-
-
-def _evaluate_chunks(family: str, workers: int, chunks: Iterator, sieve_limit: int):
-    """Yield (hits, fresh) for each (hits, todo) of `chunks`, in order.
-
-    `fresh` is the records of `todo`, evaluated in this process or, with
-    several workers, over a process pool started at the first chunk with
-    work (`concurrent.futures` is imported only then).  The pool holds at
-    most _WINDOW_PER_WORKER * workers chunks in flight (`Executor.map` would
-    submit every chunk before the first result).
-    """
-    if workers == 1:
-        for hits, todo in chunks:
-            yield hits, _evaluate_batch(family, todo)
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    limit = _WINDOW_PER_WORKER * workers
-    pool = None
-    window: deque = deque()
-    try:
-        while True:
-            for hits, todo in islice(chunks, limit - len(window)):
-                if todo and pool is None:
-                    pool = ProcessPoolExecutor(
-                        max_workers=workers,
-                        initializer=_open_worker_sieve,
-                        initargs=(sieve_limit,),
-                    )
-                window.append((hits, pool.submit(_evaluate_batch, family, todo) if todo else None))
-            if not window:
-                return
-            hits, future = window.popleft()
-            yield hits, future.result() if future is not None else []
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
 
 
 # the start of a cache line of any family whose name needs no escape
@@ -803,29 +716,16 @@ def _decode_canonical(family: str, text: str, lines: list[str]) -> list[SearchRe
     return records
 
 
-def _take_cached(chunks: Iterator[list[tuple[int, ...]]], cache: _Cache | None):
-    """Yield (hits, todo) per chunk: its cached records (None where missing) and the rest."""
-    for chunk in chunks:
-        if cache is None or cache.spent():  # a cold sweep asks nothing per params
-            yield [None] * len(chunk), chunk
-            continue
-        hits = [cache.take(params) for params in chunk]
-        yield hits, [params for params, hit in zip(chunk, hits) if hit is None]
-
-
 def run_sweep(cfg: SweepConfig):
     """Yield classified records for every valid tuple in bounds, sorted by params.
 
-    A pipeline over chunks: the family's enumeration is pulled _CHUNK tuples
-    at a time; each chunk's cached records are taken from the cache file and
-    the rest evaluated, serially or over a process pool holding at most
-    _WINDOW_PER_WORKER * workers chunks; the evaluated records are appended
-    to the cache (opened, written and closed) before the chunk's records are
-    yielded.  So a sweep holds about one chunk (one window with a pool),
-    plus the cached records read ahead of their turn, which a cache in params
-    order keeps to about one chunk.  Output is byte-identical for any worker
-    count.  The smallest-prime-factor table is open for the whole sweep, in
-    this process and in every pool worker.
+    One loop over chunks: the family's enumeration is pulled _CHUNK tuples
+    at a time; each chunk's cached records are taken from the cache file,
+    the rest are evaluated by `_evaluate_batch` and appended to the cache
+    (opened, written and closed), and only then are the chunk's records
+    yielded.  So a sweep holds about one chunk, plus the cached records read
+    ahead of their turn, which a cache in params order keeps to about one
+    chunk.  The smallest-prime-factor table is open for the whole sweep.
     """
     family = FAMILY[cfg.family]
     raw = family.tuple_count(cfg) if family.tuple_count is not None else None
@@ -833,20 +733,25 @@ def run_sweep(cfg: SweepConfig):
         raise BudgetError(
             f"sweep bounds describe up to {raw} tuples, over the budget of {cfg.budget}"
         )
-    sieve_limit = 2 * max(cfg.bounds.values(), default=0) + 1
-    with numtheory.sieve(sieve_limit):
+    with numtheory.sieve(2 * max(cfg.bounds.values(), default=0) + 1):
         params = iter(family.enumerate(cfg))
-        chunks = iter(lambda: list(islice(params, _CHUNK)), [])
         path = cfg.cache_path
         reader = None if path is None else _Cache(Path(path), cfg.family, family.ascending)
         with reader or nullcontext() as cache:
-            pending = _take_cached(chunks, cache)
-            for hits, fresh in _evaluate_chunks(cfg.family, cfg.workers, pending, sieve_limit):
-                if fresh and cache is not None:
-                    cache.append(fresh)
-                computed = iter(fresh)
-                for hit in hits:
-                    record = hit or next(computed)
+            for chunk in iter(lambda: list(islice(params, _CHUNK)), []):
+                # a cold sweep asks nothing per params
+                hits = None if cache is None or cache.spent() else list(map(cache.take, chunk))
+                todo = chunk if hits is None else [p for p, hit in zip(chunk, hits) if hit is None]
+                records = _evaluate_batch(cfg.family, todo)
+                if records and cache is not None:
+                    cache.append(records)
+                if hits is not None:
+                    computed = iter(records)
+                    records = [hit or next(computed) for hit in hits]
+                    # never exhausted, so left bound it would keep these
+                    # records alive through every cold chunk after this one
+                    del computed
+                for record in records:
                     if NOTE_EDGE in record.notes and not cfg.include_edge:
                         continue
                     if cfg.classes is not None and record.kind not in cfg.classes:
@@ -882,7 +787,13 @@ def oracle_crosscheck(record: SearchRecord) -> bool | None:
 
 def run_classify(family: str, params: list[int] | tuple[int, ...]) -> SearchRecord:
     """Classify one instance in closed form; `oracle_crosscheck` checks the result."""
-    if family not in FAMILY:
+    fam = FAMILY.get(family)
+    if fam is None:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if fam.arity is not None and len(params) != fam.arity:
+        raise ValueError(
+            f"{family} takes {fam.arity} parameter{'s' if fam.arity != 1 else ''}, "
+            f"got {len(params)}"
+        )
     (record,) = _evaluate_batch(family, [tuple(params)])
     return record

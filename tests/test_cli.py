@@ -308,3 +308,16 @@ def test_cli_output_is_pinned(line, code, digest, err, capsys):
     stdout = re.sub(r" in \d+\.\d+s\n", " in Xs\n", captured.out)
     assert hashlib.sha256(stdout.encode()).hexdigest()[:16] == digest
     assert captured.err == err
+
+
+def test_a_worker_count_changes_no_output_and_no_cache_byte(tmp_path, capsys):
+    # --workers is accepted for compatibility: every sweep runs in one process
+    runs = []
+    for workers in ("1", "3"):
+        cache = tmp_path / f"workers-{workers}.jsonl"
+        argv = ["search", "cyclic", "--max-n", "9000", "--cache", str(cache), "--workers", workers]
+        code = cli.main(argv)
+        runs.append((code, capsys.readouterr(), cache.read_bytes()))
+    assert runs[0] == runs[1]
+    code, captured, cache_bytes = runs[0]
+    assert code == 0 and captured.err == "" and len(cache_bytes.splitlines()) == 9000

@@ -384,13 +384,13 @@ def test_sieve_lives_only_inside_its_blocks():
 
 
 def test_sieve_limit_reports_the_open_table():
-    assert nt.sieve_limit() == 0
+    assert nt._SPF is None
     with nt.sieve(100):
-        assert nt.sieve_limit() == 100
+        assert len(nt._SPF) - 1 == 100
         with nt.sieve(10**12):
-            assert nt.sieve_limit() == nt.SIEVE_CAP
-        assert nt.sieve_limit() == 100
-    assert nt.sieve_limit() == 0
+            assert len(nt._SPF) - 1 == nt.SIEVE_CAP
+        assert len(nt._SPF) - 1 == 100
+    assert nt._SPF is None
 
 
 def _sigma_from_factors(n):
@@ -401,7 +401,7 @@ def _sigma_from_factors(n):
 def test_tabled_divisor_sum_equals_the_product_over_factorize():
     limit = 2**16 - 1  # so the first n past the table is the prime power 2^16
     with nt.sieve(limit):
-        assert nt.sieve_limit() == limit
+        assert len(nt._SPF) - 1 == limit
         numbers = range(1, limit + 1)
         assert [nt.divisor_sum(n) for n in numbers] == [_sigma_from_factors(n) for n in numbers]
         assert nt.divisor_sum(1) == 1

@@ -394,9 +394,8 @@ def corpus_and_coprime_products(max_order):
 
 
 def test_normal_lattice_equals_the_full_lattice_on_the_corpus(monkeypatch):
-    # empty caches, so both enumerators run on every table here
+    # an empty cache, so both enumerators run on every table here
     monkeypatch.setattr(oracle, "_NORMAL_CACHE", {})
-    monkeypatch.setattr(oracle, "_LATTICE_CACHE", {})
     groups = corpus_and_coprime_products(100)
     assert len(groups) == 604
     for group in groups:

@@ -1,11 +1,10 @@
 import dataclasses
+import gc
 import json
 import math
-import multiprocessing
 import pickle
 import re
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import example, given
@@ -31,8 +30,6 @@ def test_config_validation():
         SweepConfig(family="nope", bounds={"max_n": 3})
     with pytest.raises(ValueError):
         SweepConfig(family="cyclic", bounds={"max_n": 0})
-    with pytest.raises(ValueError):
-        SweepConfig(family="cyclic", bounds={"max_n": 3}, workers=0)
     with pytest.raises(ValueError):
         SweepConfig(family="dihedral", bounds={"max_n": 3}, paper_mode=True)
 
@@ -404,35 +401,29 @@ def counting_enumerator(monkeypatch, family):
     return pulled
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_pulls_one_chunk_or_one_window_before_its_first_record(monkeypatch, workers):
+def test_sweep_pulls_one_chunk_before_its_first_record(monkeypatch):
     pulled = counting_enumerator(monkeypatch, "cyclic")
-    in_flight = 1 if workers == 1 else search._WINDOW_PER_WORKER * workers
-    bounds = {"max_n": (in_flight + 3) * search._CHUNK}
-    records = search.run_sweep(SweepConfig(family="cyclic", bounds=bounds, workers=workers))
+    bounds = {"max_n": 4 * search._CHUNK}
+    records = search.run_sweep(SweepConfig(family="cyclic", bounds=bounds))
     assert next(records).params == (2,)
-    assert 0 < len(pulled) <= in_flight * search._CHUNK
+    assert len(pulled) == search._CHUNK
     records.close()
 
 
-def test_pool_output_and_cache_equal_serial_over_several_chunks(tmp_path):
+def test_cold_warm_and_resumed_caches_agree_over_several_chunks(tmp_path):
     bounds = {"max_n": 3 * search._CHUNK + 100}
-    runs = {}
-    for workers in (1, 2):
-        cache = tmp_path / f"workers-{workers}.jsonl"
-        cold = sweep(family="cyclic", bounds=bounds, workers=workers, cache_path=cache)
-        written = cache.read_bytes()
-        warm = sweep(family="cyclic", bounds=bounds, workers=workers, cache_path=cache)
-        assert cache.read_bytes() == written  # nothing appended
-        # resumed from the first chunk and a bit
-        resumed = tmp_path / f"resumed-{workers}.jsonl"
-        sweep(family="cyclic", bounds={"max_n": search._CHUNK + 7}, cache_path=resumed)
-        sweep(family="cyclic", bounds=bounds, workers=workers, cache_path=resumed)
-        assert resumed.read_bytes() == written
-        runs[workers] = cold, warm, written
-    assert runs[1] == runs[2]
-    cold, warm, written = runs[1]
+    cache = tmp_path / "cache.jsonl"
+    cold = sweep(family="cyclic", bounds=bounds, cache_path=cache)
+    written = cache.read_bytes()
+    warm = sweep(family="cyclic", bounds=bounds, cache_path=cache)
+    assert cache.read_bytes() == written  # nothing appended
+    # resumed from the first chunk and a bit
+    resumed = tmp_path / "resumed.jsonl"
+    partial = sweep(family="cyclic", bounds={"max_n": search._CHUNK + 7}, cache_path=resumed)
+    assert sweep(family="cyclic", bounds=bounds, cache_path=resumed) == cold
+    assert resumed.read_bytes() == written
     assert cold == warm == sweep(family="cyclic", bounds=bounds)
+    assert partial == cold[: search._CHUNK + 6]
     assert written.decode().splitlines()[1:] == [record.to_json() for record in cold]
 
 
@@ -460,6 +451,22 @@ def test_out_of_order_caches_give_the_cold_output_and_append_nothing(tmp_path, c
         assert captured.out == cold
         assert captured.err == ""
         assert cache.stat().st_size == size
+
+
+def test_cold_cached_sweep_holds_only_the_chunk_it_yields(tmp_path):
+    bounds = {"max_n": 4 * search._CHUNK}
+    records = search.run_sweep(
+        SweepConfig(family="cyclic", bounds=bounds, cache_path=tmp_path / "c.jsonl")
+    )
+    for record in records:
+        if record.params == (3 * search._CHUNK + 1,):  # the last chunk's first
+            break
+    live = [o for o in gc.get_objects() if type(o) is SearchRecord and o.family == "cyclic"]
+    records.close()
+    # the records of the earlier chunks are gone (a few others, such as C6,
+    # live on in this module)
+    assert sum(1 for o in live if o.params < record.params) < search._CHUNK // 10
+    assert sum(1 for o in live if o.params >= record.params) == search._CHUNK
 
 
 def test_warm_sweep_holds_about_one_chunk(tmp_path):
@@ -584,8 +591,6 @@ def test_from_json_agrees_with_json_loads(family, params, order, D, kind, notes)
     assert decoded == expected
     assert (decoded.family, decoded.notes) == (family, tuple(notes))
     assert decoded.to_json() == line
-    if search._CANONICAL_LINE.fullmatch(line):
-        assert decoded.to_json() is line  # kept as read, not re-encoded
 
 
 C6 = SearchRecord("cyclic", (6,), 6, 12, GroupKind.LEINSTER)
@@ -886,24 +891,8 @@ def test_pq_enumeration_yields_its_first_pair_at_once(monkeypatch):
     assert len(calls) <= 3
 
 
-def test_worker_count_does_not_change_output():
-    serial = sweep(family="zm", bounds={"max_m": 15, "max_n": 8})
-    parallel = sweep(family="zm", bounds={"max_m": 15, "max_n": 8}, workers=3)
-    assert serial == parallel
-
-
 # ---------------------------------------------------------------------------
 # classify
-
-
-def test_spawned_pool_workers_open_the_sweep_sieve():
-    # a spawned (or forkserver) worker does not inherit the parent's table
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(
-        1, mp_context=context, initializer=search._open_worker_sieve, initargs=(1000,)
-    ) as pool:
-        assert pool.submit(numtheory.sieve_limit).result() == 1000
-    assert numtheory.sieve_limit() == 0
 
 
 def test_classify_zm():
