@@ -48,7 +48,6 @@ from .search import SearchRecord, SweepConfig, run_classify, run_sweep
 _LAZY = {
     "oracle": (
         "FiniteGroup",
-        "Subgroup",
         "all_subgroups",
         "build_abelian",
         "build_affine_prime",
@@ -60,7 +59,6 @@ _LAZY = {
         "group_divisor_sum",
         "is_nilpotent",
         "normal_quotients",
-        "normal_subgroups",
     ),
     "verify": ("InvariantResult", "run_verify"),
 }
@@ -90,7 +88,6 @@ __all__ = [
     "LatticeTriple",
     "OrderCapError",
     "SearchRecord",
-    "Subgroup",
     "SweepConfig",
     "ZMTriple",
     "affine_divisor_sum",
@@ -115,7 +112,6 @@ __all__ = [
     "lucas_lehmer",
     "mult_order",
     "normal_quotients",
-    "normal_subgroups",
     "perfect_plus_one",
     "pq_divisor_sum",
     "prime_power_decompose",

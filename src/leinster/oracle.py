@@ -13,11 +13,13 @@ Two independent enumerators find subgroups:
   without any closure, one subgroup order at a time in one batch of array
   operations, each flagged normal when its normalizer is the whole group.
   It covers the solvable groups and every group of order below 120;
-* the normal lattice (`normal_subgroups`, `group_divisor_sum`,
-  `is_nilpotent`): normal closures of the conjugacy classes, closed under
-  products, without the full lattice.  The normal subgroups of one order
-  are joined in one batch of array operations, one order after another.
+* the normal lattice (`_normal_lattice`, read by `group_divisor_sum`,
+  `is_nilpotent` and `normal_quotients`): normal closures of the conjugacy
+  classes, closed under products, without the full lattice.  The normal
+  subgroups of one order are joined in one batch of array operations, one
+  order after another.
 
+Both report a subgroup as a bitmask, the sum of 2**e over its elements e.
 On every table they agree on the normal subgroups; the tests hold them to
 that.  Each distinct table is validated once per process, keyed by the same
 blake2b digest that keys the normal-lattice cache.  The full lattice is not
@@ -41,7 +43,6 @@ import itertools
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +54,6 @@ __all__ = [
     "ORDER_CAP_ENV",
     "FiniteGroup",
     "OrderCapError",
-    "Subgroup",
     "all_subgroups",
     "build_abelian",
     "build_affine_prime",
@@ -65,7 +65,6 @@ __all__ = [
     "group_divisor_sum",
     "is_nilpotent",
     "normal_quotients",
-    "normal_subgroups",
     "order_cap",
     "order_two_elements",
 ]
@@ -78,7 +77,7 @@ _INDEX = np.uint16
 _CAP_CEILING = 1 << 16
 
 # Normal-subgroup bitmasks keyed by table digest, sorted by (order, bitmask):
-# D(G), normal_subgroups and is_nilpotent read these, not the full lattice.
+# D(G), normal_quotients and is_nilpotent read these, not the full lattice.
 _NORMAL_CACHE: dict[bytes, tuple[int, ...]] = {}
 
 # Generating sets of the tables that passed validation, under the same digest:
@@ -293,9 +292,6 @@ class FiniteGroup:
             self._orders = (np.argmax(_powers(self.table) == 0, axis=0) + 1).tolist()
         return self._orders
 
-    def element_order(self, a: int) -> int:
-        return self.element_orders()[a]
-
     def is_cyclic(self) -> bool:
         return self.order == 1 or self.order in self.element_orders()
 
@@ -312,16 +308,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    x = mask
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
 
 
 def _rows(keys: list[bytes], n: int) -> np.ndarray:
@@ -344,8 +330,13 @@ def _register(
         by_order.setdefault(size_of[key], []).append(key)
 
 
-def _enumerate_lattice(group: FiniteGroup) -> tuple[tuple[int, bool], ...]:
-    """All subgroups as (bitmask, is_normal), sorted by (order, bitmask).
+def all_subgroups(group: FiniteGroup) -> tuple[tuple[int, bool], ...]:
+    """Every subgroup once, as (bitmask, is_normal), sorted by (order, bitmask).
+
+    The bitmask is the sum of 2**e over the elements e, so within one order
+    the subgroups are compared by their largest elements first, not by the
+    ascending element lists: in Dih(C2 x C2), {0, 3, 5, 6} comes before
+    {0, 3, 4, 7}.
 
     Cyclic extension (J. Neubüser, Numer. Math. 2, 1960), batched like
     `_normal_lattice`.  A solvable K > 1 has a normal subgroup H of prime
@@ -431,7 +422,7 @@ def _extend_batch(
 def _normal_lattice(group: FiniteGroup) -> tuple[int, ...]:
     """Bitmasks of all normal subgroups, sorted by (order, bitmask).
 
-    Independent of `_enumerate_lattice` (A. Hulpke, "Computing normal
+    Independent of `all_subgroups` (A. Hulpke, "Computing normal
     subgroups", ISSAC 1998):
 
     * closures: the normal closure ncl(x) of every element x at once.  The
@@ -542,54 +533,13 @@ def _join_batch(
     return joins, d * hit.sum(axis=1)
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """Subgroup of some parent group, as sorted element indices."""
-
-    elements: tuple[int, ...]
-    is_normal: bool
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    """Every subgroup exactly once, sorted by (order, bitmask).
-
-    Found by cyclic extension, which reaches the solvable subgroups: the
-    lattice is whole for a solvable group and for any group of order below
-    120 (A5 included).  A non-solvable group of order 120 or more, such as
-    S5, raises ValueError.
-
-    The bitmask is the sum of 2**e over the elements e, so within one order
-    the subgroups are compared by their largest elements first, not by the
-    ascending element tuples: in Dih(C2 x C2), (0, 3, 5, 6) comes before
-    (0, 3, 4, 7).
-    """
-    return [
-        Subgroup(tuple(_bits(mask)), normal)
-        for mask, normal in _enumerate_lattice(group)
-    ]
-
-
-def normal_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    """Every normal subgroup exactly once, sorted by (order, bitmask).
-
-    Built from products of normal closures of conjugacy classes, without the
-    full subgroup lattice; the list equals the normal members of
-    all_subgroups, in the same order.
-    """
-    return [Subgroup(tuple(_bits(mask)), True) for mask in _normal_lattice(group)]
-
-
 def group_divisor_sum(group: FiniteGroup) -> int:
     """Sum of |N| over all normal subgroups N, including the group itself."""
     return sum(mask.bit_count() for mask in _normal_lattice(group))
 
 
 def normal_quotients(group: FiniteGroup) -> list[FiniteGroup]:
-    """G/N for every normal subgroup N, in the order of normal_subgroups.
+    """G/N for every normal subgroup N, in the order of `_normal_lattice`.
 
     Cosets are numbered by their smallest element, in increasing order, so
     the identity coset gets index 0; equal tables of one subgroup order are
@@ -740,7 +690,7 @@ def build_generalized_dicyclic(
         raise ValueError(
             f"dicyclic base group must have order 2n with n > 1, got {a.order}"
         )
-    if not 0 <= y_index < a.order or a.element_order(y_index) != 2:
+    if not 0 <= y_index < a.order or a.element_orders()[y_index] != 2:
         raise ValueError(f"y (index {y_index}) must be an element of order 2 in A")
     return _inverting_extension(a, y_index)
 

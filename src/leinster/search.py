@@ -530,8 +530,13 @@ class _Cache:
     When the sweep asks in ascending tuple order (`ascending`), a record below
     the params asked for can never be taken, and it is dropped as it is
     passed, so a sweep narrower than its cache (a fixed r, a higher min_n)
-    does not keep it.  For params on several valid lines, the first line
-    wins.  A cache that cannot be read is dropped, reads and appends alike,
+    does not keep it.  A tuple the file lacks, a corrupt line's among them,
+    makes the reader read to the end of the file, keeping every later record
+    of the family in `_ahead`.  For params on several valid lines, the first
+    line wins.  A line's D is trusted as written: only its JSON form and its
+    class against its own D and order are checked, so an edited D with a
+    matching class is printed as the record (`classify --verify` recomputes
+    it).  A cache that cannot be read is dropped, reads and appends alike,
     after one warning; one that cannot be written is no longer appended to.
     """
 

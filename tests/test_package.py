@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -71,3 +72,43 @@ assert leinster.group_divisor_sum(leinster.build_zm(7, 6, 3)) == 85
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # a public name that only tests read is dead weight: delete it or use it
+    package = Path(leinster.__file__).resolve().parent
+    read: set[str] = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    for module in SUBMODULES:
+        unread = [name for name in module.__all__ if name not in read]
+        assert not unread, module.__name__
+
+
+def test_the_readme_library_example_gives_what_its_comments_state():
+    t = leinster.zm_validate(7, 6, 3)
+    assert leinster.zm_divisor_sum(t) == 85
+    assert [lt.subgroup_order for lt in leinster.zm_normal_triples(t)] == [42, 21, 14, 7, 1]
+
+    g = leinster.build_zm(7, 6, 3)
+    assert g.order == 42
+    assert leinster.group_divisor_sum(g) == 85
+    assert len(leinster.all_subgroups(g)) == 26 == len(leinster.zm_subgroup_triples(t))
+
+    assert leinster.classify_kind(24, 12) is leinster.GroupKind.LEINSTER
+    assert leinster.factorize(728) == ((2, 3), (7, 1), (13, 1))
+    rows = leinster.perfect_plus_one(8)
+    assert rows[:3] == [(1, 6, 7), (2, 28, 29), (3, 496, None)]
+    assert [i for i, _, _ in rows] == list(range(1, 9))
+    assert rows[-1][2] is None
+    for _, perfect, p in rows:
+        assert p is None or p == perfect + 1
+        assert (p is None) != leinster.is_prime(perfect + 1)

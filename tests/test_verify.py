@@ -308,7 +308,7 @@ def test_quotient_monotonicity_reads_d_once_per_distinct_quotient_table(monkeypa
         for outcome in verify._check_quotient_monotonicity(entry, 24)
     )
     assert asked == want
-    pairs = sum(len(oracle.normal_subgroups(entry.group)) for entry in corpus)
+    pairs = sum(len(oracle._normal_lattice(entry.group)) for entry in corpus)
     assert len(asked) < len(corpus) + pairs  # fewer reads than one per pair
 
 
