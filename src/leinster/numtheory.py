@@ -11,13 +11,16 @@ Everything is pure-integer and reproducible; when an answer cannot be
 computed within the configured effort, an exception is raised rather than
 returning a possibly wrong result.
 
-`is_prime` is exact below 2**64.  Above it, it is a Miller-Rabin
-probable-prime test whose extra witnesses are seeded from n, so a verdict is
-reproducible but not proved.  `factorize` divides out the primes below
-`_TRIAL_BOUND` (2**12), accepts the cofactor when `is_prime` does, and
-splits a composite cofactor with Brent's rho under an iteration budget
+`is_prime` is exact below psi_13 = 3317044064679887385961981 (about
+2**81.4), where strong-pseudoprime tests to the first 13 prime bases decide
+primality.  From psi_13 up it is a Miller-Rabin probable-prime test whose
+extra witnesses are seeded from n, so a verdict is reproducible but not
+proved.  `factorize` takes the prime factors up to `_TRIAL_BOUND` (2**12)
+by trial division below `_TRIAL_BOUND`**2 and from one gcd with their
+product above it, accepts the cofactor when `is_prime` does, and splits a
+composite cofactor with Brent's rho under an iteration budget
 (`_RHO_BUDGET`, 2,000,000 steps), raising FactorizationError when the budget
-runs out.  Its prime factors above 2**64 are therefore probable primes.
+runs out.  Its prime factors from psi_13 up are therefore probable primes.
 
 Inside `with sieve(limit):` a smallest-prime-factor table up to
 min(limit, SIEVE_CAP) is built once, and `factorize`, `divisor_sum`,
@@ -35,10 +38,12 @@ FactorizationError.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from array import array
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import compress
 
 __all__ = [
     "MERSENNE_EXPONENTS",
@@ -67,11 +72,28 @@ class OrderCapError(Exception):
     """Requested group order exceeds the configured cap."""
 
 
-# Deterministic Miller-Rabin witness set: exact for all n < 3.3e24, which
-# covers the whole 64-bit range.  Above the limit the same witnesses are used
-# plus _RANDOM_ROUNDS pseudo-random ones (seeded from n, so results are stable).
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_WITNESS_LIMIT = 1 << 64
+# Deterministic Miller-Rabin: the k-th witness is the k-th prime, paired
+# with psi_k, the least odd composite that is a strong pseudoprime to each of
+# the first k primes (OEIS A014233; psi_12 and psi_13 from Sorenson and
+# Webster, Math. Comp. 86 (2017)).  So an n < psi_k that passes the rounds
+# to the first k witnesses is prime.  From psi_13 up the 13 witnesses are
+# followed by _RANDOM_ROUNDS pseudo-random ones, seeded from n so that
+# results are stable.
+_WITNESSES = (
+    (2, 2047),
+    (3, 1373653),
+    (5, 25326001),
+    (7, 3215031751),
+    (11, 2152302898747),
+    (13, 3474749660383),
+    (17, 341550071728321),
+    (19, 341550071728321),
+    (23, 3825123056546413051),
+    (29, 3825123056546413051),
+    (31, 3825123056546413051),
+    (37, 318665857834031151167461),
+    (41, 3317044064679887385961981),
+)
 _RANDOM_ROUNDS = 40
 
 #: First 12 known Mersenne prime exponents.  Not trusted as-is: each is
@@ -90,21 +112,27 @@ _SPF: array | None = None
 _OPEN_TABLES: list[array] = []
 
 
+def _primes(limit: int) -> list[int]:
+    """The primes up to limit, by a sieve of the odd numbers."""
+    if limit < 2:
+        return []
+    odd = bytearray([1]) * ((limit + 1) // 2)  # odd[i] stands for 2i + 1
+    odd[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(odd), p)))
+    return [2, *compress(range(1, limit + 1, 2), odd)]
+
+
 def _spf_table(limit: int) -> array:
     """Smallest-prime-factor table of 0..limit, in the encoding of `_SPF`.
 
     Every prime p <= isqrt(limit) writes p over its multiples from p*p on,
     the largest prime first, so the smallest prime dividing n writes last.
     """
-    root = math.isqrt(limit)
-    composite = bytearray(root + 1)
-    primes = []
-    for p in range(2, root + 1):
-        if not composite[p]:
-            primes.append(p)
-            composite[p * p :: p] = b"\x01" * len(range(p * p, root + 1, p))
     table = array("H", bytes(2 * (limit + 1)))
-    for p in reversed(primes):
+    for p in reversed(_primes(math.isqrt(limit))):
         table[p * p :: p] = array("H", [p]) * len(range(p * p, limit + 1, p))
     return table
 
@@ -140,17 +168,19 @@ def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality test: exact below 2**64, a probable-prime test above.
+    """Primality test: exact below psi_13 (about 2**81.4), a probable-prime test from it up.
 
-    Above the exact range, _RANDOM_ROUNDS extra pseudo-random witnesses are
-    tried, seeded from n, so the verdict is reproducible but not a proof.
+    Below psi_k the rounds to the first k prime witnesses decide n, so a
+    prime n < psi_13 takes at most 13 rounds.  From psi_13 up,
+    _RANDOM_ROUNDS extra pseudo-random witnesses are tried, seeded from n,
+    so the verdict is reproducible but not a proof.
     """
     spf = _SPF
     if spf is not None and n < len(spf):
         return n >= 2 and not spf[n]
     if n < 2:
         return False
-    for p in _WITNESSES:
+    for p, _ in _WITNESSES:
         if n == p:
             return True
         if n % p == 0:
@@ -160,11 +190,11 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _WITNESSES:
+    for a, psi in _WITNESSES:
         if not _miller_rabin_round(n, a, d, s):
             return False
-    if n < _WITNESS_LIMIT:
-        return True
+        if n < psi:
+            return True
     rng = random.Random(n)
     for _ in range(_RANDOM_ROUNDS):
         a = rng.randrange(2, n - 1)
@@ -173,10 +203,62 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# `factorize` trial-divides to _TRIAL_BOUND and gives Brent rho _RHO_BUDGET
-# iterations for all the splits of one cofactor.
+# `factorize` takes the primes up to _TRIAL_BOUND by trial division or one
+# gcd, and gives Brent rho _RHO_BUDGET iterations for all the splits of one
+# cofactor.
 _TRIAL_BOUND = 1 << 12
 _RHO_BUDGET = 2_000_000
+
+
+@lru_cache(maxsize=4)
+def _primorial(bound: int) -> int:
+    """Product of the primes up to bound, multiplied pairwise up a balanced tree.
+
+    Built on first use and kept per bound, so a changed `_TRIAL_BOUND` gets
+    its own product.
+    """
+    factors = _primes(bound)
+    while len(factors) > 1:
+        pairs = map(operator.mul, factors[::2], factors[1::2])
+        factors = [*pairs, *factors[len(factors) & ~1 :]]
+    return math.prod(factors)
+
+
+def _small_factors(n: int) -> int:
+    """The product of the primes up to `_TRIAL_BOUND` that divide n, by one gcd."""
+    return math.gcd(n, _primorial(_TRIAL_BOUND))
+
+
+def _trial_division(x: int) -> list[tuple[int, int]]:
+    """((p1, e1), ...) of x by trial division by 2, 3 and the 6k +- 1 up to `_TRIAL_BOUND`.
+
+    Division stops at the square root of what is left, which is then 1 or a
+    prime, so the factorization is complete when x < `_TRIAL_BOUND`**2 or
+    when no prime above the bound divides x.
+    """
+    factors = []
+    for p in (2, 3):
+        if x % p == 0:
+            x //= p
+            k = 1
+            while x % p == 0:
+                x //= p
+                k += 1
+            factors.append((p, k))
+    d = 5
+    while d <= _TRIAL_BOUND and d * d <= x:
+        for q in (d, d + 2):
+            if x % q == 0:
+                x //= q
+                k = 1
+                while x % q == 0:
+                    x //= q
+                    k += 1
+                factors.append((q, k))
+        d += 6
+    if x > 1:
+        factors.append((x, 1))
+    return factors
 
 
 def _brent_rho(n: int, budget: list[int]) -> int:
@@ -227,14 +309,18 @@ def _brent_rho(n: int, budget: list[int]) -> int:
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Complete prime factorization of n >= 1 as ((p1, e1), (p2, e2), ...), sorted by prime.
 
-    Trial division by 2, 3 and the 6k +- 1 up to `_TRIAL_BOUND`; the
-    cofactor is kept as a prime when `is_prime` says so, and otherwise split
-    by Brent rho under `_RHO_BUDGET` iterations shared by every split.  Rho finds a factor
-    below 10**6 in about a thousand steps, so a short trial division is
-    cheaper than a long one.  Above 2**64 `is_prime` is a seeded
-    probable-prime test, so prime factors that large are probable primes.
-    Exceeding the budget raises FactorizationError; a silently incomplete
-    factorization is never returned.
+    The primes up to `_TRIAL_BOUND` come out first.  Below
+    `_TRIAL_BOUND`**2 they are found by trial division by 2, 3 and the
+    6k +- 1, which stops at the square root of the cofactor.  From there on,
+    one gcd with the product of those primes gives the product of the ones
+    that divide n, and only that gcd is trial-divided.  The cofactor is kept
+    as a prime when `is_prime` says so, and otherwise split by Brent rho
+    under `_RHO_BUDGET` iterations shared by every split.  Rho finds a
+    factor below 10**6 in about a thousand steps, so a short trial bound is
+    cheaper than a long one.  From psi_13 (about 2**81.4) up `is_prime` is a
+    seeded probable-prime test, so prime factors that large are probable
+    primes.  Exceeding the budget raises FactorizationError; a silently
+    incomplete factorization is never returned.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")
@@ -250,33 +336,25 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
                 k += 1
             factors.append((p, k))
         return tuple(factors)
+    if n < _TRIAL_BOUND**2:
+        return tuple(_trial_division(n))
     counts: dict[int, int] = {}
     m = n
-    for p in (2, 3):
+    for p, _ in _trial_division(_small_factors(n)):
+        counts[p] = 0
         while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
+            counts[p] += 1
             m //= p
-    d = 5
-    while d <= _TRIAL_BOUND and d * d <= m:
-        for q in (d, d + 2):
-            while m % q == 0:
-                counts[q] = counts.get(q, 0) + 1
-                m //= q
-        d += 6
-    if m > 1:
-        if d * d > m or is_prime(m):
-            counts[m] = counts.get(m, 0) + 1
-        else:
-            budget = [_RHO_BUDGET]
-            stack = [m]
-            while stack:
-                x = stack.pop()
-                if is_prime(x):
-                    counts[x] = counts.get(x, 0) + 1
-                    continue
-                f = _brent_rho(x, budget)
-                stack.append(f)
-                stack.append(x // f)
+    budget = [_RHO_BUDGET]
+    stack = [m] if m > 1 else []
+    while stack:
+        x = stack.pop()
+        if is_prime(x):
+            counts[x] = counts.get(x, 0) + 1
+            continue
+        f = _brent_rho(x, budget)
+        stack.append(f)
+        stack.append(x // f)
     return tuple(sorted(counts.items()))
 
 
@@ -332,16 +410,35 @@ def _iroot(n: int, k: int) -> int:
 
 
 def prime_power_decompose(n: int) -> tuple[int, int] | None:
-    """Return (p, k) with n = p**k and p prime, k maximal; None otherwise."""
+    """Return (p, k) with n = p**k and p prime, k maximal; None otherwise.
+
+    Above the sieve, one gcd gives the primes up to `_TRIAL_BOUND` that
+    divide n, and n can only be a power of a lone one.  Without them every
+    prime factor exceeds the bound, so n = p**k needs `_TRIAL_BOUND`**k < n,
+    and only those k are tried, the largest first: the first exact k-th
+    root found is the one with k maximal.
+    """
     if n < 2:
         raise ValueError(f"prime_power_decompose needs n >= 2, got {n}")
     if _SPF is not None and n < len(_SPF):
         f = factorize(n)
         return f[0] if len(f) == 1 else None
-    for k in range(n.bit_length() - 1, 0, -1):
+    small = _small_factors(n)
+    if small > 1:
+        if not is_prime(small):
+            return None
+        k = 0
+        while n % small == 0:
+            n //= small
+            k += 1
+        return (small, k) if n == 1 else None
+    top = 1
+    while _TRIAL_BOUND ** (top + 1) < n:
+        top += 1
+    for k in range(top, 0, -1):
         root = _iroot(n, k)
-        if root**k == n and is_prime(root):
-            return root, k
+        if root**k == n:
+            return (root, k) if is_prime(root) else None
     return None
 
 

@@ -111,6 +111,76 @@ def test_is_prime_above_64_bits():
     assert not nt.is_prime(m89 + 2)
 
 
+# psi_k: the least odd composite that is a strong pseudoprime to each of the
+# first k prime bases (OEIS A014233); the first k bases decide every n < psi_k
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI = {
+    1: 2047,
+    2: 1373653,
+    3: 25326001,
+    4: 3215031751,
+    5: 2152302898747,
+    6: 3474749660383,
+    7: 341550071728321,
+    8: 341550071728321,
+    9: 3825123056546413051,
+    10: 3825123056546413051,
+    11: 3825123056546413051,
+    12: 318665857834031151167461,
+    13: 3317044064679887385961981,
+}
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def test_miller_rabin_witnesses_are_the_first_primes_up_to_their_psi():
+    # rounds to the first k primes decide every n < psi_k and no more, so the
+    # k-th witness must be the k-th prime and its limit at most psi_k; the
+    # exact range reaches psi_13
+    for k, (a, limit) in enumerate(nt._WITNESSES, start=1):
+        assert a == FIRST_PRIMES[k - 1] and limit <= PSI[k], k
+    assert nt._WITNESSES[-1][1] == PSI[13]
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_is_prime_rejects_the_strong_pseudoprime_psi_k(k):
+    # psi_k passes a round to each of the first k bases, so it is reported
+    # composite only if a later witness runs on it: letting the first k
+    # witnesses decide psi_k, as a limit moved past it would, fails this test
+    psi = PSI[k]
+    assert all(_strong_probable_prime(psi, a) for a in FIRST_PRIMES[:k])
+    assert not nt.is_prime(psi)
+
+
+def test_is_prime_matches_sympy_up_to_psi_13():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(13)
+    numbers = [rng.randrange(1 << 64, PSI[13]) | 1 for _ in range(3000)]
+    # below 2^64, 200 odd n from each range between one psi_k and the next,
+    # decided by the first k witnesses
+    bounds = sorted(set(PSI.values()))
+    for low, high in zip([3] + bounds, bounds):
+        if low < 1 << 64:
+            numbers += [rng.randrange(low, min(high, 1 << 64)) | 1 for _ in range(200)]
+    for psi in bounds:
+        numbers += range(psi - 10, psi + 11, 2)  # every psi_k is odd
+    for n in numbers:
+        assert nt.is_prime(n) == sympy.isprime(n), n
+
+
 @pytest.mark.parametrize(
     "n, expected",
     [
@@ -212,6 +282,54 @@ def test_factorize_split_p_minus_1_shapes_match_sympy():
         assert dict(nt.factorize(n)) == sympy.factorint(n)
 
 
+def _factorize_by_trial_division(n):
+    """The factorizer before the gcd: trial division by 2, 3 and the 6k +- 1
+    up to the trial bound or the square root, then rho on the cofactor."""
+    counts = Counter()
+    m = n
+    for p in (2, 3):
+        while m % p == 0:
+            counts[p] += 1
+            m //= p
+    d = 5
+    while d <= nt._TRIAL_BOUND and d * d <= m:
+        for q in (d, d + 2):
+            while m % q == 0:
+                counts[q] += 1
+                m //= q
+        d += 6
+    budget = [nt._RHO_BUDGET]
+    stack = [m] if m > 1 else []
+    while stack:
+        x = stack.pop()
+        if d * d > x or nt.is_prime(x):
+            counts[x] += 1
+            continue
+        f = nt._brent_rho(x, budget)
+        stack += [f, x // f]
+    return tuple(sorted(counts.items()))
+
+
+def _random_factorize_inputs(rng, count):
+    # random n below 2^70, and products of primes on both sides of the trial
+    # bounds tested below (100, 2^12 and 10^6), some of them repeated
+    out = [rng.randrange(1, 1 << 70) for _ in range(count)]
+    for _ in range(count):
+        primes = [_random_prime(rng, 2, 1 << rng.choice((7, 13, 21))) for _ in range(rng.randrange(1, 6))]
+        out.append(math.prod(primes) * rng.choice(primes) ** rng.randrange(3))
+    return out
+
+
+@pytest.mark.parametrize("bound", [None, 100, 10**6])
+def test_factorize_equals_trial_division(monkeypatch, bound):
+    if bound is not None:
+        monkeypatch.setattr(nt, "_TRIAL_BOUND", bound)
+    rng = random.Random(70)
+    numbers = list(range(1, 5000)) + _random_factorize_inputs(rng, 30 if bound == 10**6 else 120)
+    for n in numbers:
+        assert nt.factorize(n) == _factorize_by_trial_division(n), n
+
+
 def test_divisors():
     assert nt.divisors(12) == [1, 2, 3, 4, 6, 12]
     assert nt.divisors(1) == [1]
@@ -288,6 +406,39 @@ def test_perfect_plus_one_count_bounds():
         nt.perfect_plus_one(0)
     with pytest.raises(ValueError):
         nt.perfect_plus_one(13)
+
+
+def _prime_power_by_every_root(n):
+    """(p, k) with n = p**k, k maximal, by trying every k below the bit length."""
+    for k in range(n.bit_length() - 1, 0, -1):
+        low, high = 1, 1 << (n.bit_length() // k + 1)
+        while low < high:  # the least root with root**k >= n
+            mid = (low + high) // 2
+            low, high = (mid + 1, high) if mid**k < n else (low, mid)
+        if low**k == n and nt.is_prime(low):
+            return low, k
+    return None
+
+
+def _prime_power_inputs():
+    # 4099 is the least prime above the trial bound 2^12, so 4099^k comes
+    # within a factor (4099/4096)^k of 2^(12k): a bound on k from the bit
+    # length alone, such as bit_length // 13, misses it from about k = 13
+    out = [4099**k for k in range(1, 41)]
+    for q in (2, 3, 5, 7, 4093):
+        out += [q**k * 4099 for k in range(1, 8)]
+        out += [q**k for k in range(1, 40)]
+        out += [q**k * 4099**k for k in range(1, 5)]
+    out += [2**k * 3 for k in range(1, 20)] + [6**k for k in range(1, 20)]
+    out += [(4099 * 4111) ** k for k in range(1, 8)]
+    out += [perfect + 1 for _, perfect, _ in nt.perfect_plus_one(12)]
+    return out
+
+
+def test_prime_power_decompose_equals_every_root():
+    for n in _prime_power_inputs():
+        assert nt.prime_power_decompose(n) == _prime_power_by_every_root(n), n
+    assert nt.prime_power_decompose(4099**40) == (4099, 40)
 
 
 # ---------------------------------------------------------------------------
