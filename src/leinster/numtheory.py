@@ -212,10 +212,12 @@ _RHO_BUDGET = 2_000_000
 
 @lru_cache(maxsize=4)
 def _primorial(bound: int) -> int:
-    """Product of the primes up to bound, multiplied pairwise up a balanced tree.
+    """Product of the primes up to bound, built on first use and kept per bound.
 
-    Built on first use and kept per bound, so a changed `_TRIAL_BOUND` gets
-    its own product.
+    A changed `_TRIAL_BOUND` gets its own product.  The primes are multiplied
+    pairwise up a balanced tree for the tests that set the bound to 10**6:
+    there it takes 0.4 s, against 3.5 s for one `math.prod`.  At the default
+    2**12 both take about 0.2 ms (2-core x86 host, Python 3.11).
     """
     factors = _primes(bound)
     while len(factors) > 1:
@@ -313,9 +315,13 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     `_TRIAL_BOUND`**2 they are found by trial division by 2, 3 and the
     6k +- 1, which stops at the square root of the cofactor.  From there on,
     one gcd with the product of those primes gives the product of the ones
-    that divide n, and only that gcd is trial-divided.  The cofactor is kept
-    as a prime when `is_prime` says so, and otherwise split by Brent rho
-    under `_RHO_BUDGET` iterations shared by every split.  Rho finds a
+    that divide n, and only that gcd is trial-divided.  The group orders
+    the oracle factors stay on trial division, which is cheaper there: n <=
+    512 takes about 1.3 us by trial division and 4.4 us by the gcd, and the
+    gcd also builds the product on first use (the gcd for every n made the
+    `gen-dihedral` bench's median operation 90% slower).  The cofactor is
+    kept as a prime when `is_prime` says so, and otherwise split by Brent
+    rho under `_RHO_BUDGET` iterations shared by every split.  Rho finds a
     factor below 10**6 in about a thousand steps, so a short trial bound is
     cheaper than a long one.  From psi_13 (about 2**81.4) up `is_prime` is a
     seeded probable-prime test, so prime factors that large are probable
