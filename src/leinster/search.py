@@ -234,7 +234,11 @@ class Family:
     is never held whole.  `ascending` says that it sorts them as tuples (not
     so for gen-dihedral, whose chains come by group order).  `evaluate` maps
     params to (order, D, notes) in closed form; `build` gives the explicit
-    group for the oracle, or None out of scope.
+    group for the oracle, or None out of scope.  `up_to(max_order)` gives,
+    lazily and in `enumerate`'s order, the params of order <= max_order for
+    `verify` to build, less those another family lists: no m = 1 for zm
+    (ZM(1, n, 0) is C_n) and no one-factor chain for gen-dihedral (Dih(C_n)
+    is D_2n).  `label` names an instance (`ZM(7,6,3)`).
     """
 
     name: str
@@ -244,6 +248,8 @@ class Family:
     enumerate: Callable[[SweepConfig], Iterable[tuple[int, ...]]]
     evaluate: Callable[[tuple[int, ...]], tuple[int, int, tuple[str, ...]]]
     build: Callable[[tuple[int, ...]], FiniteGroup | None]
+    up_to: Callable[[int], Iterable[tuple[int, ...]]]
+    label: Callable[[tuple[int, ...]], str]
     ascending: bool = True
 
 
@@ -300,21 +306,27 @@ def _n_range(lo: int):
     return lambda cfg: zip(range(max(lo, cfg.bounds.get("min_n", lo)), cfg.bound("max_n") + 1))
 
 
-def _enumerate_affine(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
-    for q in range(2, cfg.bound("max_q") + 1):
+def _prime_powers(max_q: int) -> Iterator[tuple[int, ...]]:
+    """(q,) for each prime power q <= max_q, ascending."""
+    for q in range(2, max_q + 1):
         if numtheory.prime_power_decompose(q) is not None:
             yield (q,)
 
 
 def _enumerate_pq(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
-    """The prime pairs (p, q) with q = 1 (mod p), in (p, q) order; p walks its odd q only."""
+    """The prime pairs (p, q) with q = 1 (mod p), in (p, q) order."""
     max_q = cfg.bound("max_q")
     for p in range(2, min(cfg.bounds.get("max_p", max_q), max_q - 1) + 1):
         if numtheory.is_prime(p):
-            step = p if p == 2 else 2 * p
-            for q in range(1 + step, max_q + 1, step):
-                if numtheory.is_prime(q):
-                    yield (p, q)
+            yield from _pq_row(p, max_q)
+
+
+def _pq_row(p: int, max_q: int) -> Iterator[tuple[int, ...]]:
+    """The pairs (p, q) of a prime p with q <= max_q; p walks its odd q only."""
+    step = p if p == 2 else 2 * p
+    for q in range(1 + step, max_q + 1, step):
+        if numtheory.is_prime(q):
+            yield (p, q)
 
 
 def _enumerate_gen_dihedral(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
@@ -339,13 +351,9 @@ def _enumerate_gen_dihedral(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
 
 
 def _enumerate_zm(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
-    """The valid (m, n, r), sorted, with r reduced mod m; generated per m.
-
-    A residue r gives a valid triple with n iff gcd(m, n) = 1,
-    gcd(r - 1, m) = 1 and ord_m(r) | n (r^n = 1 makes r a unit).  So each
-    m's residues are grouped by their order once, and every multiple n of an
-    order takes that group.  An even m has none, as r and r - 1 are not both
-    prime to it.  A triple `dedupe` drops is never evaluated or cached.
+    """The valid (m, n, r), sorted, with r reduced mod m; one `_zm_row` per
+    odd m (an even m has none: r and r - 1 are not both prime to it).  A
+    triple `dedupe` drops is never evaluated or cached.
     """
     max_m = cfg.bound("max_m")
     max_n = cfg.bounds.get("max_n") if cfg.paper_mode else cfg.bound("max_n")
@@ -357,31 +365,32 @@ def _enumerate_zm(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
         else:
             lo, hi = 1, max_n
         residues = [cfg.fixed_r % m] if cfg.fixed_r is not None else range(m)
-        rows: dict[int, list[int]] = {}
-        for d, rs in _residues_by_order(m, residues, hi).items():
-            for n in range(-(-lo // d) * d, hi + 1, d):  # multiples of d in [lo, hi]
-                if math.gcd(m, n) == 1:
-                    rows.setdefault(n, []).extend(rs)
-        for n in sorted(rows):
-            for r in sorted(rows[n]):
-                if not cfg.dedupe or families.zm_canonical(families.ZMTriple(m, n, r)).r == r:
-                    yield (m, n, r)
+        yield from _zm_row(m, lo, hi, residues, cfg.dedupe)
 
 
-def _residues_by_order(m: int, residues, max_order: int) -> dict[int, list[int]]:
-    """The residues r with gcd(r, m) = gcd(r - 1, m) = 1, keyed by ord_m(r).
+def _zm_row(m: int, lo: int, hi: int, residues, dedupe: bool = False) -> Iterator[tuple[int, ...]]:
+    """The valid (m, n, r) with lo <= n <= hi and r in `residues`, in (n, r) order.
 
-    Orders above max_order or sharing a factor with m are dropped: no n in
-    the sweep can be a multiple of them.
+    A residue r gives a valid triple with n iff gcd(m, n) = 1,
+    gcd(r - 1, m) = 1 and ord_m(r) | n (r^n = 1 makes r a unit).  So the
+    residues are grouped by their order d once, and every multiple n of d
+    takes that group; a d above hi or sharing a factor with m has none.
     """
-    out: dict[int, list[int]] = {}
+    by_order: dict[int, list[int]] = {}
     for r in residues:
-        if math.gcd(r, m) != 1 or math.gcd(r - 1, m) != 1:
-            continue
-        d = numtheory.mult_order(r, m)
-        if d <= max_order and math.gcd(d, m) == 1:
-            out.setdefault(d, []).append(r)
-    return out
+        if math.gcd(r, m) == 1 and math.gcd(r - 1, m) == 1:
+            d = numtheory.mult_order(r, m)
+            if d <= hi and math.gcd(d, m) == 1:
+                by_order.setdefault(d, []).append(r)
+    rows: dict[int, list[int]] = {}
+    for d, rs in by_order.items():
+        for n in range(-(-lo // d) * d, hi + 1, d):  # multiples of d in [lo, hi]
+            if math.gcd(m, n) == 1:
+                rows.setdefault(n, []).extend(rs)
+    for n in sorted(rows):
+        for r in sorted(rows[n]):
+            if not dedupe or families.zm_canonical(families.ZMTriple(m, n, r)).r == r:
+                yield (m, n, r)
 
 
 def _evaluate_zm(params: tuple[int, ...]) -> tuple[int, int, tuple[str, ...]]:
@@ -443,9 +452,9 @@ def _zm_tuple_count(cfg: SweepConfig) -> int:
     return b.get("max_m", 1) * n_span * r_span
 
 
-# Every family, in the order the CLI lists them.  Evaluators and builders
-# look the module functions up at call time, so wrapping them (as the bench
-# tracer does) is seen; builders import the oracle when first called.
+# Every family, in the order the CLI lists them.  Evaluators, builders and
+# `up_to` look the module functions up at call time, so wrapping them (as the
+# bench tracer does) is seen; builders import the oracle when first called.
 FAMILY: dict[str, Family] = {
     f.name: f
     for f in (
@@ -453,37 +462,49 @@ FAMILY: dict[str, Family] = {
             "cyclic", ("max_n",), 1, _count("max_n"), _n_range(1),
             lambda p: (p[0], numtheory.divisor_sum(p[0]), ()),
             lambda p: _oracle().build_cyclic(p[0]),
+            lambda n: zip(range(1, n + 1)), lambda p: f"C{p[0]}",
         ),
         Family(
             "zm", ("max_m", "max_n"), 3, _zm_tuple_count, _enumerate_zm,
             _evaluate_zm,
             lambda p: _oracle().build_zm(*p),
+            lambda n: (t for m in range(3, n // 2 + 1, 2) for t in _zm_row(m, 1, n // m, range(m))),
+            lambda p: "ZM({},{},{})".format(*p),
         ),
         Family(
-            "affine", ("max_q",), 1, _count("max_q"), _enumerate_affine,
+            "affine", ("max_q",), 1, _count("max_q"), lambda cfg: _prime_powers(cfg.bound("max_q")),
             _evaluate_affine,
             lambda p: _oracle().build_affine_prime(p[0]) if numtheory.is_prime(p[0]) else None,
+            lambda n: _prime_powers((1 + math.isqrt(4 * n + 1)) // 2),  # q(q - 1) <= n
+            lambda p: f"Aff({p[0]})",
         ),
         Family(
             "dihedral", ("max_n", "min_n"), 1, _count("max_n"), _n_range(1),
             lambda p: (2 * p[0], families.dihedral_divisor_sum(p[0]), ()),
             lambda p: _oracle().build_generalized_dihedral(p),
+            lambda n: zip(range(1, n // 2 + 1)), lambda p: f"D{2 * p[0]}",
         ),
         Family(
             "gen-dihedral", ("max_a",), None, None, _enumerate_gen_dihedral,
             lambda p: (2 * math.prod(p), families.generalized_dihedral_divisor_sum(p), ()),
             lambda p: _oracle().build_generalized_dihedral(p),
+            lambda n: (c for c in families.iter_abelian_types(n // 2) if len(c) > 1),
+            lambda p: "Dih({})".format("x".join(f"C{d}" for d in p)),
             ascending=False,
         ),
         Family(
             "dicyclic", ("max_n", "min_n"), 1, _count("max_n"), _n_range(2),
             lambda p: (4 * p[0], families.dicyclic_divisor_sum(p[0]), ()),
             lambda p: _oracle().build_generalized_dicyclic([2 * p[0]], p[0]),
+            lambda n: zip(range(2, n // 4 + 1)), lambda p: f"Dic{4 * p[0]}",
         ),
         Family(
             "pq", ("max_q", "max_p"), 2, _pq_step_count, _enumerate_pq,
             lambda p: (p[0] * p[1], families.pq_divisor_sum(*p), ()),
             _build_pq,
+            lambda n: (t for p in range(2, math.isqrt(n) + 1) if numtheory.is_prime(p)
+                       for t in _pq_row(p, n // p)),
+            lambda p: "G({},{})".format(*p),
         ),
     )
 }

@@ -5,10 +5,11 @@ dicyclic, metacyclic, prime affine, and their coprime direct products) up to
 a maximum order, then checks every closed-form divisor-sum formula and every
 structural invariant of the group divisor-sum function against brute force.
 Each invariant reports a pass/fail verdict together with how many instances
-were checked and the first counterexample on failure.  A family's corpus
-entries come from its `search.FAMILY` record alone, its enumerator and its
-builder, so a new enumerator or builder reaches the corpus with no edit
-here; Dic(A, y) has no record yet and keeps a loop of its own.
+were checked and the first counterexample on failure.  `_corpus` is one loop
+over (family, order cap) rows: a family's entries are the params its
+`search.FAMILY` record's `up_to` gives under its cap, in that order, built
+by the record's builder.  So a family reaches the corpus with its record and
+one row; Dic(A, y) has no record yet and keeps a loop of its own.
 
 Some parts of the corpus stop at fixed orders whatever the maximum order:
 generalized dihedral Dih(A) entries have |A| <= 32, generalized dicyclic
@@ -42,7 +43,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from . import families, numtheory, oracle
-from .search import FAMILY, SweepConfig
+from .search import FAMILY
 
 __all__ = ["CorpusEntry", "InvariantResult", "run_verify"]
 
@@ -75,45 +76,10 @@ class CorpusEntry:
     group: oracle.FiniteGroup
 
 
-# The corpus, part by part.  A registry family's row is (name, cap, bounds,
-# label, keep): its entries are the params its enumerator gives under the
-# sweep bounds `bounds(cap)` that `keep(params, cap)` accepts (None: all),
-# built by its builder, less those the builder gives None for.  `cap` is the
-# part's order cap (None: the maximum order); `keep` drops the params above
-# it, and ZM(1, n, 0) = C_n and Dih(C_n) = D_2n, which are held already.
-_PARTS: tuple[tuple, ...] = (
-    ("cyclic", None, lambda c: {"max_n": c}, lambda p: f"C{p[0]}", None),
-    ("dihedral", None, lambda c: {"max_n": c // 2}, lambda p: f"D{2 * p[0]}", None),
-    ("gen-dihedral", 2 * _DIH_CAP, lambda c: {"max_a": c // 2},
-     lambda p: "Dih({})".format("x".join(f"C{d}" for d in p)), lambda p, c: len(p) > 1),
-    ("dicyclic", None, lambda c: {"max_n": c // 4}, lambda p: f"Dic{4 * p[0]}", None),
-    ("gen-dicyclic",),  # no registry record yet: a loop of its own
-    ("zm", _ZM_PQ_CAP, lambda c: {"max_m": c // 2, "max_n": c // 3},
-     lambda p: "ZM({},{},{})".format(*p), lambda p, c: p[0] > 1 and p[0] * p[1] <= c),
-    ("affine", None, lambda c: {"max_q": math.isqrt(c) + 1},
-     lambda p: f"Aff({p[0]})", lambda p, c: p[0] * (p[0] - 1) <= c),
-    ("pq", _ZM_PQ_CAP, lambda c: {"max_q": c // 2},
-     lambda p: "G({},{})".format(*p), lambda p, c: p[0] * p[1] <= c),
-)
-
-
-def _family_part(max_order: int, name: str, cap, bounds, label, keep) -> Iterator[CorpusEntry]:
-    family = FAMILY[name]
-    cap = max_order if cap is None else min(cap, max_order)
-    bounds = bounds(cap)
-    if min(bounds.values()) < 1:
-        return  # no group of the family is that small
-    for params in family.enumerate(SweepConfig(name, bounds)):
-        if keep is None or keep(params, cap):
-            group = family.build(params)
-            if group is not None:
-                yield CorpusEntry(label(params), name, params, group)
-
-
 def _gen_dicyclic_part(max_order: int) -> Iterator[CorpusEntry]:
     """Dic(A, y) for non-cyclic A of even order > 2, one entry per distinct table."""
     seen_digests: set[bytes] = set()
-    for chain in families.iter_abelian_types(min(_DIC_CAP, max_order // 2)):
+    for chain in families.iter_abelian_types(max_order // 2):
         if len(chain) < 2 or math.prod(chain) % 2 or math.prod(chain) <= 2:
             continue
         for y in oracle.order_two_elements(oracle.build_abelian(chain)):
@@ -125,9 +91,21 @@ def _gen_dicyclic_part(max_order: int) -> Iterator[CorpusEntry]:
 
 
 def _corpus(max_order: int) -> Iterator[CorpusEntry]:
-    """The corpus up to max_order, entry by entry, each table built as it is reached."""
-    for name, *part in _PARTS:
-        yield from _family_part(max_order, name, *part) if part else _gen_dicyclic_part(max_order)
+    """The corpus up to max_order, entry by entry, each table built as it is
+    reached; the order caps are read at each call."""
+    for name, cap in (
+        ("cyclic", max_order), ("dihedral", max_order), ("gen-dihedral", 2 * _DIH_CAP),
+        ("dicyclic", max_order), ("gen-dicyclic", 2 * _DIC_CAP), ("zm", _ZM_PQ_CAP),
+        ("affine", max_order), ("pq", _ZM_PQ_CAP),
+    ):
+        family = FAMILY.get(name)
+        if family is None:  # gen-dicyclic has no registry record yet
+            yield from _gen_dicyclic_part(min(cap, max_order))
+            continue
+        for params in family.up_to(min(cap, max_order)):
+            group = family.build(params)
+            if group is not None:
+                yield CorpusEntry(family.label(params), name, params, group)
 
 
 def _pairable(order: int, max_order: int) -> bool:

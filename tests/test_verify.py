@@ -1,8 +1,11 @@
+import collections
+import itertools
 import math
 
 import pytest
 
 from leinster import cli, families, numtheory, oracle, verify
+from leinster.search import FAMILY
 
 
 def by_name(results):
@@ -47,8 +50,8 @@ def test_corpus_contains_each_family():
 
 
 def corpus_params_by_loops(max_order):
-    """The zm, pq, affine and gen-dihedral params of the corpus, found by loops
-    of their own rather than by the families' enumerators."""
+    """The params of every registry family in the corpus, found by loops of
+    their own rather than by the families' `up_to`."""
     cap = min(max_order, verify._ZM_PQ_CAP)
     zm = []
     for m in range(2, cap // 2 + 1):
@@ -73,15 +76,64 @@ def corpus_params_by_loops(max_order):
         p += 1
     dih_cap = min(verify._DIH_CAP, max_order // 2)
     gen_dihedral = [chain for chain in families.iter_abelian_types(dih_cap) if len(chain) >= 2]
-    return {"zm": zm, "pq": sorted(pq), "affine": affine, "gen-dihedral": gen_dihedral}
+    return {
+        "cyclic": [(n,) for n in range(1, max_order + 1)],
+        "dihedral": [(n,) for n in range(1, max_order // 2 + 1)],
+        "dicyclic": [(n,) for n in range(2, max_order // 4 + 1)],
+        "zm": zm,
+        "pq": sorted(pq),
+        "affine": affine,
+        "gen-dihedral": gen_dihedral,
+    }
 
 
-@pytest.mark.parametrize("max_order", [1, 2, 5, 6, 24, 100, 200])
+# the run-lengths of entry.family over the corpus: with the params order of
+# each family, they pin the whole sequence
+CORPUS_RUNS = {
+    100: [("cyclic", 100), ("dihedral", 50), ("gen-dihedral", 23), ("dicyclic", 24),
+          ("gen-dicyclic", 44), ("zm", 102), ("affine", 4), ("pq", 19)],
+    200: [("cyclic", 200), ("dihedral", 100), ("gen-dihedral", 23), ("dicyclic", 49),
+          ("gen-dicyclic", 44), ("zm", 289), ("affine", 6), ("pq", 33)],
+    512: [("cyclic", 512), ("dihedral", 256), ("gen-dihedral", 23), ("dicyclic", 127),
+          ("gen-dicyclic", 44), ("zm", 289), ("affine", 9), ("pq", 33)],
+}
+
+
+@pytest.mark.parametrize("max_order", [1, 2, 5, 6, 24, 100, 200, 512])
 def test_corpus_takes_each_family_from_its_enumerator(max_order):
-    corpus = list(verify._corpus(max_order))
+    # streamed: the whole corpus at 512 would hold about 200 MB of tables
+    corpus = [(e.family, e.params, e.group.order) for e in verify._corpus(max_order)]
     for family, want in corpus_params_by_loops(max_order).items():
-        assert [e.params for e in corpus if e.family == family] == want, family
-    assert all(entry.group.order <= max_order for entry in corpus)
+        assert [params for name, params, _ in corpus if name == family] == want, family
+    assert all(order <= max_order for _, _, order in corpus)
+    for name, family in FAMILY.items():
+        assert all(family.evaluate(params)[0] <= max_order for params in family.up_to(max_order)), name
+    if max_order in CORPUS_RUNS:
+        runs = [(name, len(list(run))) for name, run in itertools.groupby(e[0] for e in corpus)]
+        assert runs == CORPUS_RUNS[max_order]
+
+
+@pytest.mark.parametrize(
+    "cap, value, shrunk",
+    [("_ZM_PQ_CAP", 30, ("zm", "pq")), ("_DIH_CAP", 4, ("gen-dihedral",)), ("_DIC_CAP", 4, ("gen-dicyclic",))],
+)
+def test_a_patched_corpus_cap_shrinks_the_corpus(monkeypatch, cap, value, shrunk):
+    def orders_by_family():
+        out = collections.defaultdict(list)
+        for entry in verify._corpus(100):
+            out[entry.family].append(entry.group.order)
+        return out
+
+    before = orders_by_family()
+    monkeypatch.setattr(verify, cap, value)
+    after = orders_by_family()
+    top = value if cap == "_ZM_PQ_CAP" else 2 * value  # Dih(A) and Dic(A, y) have order 2|A|
+    for family in before:
+        if family in shrunk:
+            assert 0 < len(after[family]) < len(before[family]), family
+            assert max(after[family]) <= top, family
+        else:
+            assert after[family] == before[family], family
 
 
 def test_small_run_includes_key_instances():
@@ -245,6 +297,21 @@ def test_a_wrong_zm_formula_fails_only_zm_three_path_agreement(monkeypatch):
         )
     ]
     assert len(results) - len(failed) == 10
+
+
+def test_a_wrong_zm_formula_above_order_150_is_caught_at_its_first_instance(monkeypatch):
+    # the detail and count pin where the corpus reaches its first zm group of
+    # order > 150, and so the zm entries' order
+    formula = families.zm_divisor_sum
+    monkeypatch.setattr(families, "zm_divisor_sum", lambda t: formula(t) + (t.order > 150))
+    results = verify.run_verify(200)
+    failed = [r for r in results if not r.passed]
+    assert failed == [
+        verify.InvariantResult(
+            "zm-three-path-agreement", False, 18, "ZM(3,52,2): 337 / 336 / 336 disagree"
+        )
+    ]
+    assert [r.checked for r in results] == [200, 743, 844, 8453, 289, 18, 23, 93, 267, 211, 4]
 
 
 def test_cli_verify_reports_the_failure_and_exits_3(monkeypatch, capsys):
