@@ -310,15 +310,24 @@ def generalized_dihedral_divisor_sum(a_factors: list[int] | tuple[int, ...]) -> 
     subgroup count (L. M. Butler, Subgroup Lattices and Symmetric Functions,
     Mem. AMS 539, 1994).  Both are kept per Sylow type (p, lambda) and per r
     (`_SUM_CACHE_SIZE` of each, least recently used first out), so a sweep
-    computes each about once.  No cap applies to |A|; only factoring a huge factor
-    can hit numtheory's effort cap.
+    computes each about once.  The Sylow exponents of every factor are read
+    off one factorization, of the factors' lcm (of a chain, its largest
+    factor), by dividing out its primes.  No cap applies to |A|; only
+    factoring a huge factor can hit numtheory's effort cap.
     """
-    exponents: dict[int, list[int]] = {}
     for f in a_factors:
         if f < 1:
             raise ValueError(f"cyclic factor orders must be positive, got {f}")
-        for p, e in numtheory.factorize(f):
-            exponents.setdefault(p, []).append(e)
+    exponents: dict[int, list[int]] = {}
+    for p, _ in numtheory.factorize(math.lcm(*a_factors)):
+        exps = exponents[p] = []
+        for f in a_factors:
+            e = 0
+            while f % p == 0:
+                f //= p
+                e += 1
+            if e:
+                exps.append(e)
     lattice_sum = 1
     for p, exps in exponents.items():
         lattice_sum *= _p_group_subgroup_order_sum(p, tuple(sorted(exps, reverse=True)))

@@ -38,6 +38,7 @@ sampling or partial answers.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -84,6 +85,10 @@ _NORMAL_CACHE: dict[bytes, tuple[int, ...]] = {}
 # verify rebuilds the same quotient and product tables thousands of times, and
 # each distinct table is validated only the first time it is built.
 _VALIDATED: dict[bytes, tuple[int, ...]] = {}
+
+# Group orders whose factorization and divisors are kept: `verify --max-order
+# 100` asked for those of its 100 orders about 1,200 times.
+_ORDER_CACHE_SIZE = 256
 
 # Cells one batch of `_normal_lattice` joins or of `_quotients` may hold in a
 # temporary: the subgroups of one order are taken in slices that stay under it.
@@ -330,6 +335,17 @@ def _register(
         by_order.setdefault(size_of[key], []).append(key)
 
 
+@functools.lru_cache(maxsize=_ORDER_CACHE_SIZE)
+def _order_facts(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The factorization of a group order n and its divisors in increasing
+    order, from one `factorize` call."""
+    factors = numtheory.factorize(n)
+    divisors = [1]
+    for p, e in factors:
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    return factors, tuple(sorted(divisors))
+
+
 def all_subgroups(group: FiniteGroup) -> tuple[tuple[int, bool], ...]:
     """Every subgroup once, as (bitmask, is_normal), sorted by (order, bitmask).
 
@@ -360,13 +376,14 @@ def all_subgroups(group: FiniteGroup) -> tuple[tuple[int, bool], ...]:
     power = _powers(group.table)
     # x^p for each prime p dividing |G|: for x in N(H) outside H, one of them
     # lies in H iff xH has prime order in N(H)/H
-    steps = power[[p - 1 for p, _ in numtheory.factorize(n)]].T
+    factors, divisors = _order_facts(n)
+    steps = power[[p - 1 for p, _ in factors]].T
     inv = np.asarray(group.inverses(), dtype=np.intp)
     width = 8 * -(-n // 64)  # bytes per bitmask key
     found = {(1).to_bytes(width, "little")}
     by_order = {1: list(found)}
     normal: dict[bytes, bool] = {}
-    for d in numtheory.divisors(n)[:-1]:
+    for d in divisors[:-1]:
         keys = by_order.pop(d, [])
         step = max(1, _BATCH_CELLS // (n * max(d, n // d)))
         for start in range(0, len(keys), step):
@@ -486,7 +503,7 @@ def _normal_lattice(group: FiniteGroup) -> tuple[int, ...]:
     found: set[bytes] = set()
     by_order: dict[int, list[bytes]] = {}
     _register(found, by_order, seeds, np.append(size, n))
-    divisors = numtheory.divisors(n)
+    divisors = _order_facts(n)[1]
     for i, d in enumerate(divisors[1:-1], start=1):
         keys = by_order.pop(d, [])
         if all(e % d for e in divisors[i + 1 : -1]):
@@ -618,7 +635,7 @@ def is_nilpotent(group: FiniteGroup) -> bool:
     unique Sylow p-subgroup, so it suffices that one exists for every p.
     """
     orders = {mask.bit_count() for mask in _normal_lattice(group)}
-    return all(p**e in orders for p, e in numtheory.factorize(group.order))
+    return all(p**e in orders for p, e in _order_facts(group.order)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,34 +4,33 @@ A sweep enumerates the valid parameter tuples of one family inside inclusive
 bounds, computes the normal-subgroup order sum through the closed-form path,
 classifies each instance, and emits records in sorted-parameter order.
 
-A sweep is one loop, in one process, over ordered chunks of _CHUNK tuples:
-it pulls one chunk from the family's lazy enumeration, takes the chunk's
-cached records from the cache file, evaluates the rest, appends them to the
-cache (one JSON line per record, file closed) and only then yields the
-chunk's records.  So it holds about one chunk in memory whatever its bounds,
-an interrupted sweep keeps every finished chunk, and a rerun with the same
-cache computes only the missing tuples.
-
-A record costs a few microseconds of Python, and the path is kept short:
-shipping chunks to a process pool cost more than it saved.
-`_evaluate_batch` is the one evaluation path, for sweeps and for
-`run_classify`: per tuple it evaluates the closed form, classifies by
-`classify_kind` and notes an order-1 edge.  Number theory on the sweep's
-small integers reads a smallest-prime-factor table built once per sweep
-(`numtheory.sieve`, up to twice the largest bound; sigma is multiplied up
-during the walk of that table).  A record of one parameter and no notes is
-encoded by one format string.
+A sweep is one loop, in one process, over ordered chunks of _CHUNK tuples,
+each passed along as columns (`Chunk`: params, order, D, class, notes and
+the JSON line), not as records.  `sweep_chunks` pulls a chunk from the
+family's lazy enumeration, takes its cached rows from the cache file,
+evaluates the rest (`_evaluate_batch`: closed form, classification and one
+f-string for all its lines), appends them to the cache, filters the chunk's
+columns by class and edge and only then yields it.  So a sweep holds about
+one chunk whatever its bounds, an interrupted sweep keeps every finished
+chunk, and a rerun with the same cache computes only the missing tuples.
+The CLI writes each chunk's lines in one write; `run_sweep` gives the same
+rows as `SearchRecord`s.  A row costs about a microsecond of Python beside
+its arithmetic (two with a record per row): on a shared 2-core host, fresh
+`search cyclic --max-n 50000 --cache F` processes took a median 0.33 s cold
+and 0.34 s warm, start-up included (0.46 s and 0.43 s before).  Number
+theory on the sweep's small integers reads a smallest-prime-factor table
+built once per sweep (`numtheory.sieve`, up to twice the largest bound).
 
 The cache file is read forward in step with the enumeration, _BLOCK bytes at
-a time; a sweep writes it in params order, so a rerun holds about one chunk
-of it too.  A block whose lines are all canonical lines of the swept family
-is decoded in one pass, without a JSON parse: one regex scan of the block,
-the integers converted a column at a time, and every line class-checked by
-`classify_kind`; its lines are printed as read.  Any other block is read
-line by line, by `json.loads`.  A corrupt or mistyped cache line of the
-swept family, or one whose class disagrees with its D and order, is skipped
-with a warning and its tuple recomputed; a line of another family is skipped
-by its prefix without a decode.
+a time.  A sweep writes it in params order, so a rerun holds about one chunk
+of it, and finds the next rows of the file to be the chunk it asks for.  A
+block of canonical lines of the swept family is decoded in one pass: one
+regex scan, the integers converted a column at a time, every line
+class-checked, and its lines printed as read.  Any other block is read line
+by line, by `json.loads`; a corrupt or mistyped line of the swept family,
+or one whose class disagrees with its D and order, is skipped with a
+warning and its tuple recomputed, and a line of another family is skipped
+by its prefix.
 
 ZM triples are enumerated from the residues of each odd m (an even m has
 none) grouped by multiplicative order, and `dedupe` drops a triple there,
@@ -58,8 +57,9 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import and_
 from pathlib import Path
 
 from . import families, numtheory
@@ -79,6 +79,7 @@ __all__ = [
     "SweepConfig",
     "run_classify",
     "run_sweep",
+    "sweep_chunks",
 ]
 
 NOTE_EDGE = "edge"
@@ -94,8 +95,6 @@ _CHUNK = 4096
 _BLOCK = 1 << 14
 
 _KINDS = {kind.value: kind for kind in GroupKind}
-# keyed by the value, not the member: Enum.__hash__ is a Python-level call
-_KIND_JSON = {kind.value: _json_str(kind.value) for kind in GroupKind}
 
 # The exact line `SearchRecord.to_json` writes when every string is printable
 # ASCII without '"' or '\' (so needs no escape) and every integer is in
@@ -108,12 +107,14 @@ _INT = r"(?:0|-?[1-9][0-9]*)"
 # lines.  The lists are written as alternatives (none, one, several), not as
 # an optional repeat: a repeated group costs the regex engine an allocation
 # each time it is entered, so a line of one parameter and no notes, which
-# enters none, matches in about two thirds of the time.
-_CANONICAL_LINE = re.compile(
-    rf'^{{"family": "({_CHARS})", "params": \[(|{_INT}|{_INT}(?:, {_INT})+)\], '
+# enters none, matches in about two thirds of the time.  This pattern and
+# `_ANY_FAMILY_PREFIX` are kept as text and compiled on first use, through
+# the `re` module's cache: compiled at import, they cost every command about
+# 0.7 ms, and only a sweep that reads a cache uses them.
+_CANONICAL_LINE = (
+    rf'(?m)^{{"family": "({_CHARS})", "params": \[(|{_INT}|{_INT}(?:, {_INT})+)\], '
     rf'"order": ({_INT}), "D": ({_INT}), "class": "({_CHARS})", '
-    rf'"notes": \[(|"{_CHARS}"|"{_CHARS}"(?:, "{_CHARS}")+)\]}}$',
-    re.MULTILINE,
+    rf'"notes": \[(|"{_CHARS}"|"{_CHARS}"(?:, "{_CHARS}")+)\]}}$'
 )
 
 
@@ -129,8 +130,7 @@ class OracleMismatchError(Exception):
 class SearchRecord:
     """One classified group instance as emitted by sweeps and classify."""
 
-    # Slots, not a __dict__: a warm sweep holds every cached record together
-    # with its line, and a dict per record put 10 MB on the peak RSS of a
+    # Slots, not a __dict__: a dict per record put 10 MB on the peak RSS of a
     # 50,000-record sweep.  `_json` is the encoded line, or None.
     __slots__ = ("family", "params", "order", "D", "kind", "notes", "_json")
 
@@ -168,24 +168,24 @@ class SearchRecord:
     def to_json(self) -> str:
         """The record as one JSON line, byte-identical to `json.dumps` of its dict.
 
-        The line is encoded once and kept, so the cache append and stdout
-        share it; a record decoded from a canonical cache line keeps that
-        line and is never encoded.  A record of one parameter and no notes
-        (most of a sweep) is written without the joins.
+        The line is encoded once and kept; a record of `run_sweep` comes with
+        the line of its chunk row.  A record of one parameter and no notes is
+        written without the joins.  `_encode` writes a chunk's lines the same
+        way.
         """
         line = self._json
         if line is None:
-            params, kind = self.params, _KIND_JSON[self.kind._value_]
+            params, kind = self.params, self.kind._value_
             if len(params) == 1 and not self.notes:
                 line = (
                     f'{{"family": {_json_str(self.family)}, "params": [{params[0]}], '
-                    f'"order": {self.order}, "D": {self.D}, "class": {kind}, "notes": []}}'
+                    f'"order": {self.order}, "D": {self.D}, "class": "{kind}", "notes": []}}'
                 )
             else:
                 line = (
                     f'{{"family": {_json_str(self.family)}, '
                     f'"params": [{", ".join(map(str, params))}], '
-                    f'"order": {self.order}, "D": {self.D}, "class": {kind}, '
+                    f'"order": {self.order}, "D": {self.D}, "class": "{kind}", '
                     f'"notes": [{", ".join(map(_json_str, self.notes))}]}}'
                 )
             _set_json(self, line)
@@ -218,9 +218,60 @@ class SearchRecord:
         return SearchRecord(family, tuple(params), order, D, kind, tuple(notes))
 
 
-# the setter of each slot, in __slots__ order
-_SET_SLOT = tuple(SearchRecord.__dict__[name].__set__ for name in SearchRecord.__slots__)
-_set_family, _set_params, _set_order, _set_D, _set_kind, _set_notes, _set_json = _SET_SLOT
+_set_family, _set_params, _set_order, _set_D, _set_kind, _set_notes, _set_json = (
+    SearchRecord.__dict__[name].__set__ for name in SearchRecord.__slots__
+)
+
+
+class Chunk:
+    """Rows of one family as columns: the unit a sweep passes along.
+
+    Row i is the instance `params[i]`, of order `orders[i]`, with D `Ds[i]`,
+    class `kinds[i]` and notes `notes[i]`; `lines[i]` is its JSON line,
+    byte-identical to `json.dumps` of the record's dict.  A column is a list
+    or a tuple; `lines` is a list.
+    """
+
+    __slots__ = ("family", "params", "orders", "Ds", "kinds", "notes", "lines")
+
+    def __init__(self, family, params, orders, Ds, kinds, notes, lines) -> None:
+        self.family, self.params, self.orders, self.Ds = family, params, orders, Ds
+        self.kinds, self.notes, self.lines = kinds, notes, lines
+
+    def columns(self) -> tuple[list, ...]:
+        """The six columns, params to lines."""
+        return self.params, self.orders, self.Ds, self.kinds, self.notes, self.lines
+
+    def records(self) -> list[SearchRecord]:
+        """The rows as records, each keeping its line."""
+        params, orders, Ds, kinds, notes, lines = self.columns()
+        records = list(map(SearchRecord, repeat(self.family), params, orders, Ds, kinds, notes))
+        deque(map(_set_json, records, lines), 0)
+        return records
+
+
+def _encode(family: str, params, orders, Ds, kinds, notes) -> list[str]:
+    """The JSON lines of rows given as columns, each byte-identical to `json.dumps`.
+
+    One f-string serves the chunk (`str.format` and `%` parse their format
+    again per row, half as long again); rows of one parameter and no notes
+    take one without joins.  A class is written as its value, read from
+    `_value_`: `.value` is a Python-level property.
+    """
+    head = f'{{"family": {_json_str(family)}, "params": ['
+    if not any(notes):
+        try:
+            return [
+                f'{head}{p}], "order": {o}, "D": {d}, "class": "{k._value_}", "notes": []}}'
+                for (p,), o, d, k in zip(params, orders, Ds, kinds)
+            ]
+        except ValueError:  # some row has other than one parameter
+            pass
+    return [
+        f'{head}{", ".join(map(str, p))}], "order": {o}, "D": {d}, "class": "{k._value_}", '
+        f'"notes": [{", ".join(map(_json_str, n))}]}}'
+        for p, o, d, k, n in zip(params, orders, Ds, kinds, notes)
+    ]
 
 
 @dataclass(frozen=True)
@@ -511,30 +562,29 @@ FAMILY: dict[str, Family] = {
 FAMILIES = tuple(FAMILY)
 
 
-def _evaluate_batch(family: str, batch: list[tuple[int, ...]]) -> list[SearchRecord]:
-    """The records of `batch`, tuples of one family: the one evaluation path.
+def _evaluate_batch(family: str, batch: list[tuple[int, ...]]) -> Chunk:
+    """The rows of `batch`, tuples of one family: a sweep's evaluation path.
 
     The family is looked up once per batch.  Each tuple is evaluated in
-    closed form and classified by `classify_kind`, and a record of order 1
-    gets the edge note.  The arity is not checked here: an enumerator gives
-    the family's, and `run_classify` checks a caller's.
+    closed form, the chunk is classified by `classify_kind` a column at a
+    time, a row of order 1 gets the edge note, and the lines are encoded
+    together (`_encode`).  The arity is not checked: an enumerator gives the
+    family's.
     """
     try:
         evaluate = FAMILY[family].evaluate
     except KeyError:
         raise ValueError(f"unknown family {family!r}") from None
-    classify = families.classify_kind
-    records = []
-    for params in batch:
-        order, total, notes = evaluate(params)
-        if order == 1:
-            notes += (NOTE_EDGE,)
-        records.append(SearchRecord(family, params, order, total, classify(total, order), notes))
-    return records
+    orders, Ds, notes = zip(*map(evaluate, batch)) if batch else ((), (), ())
+    if 1 in orders:
+        notes = [n + (NOTE_EDGE,) if order == 1 else n for order, n in zip(orders, notes)]
+    kinds = list(map(families.classify_kind, Ds, orders))
+    return Chunk(family, batch, orders, Ds, kinds, notes,
+                 _encode(family, batch, orders, Ds, kinds, notes))
 
 
 # the start of a cache line of any family whose name needs no escape
-_ANY_FAMILY_PREFIX = re.compile(rf'{{"family": "{_CHARS}", ')
+_ANY_FAMILY_PREFIX = rf'{{"family": "{_CHARS}", '
 
 
 class _Cache:
@@ -545,27 +595,35 @@ class _Cache:
     line of another family is skipped by its prefix, without a decode.  Any
     other line is decoded and class-checked once, when the reader passes its
     block; one that fails is skipped with a warning, so its tuple is
-    recomputed.  A record read before its params are asked
-    for waits in `_ahead`: a sweep writes its cache in params order, so that
-    is about one chunk, and a cache out of order holds up to the whole family.
-    When the sweep asks in ascending tuple order (`ascending`), a record below
-    the params asked for can never be taken, and it is dropped as it is
-    passed, so a sweep narrower than its cache (a fixed r, a higher min_n)
-    does not keep it.  A tuple the file lacks, a corrupt line's among them,
-    makes the reader read to the end of the file, keeping every later record
-    of the family in `_ahead`.  For params on several valid lines, the first
-    line wins.  A line's D is trusted as written: only its JSON form and its
-    class against its own D and order are checked, so an edited D with a
-    matching class is printed as the record (`classify --verify` recomputes
-    it).  A cache that cannot be read is dropped, reads and appends alike,
-    after one warning; one that cannot be written is no longer appended to.
+    recomputed.  Rows read and not yet taken wait in `_rows`, in file order.
+
+    A sweep writes its cache in params order, so its next rows are most
+    often the chunk it asks for: `take_run` compares them with the whole
+    chunk and hands them over in one slice.  Otherwise `take` is asked once
+    per params.  A row read before its params are asked for waits in
+    `_ahead`; that is about one chunk, and a cache out of order holds up to
+    the whole family.  When the sweep asks in ascending tuple order
+    (`ascending`), a row below the params asked for can never be taken, and
+    it is dropped as it is passed, so a sweep narrower than its cache (a
+    fixed r, a higher min_n) does not keep it.  A tuple the file lacks, a
+    corrupt line's among them, makes the reader read to the end of the file,
+    keeping every later row of the family in `_ahead`.  For params on
+    several valid lines, the first line wins.  A line's D is trusted as
+    written: only its JSON form and its class against its own D and order
+    are checked, so an edited D with a matching class is printed as the
+    record (`classify --verify` recomputes it).  A cache that cannot be read
+    is dropped, reads and appends alike, after one warning; one that cannot
+    be written is no longer appended to.
     """
 
     def __init__(self, path: Path, name: str, ascending: bool = False) -> None:
         self.path: Path | None = path  # None once appends stop
         self._name = name
         self._ascending = ascending
-        self._ahead: dict[tuple[int, ...], SearchRecord] = {}
+        # params -> (order, D, class, notes, line) of a row read ahead of its turn
+        self._ahead: dict[tuple[int, ...], tuple] = {}
+        self._rows = Chunk(name, [], [], [], [], [], [])
+        self._next = 0  # index in `_rows` of the first row not taken or passed
         self._fh = None
         self._left = 0  # bytes of the opening size not read yet
         self._done = False  # every line read
@@ -576,7 +634,7 @@ class _Cache:
             pass
         except OSError as exc:
             self._read_failed(exc)
-        self._records = self._read_records()
+        self._blocks = self._read_blocks()
 
     def __enter__(self) -> "_Cache":
         return self
@@ -595,31 +653,70 @@ class _Cache:
         self.path = None
 
     def spent(self) -> bool:
-        """Whether every record the file had to give is taken."""
-        return self._done and not self._ahead
+        """Whether every row the file had to give is taken."""
+        return self._done and not self._ahead and self._next == len(self._rows.params)
 
-    def take(self, params: tuple[int, ...]) -> SearchRecord | None:
-        """The cached record for `params`, or None: kept from earlier, or read up to."""
+    def _fill(self, count: int) -> int:
+        """Read until `count` rows wait in `_rows`, or to the end; the rows waiting."""
+        columns = self._rows.columns()
+        waiting = len(columns[0]) - self._next
+        if waiting < count and not self._done:
+            for column in columns:
+                del column[: self._next]
+            self._next = 0
+            for block in self._blocks:
+                for column, new in zip(columns, block.columns()):
+                    column += new
+                waiting += len(block.params)
+                if waiting >= count:
+                    break
+        return waiting
+
+    def take_run(self, chunk: list[tuple[int, ...]]) -> Chunk | None:
+        """The rows of `chunk` when they are the next rows of the file, else None.
+
+        Tried only with nothing in `_ahead`: then the rows are what `take`
+        would give for each params of the chunk, and they are handed over in
+        one slice, with `chunk` itself as the params column.
+        """
+        if self._ahead:
+            return None
+        size = len(chunk)
+        self._fill(size)
+        start, stop = self._next, self._next + size
+        rows = self._rows
+        if rows.params[start:stop] != chunk:
+            return None
+        self._next = stop
+        return Chunk(self._name, chunk, *(col[start:stop] for col in rows.columns()[1:]))
+
+    def take(self, params: tuple[int, ...]) -> tuple | None:
+        """(order, D, class, notes, line) for `params`, or None: kept from earlier, or read up to."""
         ahead = self._ahead
         if ahead:
-            record = ahead.pop(params, None)
-            if record is not None:
-                return record
-        for record in self._records:
-            if record.params == params:
-                return record
-            if not (self._ascending and record.params < params):
-                ahead.setdefault(record.params, record)
+            row = ahead.pop(params, None)
+            if row is not None:
+                return row
+        while self._fill(1):
+            i = self._next
+            self._next = i + 1
+            got, *row = (column[i] for column in self._rows.columns())
+            row = tuple(row)
+            if got == params:
+                return row
+            if not (self._ascending and got < params):
+                ahead.setdefault(got, row)
         return None
 
-    def _read_records(self) -> Iterator[SearchRecord]:
-        """The valid records of this family, in file order, read _BLOCK bytes at a time.
+    def _read_blocks(self) -> Iterator[Chunk]:
+        """The valid rows of this family, in file order, read _BLOCK bytes at a time.
 
         A block is decoded as one string and split into lines; a line cut by
         the block's end is carried into the next block, and bytes that are
         not UTF-8 fail the read at the line that holds them.  A block of
         canonical lines of this family alone is decoded in one pass
-        (`_decode_canonical`); any other block line by line (`_decode_lines`).
+        (`_decode_canonical`) and given as one chunk; any other block line by
+        line (`_decode_lines`), a chunk of one row per valid line.
         """
         lineno = 0  # lines passed
         carry = b""
@@ -646,8 +743,8 @@ class _Cache:
                 lines = text.split("\n")
                 if not lines[-1]:
                     lines.pop()  # the text ends with a newline, or is empty
-                records = _decode_canonical(self._name, text, lines)
-                yield from records if records is not None else self._decode_lines(lines, lineno)
+                rows = _decode_canonical(self._name, text, lines)
+                yield from (rows,) if rows is not None else self._decode_lines(lines, lineno)
                 lineno += len(lines)
                 if bad is not None:
                     try:
@@ -658,17 +755,18 @@ class _Cache:
         finally:
             self._done = True
 
-    def _decode_lines(self, lines: list[str], lineno: int) -> Iterator[SearchRecord]:
-        """The valid records of this family on `lines`, the lines after line `lineno`.
+    def _decode_lines(self, lines: list[str], lineno: int) -> Iterator[Chunk]:
+        """The valid rows of this family on `lines`, the lines after line `lineno`.
 
         Each line is read as the sweep reaches it.  A line of another family
         is skipped by its prefix, without a decode; any other line is decoded
-        and class-checked, and skipped with a warning when that fails.
+        and class-checked, and skipped with a warning when that fails.  A row
+        keeps the line `to_json` writes, not the line read.
         """
         own = f'{{"family": {_json_str(self._name)}, '
         for lineno, line in enumerate(lines, lineno + 1):
             line = line.strip()
-            if not line or (not line.startswith(own) and _ANY_FAMILY_PREFIX.match(line)):
+            if not line or (not line.startswith(own) and re.match(_ANY_FAMILY_PREFIX, line)):
                 continue
             try:
                 record = SearchRecord.from_json(line)
@@ -681,17 +779,18 @@ class _Cache:
                 print(f"warning: skipping corrupt cache line {lineno}: {exc}", file=sys.stderr)
                 continue
             if record.family == self._name:
-                yield record
+                yield Chunk(record.family, [record.params], [record.order], [record.D],
+                            [record.kind], [record.notes], [record.to_json()])
 
-    def append(self, records: list[SearchRecord]) -> None:
-        """Append one finished chunk; stop appending (after a warning) on failure.
+    def append(self, lines: list[str]) -> None:
+        """Append one finished chunk's lines; stop appending (after a warning) on failure.
 
         A file whose last line has no newline (a torn write) gets one first,
-        so the chunk's first record starts a line of its own.
+        so the chunk's first line starts a line of its own.
         """
         if self.path is None:
             return
-        data = "\n".join([record.to_json() for record in records] + [""]).encode("utf-8")
+        data = "\n".join(lines + [""]).encode("utf-8")
         try:
             with self.path.open("a+b") as fh:
                 end = fh.seek(0, os.SEEK_END)
@@ -705,15 +804,15 @@ class _Cache:
             self.path = None
 
 
-def _decode_canonical(family: str, text: str, lines: list[str]) -> list[SearchRecord] | None:
-    """The records of `lines`, decoded together when each is a canonical line of `family`.
+def _decode_canonical(family: str, text: str, lines: list[str]) -> Chunk | None:
+    """The rows of `lines`, decoded together when each is a canonical line of `family`.
 
     None when any line is not one, names an unknown class, or has a class
     that disagrees with its D and order: the caller then reads the lines one
-    by one, as `SearchRecord.from_json` would.  The records are those
+    by one, as `SearchRecord.from_json` would.  The rows are those
     `from_json` gives, and keep their lines.
     """
-    rows = _CANONICAL_LINE.findall(text)
+    rows = re.findall(_CANONICAL_LINE, text)
     if not lines or len(rows) != len(lines):
         return None
     names, params, orders, Ds, kinds, notes = zip(*rows)
@@ -724,7 +823,7 @@ def _decode_canonical(family: str, text: str, lines: list[str]) -> list[SearchRe
         orders, Ds = list(map(int, orders)), list(map(int, Ds))
         try:
             params = list(zip(map(int, params)))
-        except ValueError:  # some record has other than one parameter
+        except ValueError:  # some row has other than one parameter
             params = [tuple(map(int, p.split(", "))) if p else () for p in params]
         if list(map(families.classify_kind, Ds, orders)) != kinds:
             return None
@@ -733,25 +832,36 @@ def _decode_canonical(family: str, text: str, lines: list[str]) -> list[SearchRe
     if any(notes):
         notes = [tuple(n[1:-1].split('", "')) if n else () for n in notes]
     else:
-        notes = repeat(())
-    # filled a slot at a time, as __init__ fills them, with the lines kept
-    records = list(map(object.__new__, repeat(SearchRecord, len(lines))))
-    columns = (repeat(family), params, orders, Ds, kinds, notes, lines)
-    for set_slot, column in zip(_SET_SLOT, columns):
-        deque(map(set_slot, records, column), 0)
-    return records
+        notes = [()] * len(lines)
+    return Chunk(family, params, orders, Ds, kinds, notes, lines)
 
 
-def run_sweep(cfg: SweepConfig):
-    """Yield classified records for every valid tuple in bounds, sorted by params.
+def _kept(chunk: Chunk, wanted: frozenset[int] | None, include_edge: bool) -> Chunk:
+    """The rows of `chunk` of a class in `wanted` (the classes' ids; None for
+    all), less the edges unless `include_edge`.
 
-    One loop over chunks: the family's enumeration is pulled _CHUNK tuples
-    at a time; each chunk's cached records are taken from the cache file,
-    the rest are evaluated by `_evaluate_batch` and appended to the cache
-    (opened, written and closed), and only then are the chunk's records
-    yielded.  So a sweep holds about one chunk, plus the cached records read
-    ahead of their turn, which a cache in params order keeps to about one
-    chunk.  The smallest-prime-factor table is open for the whole sweep.
+    Both tests run once per chunk, on the class and notes columns.  A class
+    is matched by identity: `kind in classes` would hash each member by
+    `Enum.__hash__`, a Python-level call.
+    """
+    keep = None if wanted is None else list(map(wanted.__contains__, map(id, chunk.kinds)))
+    if not include_edge and any(chunk.notes):
+        plain = [NOTE_EDGE not in n for n in chunk.notes]
+        keep = plain if keep is None else list(map(and_, keep, plain))
+    if keep is None or all(keep):
+        return chunk
+    return Chunk(chunk.family, *(list(compress(column, keep)) for column in chunk.columns()))
+
+
+def sweep_chunks(cfg: SweepConfig) -> Iterator[Chunk]:
+    """Yield the kept rows of every valid tuple in bounds, a chunk at a time, sorted by params.
+
+    Per chunk of _CHUNK tuples: the cache file's next rows when they are the
+    chunk's; otherwise the cached rows taken one params at a time, the rest
+    evaluated and appended to the cache, and the two merged in order.  The
+    filters then run on the chunk's columns, and the chunk is yielded
+    however few rows it keeps.  The smallest-prime-factor table is open for
+    the whole sweep.
     """
     family = FAMILY[cfg.family]
     raw = family.tuple_count(cfg) if family.tuple_count is not None else None
@@ -759,30 +869,39 @@ def run_sweep(cfg: SweepConfig):
         raise BudgetError(
             f"sweep bounds describe up to {raw} tuples, over the budget of {cfg.budget}"
         )
+    wanted = None if cfg.classes is None else frozenset(map(id, cfg.classes))
     with numtheory.sieve(2 * max(cfg.bounds.values(), default=0) + 1):
         params = iter(family.enumerate(cfg))
         path = cfg.cache_path
         reader = None if path is None else _Cache(Path(path), cfg.family, family.ascending)
         with reader or nullcontext() as cache:
-            for chunk in iter(lambda: list(islice(params, _CHUNK)), []):
+            for batch in iter(lambda: list(islice(params, _CHUNK)), []):
                 # a cold sweep asks nothing per params
-                hits = None if cache is None or cache.spent() else list(map(cache.take, chunk))
-                todo = chunk if hits is None else [p for p, hit in zip(chunk, hits) if hit is None]
-                records = _evaluate_batch(cfg.family, todo)
-                if records and cache is not None:
-                    cache.append(records)
-                if hits is not None:
-                    computed = iter(records)
-                    records = [hit or next(computed) for hit in hits]
-                    # never exhausted, so left bound it would keep these
-                    # records alive through every cold chunk after this one
-                    del computed
-                for record in records:
-                    if NOTE_EDGE in record.notes and not cfg.include_edge:
-                        continue
-                    if cfg.classes is not None and record.kind not in cfg.classes:
-                        continue
-                    yield record
+                chunk = None if cache is None or cache.spent() else cache.take_run(batch)
+                if chunk is None:
+                    hits = None if cache is None or cache.spent() else list(map(cache.take, batch))
+                    todo = batch if hits is None else [p for p, hit in zip(batch, hits) if not hit]
+                    chunk = _evaluate_batch(cfg.family, todo)
+                    if todo and cache is not None:
+                        cache.append(chunk.lines)
+                    if hits is not None:  # merged in order; a hit keeps the params asked for
+                        rows = zip(*chunk.columns()[1:])
+                        merged = [hit or next(rows) for hit in hits]
+                        chunk = Chunk(cfg.family, batch, *map(list, zip(*merged)))
+                        # left bound, they would hold this chunk's rows through
+                        # every cold chunk after it
+                        del rows, merged
+                yield _kept(chunk, wanted, cfg.include_edge)
+
+
+def run_sweep(cfg: SweepConfig) -> Iterator[SearchRecord]:
+    """Yield classified records for every valid tuple in bounds, sorted by params.
+
+    The records of `sweep_chunks`, a chunk's worth built at a time, each
+    keeping its line.
+    """
+    for chunk in sweep_chunks(cfg):
+        yield from chunk.records()
 
 
 def oracle_crosscheck(record: SearchRecord) -> bool | None:
@@ -812,7 +931,12 @@ def oracle_crosscheck(record: SearchRecord) -> bool | None:
 
 
 def run_classify(family: str, params: list[int] | tuple[int, ...]) -> SearchRecord:
-    """Classify one instance in closed form; `oracle_crosscheck` checks the result."""
+    """Classify one instance in closed form; `oracle_crosscheck` checks the result.
+
+    One tuple is evaluated, classified and noted as `_evaluate_batch` does a
+    chunk's, without the columns: for a single row they cost more than the
+    record itself.
+    """
     fam = FAMILY.get(family)
     if fam is None:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -821,5 +945,8 @@ def run_classify(family: str, params: list[int] | tuple[int, ...]) -> SearchReco
             f"{family} takes {fam.arity} parameter{'s' if fam.arity != 1 else ''}, "
             f"got {len(params)}"
         )
-    (record,) = _evaluate_batch(family, [tuple(params)])
-    return record
+    params = tuple(params)
+    order, total, notes = fam.evaluate(params)
+    if order == 1:
+        notes += (NOTE_EDGE,)
+    return SearchRecord(family, params, order, total, families.classify_kind(total, order), notes)

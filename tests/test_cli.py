@@ -321,3 +321,102 @@ def test_a_worker_count_changes_no_output_and_no_cache_byte(tmp_path, capsys):
     assert runs[0] == runs[1]
     code, captured, cache_bytes = runs[0]
     assert code == 0 and captured.err == "" and len(cache_bytes.splitlines()) == 9000
+
+
+# small bounds per family, a chunk boundary crossed by cyclic and dihedral
+AGREEMENT_BOUNDS = {
+    "cyclic": {"max_n": search._CHUNK + 50},
+    "zm": {"max_m": 40, "max_n": 12},
+    "affine": {"max_q": 200},
+    "dihedral": {"min_n": 3, "max_n": search._CHUNK + 9},
+    "gen-dihedral": {"max_a": 200},
+    "dicyclic": {"max_n": 300},
+    "pq": {"max_q": 300},
+}
+AGREEMENT_FILTERS = [
+    [],
+    ["--include-edge"],
+    ["--class", "leinster,quasi,almost"],
+    ["--class", "leinster,quasi,almost", "--include-edge"],
+    ["--class", "abundant,deficient"],
+]
+
+
+def _reference_table(records):
+    """The --table text of records, as the per-record printer wrote it."""
+    headers = ("family", "params", "order", "D", "class", "notes")
+    rows = [
+        (r.family, ",".join(str(p) for p in r.params), str(r.order), str(r.D), r.kind.value,
+         "; ".join(r.notes))
+        for r in records
+    ]
+    widths = [
+        max(len(headers[col]), *(len(row[col]) for row in rows)) if rows else len(headers[col])
+        for col in range(len(headers))
+    ]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in [headers, *rows]]
+    return "\n".join(lines + [""])
+
+
+@pytest.mark.parametrize("family", search.FAMILIES)
+def test_the_cli_prints_what_run_sweep_yields(family, tmp_path, capsys):
+    bounds = AGREEMENT_BOUNDS[family]
+    argv = ["search", family]
+    for key, value in bounds.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    everything = [
+        r.to_json()
+        for r in search.run_sweep(search.SweepConfig(family, dict(bounds), include_edge=True))
+    ]
+    for i, extra in enumerate(AGREEMENT_FILTERS):
+        raw = extra[extra.index("--class") + 1] if "--class" in extra else None
+        cfg = search.SweepConfig(
+            family, dict(bounds), classes=cli._parse_classes(raw),
+            include_edge="--include-edge" in extra,
+        )
+        records = list(search.run_sweep(cfg))
+        lines = "".join(record.to_json() + "\n" for record in records)
+        cache = tmp_path / f"{i}.jsonl"
+        for table in (False, True):
+            expected = _reference_table(records) if table else lines
+            for run in ("uncached", "cold", "warm", "warm again"):
+                cached = [] if run == "uncached" else ["--cache", str(cache)]
+                assert cli.main(argv + extra + cached + ["--table"] * table) == 0
+                captured = capsys.readouterr()
+                assert captured.out == expected, (extra, table, run)
+                assert captured.err == ""
+        # the cache holds every row, the filtered ones too, in sweep order
+        assert cache.read_text() == "".join(line + "\n" for line in everything)
+        cfg.cache_path = cache
+        assert list(search.run_sweep(cfg)) == records
+
+
+# (sweep, SHA-256 of the cache file it writes, SHA-256 of its stdout), for each
+# sweep of the bench's sweep workload; recorded with the per-record sweep
+# engine, before sweeps passed chunks of columns
+CACHE_SHA256 = [
+    ("cyclic --max-n 50000", "3578168bc61c576b705cceb68b43a45c1419bd76defb9f9ed3fb530c804e524a",
+     "9781ac26b5355a8298f07c8f46ad63424876a8eb101e239e00d678d0c87162a6"),
+    ("dihedral --max-n 20000", "6507d810cdb981c6aea63a430035ba9bbe7ab43e84878139060ab4c80a1d35fb",
+     "6507d810cdb981c6aea63a430035ba9bbe7ab43e84878139060ab4c80a1d35fb"),
+    ("dicyclic --min-n 2 --max-n 20000",
+     "f8ae38a260925937bbbb0d25d15b377f2c6acd3198e36a8c63a3452291060351",
+     "f8ae38a260925937bbbb0d25d15b377f2c6acd3198e36a8c63a3452291060351"),
+    ("affine --max-q 20000", "61829f05541351f88987eeeacdcdfc817b8124be7a4ba491e53f2493c2f03eaf",
+     "61829f05541351f88987eeeacdcdfc817b8124be7a4ba491e53f2493c2f03eaf"),
+    ("pq --max-q 2000", "7490a51fccd0b1f691316dd8b5e5fe233c13ed59f93b38452cd00ca1f8c6f69d",
+     "7490a51fccd0b1f691316dd8b5e5fe233c13ed59f93b38452cd00ca1f8c6f69d"),
+    ("zm --max-m 150 --max-n 20", "2041e854f3be850bcf3215d36d6092c33228c6dc6604c716366307c4e3ec6b90",
+     "f1f6696abf9c968cb5e0b8fe5d68e6be079abaa678ff0896b9f189317ab5a51d"),
+]
+
+
+@pytest.mark.parametrize("sweep, cache_sha, out_sha", CACHE_SHA256, ids=[c[0] for c in CACHE_SHA256])
+def test_the_bench_sweeps_write_the_pinned_cache_bytes(sweep, cache_sha, out_sha, tmp_path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    for run in ("cold", "warm"):
+        assert cli.main(["search", *sweep.split(), "--cache", str(cache)]) == 0
+        captured = capsys.readouterr()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == out_sha, run
+        assert captured.err == ""
+        assert hashlib.sha256(cache.read_bytes()).hexdigest() == cache_sha, run

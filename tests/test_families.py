@@ -174,6 +174,35 @@ def test_generalized_dihedral_examples():
             fam.generalized_dihedral_divisor_sum(bad)
 
 
+def _per_factor_dihedral_sum(factors):
+    # the former evaluation: each factor factored on its own
+    exponents = {}
+    for f in factors:
+        for p, e in nt.factorize(f):
+            exponents.setdefault(p, []).append(e)
+    lattice_sum = math.prod(
+        fam._p_group_subgroup_order_sum(p, tuple(sorted(exps, reverse=True)))
+        for p, exps in exponents.items()
+    )
+    r = len(exponents.get(2, ()))
+    return lattice_sum + 2 * math.prod(factors) * fam._subgroup_count_2(r)
+
+
+def test_generalized_dihedral_factors_one_lcm_as_each_factor_alone(monkeypatch):
+    chains = list(fam.iter_abelian_types(2000))
+    assert len(chains) == 4278  # every abelian group of order <= 2000, the trivial one too
+    others = [(6, 10, 15), (4, 1, 6), (12, 18), (5, 7, 11), (8, 12, 9, 1), (2**40, 3**5, 6), (1, 1)]
+    for factors in chains + others:
+        assert fam.generalized_dihedral_divisor_sum(factors) == _per_factor_dihedral_sum(
+            factors
+        ), factors
+    calls = []
+    factorize = nt.factorize
+    monkeypatch.setattr(nt, "factorize", lambda n: calls.append(n) or factorize(n))
+    fam.generalized_dihedral_divisor_sum((6, 10, 15))
+    assert calls == [30]  # one factorization, of the lcm
+
+
 def _oracle_on_a_dihedral_sum(chain):
     # the former implementation: enumerate A's subgroup lattice with the oracle
     a = oracle.build_abelian(chain)

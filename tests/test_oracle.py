@@ -268,7 +268,7 @@ def test_all_subgroups_against_naive_closure():
 
     for group in (
         oracle.build_generalized_dihedral([6]),
-        oracle.build_generalized_dicyclic([6], 3),
+        oracle.build_generalized_dicyclic([12], 6),
         oracle.build_zm(7, 6, 3),
         oracle.build_affine_prime(5),
         oracle.build_abelian([2, 4]),
@@ -680,6 +680,31 @@ def test_is_nilpotent_matches_the_sylow_test_on_the_corpus():
         assert verdict == reference_is_nilpotent(entry.group), entry.label
         verdicts.append(verdict)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_the_oracle_factors_each_group_order_once(monkeypatch):
+    monkeypatch.setattr(oracle, "_NORMAL_CACHE", {})
+    oracle._order_facts.cache_clear()
+    groups = [
+        oracle.build_cyclic(24),
+        oracle.build_generalized_dihedral([12]),
+        oracle.build_generalized_dicyclic([12], 6),
+        oracle.build_abelian([2, 2, 6]),
+        oracle.build_zm(7, 6, 3),
+        oracle.build_affine_prime(7),
+    ]
+    calls = []
+    factorize = nt.factorize
+    monkeypatch.setattr(nt, "factorize", lambda n: calls.append(n) or factorize(n))
+    for group in groups:
+        oracle.group_divisor_sum(group)
+        oracle.all_subgroups(group)
+        oracle.is_nilpotent(group)
+    oracle._order_facts.cache_clear()  # no other test sees the counted entries
+    assert sorted(calls) == [24, 42]
+    for n in (1, 2, 24, 42, 64, 360, 510):
+        factors, divisors = oracle._order_facts(n)
+        assert factors == nt.factorize(n) and list(divisors) == nt.divisors(n)
 
 
 def test_element_orders_and_cyclicity():

@@ -287,21 +287,21 @@ def test_interrupted_sweep_resumes_from_its_cache(tmp_path, monkeypatch, capsys)
     expected = capsys.readouterr().out
     cache = tmp_path / "cache.jsonl"
     argv += ["--cache", str(cache)]
-    evaluate_batch = search._evaluate_batch
+    evaluate = search.FAMILY["cyclic"].evaluate
     calls = []
 
-    def counting(family, batch, stop_after=None):
-        # one tuple at a time, so the interrupt comes after exactly
-        # stop_after evaluations
-        records = []
-        for params in batch:
-            calls.append(params)
-            if stop_after is not None and len(calls) > stop_after:
-                raise KeyboardInterrupt
-            records += evaluate_batch(family, [params])
-        return records
+    def counting(params, stop_after=None):
+        # the interrupt comes after exactly stop_after evaluations
+        calls.append(params)
+        if stop_after is not None and len(calls) > stop_after:
+            raise KeyboardInterrupt
+        return evaluate(params)
 
-    monkeypatch.setattr(search, "_evaluate_batch", lambda f, b: counting(f, b, stop_after=10_000))
+    def evaluating(counter):
+        replaced = dataclasses.replace(search.FAMILY["cyclic"], evaluate=counter)
+        monkeypatch.setitem(search.FAMILY, "cyclic", replaced)
+
+    evaluating(lambda params: counting(params, stop_after=10_000))
     assert cli.main(argv) == cli.EXIT_INTERRUPTED
     kept = 10_000 // search._CHUNK * search._CHUNK  # every finished chunk
     # the records of n = 2..kept, printed before the interrupt (n = 1 is an edge)
@@ -309,7 +309,7 @@ def test_interrupted_sweep_resumes_from_its_cache(tmp_path, monkeypatch, capsys)
     assert len(cache.read_text().splitlines()) == kept > 0
 
     calls.clear()
-    monkeypatch.setattr(search, "_evaluate_batch", counting)
+    evaluating(counting)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
     assert len(calls) == 20_000 - kept
@@ -370,9 +370,9 @@ def test_cache_reader_reads_only_the_bytes_there_when_it_opened(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text(C6_LINE + "\n")
     with search._Cache(path, "cyclic") as cache:
-        cache.append([search.run_classify("cyclic", [7])])
+        cache.append([search.run_classify("cyclic", [7]).to_json()])
         assert cache.take((7,)) is None  # appended by this sweep, so not read
-        assert cache.take((6,)) == C6
+        assert cache.take((6,)) == (6, 12, GroupKind.LEINSTER, (), C6_LINE)
     assert path.read_text().splitlines()[1:] == [search.run_classify("cyclic", [7]).to_json()]
 
 
@@ -383,6 +383,25 @@ def test_first_valid_cache_line_for_params_wins(tmp_path):
     cache.write_text(f"{first}\n{C6_LINE}\n")  # both read ahead of (1,), ..., (5,)
     records = sweep(family="cyclic", bounds={"max_n": 8}, cache_path=cache)
     assert next(r for r in records if r.params == (6,)).to_json() == first
+
+
+def test_first_valid_cache_line_wins_over_a_later_chunk_read_in_order(tmp_path):
+    # the first line for n = P is read ahead while the first chunk is taken;
+    # the second chunk then finds its own rows next in the file, P's second
+    # line among them, and must still take the first
+    n = search._CHUNK + 5
+    first = f'{{"family": "cyclic", "params": [{n}], "order": {n}, "D": {2 * n}, ' \
+        '"class": "leinster", "notes": []}'
+    bounds = {"max_n": search._CHUNK + 10}
+    cold = sweep(family="cyclic", bounds=bounds, include_edge=True)
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(first + "\n" + "".join(r.to_json() + "\n" for r in cold))
+    written = cache.read_bytes()
+    warm = sweep(family="cyclic", bounds=bounds, include_edge=True, cache_path=cache)
+    assert [r.to_json() for r in warm] == [
+        first if r.params == (n,) else r.to_json() for r in cold
+    ]
+    assert cache.read_bytes() == written
 
 
 def counting_enumerator(monkeypatch, family):
@@ -558,6 +577,33 @@ def test_to_json_equals_json_dumps(family, params, order, D, kind, notes):
     assert SearchRecord.from_json(line) == record
 
 
+@given(
+    family=st.sampled_from(search.FAMILIES) | st.text(),
+    rows=st.lists(
+        st.tuples(
+            st.lists(huge_ints, max_size=3) | st.lists(huge_ints, min_size=1, max_size=1),
+            huge_ints,
+            huge_ints,
+            st.sampled_from(list(GroupKind)),
+            st.lists(st.sampled_from(NOTES) | st.text(max_size=8), max_size=3) | st.just([]),
+        ),
+        max_size=6,
+    ),
+)
+def test_a_chunks_lines_equal_json_dumps(family, rows):
+    columns = [list(column) for column in zip(*rows)] or [[], [], [], [], []]
+    params, orders, Ds, kinds, notes = columns
+    lines = search._encode(
+        family, list(map(tuple, params)), orders, Ds, kinds, list(map(tuple, notes))
+    )
+    assert lines == [
+        json.dumps(
+            {"family": family, "params": p, "order": o, "D": d, "class": k.value, "notes": n}
+        )
+        for p, o, d, k, n in rows
+    ]
+
+
 # text that the fast decode reads as it stands, with separators a naive
 # split would cut at, and text that a cache line must escape
 PLAIN = st.lists(st.sampled_from([", ", ",", "a", " ", "[", "]", "{", "}", ": "]), max_size=5).map(
@@ -658,7 +704,7 @@ LINE_PIECES = st.sampled_from(
     )
 )
 def test_canonical_line_pattern_matches_as_its_reference_form(line):
-    ours = search._CANONICAL_LINE.fullmatch(line)
+    ours = re.fullmatch(search._CANONICAL_LINE, line)
     reference = _REFERENCE_CANONICAL_LINE.fullmatch(line)
     assert (ours is None) == (reference is None)
     if ours is not None:
@@ -706,6 +752,8 @@ def test_a_block_decodes_together_as_its_lines_decode_one_by_one(records, spoil)
     if spoil is not None:
         assert decoded is None
         return
+    assert decoded.lines is lines
+    decoded = decoded.records()
     assert decoded == records
     assert [record.to_json() for record in decoded] == lines
     assert all(record.to_json() is line for record, line in zip(decoded, lines))
