@@ -310,24 +310,32 @@ def generalized_dihedral_divisor_sum(a_factors: list[int] | tuple[int, ...]) -> 
     subgroup count (L. M. Butler, Subgroup Lattices and Symmetric Functions,
     Mem. AMS 539, 1994).  Both are kept per Sylow type (p, lambda) and per r
     (`_SUM_CACHE_SIZE` of each, least recently used first out), so a sweep
-    computes each about once.  The Sylow exponents of every factor are read
-    off one factorization, of the factors' lcm (of a chain, its largest
-    factor), by dividing out its primes.  No cap applies to |A|; only
-    factoring a huge factor can hit numtheory's effort cap.
+    computes each about once.  When the largest factor is a multiple of all
+    the others, as in an invariant-factor chain, the Sylow exponents of every
+    factor are read off its one factorization by dividing out its primes;
+    otherwise each factor is factored on its own, so coprime factors are never
+    multiplied into one harder number.  No cap applies to |A|; only factoring
+    a huge factor can hit numtheory's effort cap.
     """
     for f in a_factors:
         if f < 1:
             raise ValueError(f"cyclic factor orders must be positive, got {f}")
     exponents: dict[int, list[int]] = {}
-    for p, _ in numtheory.factorize(math.lcm(*a_factors)):
-        exps = exponents[p] = []
+    top = max(a_factors, default=1)
+    if all(top % f == 0 for f in a_factors):
+        for p, _ in numtheory.factorize(top):
+            exps = exponents[p] = []
+            for f in a_factors:
+                e = 0
+                while f % p == 0:
+                    f //= p
+                    e += 1
+                if e:
+                    exps.append(e)
+    else:
         for f in a_factors:
-            e = 0
-            while f % p == 0:
-                f //= p
-                e += 1
-            if e:
-                exps.append(e)
+            for p, e in numtheory.factorize(f):
+                exponents.setdefault(p, []).append(e)
     lattice_sum = 1
     for p, exps in exponents.items():
         lattice_sum *= _p_group_subgroup_order_sum(p, tuple(sorted(exps, reverse=True)))

@@ -41,6 +41,7 @@ import math
 import operator
 import random
 from array import array
+from collections.abc import Iterable
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import compress
@@ -53,6 +54,7 @@ __all__ = [
     "carmichael",
     "divisor_sum",
     "divisors",
+    "divisors_from_factors",
     "factorize",
     "is_prime",
     "lucas_lehmer",
@@ -395,8 +397,14 @@ def divisor_sum(n: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """All divisors of n in increasing order."""
+    return divisors_from_factors(factorize(n))
+
+
+def divisors_from_factors(factors: Iterable[tuple[int, int]]) -> list[int]:
+    """All divisors, in increasing order, of the product of p**e over the
+    given (p, e) pairs of distinct primes, as `factorize` returns them."""
     out = [1]
-    for p, e in factorize(n):
+    for p, e in factors:
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
 

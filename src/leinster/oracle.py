@@ -340,10 +340,7 @@ def _order_facts(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """The factorization of a group order n and its divisors in increasing
     order, from one `factorize` call."""
     factors = numtheory.factorize(n)
-    divisors = [1]
-    for p, e in factors:
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
-    return factors, tuple(sorted(divisors))
+    return factors, tuple(numtheory.divisors_from_factors(factors))
 
 
 def all_subgroups(group: FiniteGroup) -> tuple[tuple[int, bool], ...]:

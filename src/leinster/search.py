@@ -9,7 +9,7 @@ each passed along as columns (`Chunk`: params, order, D, class, notes and
 the JSON line), not as records.  `sweep_chunks` pulls a chunk from the
 family's lazy enumeration, takes its cached rows from the cache file,
 evaluates the rest (`_evaluate_batch`: closed form, classification and one
-f-string for all its lines), appends them to the cache, filters the chunk's
+f-string for all the lines), appends them to the cache, filters the chunk's
 columns by class and edge and only then yields it.  So a sweep holds about
 one chunk whatever its bounds, an interrupted sweep keeps every finished
 chunk, and a rerun with the same cache computes only the missing tuples.
@@ -107,14 +107,12 @@ _INT = r"(?:0|-?[1-9][0-9]*)"
 # lines.  The lists are written as alternatives (none, one, several), not as
 # an optional repeat: a repeated group costs the regex engine an allocation
 # each time it is entered, so a line of one parameter and no notes, which
-# enters none, matches in about two thirds of the time.  This pattern and
-# `_ANY_FAMILY_PREFIX` are kept as text and compiled on first use, through
-# the `re` module's cache: compiled at import, they cost every command about
-# 0.7 ms, and only a sweep that reads a cache uses them.
-_CANONICAL_LINE = (
-    rf'(?m)^{{"family": "({_CHARS})", "params": \[(|{_INT}|{_INT}(?:, {_INT})+)\], '
+# enters none, matches in about two thirds of the time.
+_CANONICAL_LINE = re.compile(
+    rf'^{{"family": "({_CHARS})", "params": \[(|{_INT}|{_INT}(?:, {_INT})+)\], '
     rf'"order": ({_INT}), "D": ({_INT}), "class": "({_CHARS})", '
-    rf'"notes": \[(|"{_CHARS}"|"{_CHARS}"(?:, "{_CHARS}")+)\]}}$'
+    rf'"notes": \[(|"{_CHARS}"|"{_CHARS}"(?:, "{_CHARS}")+)\]}}$',
+    re.MULTILINE,
 )
 
 
@@ -168,26 +166,14 @@ class SearchRecord:
     def to_json(self) -> str:
         """The record as one JSON line, byte-identical to `json.dumps` of its dict.
 
-        The line is encoded once and kept; a record of `run_sweep` comes with
-        the line of its chunk row.  A record of one parameter and no notes is
-        written without the joins.  `_encode` writes a chunk's lines the same
-        way.
+        The line is encoded once, by `_encode`, and kept; a record of
+        `run_sweep` comes with the line of its chunk row.
         """
         line = self._json
         if line is None:
-            params, kind = self.params, self.kind._value_
-            if len(params) == 1 and not self.notes:
-                line = (
-                    f'{{"family": {_json_str(self.family)}, "params": [{params[0]}], '
-                    f'"order": {self.order}, "D": {self.D}, "class": "{kind}", "notes": []}}'
-                )
-            else:
-                line = (
-                    f'{{"family": {_json_str(self.family)}, '
-                    f'"params": [{", ".join(map(str, params))}], '
-                    f'"order": {self.order}, "D": {self.D}, "class": "{kind}", '
-                    f'"notes": [{", ".join(map(_json_str, self.notes))}]}}'
-                )
+            (line,) = _encode(
+                self.family, (self.params,), (self.order,), (self.D,), (self.kind,), (self.notes,)
+            )
             _set_json(self, line)
         return line
 
@@ -562,29 +548,35 @@ FAMILY: dict[str, Family] = {
 FAMILIES = tuple(FAMILY)
 
 
+def _classified(orders, Ds, notes) -> tuple[list[GroupKind], list | tuple]:
+    """The class column of evaluated rows, by `classify_kind`, and their
+    notes column, a row of order 1 given the edge note."""
+    if 1 in orders:
+        notes = [n + (NOTE_EDGE,) if order == 1 else n for order, n in zip(orders, notes)]
+    return list(map(families.classify_kind, Ds, orders)), notes
+
+
 def _evaluate_batch(family: str, batch: list[tuple[int, ...]]) -> Chunk:
     """The rows of `batch`, tuples of one family: a sweep's evaluation path.
 
     The family is looked up once per batch.  Each tuple is evaluated in
-    closed form, the chunk is classified by `classify_kind` a column at a
-    time, a row of order 1 gets the edge note, and the lines are encoded
-    together (`_encode`).  The arity is not checked: an enumerator gives the
-    family's.
+    closed form, the chunk is classified and noted a column at a time
+    (`_classified`, which `run_classify` shares), and the lines are encoded
+    together (`_encode`).  The arity is not checked here: an enumerator
+    gives the family's, and `run_classify` checks a caller's.
     """
     try:
         evaluate = FAMILY[family].evaluate
     except KeyError:
         raise ValueError(f"unknown family {family!r}") from None
     orders, Ds, notes = zip(*map(evaluate, batch)) if batch else ((), (), ())
-    if 1 in orders:
-        notes = [n + (NOTE_EDGE,) if order == 1 else n for order, n in zip(orders, notes)]
-    kinds = list(map(families.classify_kind, Ds, orders))
-    return Chunk(family, batch, orders, Ds, kinds, notes,
-                 _encode(family, batch, orders, Ds, kinds, notes))
+    kinds, notes = _classified(orders, Ds, notes)
+    lines = _encode(family, batch, orders, Ds, kinds, notes)
+    return Chunk(family, batch, orders, Ds, kinds, notes, lines)
 
 
 # the start of a cache line of any family whose name needs no escape
-_ANY_FAMILY_PREFIX = rf'{{"family": "{_CHARS}", '
+_ANY_FAMILY_PREFIX = re.compile(rf'{{"family": "{_CHARS}", ')
 
 
 class _Cache:
@@ -766,7 +758,7 @@ class _Cache:
         own = f'{{"family": {_json_str(self._name)}, '
         for lineno, line in enumerate(lines, lineno + 1):
             line = line.strip()
-            if not line or (not line.startswith(own) and re.match(_ANY_FAMILY_PREFIX, line)):
+            if not line or (not line.startswith(own) and _ANY_FAMILY_PREFIX.match(line)):
                 continue
             try:
                 record = SearchRecord.from_json(line)
@@ -812,7 +804,7 @@ def _decode_canonical(family: str, text: str, lines: list[str]) -> Chunk | None:
     by one, as `SearchRecord.from_json` would.  The rows are those
     `from_json` gives, and keep their lines.
     """
-    rows = re.findall(_CANONICAL_LINE, text)
+    rows = _CANONICAL_LINE.findall(text)
     if not lines or len(rows) != len(lines):
         return None
     names, params, orders, Ds, kinds, notes = zip(*rows)
@@ -931,12 +923,7 @@ def oracle_crosscheck(record: SearchRecord) -> bool | None:
 
 
 def run_classify(family: str, params: list[int] | tuple[int, ...]) -> SearchRecord:
-    """Classify one instance in closed form; `oracle_crosscheck` checks the result.
-
-    One tuple is evaluated, classified and noted as `_evaluate_batch` does a
-    chunk's, without the columns: for a single row they cost more than the
-    record itself.
-    """
+    """Classify one instance in closed form; `oracle_crosscheck` checks the result."""
     fam = FAMILY.get(family)
     if fam is None:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -947,6 +934,5 @@ def run_classify(family: str, params: list[int] | tuple[int, ...]) -> SearchReco
         )
     params = tuple(params)
     order, total, notes = fam.evaluate(params)
-    if order == 1:
-        notes += (NOTE_EDGE,)
-    return SearchRecord(family, params, order, total, families.classify_kind(total, order), notes)
+    (kind,), (notes,) = _classified((order,), (total,), (notes,))
+    return SearchRecord(family, params, order, total, kind, notes)

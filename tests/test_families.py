@@ -188,10 +188,12 @@ def _per_factor_dihedral_sum(factors):
     return lattice_sum + 2 * math.prod(factors) * fam._subgroup_count_2(r)
 
 
-def test_generalized_dihedral_factors_one_lcm_as_each_factor_alone(monkeypatch):
+def test_generalized_dihedral_factors_a_chain_once_as_each_factor_alone(monkeypatch):
     chains = list(fam.iter_abelian_types(2000))
     assert len(chains) == 4278  # every abelian group of order <= 2000, the trivial one too
-    others = [(6, 10, 15), (4, 1, 6), (12, 18), (5, 7, 11), (8, 12, 9, 1), (2**40, 3**5, 6), (1, 1)]
+    m61, m89 = 2**61 - 1, 2**89 - 1  # Mersenne primes: their product is past rho's budget
+    others = [(6, 10, 15), (4, 1, 6), (12, 18), (5, 7, 11), (8, 12, 9, 1), (2**40, 3**5, 6)]
+    others += [(1, 1), (m61, m89), (2, m61, 4 * m89), (m61, 2 * m61), (2 * m89, 6 * m89)]
     for factors in chains + others:
         assert fam.generalized_dihedral_divisor_sum(factors) == _per_factor_dihedral_sum(
             factors
@@ -199,8 +201,11 @@ def test_generalized_dihedral_factors_one_lcm_as_each_factor_alone(monkeypatch):
     calls = []
     factorize = nt.factorize
     monkeypatch.setattr(nt, "factorize", lambda n: calls.append(n) or factorize(n))
+    fam.generalized_dihedral_divisor_sum((2, 6, 12))
+    assert calls == [12]  # a chain: one factorization, of its largest factor
+    calls.clear()
     fam.generalized_dihedral_divisor_sum((6, 10, 15))
-    assert calls == [30]  # one factorization, of the lcm
+    assert calls == [6, 10, 15]  # not a chain: each factor alone
 
 
 def _oracle_on_a_dihedral_sum(chain):

@@ -268,7 +268,7 @@ def test_all_subgroups_against_naive_closure():
 
     for group in (
         oracle.build_generalized_dihedral([6]),
-        oracle.build_generalized_dicyclic([12], 6),
+        oracle.build_generalized_dicyclic([6], 3),
         oracle.build_zm(7, 6, 3),
         oracle.build_affine_prime(5),
         oracle.build_abelian([2, 4]),

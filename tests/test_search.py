@@ -704,7 +704,7 @@ LINE_PIECES = st.sampled_from(
     )
 )
 def test_canonical_line_pattern_matches_as_its_reference_form(line):
-    ours = re.fullmatch(search._CANONICAL_LINE, line)
+    ours = search._CANONICAL_LINE.fullmatch(line)
     reference = _REFERENCE_CANONICAL_LINE.fullmatch(line)
     assert (ours is None) == (reference is None)
     if ours is not None:
