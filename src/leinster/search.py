@@ -241,11 +241,13 @@ def _encode(family: str, params, orders, Ds, kinds, notes) -> list[str]:
 
     One f-string serves the chunk (`str.format` and `%` parse their format
     again per row, half as long again); rows of one parameter and no notes
-    take one without joins.  A class is written as its value, read from
-    `_value_`: `.value` is a Python-level property.
+    take one without joins, tried only when the first row has one parameter
+    (a `ValueError` raised and caught costs a single record more than its
+    encoding).  A class is written as its value, read from `_value_`:
+    `.value` is a Python-level property.
     """
     head = f'{{"family": {_json_str(family)}, "params": ['
-    if not any(notes):
+    if params and len(params[0]) == 1 and not any(notes):
         try:
             return [
                 f'{head}{p}], "order": {o}, "D": {d}, "class": "{k._value_}", "notes": []}}'
