@@ -12,9 +12,10 @@ chunk of `search.sweep_chunks` (the chunk's kept lines, read from its
 columns, with no record object built), so after 130, 141 or an error in
 mid-sweep stdout holds a prefix of whole records: on 130, every record of
 the chunks finished before the interrupt.  On a shared 2-core host, fresh
-`search cyclic --max-n 50000 --cache F` processes took a median 0.33 s cold
-and 0.34 s warm, start-up included (0.46 s and 0.43 s when every line was
-printed from a record).  `--table` output is written at the end, once the
+`search cyclic --max-n 50000 --cache F` processes took a median 0.175 s of
+CPU cold and 0.205 s warm, start-up included (0.195 s and 0.203 s when sigma
+was read per n from the smallest-prime-factor table; 40 alternating
+rounds).  `--table` output is written at the end, once the
 column widths are known, from the records of `search.run_sweep`.  D and the
 order are printed as exact integers of any size, in JSON and in `--table`
 alike.

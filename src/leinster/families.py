@@ -29,6 +29,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from operator import and_, neg
 
 from . import numtheory
 
@@ -40,7 +41,9 @@ __all__ = [
     "classify_kind",
     "count_abelian_types",
     "dicyclic_divisor_sum",
+    "dicyclic_divisor_sums",
     "dihedral_divisor_sum",
+    "dihedral_divisor_sums",
     "generalized_dihedral_divisor_sum",
     "iter_abelian_types",
     "pq_divisor_sum",
@@ -242,6 +245,12 @@ def dihedral_divisor_sum(n: int) -> int:
     return numtheory.divisor_sum(n) + extra
 
 
+def dihedral_divisor_sums(lo: int, hi: int) -> list[int]:
+    """`dihedral_divisor_sum(n)` for lo <= n <= hi, from one `numtheory.divisor_sums`."""
+    sums = numtheory.divisor_sums(lo, hi)
+    return [s + (2 * n if n & 1 else 4 * n) for n, s in zip(range(lo, hi + 1), sums)]
+
+
 # Entries of each cache of generalized_dihedral_divisor_sum.  A sweep to
 # max_a = 10^5 meets 10,869 Sylow types, 9,592 of them C_p for a prime p,
 # which are cheap to compute again; the 1,277 others and the few r fit.
@@ -407,6 +416,23 @@ def dicyclic_divisor_sum(n: int) -> int:
         raise ValueError(f"dicyclic groups need n >= 2, got {n}")
     extra = 4 * n if n % 2 else 8 * n
     return numtheory.divisor_sum(2 * n) + extra
+
+
+def dicyclic_divisor_sums(lo: int, hi: int) -> list[int]:
+    """`dicyclic_divisor_sum(n)` for lo <= n <= hi, from one `numtheory.divisor_sums`.
+
+    The window is sieved once, for sigma(n); sigma(2n) is then
+    sigma(n) * (2^(v+2) - 1) / (2^(v+1) - 1) with 2^v = n & -n the power
+    of 2 dividing n exactly.
+    """
+    if lo < 2 and lo <= hi:
+        raise ValueError(f"dicyclic groups need n >= 2, got {lo}")
+    ns = range(lo, hi + 1)
+    sums = numtheory.divisor_sums(lo, hi)
+    return [
+        s * (4 * b - 1) // (2 * b - 1) + (4 * n if b == 1 else 8 * n)
+        for n, s, b in zip(ns, sums, map(and_, ns, map(neg, ns)))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,13 @@ it from the table (same results, a few lookups per call).  Larger n take the
 paths above.  The table is a 2-byte-per-entry `array('H')`, filled by slice
 assignment in pure Python, and lives only as long as the block.
 
+Two segmented sieves serve whole ranges without a table or a factorization
+per integer.  `divisor_sums(lo, hi)` gives sigma of every n in a window,
+dividing the primes up to isqrt(hi) out of their multiples a slice at a
+time; the cyclic, dihedral and dicyclic sweeps take sigma of each chunk from
+it, far past the table's cap.  `prime_powers(limit)` streams the prime
+powers up to limit a window at a time, for the affine sweep.
+
 The module imports no numpy: the closed-form commands run on it without
 loading the oracle.  So `OrderCapError`, which the oracle raises and the
 command line maps to its resource exit code, is defined here beside
@@ -41,10 +48,11 @@ import math
 import operator
 import random
 from array import array
-from collections.abc import Iterable
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice, repeat
 
 __all__ = [
     "MERSENNE_EXPONENTS",
@@ -53,6 +61,7 @@ __all__ = [
     "OrderCapError",
     "carmichael",
     "divisor_sum",
+    "divisor_sums",
     "divisors",
     "divisors_from_factors",
     "factorize",
@@ -61,6 +70,7 @@ __all__ = [
     "mult_order",
     "perfect_plus_one",
     "prime_power_decompose",
+    "prime_powers",
     "sieve",
     "verified_mersenne_exponents",
 ]
@@ -371,7 +381,8 @@ def divisor_sum(n: int) -> int:
 
     Inside a `sieve` block, sigma(n) is multiplied up during the walk of the
     smallest-prime-factor table, one 1 + p + ... + p^e per prime, with no
-    factor tuple built; above the table it comes from `factorize`.
+    factor tuple built; above the table it comes from `factorize`.  A run of
+    consecutive n is cheaper as one window of `divisor_sums`.
     """
     if n < 1:
         raise ValueError(f"divisor_sum undefined for {n}: need n >= 1")
@@ -393,6 +404,54 @@ def divisor_sum(n: int) -> int:
     for p, e in factorize(n):
         total *= (p ** (e + 1) - 1) // (p - 1)
     return total
+
+
+@lru_cache(maxsize=1)
+def _base_primes(bits: int) -> list[int]:
+    """The primes below 2**bits: the sieving primes of every window whose
+    isqrt(hi) has `bits` bits.  One list is kept, so a sweep builds each once."""
+    return _primes((1 << bits) - 1)
+
+
+def divisor_sums(lo: int, hi: int) -> list[int]:
+    """[divisor_sum(lo), ..., divisor_sum(hi)], by one segmented sieve of the window.
+
+    Each prime p <= isqrt(hi) is divided out of its multiples in the window
+    a slice at a time, sigma multiplied by 1 + p + ... + p^e as it goes
+    (Bays and Hudson, BIT 17, 1977); what is left of n is then 1 or a prime
+    r, whose factor is r + 1.  So a window costs a few C-level passes per
+    prime and no factorization.  From hi >= SIEVE_CAP**2 on, where the
+    sieving primes would pass the table's cap, each n takes `divisor_sum`.
+    """
+    if lo < 1 and lo <= hi:
+        raise ValueError(f"divisor_sum undefined for {lo}: need n >= 1")
+    if hi >= SIEVE_CAP**2:
+        return list(map(divisor_sum, range(lo, hi + 1)))
+    size = max(hi - lo + 1, 0)
+    sums, rest = [1] * size, list(range(lo, hi + 1))
+    root = math.isqrt(max(hi, 0))
+    primes = _base_primes(root.bit_length())
+    for p in islice(primes, bisect_right(primes, root)):
+        i = -lo % p  # the index of lo's first multiple of p
+        if i >= size:
+            continue
+        count = len(range(i, size, p))
+        terms, parts = [1 + p] * count, [p] * count
+        q, term = p * p, 1 + p + p * p
+        while q <= hi:  # the multiples of q = p^k, k >= 2, among those of p
+            j = (-lo % q - i) // p
+            if j >= count:
+                break
+            step = q // p
+            terms[j::step] = repeat(term, len(range(j, count, step)))
+            parts[j::step] = repeat(q, len(range(j, count, step)))
+            q *= p
+            term += q
+        sums[i::p] = map(operator.mul, sums[i::p], terms)
+        rest[i::p] = map(operator.floordiv, rest[i::p], parts)
+    # r + (r > 1): the factor of a prime r left over, and 1 for r = 1
+    factors = map(operator.add, rest, map(operator.gt, rest, repeat(1)))
+    return list(map(operator.mul, sums, factors))
 
 
 def divisors(n: int) -> list[int]:
@@ -454,6 +513,37 @@ def prime_power_decompose(n: int) -> tuple[int, int] | None:
         if root**k == n:
             return (root, k) if is_prime(root) else None
     return None
+
+
+# integers per window of `prime_powers`' segmented sieve
+_WINDOW = 1 << 16
+
+
+def prime_powers(limit: int) -> Iterator[int]:
+    """The prime powers p**k, k >= 1, up to limit, ascending, one window at a time.
+
+    The primes come from a segmented sieve of _WINDOW integers at a time by
+    the primes up to isqrt(limit); the p**k with k >= 2, which need p <=
+    isqrt(limit), are listed once and merged into their window.  So the
+    stream holds one window, not the range.
+    """
+    base = _primes(math.isqrt(max(limit, 0)))
+    powers = []
+    for p in base:
+        q = p * p
+        while q <= limit:
+            powers.append(q)
+            q *= p
+    powers.sort()
+    for lo in range(2, limit + 1, _WINDOW):
+        hi = min(lo + _WINDOW - 1, limit)
+        flags = bytearray([1]) * (hi - lo + 1)
+        for p in islice(base, bisect_right(base, math.isqrt(hi))):
+            start = max(p * p, -(-lo // p) * p) - lo
+            flags[start::p] = bytes(len(range(start, len(flags), p)))
+        window = [*compress(range(lo, hi + 1), flags)]
+        window += powers[bisect_left(powers, lo) : bisect_right(powers, hi)]
+        yield from sorted(window)
 
 
 def lucas_lehmer(r: int) -> bool:

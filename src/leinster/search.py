@@ -15,11 +15,17 @@ one chunk whatever its bounds, an interrupted sweep keeps every finished
 chunk, and a rerun with the same cache computes only the missing tuples.
 The CLI writes each chunk's lines in one write; `run_sweep` gives the same
 rows as `SearchRecord`s.  A row costs about a microsecond of Python beside
-its arithmetic (two with a record per row): on a shared 2-core host, fresh
-`search cyclic --max-n 50000 --cache F` processes took a median 0.33 s cold
-and 0.34 s warm, start-up included (0.46 s and 0.43 s before).  Number
-theory on the sweep's small integers reads a smallest-prime-factor table
-built once per sweep (`numtheory.sieve`, up to twice the largest bound).
+its arithmetic (two with a record per row).
+
+The cyclic, dihedral and dicyclic families declare `evaluate_run`: a chunk
+whose params are one run of consecutive n takes its order and D columns
+from one call, sigma of the whole window from one segmented sieve
+(`numtheory.divisor_sums`), with no result tuple per row.  A chunk that is
+not one run (the gaps of a warm sweep) is evaluated a tuple at a time.  The
+affine sweep's q come from the stream `numtheory.prime_powers`.  Number
+theory on the sweep's other small integers reads a smallest-prime-factor
+table built once per sweep (`numtheory.sieve`, up to twice the largest
+bound).
 
 The cache file is read forward in step with the enumeration, _BLOCK bytes at
 a time.  A sweep writes it in params order, so a rerun holds about one chunk
@@ -277,7 +283,9 @@ class Family:
     lazily and in `enumerate`'s order, the params of order <= max_order for
     `verify` to build, less those another family lists: no m = 1 for zm
     (ZM(1, n, 0) is C_n) and no one-factor chain for gen-dihedral (Dih(C_n)
-    is D_2n).  `label` names an instance (`ZM(7,6,3)`).
+    is D_2n).  `label` names an instance (`ZM(7,6,3)`).  `evaluate_run(lo,
+    hi)`, when given, is `evaluate` on the run (lo,), (lo + 1,), ..., (hi,)
+    at once: the order and D columns, every row without notes.
     """
 
     name: str
@@ -290,6 +298,7 @@ class Family:
     up_to: Callable[[int], Iterable[tuple[int, ...]]]
     label: Callable[[tuple[int, ...]], str]
     ascending: bool = True
+    evaluate_run: Callable[[int, int], tuple[list[int], list[int]]] | None = None
 
 
 @dataclass
@@ -345,11 +354,14 @@ def _n_range(lo: int):
     return lambda cfg: zip(range(max(lo, cfg.bounds.get("min_n", lo)), cfg.bound("max_n") + 1))
 
 
+def _n_count(lo: int) -> Callable[[SweepConfig], int]:
+    """The number of tuples `_n_range(lo)` enumerates; 0 with no max_n, which it refuses."""
+    return lambda cfg: max(0, cfg.bounds.get("max_n", 0) - max(lo, cfg.bounds.get("min_n", lo)) + 1)
+
+
 def _prime_powers(max_q: int) -> Iterator[tuple[int, ...]]:
-    """(q,) for each prime power q <= max_q, ascending."""
-    for q in range(2, max_q + 1):
-        if numtheory.prime_power_decompose(q) is not None:
-            yield (q,)
+    """(q,) for each prime power q <= max_q, ascending, from `numtheory.prime_powers`."""
+    return zip(numtheory.prime_powers(max_q))
 
 
 def _enumerate_pq(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
@@ -498,10 +510,11 @@ FAMILY: dict[str, Family] = {
     f.name: f
     for f in (
         Family(
-            "cyclic", ("max_n",), 1, _count("max_n"), _n_range(1),
+            "cyclic", ("max_n",), 1, _n_count(1), _n_range(1),
             lambda p: (p[0], numtheory.divisor_sum(p[0]), ()),
             lambda p: _oracle().build_cyclic(p[0]),
             lambda n: zip(range(1, n + 1)), lambda p: f"C{p[0]}",
+            evaluate_run=lambda lo, hi: (list(range(lo, hi + 1)), numtheory.divisor_sums(lo, hi)),
         ),
         Family(
             "zm", ("max_m", "max_n"), 3, _zm_tuple_count, _enumerate_zm,
@@ -518,10 +531,13 @@ FAMILY: dict[str, Family] = {
             lambda p: f"Aff({p[0]})",
         ),
         Family(
-            "dihedral", ("max_n", "min_n"), 1, _count("max_n"), _n_range(1),
+            "dihedral", ("max_n", "min_n"), 1, _n_count(1), _n_range(1),
             lambda p: (2 * p[0], families.dihedral_divisor_sum(p[0]), ()),
             lambda p: _oracle().build_generalized_dihedral(p),
             lambda n: zip(range(1, n // 2 + 1)), lambda p: f"D{2 * p[0]}",
+            evaluate_run=lambda lo, hi: (
+                list(range(2 * lo, 2 * hi + 1, 2)), families.dihedral_divisor_sums(lo, hi)
+            ),
         ),
         Family(
             "gen-dihedral", ("max_a",), None, None, _enumerate_gen_dihedral,
@@ -532,10 +548,13 @@ FAMILY: dict[str, Family] = {
             ascending=False,
         ),
         Family(
-            "dicyclic", ("max_n", "min_n"), 1, _count("max_n"), _n_range(2),
+            "dicyclic", ("max_n", "min_n"), 1, _n_count(2), _n_range(2),
             lambda p: (4 * p[0], families.dicyclic_divisor_sum(p[0]), ()),
             lambda p: _oracle().build_generalized_dicyclic([2 * p[0]], p[0]),
             lambda n: zip(range(2, n // 4 + 1)), lambda p: f"Dic{4 * p[0]}",
+            evaluate_run=lambda lo, hi: (
+                list(range(4 * lo, 4 * hi + 1, 4)), families.dicyclic_divisor_sums(lo, hi)
+            ),
         ),
         Family(
             "pq", ("max_q", "max_p"), 2, _pq_step_count, _enumerate_pq,
@@ -561,17 +580,24 @@ def _classified(orders, Ds, notes) -> tuple[list[GroupKind], list | tuple]:
 def _evaluate_batch(family: str, batch: list[tuple[int, ...]]) -> Chunk:
     """The rows of `batch`, tuples of one family: a sweep's evaluation path.
 
-    The family is looked up once per batch.  Each tuple is evaluated in
-    closed form, the chunk is classified and noted a column at a time
-    (`_classified`, which `run_classify` shares), and the lines are encoded
-    together (`_encode`).  The arity is not checked here: an enumerator
-    gives the family's, and `run_classify` checks a caller's.
+    The family is looked up once per batch.  A batch of a family with
+    `evaluate_run` whose params are one run (ascending, so the first and
+    last are len - 1 apart) is evaluated by one call, as columns; any other
+    batch a tuple at a time, in closed form.  The chunk is then classified
+    and noted a column at a time (`_classified`, which `run_classify`
+    shares), and the lines are encoded together (`_encode`).  The arity is
+    not checked here: an enumerator gives the family's, and `run_classify`
+    checks a caller's.
     """
     try:
-        evaluate = FAMILY[family].evaluate
+        fam = FAMILY[family]
     except KeyError:
         raise ValueError(f"unknown family {family!r}") from None
-    orders, Ds, notes = zip(*map(evaluate, batch)) if batch else ((), (), ())
+    if batch and fam.evaluate_run is not None and batch[-1][0] - batch[0][0] == len(batch) - 1:
+        orders, Ds = fam.evaluate_run(batch[0][0], batch[-1][0])
+        notes = [()] * len(batch)
+    else:
+        orders, Ds, notes = zip(*map(fam.evaluate, batch)) if batch else ((), (), ())
     kinds, notes = _classified(orders, Ds, notes)
     lines = _encode(family, batch, orders, Ds, kinds, notes)
     return Chunk(family, batch, orders, Ds, kinds, notes, lines)

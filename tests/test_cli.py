@@ -83,6 +83,32 @@ def test_pq_budget_counts_the_steps_walked(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_dihedral_budget_counts_the_window_of_a_min_n_sweep(capsys):
+    # a window of 20,001 n past 10^9: not max_n tuples
+    argv = ["search", "dihedral", "--min-n", "1000000000", "--max-n", "1000020000"]
+    assert cli.main(argv) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 20001
+    assert [json.loads(lines[i])["params"] for i in (0, -1)] == [[10**9], [1000020000]]
+    assert cli.main(argv + ["--budget", "20000"]) == cli.EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "resource cap: sweep bounds describe up to 20001 tuples, over the budget of 20000\n"
+    )
+
+
+def test_dicyclic_budget_counts_the_window_of_a_min_n_sweep(capsys):
+    argv = ["search", "dicyclic", "--min-n", "99990", "--max-n", "100000"]
+    assert cli.main(argv + ["--budget", "1000"]) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 11
+    assert cli.main(argv + ["--budget", "10"]) == cli.EXIT_RESOURCE
+    assert "describe up to 11 tuples" in capsys.readouterr().err
+    # an empty window is no tuple at all
+    assert cli.main(["search", "dicyclic", "--min-n", "9", "--max-n", "8", "--budget", "1"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_ctrl_c_exits_130_with_one_line(monkeypatch, capsys):
     def interrupted(args):
         raise KeyboardInterrupt

@@ -540,3 +540,26 @@ def test_dicyclic_lower_bound():
         for y in oracle.order_two_elements(base):
             group = oracle.build_generalized_dicyclic(chain, y)
             assert oracle.group_divisor_sum(group) >= 2 * size + base_sum, (chain, y)
+
+
+def test_sigma_of_2n_from_sigma_of_n():
+    # sigma(2n) = sigma(n) (2^(v+2) - 1) / (2^(v+1) - 1), 2^v exactly dividing n
+    for n in [*range(1, 5000), 2**40, 3 * 2**41, 10**12 + 4]:
+        v = (n & -n).bit_length() - 1
+        two_n = nt.divisor_sum(2 * n)
+        assert two_n == nt.divisor_sum(n) * (2 ** (v + 2) - 1) // (2 ** (v + 1) - 1), n
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(2, 3000), (2, 2), (4000, 3999), (nt.SIEVE_CAP - 500, nt.SIEVE_CAP + 500),
+     (10**9, 10**9 + 500)],
+)
+def test_dihedral_and_dicyclic_columns_equal_their_per_n_forms(lo, hi):
+    ns = range(lo, hi + 1)
+    assert fam.dihedral_divisor_sums(lo, hi) == list(map(fam.dihedral_divisor_sum, ns))
+    assert fam.dicyclic_divisor_sums(lo, hi) == list(map(fam.dicyclic_divisor_sum, ns))
+    with pytest.raises(ValueError):
+        fam.dicyclic_divisor_sums(1, hi)
+    with pytest.raises(ValueError):
+        fam.dihedral_divisor_sums(0, hi)

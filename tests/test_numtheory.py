@@ -588,3 +588,66 @@ def test_sieve_is_capped_and_falls_back_above_its_limit():
             nt.divisor_sum(0)
         with pytest.raises(ValueError):
             nt.prime_power_decompose(1)
+
+
+# ---------------------------------------------------------------------------
+# segmented sieves: divisor sums of a window, the prime-power stream
+
+
+def test_divisor_sums_equal_divisor_sum_to_10_to_the_5():
+    limit = 10**5
+    with nt.sieve(limit):
+        expected = [nt.divisor_sum(n) for n in range(1, limit + 1)]
+    assert nt.divisor_sums(1, limit) == expected
+    # a window starting anywhere, prime powers and their neighbours included
+    for lo, hi in ((1, 1), (2, 2), (4095, 4097), (65535, 65537), (99_000, limit)):
+        assert nt.divisor_sums(lo, hi) == expected[lo - 1 : hi]
+    assert nt.divisor_sums(5, 4) == [] == nt.divisor_sums(0, -1)
+    with pytest.raises(ValueError):
+        nt.divisor_sums(0, 5)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (nt.SIEVE_CAP - 4096, nt.SIEVE_CAP + 4096),  # across the table's cap
+        (10**9 - 1000, 10**9 + 1000),
+        (10**12 - 200, 10**12 + 200),
+        (nt.SIEVE_CAP**2 - 40, nt.SIEVE_CAP**2 - 1),  # the last windows sieved
+        (nt.SIEVE_CAP**2 - 20, nt.SIEVE_CAP**2 + 20),  # past the cut: one n at a time
+    ],
+)
+def test_divisor_sums_equal_divisor_sum_on_large_windows(lo, hi):
+    assert nt.divisor_sums(lo, hi) == [nt.divisor_sum(n) for n in range(lo, hi + 1)]
+
+
+def test_divisor_sums_past_the_cut_take_divisor_sum(monkeypatch):
+    called = []
+    monkeypatch.setattr(nt, "divisor_sum", lambda n: called.append(n) or _sigma_from_factors(n))
+    assert nt.divisor_sums(nt.SIEVE_CAP**2 - 10, nt.SIEVE_CAP**2 - 1) != []
+    assert called == []
+    window = range(nt.SIEVE_CAP**2 - 1, nt.SIEVE_CAP**2 + 10)
+    assert nt.divisor_sums(window[0], window[-1]) == list(map(_sigma_from_factors, window))
+    assert called == list(window)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10**10), st.integers(0, 300))
+def test_divisor_sums_of_any_window(lo, width):
+    hi = lo + width - 1
+    assert nt.divisor_sums(lo, hi) == [nt.divisor_sum(n) for n in range(lo, hi + 1)]
+
+
+def test_prime_powers_stream_equals_the_filtered_range():
+    window = nt._WINDOW
+    limit = max(10**5, 2 * window + 1)
+    expected = [q for q in range(2, limit + 1) if nt.prime_power_decompose(q) is not None]
+    for small in (-1, 0, 1, 2, 3, 4, 8, 9, window - 1, window, window + 1, 10**5, limit):
+        assert list(nt.prime_powers(small)) == [q for q in expected if q <= small]
+
+
+def test_prime_powers_stream_above_the_sieve_cap():
+    lo, hi = nt.SIEVE_CAP - 3000, nt.SIEVE_CAP + 3000
+    stream = [q for q in nt.prime_powers(hi) if q >= lo]
+    assert stream == [q for q in range(lo, hi + 1) if nt.prime_power_decompose(q) is not None]
+    assert nt.SIEVE_CAP in stream  # 2^22

@@ -287,21 +287,30 @@ def test_interrupted_sweep_resumes_from_its_cache(tmp_path, monkeypatch, capsys)
     expected = capsys.readouterr().out
     cache = tmp_path / "cache.jsonl"
     argv += ["--cache", str(cache)]
-    evaluate = search.FAMILY["cyclic"].evaluate
+    family = search.FAMILY["cyclic"]
     calls = []
 
     def counting(params, stop_after=None):
-        # the interrupt comes after exactly stop_after evaluations
-        calls.append(params)
+        # the interrupt comes once more than stop_after params are evaluated
+        calls.extend(params)
         if stop_after is not None and len(calls) > stop_after:
             raise KeyboardInterrupt
-        return evaluate(params)
 
-    def evaluating(counter):
-        replaced = dataclasses.replace(search.FAMILY["cyclic"], evaluate=counter)
+    def evaluating(stop_after=None):
+        # a chunk that is one run is evaluated by `evaluate_run`, any other
+        # a tuple at a time by `evaluate`: both count
+        def one(params):
+            counting([params], stop_after)
+            return family.evaluate(params)
+
+        def run(lo, hi):
+            counting(zip(range(lo, hi + 1)), stop_after)
+            return family.evaluate_run(lo, hi)
+
+        replaced = dataclasses.replace(family, evaluate=one, evaluate_run=run)
         monkeypatch.setitem(search.FAMILY, "cyclic", replaced)
 
-    evaluating(lambda params: counting(params, stop_after=10_000))
+    evaluating(stop_after=10_000)
     assert cli.main(argv) == cli.EXIT_INTERRUPTED
     kept = 10_000 // search._CHUNK * search._CHUNK  # every finished chunk
     # the records of n = 2..kept, printed before the interrupt (n = 1 is an edge)
@@ -309,10 +318,10 @@ def test_interrupted_sweep_resumes_from_its_cache(tmp_path, monkeypatch, capsys)
     assert len(cache.read_text().splitlines()) == kept > 0
 
     calls.clear()
-    evaluating(counting)
+    evaluating()
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
-    assert len(calls) == 20_000 - kept
+    assert calls == [(n,) for n in range(kept + 1, 20_001)]
     assert len(cache.read_text().splitlines()) == 20_000
 
 
@@ -1046,6 +1055,104 @@ def test_sweep_and_classify_equal_the_per_tuple_reference(family):
             with pytest.raises(ValueError) as got:
                 search.run_classify(family, params)
             assert str(got.value) == str(expected.value)
+
+
+def _bound_args(bounds):
+    return [arg for key, n in bounds.items() for arg in ("--" + key.replace("_", "-"), str(n))]
+
+
+def _per_tuple_params(family, bounds):
+    """The params a sweep covers, listed without the family's enumerator."""
+    if family == "affine":
+        return [(q,) for q in range(2, bounds["max_q"] + 1) if numtheory.prime_power_decompose(q)]
+    lo = 2 if family == "dicyclic" else 1
+    return list(zip(range(max(lo, bounds.get("min_n", lo)), bounds["max_n"] + 1)))
+
+
+def counting_evaluators(monkeypatch, family):
+    """Params evaluated by the family's `evaluate` and by its `evaluate_run`, in call order."""
+    record, per_tuple, runs = search.FAMILY[family], [], []
+
+    def run(lo, hi):
+        runs.extend(zip(range(lo, hi + 1)))
+        return record.evaluate_run(lo, hi)
+
+    replaced = dataclasses.replace(
+        record,
+        evaluate=lambda params: per_tuple.append(params) or record.evaluate(params),
+        evaluate_run=run if record.evaluate_run else None,
+    )
+    monkeypatch.setitem(search.FAMILY, family, replaced)
+    return per_tuple, runs
+
+
+CAP = numtheory.SIEVE_CAP
+
+
+@pytest.mark.parametrize(
+    "family, bounds, cap",
+    [
+        # the table's cap lowered to 2^7: n above it is factored one at a time,
+        # and the last chunk, past the cut SIEVE_CAP**2 = 16384, too
+        ("cyclic", {"max_n": 4 * search._CHUNK + 5}, 2**7),
+        ("dicyclic", {"max_n": 4 * search._CHUNK + 5}, 2**7),
+        ("affine", {"max_q": 20000}, 2**7),
+        # windows above the cap itself
+        ("dihedral", {"min_n": CAP - 1000, "max_n": CAP + 5000}, None),
+        ("dihedral", {"min_n": 10**9, "max_n": 10**9 + search._CHUNK + 5}, None),
+        ("dicyclic", {"min_n": 5 * 10**6, "max_n": 5 * 10**6 + search._CHUNK + 5}, None),
+    ],
+)
+def test_sweeps_above_the_sieve_cap_equal_the_per_tuple_reference(family, bounds, cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(numtheory, "SIEVE_CAP", cap)
+    params = _per_tuple_params(family, bounds)
+    reference = [reference_evaluate(family, p).to_json() for p in params]
+    per_tuple, runs = counting_evaluators(monkeypatch, family)
+    cfg = SweepConfig(family=family, bounds=bounds, include_edge=True)
+    assert [line for chunk in search.sweep_chunks(cfg) for line in chunk.lines] == reference
+    # one run per chunk, no tuple on its own; affine has no runs
+    assert (runs, per_tuple) == (([], params) if family == "affine" else (params, []))
+
+
+@pytest.mark.parametrize(
+    "family, bounds",
+    [
+        ("cyclic", {"max_n": 2 * search._CHUNK + 10}),
+        ("dihedral", {"min_n": 10**9, "max_n": 10**9 + 2 * search._CHUNK}),
+        ("dicyclic", {"max_n": 2 * search._CHUNK + 10}),
+        ("affine", {"max_q": 20000}),
+    ],
+)
+def test_a_warm_sweep_with_cache_gaps_prints_the_cold_output(
+    family, bounds, tmp_path, monkeypatch, capsys
+):
+    argv = ["search", family, *_bound_args(bounds), "--include-edge"]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    cache = tmp_path / "cache.jsonl"
+    argv += ["--cache", str(cache)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == cold
+    lines = cache.read_text().splitlines(keepends=True)
+    cache.write_text("".join(line for i, line in enumerate(lines) if i % 5))
+    gaps = [tuple(json.loads(line)["params"]) for line in lines[::5]]
+    per_tuple, runs = counting_evaluators(monkeypatch, family)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == cold
+    # every chunk has several gaps, so no chunk's missing tuples are one run
+    assert (per_tuple, runs) == (gaps, [])
+
+
+def test_affine_enumerates_and_lists_for_verify_the_prime_powers_in_order():
+    affine = search.FAMILY["affine"]
+    for max_q in (1, 2, 3, 23, 5000):
+        cfg = SweepConfig(family="affine", bounds={"max_q": max_q})
+        assert list(affine.enumerate(cfg)) == _per_tuple_params("affine", {"max_q": max_q})
+    for max_order in (1, 2, 6, 100, 512, 10**4):
+        prime_powers = _per_tuple_params("affine", {"max_q": max_order})
+        expected = [(q,) for (q,) in prime_powers if q * (q - 1) <= max_order]
+        assert list(affine.up_to(max_order)) == expected
 
 
 def test_batch_evaluator_refuses_an_unknown_family_as_the_reference_does():
