@@ -13,12 +13,10 @@ columns, with no record object built), so after 130, 141 or an error in
 mid-sweep stdout holds a prefix of whole records: on 130, every record of
 the chunks finished before the interrupt.  On a shared 2-core host, fresh
 `search cyclic --max-n 50000 --cache F` processes took a median 0.175 s of
-CPU cold and 0.205 s warm, start-up included (0.195 s and 0.203 s when sigma
-was read per n from the smallest-prime-factor table; 40 alternating
-rounds).  `--table` output is written at the end, once the
-column widths are known, from the records of `search.run_sweep`.  D and the
-order are printed as exact integers of any size, in JSON and in `--table`
-alike.
+CPU cold and 0.204 s warm, start-up included (40 rounds).  `--table` output
+is written at the end, once the column widths are known, from the records
+of `search.run_sweep`.  D and the order are printed as exact integers of
+any size, in JSON and in `--table` alike.
 
 Only `verify` and `classify --verify` build groups, and only they import the
 brute-force oracle and numpy; `classify`, `search` and `perfect-plus-one`

@@ -22,19 +22,14 @@ composite cofactor with Brent's rho under an iteration budget
 (`_RHO_BUDGET`, 2,000,000 steps), raising FactorizationError when the budget
 runs out.  Its prime factors from psi_13 up are therefore probable primes.
 
-Inside `with sieve(limit):` a smallest-prime-factor table up to
-min(limit, SIEVE_CAP) is built once, and `factorize`, `divisor_sum`,
-`is_prime` and `prime_power_decompose` read their answers for any n inside
-it from the table (same results, a few lookups per call).  Larger n take the
-paths above.  The table is a 2-byte-per-entry `array('H')`, filled by slice
-assignment in pure Python, and lives only as long as the block.
-
-Two segmented sieves serve whole ranges without a table or a factorization
-per integer.  `divisor_sums(lo, hi)` gives sigma of every n in a window,
+Two segmented sieves serve whole ranges without a factorization per
+integer.  `divisor_sums(lo, hi)` gives sigma of every n in a window,
 dividing the primes up to isqrt(hi) out of their multiples a slice at a
-time; the cyclic, dihedral and dicyclic sweeps take sigma of each chunk from
-it, far past the table's cap.  `prime_powers(limit)` streams the prime
-powers up to limit a window at a time, for the affine sweep.
+time; the cyclic, dihedral, dicyclic and affine sweeps take sigma of each
+chunk from it.  `prime_powers(limit)` streams the prime powers up to limit
+a window at a time, for the affine sweep, and `primes(limit)` lists the
+primes up to limit, for the pq sweep.  Every other function takes one n at
+a time, by the paths above.
 
 The module imports no numpy: the closed-form commands run on it without
 loading the oracle.  So `OrderCapError`, which the oracle raises and the
@@ -47,10 +42,8 @@ from __future__ import annotations
 import math
 import operator
 import random
-from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
 from functools import lru_cache
 from itertools import compress, islice, repeat
 
@@ -71,7 +64,7 @@ __all__ = [
     "perfect_plus_one",
     "prime_power_decompose",
     "prime_powers",
-    "sieve",
+    "primes",
     "verified_mersenne_exponents",
 ]
 
@@ -113,18 +106,12 @@ _RANDOM_ROUNDS = 40
 MERSENNE_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127)
 
 
-#: Largest n a smallest-prime-factor table covers: 2**22 entries, 8 MB.
+#: `divisor_sums` sieves a window whose hi is below SIEVE_CAP**2 = 2**44 by
+#: the primes up to SIEVE_CAP, and takes `divisor_sum` of each n above it.
 SIEVE_CAP = 1 << 22
 
-# The largest table of the open `sieve` blocks (None outside them), and the
-# tables of every open block.  Entry n is the smallest prime factor of a
-# composite n and 0 for a prime (and for 0 and 1), so every entry is at most
-# isqrt(SIEVE_CAP) and fits two bytes.
-_SPF: array | None = None
-_OPEN_TABLES: list[array] = []
 
-
-def _primes(limit: int) -> list[int]:
+def primes(limit: int) -> list[int]:
     """The primes up to limit, by a sieve of the odd numbers."""
     if limit < 2:
         return []
@@ -135,36 +122,6 @@ def _primes(limit: int) -> list[int]:
             p = 2 * i + 1
             odd[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(odd), p)))
     return [2, *compress(range(1, limit + 1, 2), odd)]
-
-
-def _spf_table(limit: int) -> array:
-    """Smallest-prime-factor table of 0..limit, in the encoding of `_SPF`.
-
-    Every prime p <= isqrt(limit) writes p over its multiples from p*p on,
-    the largest prime first, so the smallest prime dividing n writes last.
-    """
-    table = array("H", bytes(2 * (limit + 1)))
-    for p in reversed(_primes(math.isqrt(limit))):
-        table[p * p :: p] = array("H", [p]) * len(range(p * p, limit + 1, p))
-    return table
-
-
-@contextmanager
-def sieve(limit: int):
-    """Answer small-n queries from a smallest-prime-factor table within the block.
-
-    The table covers 0..min(limit, SIEVE_CAP) and is dropped when the block
-    exits; blocks may nest or interleave, and the largest open table serves.
-    """
-    global _SPF
-    table = _spf_table(max(1, min(limit, SIEVE_CAP)))
-    _OPEN_TABLES.append(table)
-    _SPF = max(_OPEN_TABLES, key=len)
-    try:
-        yield
-    finally:
-        del _OPEN_TABLES[next(i for i, t in enumerate(_OPEN_TABLES) if t is table)]
-        _SPF = max(_OPEN_TABLES, key=len, default=None)
 
 
 def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
@@ -187,9 +144,6 @@ def is_prime(n: int) -> bool:
     _RANDOM_ROUNDS extra pseudo-random witnesses are tried, seeded from n,
     so the verdict is reproducible but not a proof.
     """
-    spf = _SPF
-    if spf is not None and n < len(spf):
-        return n >= 2 and not spf[n]
     if n < 2:
         return False
     for p, _ in _WITNESSES:
@@ -231,7 +185,7 @@ def _primorial(bound: int) -> int:
     there it takes 0.4 s, against 3.5 s for one `math.prod`.  At the default
     2**12 both take about 0.2 ms (2-core x86 host, Python 3.11).
     """
-    factors = _primes(bound)
+    factors = primes(bound)
     while len(factors) > 1:
         pairs = map(operator.mul, factors[::2], factors[1::2])
         factors = [*pairs, *factors[len(factors) & ~1 :]]
@@ -342,18 +296,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need n >= 1")
-    spf = _SPF
-    if spf is not None and n < len(spf):
-        factors = []
-        while n > 1:
-            p = spf[n] or n
-            n //= p
-            k = 1
-            while n % p == 0:
-                n //= p
-                k += 1
-            factors.append((p, k))
-        return tuple(factors)
     if n < _TRIAL_BOUND**2:
         return tuple(_trial_division(n))
     counts: dict[int, int] = {}
@@ -379,27 +321,11 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 def divisor_sum(n: int) -> int:
     """Sum of all divisors of n, including n itself.
 
-    Inside a `sieve` block, sigma(n) is multiplied up during the walk of the
-    smallest-prime-factor table, one 1 + p + ... + p^e per prime, with no
-    factor tuple built; above the table it comes from `factorize`.  A run of
-    consecutive n is cheaper as one window of `divisor_sums`.
+    The product of 1 + p + ... + p^e over `factorize(n)`.  A run of n, or a
+    few n close together, is cheaper as one window of `divisor_sums`.
     """
     if n < 1:
         raise ValueError(f"divisor_sum undefined for {n}: need n >= 1")
-    spf = _SPF
-    if spf is not None and n < len(spf):
-        total = 1
-        while n > 1:
-            p = spf[n] or n
-            n //= p
-            power = p
-            term = 1 + p
-            while n % p == 0:
-                n //= p
-                power *= p
-                term += power
-            total *= term
-        return total
     total = 1
     for p, e in factorize(n):
         total *= (p ** (e + 1) - 1) // (p - 1)
@@ -410,7 +336,7 @@ def divisor_sum(n: int) -> int:
 def _base_primes(bits: int) -> list[int]:
     """The primes below 2**bits: the sieving primes of every window whose
     isqrt(hi) has `bits` bits.  One list is kept, so a sweep builds each once."""
-    return _primes((1 << bits) - 1)
+    return primes((1 << bits) - 1)
 
 
 def divisor_sums(lo: int, hi: int) -> list[int]:
@@ -421,7 +347,7 @@ def divisor_sums(lo: int, hi: int) -> list[int]:
     (Bays and Hudson, BIT 17, 1977); what is left of n is then 1 or a prime
     r, whose factor is r + 1.  So a window costs a few C-level passes per
     prime and no factorization.  From hi >= SIEVE_CAP**2 on, where the
-    sieving primes would pass the table's cap, each n takes `divisor_sum`.
+    sieving primes would pass SIEVE_CAP, each n takes `divisor_sum`.
     """
     if lo < 1 and lo <= hi:
         raise ValueError(f"divisor_sum undefined for {lo}: need n >= 1")
@@ -430,8 +356,8 @@ def divisor_sums(lo: int, hi: int) -> list[int]:
     size = max(hi - lo + 1, 0)
     sums, rest = [1] * size, list(range(lo, hi + 1))
     root = math.isqrt(max(hi, 0))
-    primes = _base_primes(root.bit_length())
-    for p in islice(primes, bisect_right(primes, root)):
+    base = _base_primes(root.bit_length())
+    for p in islice(base, bisect_right(base, root)):
         i = -lo % p  # the index of lo's first multiple of p
         if i >= size:
             continue
@@ -485,17 +411,14 @@ def _iroot(n: int, k: int) -> int:
 def prime_power_decompose(n: int) -> tuple[int, int] | None:
     """Return (p, k) with n = p**k and p prime, k maximal; None otherwise.
 
-    Above the sieve, one gcd gives the primes up to `_TRIAL_BOUND` that
-    divide n, and n can only be a power of a lone one.  Without them every
-    prime factor exceeds the bound, so n = p**k needs `_TRIAL_BOUND`**k < n,
-    and only those k are tried, the largest first: the first exact k-th
-    root found is the one with k maximal.
+    One gcd gives the primes up to `_TRIAL_BOUND` that divide n, and n can
+    only be a power of a lone one.  Without them every prime factor exceeds
+    the bound, so n = p**k needs `_TRIAL_BOUND`**k < n, and only those k are
+    tried, the largest first: the first exact k-th root found is the one
+    with k maximal.
     """
     if n < 2:
         raise ValueError(f"prime_power_decompose needs n >= 2, got {n}")
-    if _SPF is not None and n < len(_SPF):
-        f = factorize(n)
-        return f[0] if len(f) == 1 else None
     small = _small_factors(n)
     if small > 1:
         if not is_prime(small):
@@ -527,7 +450,7 @@ def prime_powers(limit: int) -> Iterator[int]:
     isqrt(limit), are listed once and merged into their window.  So the
     stream holds one window, not the range.
     """
-    base = _primes(math.isqrt(max(limit, 0)))
+    base = primes(math.isqrt(max(limit, 0)))
     powers = []
     for p in base:
         q = p * p
@@ -614,6 +537,17 @@ def carmichael(m: int) -> int:
     return out
 
 
+@lru_cache(maxsize=64)
+def _carmichael_primes(m: int) -> tuple[int, tuple[int, ...]]:
+    """(carmichael(m), the primes dividing it), kept for the last 64 m.
+
+    A zm sweep asks `mult_order` for every residue of one m in a row, so
+    each m is factored, and its exponent, once, not once per residue.
+    """
+    exponent = carmichael(m)
+    return exponent, tuple(p for p, _ in factorize(exponent))
+
+
 def mult_order(r: int, m: int) -> int:
     """Least d >= 1 with r**d == 1 (mod m); requires gcd(r, m) == 1.
 
@@ -628,8 +562,8 @@ def mult_order(r: int, m: int) -> int:
     r %= m
     if math.gcd(r, m) != 1:
         raise ValueError(f"mult_order needs gcd(r, m) = 1, got gcd = {math.gcd(r, m)}")
-    order = carmichael(m)
-    for p, _ in factorize(order):
+    order, primes_of_order = _carmichael_primes(m)
+    for p in primes_of_order:
         while order % p == 0 and pow(r, order // p, m) == 1:
             order //= p
     return order

@@ -17,15 +17,16 @@ The CLI writes each chunk's lines in one write; `run_sweep` gives the same
 rows as `SearchRecord`s.  A row costs about a microsecond of Python beside
 its arithmetic (two with a record per row).
 
-The cyclic, dihedral and dicyclic families declare `evaluate_run`: a chunk
-whose params are one run of consecutive n takes its order and D columns
-from one call, sigma of the whole window from one segmented sieve
-(`numtheory.divisor_sums`), with no result tuple per row.  A chunk that is
-not one run (the gaps of a warm sweep) is evaluated a tuple at a time.  The
-affine sweep's q come from the stream `numtheory.prime_powers`.  Number
-theory on the sweep's other small integers reads a smallest-prime-factor
-table built once per sweep (`numtheory.sieve`, up to twice the largest
-bound).
+The cyclic, dihedral, dicyclic, affine and pq families declare
+`evaluate_batch`, which evaluates a whole batch as columns, with no result
+tuple per row.  The first four take sigma of the window from the batch's
+first to its last parameter from one segmented sieve
+(`numtheory.divisor_sums`) and pick out the batch's rows, so a cold chunk
+and the gaps of a warm one cost one sieve each; affine reads sigma(q - 1)
+there, and q as prime when sigma(q) = q + 1.  The affine sweep's q come
+from the stream `numtheory.prime_powers`, and the pq sweep tests p and q
+against one sieve of the primes up to max_q.  Zm and gen-dihedral are
+evaluated a tuple at a time.
 
 The cache file is read forward in step with the enumeration, _BLOCK bytes at
 a time.  A sweep writes it in params order, so a rerun holds about one chunk
@@ -283,9 +284,9 @@ class Family:
     lazily and in `enumerate`'s order, the params of order <= max_order for
     `verify` to build, less those another family lists: no m = 1 for zm
     (ZM(1, n, 0) is C_n) and no one-factor chain for gen-dihedral (Dih(C_n)
-    is D_2n).  `label` names an instance (`ZM(7,6,3)`).  `evaluate_run(lo,
-    hi)`, when given, is `evaluate` on the run (lo,), (lo + 1,), ..., (hi,)
-    at once: the order and D columns, every row without notes.
+    is D_2n).  `label` names an instance (`ZM(7,6,3)`).  `evaluate_batch`,
+    when given, maps a sweep's batch (an ascending list of valid params) to
+    what `evaluate` gives for each, as three columns (orders, Ds, notes).
     """
 
     name: str
@@ -298,7 +299,7 @@ class Family:
     up_to: Callable[[int], Iterable[tuple[int, ...]]]
     label: Callable[[tuple[int, ...]], str]
     ascending: bool = True
-    evaluate_run: Callable[[int, int], tuple[list[int], list[int]]] | None = None
+    evaluate_batch: Callable[[list[tuple[int, ...]]], tuple[list, list, list]] | None = None
 
 
 @dataclass
@@ -364,20 +365,35 @@ def _prime_powers(max_q: int) -> Iterator[tuple[int, ...]]:
     return zip(numtheory.prime_powers(max_q))
 
 
+def _prime_flags(limit: int) -> bytearray:
+    """flags[n] = 1 when n is prime, else 0, for 0 <= n <= limit: one sieve."""
+    flags = bytearray(limit + 1)
+    for p in numtheory.primes(limit):
+        flags[p] = 1
+    return flags
+
+
 def _enumerate_pq(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
     """The prime pairs (p, q) with q = 1 (mod p), in (p, q) order."""
     max_q = cfg.bound("max_q")
-    for p in range(2, min(cfg.bounds.get("max_p", max_q), max_q - 1) + 1):
-        if numtheory.is_prime(p):
-            yield from _pq_row(p, max_q)
+    prime = _prime_flags(max_q)
+    top = min(cfg.bounds.get("max_p", max_q), max_q - 1)
+    for p in compress(range(top + 1), prime):
+        yield from _pq_row(p, max_q, prime)
 
 
-def _pq_row(p: int, max_q: int) -> Iterator[tuple[int, ...]]:
-    """The pairs (p, q) of a prime p with q <= max_q; p walks its odd q only."""
+def _pq_up_to(max_order: int) -> Iterator[tuple[int, ...]]:
+    """The pairs (p, q) with p * q <= max_order, in (p, q) order."""
+    prime = _prime_flags(max_order // 2)
+    for p in compress(range(math.isqrt(max_order) + 1), prime):
+        yield from _pq_row(p, max_order // p, prime)
+
+
+def _pq_row(p: int, max_q: int, prime: bytearray) -> Iterator[tuple[int, ...]]:
+    """The pairs (p, q) of a prime p with q <= max_q, q prime by `prime`
+    (`_prime_flags` of max_q or more); p walks its odd q only."""
     step = p if p == 2 else 2 * p
-    for q in range(1 + step, max_q + 1, step):
-        if numtheory.is_prime(q):
-            yield (p, q)
+    return zip(repeat(p), compress(range(1 + step, max_q + 1, step), prime[1 + step :: step]))
 
 
 def _enumerate_gen_dihedral(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
@@ -451,15 +467,46 @@ def _evaluate_zm(params: tuple[int, ...]) -> tuple[int, int, tuple[str, ...]]:
     return triple.order, families.zm_divisor_sum(triple), ()
 
 
-def _evaluate_affine(params: tuple[int, ...]) -> tuple[int, int, tuple[str, ...]]:
-    (q,) = params
-    order, total = q * (q - 1), families.affine_divisor_sum(q)
-    notes = () if numtheory.is_prime(q) else (NOTE_FORMULA_ONLY,)
+def _affine_row(q: int, total: int, prime: bool) -> tuple[int, int, tuple[str, ...]]:
+    """(order, D, notes) of Aff(q) with D = total; `prime` says whether q is prime."""
+    order = q * (q - 1)
+    notes = () if prime else (NOTE_FORMULA_ONLY,)
     if abs(total - 2 * order) == 1:
         # the classical statement labels the quasi- and almost-Leinster affine
         # cases the other way around; flag every record where they differ
         notes += (NOTE_LABEL_DIFFERS,)
     return order, total, notes
+
+
+def _evaluate_affine(params: tuple[int, ...]) -> tuple[int, int, tuple[str, ...]]:
+    (q,) = params
+    return _affine_row(q, families.affine_divisor_sum(q), numtheory.is_prime(q))
+
+
+def _affine_batch(batch: list[tuple[int, ...]]) -> tuple[tuple, ...]:
+    """`_evaluate_affine` of each (q,) of an ascending batch of prime powers,
+    from one `numtheory.divisor_sums` of [q_first - 1, q_last]: sigma(q - 1)
+    gives D, and q is prime when sigma(q) = q + 1."""
+    qs = [q for (q,) in batch]
+    lo = qs[0] - 1
+    sums = numtheory.divisor_sums(lo, qs[-1])
+    return tuple(
+        zip(*(_affine_row(q, 1 + q * sums[q - 1 - lo], sums[q - lo] == q + 1) for q in qs))
+    )
+
+
+def _window_batch(multiple: int, sums: Callable[[int, int], list[int]]):
+    """The `evaluate_batch` of a family of order multiple * n, given its D
+    column of a window of n (`sums(lo, hi)`): an ascending batch of (n,)
+    takes the window from its first to its last n, every row without notes."""
+
+    def evaluate_batch(batch: list[tuple[int, ...]]) -> tuple[list, list, list]:
+        ns = [n for (n,) in batch]
+        lo = ns[0]
+        window = sums(lo, ns[-1])
+        return [multiple * n for n in ns], [window[n - lo] for n in ns], [()] * len(ns)
+
+    return evaluate_batch
 
 
 def _oracle():
@@ -514,7 +561,7 @@ FAMILY: dict[str, Family] = {
             lambda p: (p[0], numtheory.divisor_sum(p[0]), ()),
             lambda p: _oracle().build_cyclic(p[0]),
             lambda n: zip(range(1, n + 1)), lambda p: f"C{p[0]}",
-            evaluate_run=lambda lo, hi: (list(range(lo, hi + 1)), numtheory.divisor_sums(lo, hi)),
+            evaluate_batch=_window_batch(1, lambda lo, hi: numtheory.divisor_sums(lo, hi)),
         ),
         Family(
             "zm", ("max_m", "max_n"), 3, _zm_tuple_count, _enumerate_zm,
@@ -529,15 +576,14 @@ FAMILY: dict[str, Family] = {
             lambda p: _oracle().build_affine_prime(p[0]) if numtheory.is_prime(p[0]) else None,
             lambda n: _prime_powers((1 + math.isqrt(4 * n + 1)) // 2),  # q(q - 1) <= n
             lambda p: f"Aff({p[0]})",
+            evaluate_batch=_affine_batch,
         ),
         Family(
             "dihedral", ("max_n", "min_n"), 1, _n_count(1), _n_range(1),
             lambda p: (2 * p[0], families.dihedral_divisor_sum(p[0]), ()),
             lambda p: _oracle().build_generalized_dihedral(p),
             lambda n: zip(range(1, n // 2 + 1)), lambda p: f"D{2 * p[0]}",
-            evaluate_run=lambda lo, hi: (
-                list(range(2 * lo, 2 * hi + 1, 2)), families.dihedral_divisor_sums(lo, hi)
-            ),
+            evaluate_batch=_window_batch(2, lambda lo, hi: families.dihedral_divisor_sums(lo, hi)),
         ),
         Family(
             "gen-dihedral", ("max_a",), None, None, _enumerate_gen_dihedral,
@@ -552,17 +598,15 @@ FAMILY: dict[str, Family] = {
             lambda p: (4 * p[0], families.dicyclic_divisor_sum(p[0]), ()),
             lambda p: _oracle().build_generalized_dicyclic([2 * p[0]], p[0]),
             lambda n: zip(range(2, n // 4 + 1)), lambda p: f"Dic{4 * p[0]}",
-            evaluate_run=lambda lo, hi: (
-                list(range(4 * lo, 4 * hi + 1, 4)), families.dicyclic_divisor_sums(lo, hi)
-            ),
+            evaluate_batch=_window_batch(4, lambda lo, hi: families.dicyclic_divisor_sums(lo, hi)),
         ),
         Family(
             "pq", ("max_q", "max_p"), 2, _pq_step_count, _enumerate_pq,
             lambda p: (p[0] * p[1], families.pq_divisor_sum(*p), ()),
-            _build_pq,
-            lambda n: (t for p in range(2, math.isqrt(n) + 1) if numtheory.is_prime(p)
-                       for t in _pq_row(p, n // p)),
-            lambda p: "G({},{})".format(*p),
+            _build_pq, _pq_up_to, lambda p: "G({},{})".format(*p),
+            evaluate_batch=lambda batch: (
+                [p * q for p, q in batch], [1 + q + p * q for p, q in batch], [()] * len(batch)
+            ),
         ),
     )
 }
@@ -580,10 +624,9 @@ def _classified(orders, Ds, notes) -> tuple[list[GroupKind], list | tuple]:
 def _evaluate_batch(family: str, batch: list[tuple[int, ...]]) -> Chunk:
     """The rows of `batch`, tuples of one family: a sweep's evaluation path.
 
-    The family is looked up once per batch.  A batch of a family with
-    `evaluate_run` whose params are one run (ascending, so the first and
-    last are len - 1 apart) is evaluated by one call, as columns; any other
-    batch a tuple at a time, in closed form.  The chunk is then classified
+    The family is looked up once per batch.  A family with `evaluate_batch`
+    evaluates the batch by one call, as columns; any other a tuple at a
+    time, in closed form.  The chunk is then classified
     and noted a column at a time (`_classified`, which `run_classify`
     shares), and the lines are encoded together (`_encode`).  The arity is
     not checked here: an enumerator gives the family's, and `run_classify`
@@ -593,11 +636,12 @@ def _evaluate_batch(family: str, batch: list[tuple[int, ...]]) -> Chunk:
         fam = FAMILY[family]
     except KeyError:
         raise ValueError(f"unknown family {family!r}") from None
-    if batch and fam.evaluate_run is not None and batch[-1][0] - batch[0][0] == len(batch) - 1:
-        orders, Ds = fam.evaluate_run(batch[0][0], batch[-1][0])
-        notes = [()] * len(batch)
+    if not batch:
+        orders, Ds, notes = (), (), ()
+    elif fam.evaluate_batch is not None:
+        orders, Ds, notes = fam.evaluate_batch(batch)
     else:
-        orders, Ds, notes = zip(*map(fam.evaluate, batch)) if batch else ((), (), ())
+        orders, Ds, notes = zip(*map(fam.evaluate, batch))
     kinds, notes = _classified(orders, Ds, notes)
     lines = _encode(family, batch, orders, Ds, kinds, notes)
     return Chunk(family, batch, orders, Ds, kinds, notes, lines)
@@ -880,8 +924,7 @@ def sweep_chunks(cfg: SweepConfig) -> Iterator[Chunk]:
     chunk's; otherwise the cached rows taken one params at a time, the rest
     evaluated and appended to the cache, and the two merged in order.  The
     filters then run on the chunk's columns, and the chunk is yielded
-    however few rows it keeps.  The smallest-prime-factor table is open for
-    the whole sweep.
+    however few rows it keeps.
     """
     family = FAMILY[cfg.family]
     raw = family.tuple_count(cfg) if family.tuple_count is not None else None
@@ -890,28 +933,27 @@ def sweep_chunks(cfg: SweepConfig) -> Iterator[Chunk]:
             f"sweep bounds describe up to {raw} tuples, over the budget of {cfg.budget}"
         )
     wanted = None if cfg.classes is None else frozenset(map(id, cfg.classes))
-    with numtheory.sieve(2 * max(cfg.bounds.values(), default=0) + 1):
-        params = iter(family.enumerate(cfg))
-        path = cfg.cache_path
-        reader = None if path is None else _Cache(Path(path), cfg.family, family.ascending)
-        with reader or nullcontext() as cache:
-            for batch in iter(lambda: list(islice(params, _CHUNK)), []):
-                # a cold sweep asks nothing per params
-                chunk = None if cache is None or cache.spent() else cache.take_run(batch)
-                if chunk is None:
-                    hits = None if cache is None or cache.spent() else list(map(cache.take, batch))
-                    todo = batch if hits is None else [p for p, hit in zip(batch, hits) if not hit]
-                    chunk = _evaluate_batch(cfg.family, todo)
-                    if todo and cache is not None:
-                        cache.append(chunk.lines)
-                    if hits is not None:  # merged in order; a hit keeps the params asked for
-                        rows = zip(*chunk.columns()[1:])
-                        merged = [hit or next(rows) for hit in hits]
-                        chunk = Chunk(cfg.family, batch, *map(list, zip(*merged)))
-                        # left bound, they would hold this chunk's rows through
-                        # every cold chunk after it
-                        del rows, merged
-                yield _kept(chunk, wanted, cfg.include_edge)
+    params = iter(family.enumerate(cfg))
+    path = cfg.cache_path
+    reader = None if path is None else _Cache(Path(path), cfg.family, family.ascending)
+    with reader or nullcontext() as cache:
+        for batch in iter(lambda: list(islice(params, _CHUNK)), []):
+            # a cold sweep asks nothing per params
+            chunk = None if cache is None or cache.spent() else cache.take_run(batch)
+            if chunk is None:
+                hits = None if cache is None or cache.spent() else list(map(cache.take, batch))
+                todo = batch if hits is None else [p for p, hit in zip(batch, hits) if not hit]
+                chunk = _evaluate_batch(cfg.family, todo)
+                if todo and cache is not None:
+                    cache.append(chunk.lines)
+                if hits is not None:  # merged in order; a hit keeps the params asked for
+                    rows = zip(*chunk.columns()[1:])
+                    merged = [hit or next(rows) for hit in hits]
+                    chunk = Chunk(cfg.family, batch, *map(list, zip(*merged)))
+                    # left bound, they would hold this chunk's rows through
+                    # every cold chunk after it
+                    del rows, merged
+            yield _kept(chunk, wanted, cfg.include_edge)
 
 
 def run_sweep(cfg: SweepConfig) -> Iterator[SearchRecord]:

@@ -480,68 +480,7 @@ def test_carmichael_values():
 
 
 # ---------------------------------------------------------------------------
-# smallest-prime-factor table
-
-
-def test_sieve_answers_equal_the_untabled_path_to_10_to_the_5():
-    limit = 10**5
-    numbers = range(1, limit + 1)
-
-    def answers():
-        return (
-            [nt.factorize(n) for n in numbers],
-            [nt.divisor_sum(n) for n in numbers],
-            [nt.is_prime(n) for n in range(0, limit + 1)],
-            [nt.prime_power_decompose(n) for n in range(2, limit + 1)],
-        )
-
-    assert nt._SPF is None
-    untabled = answers()
-    with nt.sieve(limit):
-        assert len(nt._SPF) == limit + 1
-        tabled = answers()
-    assert tabled == untabled
-
-
-def _smallest_prime_factor(n):
-    """Trial division: the table's entry for n (0 for 0, 1 and the primes)."""
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
-            return d
-    return 0
-
-
-def test_sieve_table_equals_trial_division():
-    table = nt._spf_table(10**5)
-    assert list(table) == [_smallest_prime_factor(n) for n in range(10**5 + 1)]
-    table = nt._spf_table(nt.SIEVE_CAP)
-    assert len(table) == nt.SIEVE_CAP + 1
-    window = range(nt.SIEVE_CAP - 2000, nt.SIEVE_CAP + 1)
-    assert [table[n] for n in window] == [_smallest_prime_factor(n) for n in window]
-
-
-def test_sieve_lives_only_inside_its_blocks():
-    assert nt._SPF is None
-    with nt.sieve(100):
-        assert len(nt._SPF) == 101
-        inner = nt.sieve(1000)
-        inner.__enter__()
-        assert len(nt._SPF) == 1001
-        with nt.sieve(10):
-            assert len(nt._SPF) == 1001  # the largest open table serves
-        inner.__exit__(None, None, None)
-        assert len(nt._SPF) == 101
-    assert nt._SPF is None and nt._OPEN_TABLES == []
-
-
-def test_sieve_limit_reports_the_open_table():
-    assert nt._SPF is None
-    with nt.sieve(100):
-        assert len(nt._SPF) - 1 == 100
-        with nt.sieve(10**12):
-            assert len(nt._SPF) - 1 == nt.SIEVE_CAP
-        assert len(nt._SPF) - 1 == 100
-    assert nt._SPF is None
+# sigma against the product over factorize, and the large-n paths
 
 
 def _sigma_from_factors(n):
@@ -549,45 +488,46 @@ def _sigma_from_factors(n):
     return math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in nt.factorize(n))
 
 
-def test_tabled_divisor_sum_equals_the_product_over_factorize():
-    limit = 2**16 - 1  # so the first n past the table is the prime power 2^16
-    with nt.sieve(limit):
-        assert len(nt._SPF) - 1 == limit
-        numbers = range(1, limit + 1)
-        assert [nt.divisor_sum(n) for n in numbers] == [_sigma_from_factors(n) for n in numbers]
-        assert nt.divisor_sum(1) == 1
-        for p in (2, 3, 251, 65521):  # primes, the last the largest in the table
-            assert nt.divisor_sum(p) == p + 1
-        for p, k in ((2, 15), (3, 10), (7, 5), (251, 2)):  # prime powers
-            assert nt.divisor_sum(p**k) == (p ** (k + 1) - 1) // (p - 1)
-        assert nt.divisor_sum(limit + 1) == 2**17 - 1 == _sigma_from_factors(limit + 1)
-        with pytest.raises(ValueError):
-            nt.divisor_sum(0)
+def test_divisor_sum_equals_the_product_over_factorize_to_2_to_the_16():
+    numbers = range(1, 2**16 + 1)
+    assert [nt.divisor_sum(n) for n in numbers] == [_sigma_from_factors(n) for n in numbers]
+    assert nt.divisor_sum(1) == 1
+    for p in (2, 3, 251, 65521):  # primes, the last the largest below 2^16
+        assert nt.divisor_sum(p) == p + 1
+    for p, k in ((2, 15), (2, 16), (3, 10), (7, 5), (251, 2)):  # prime powers
+        assert nt.divisor_sum(p**k) == (p ** (k + 1) - 1) // (p - 1)
+    with pytest.raises(ValueError):
+        nt.divisor_sum(0)
+
+
+def test_large_and_edge_inputs_take_the_general_paths():
+    big = 2**61 - 1
+    assert nt.is_prime(big)
+    assert nt.factorize(big * 3) == ((3, 1), (big, 1))
+    assert nt.prime_power_decompose(7**30) == (7, 30)
+    assert nt.divisor_sum(101 * 103) == 102 * 104
+    assert nt.factorize(1) == ()
+    assert not nt.is_prime(0) and not nt.is_prime(1)
+    with pytest.raises(ValueError):
+        nt.divisor_sum(0)
+    with pytest.raises(ValueError):
+        nt.prime_power_decompose(1)
+
+
+def _is_prime_by_trial(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_primes_equal_trial_division():
+    for limit in (-1, 0, 1, 2, 3, 4, 100, 10**4 + 7):
+        assert nt.primes(limit) == [n for n in range(2, limit + 1) if _is_prime_by_trial(n)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(nt.SIEVE_CAP + 1, 2**40))
 def test_divisor_sum_above_the_sieve_cap(n):
-    with nt.sieve(2**12):  # a table below n, as every table is
-        total = nt.divisor_sum(n)
+    total = nt.divisor_sum(n)
     assert total == _sigma_from_factors(n) == sum(nt.divisors(n))
-
-
-def test_sieve_is_capped_and_falls_back_above_its_limit():
-    with nt.sieve(10**12):
-        assert len(nt._SPF) == nt.SIEVE_CAP + 1
-    with nt.sieve(50):
-        big = 2**61 - 1
-        assert nt.is_prime(big)
-        assert nt.factorize(big * 3) == ((3, 1), (big, 1))
-        assert nt.prime_power_decompose(7**30) == (7, 30)
-        assert nt.divisor_sum(101 * 103) == 102 * 104
-        assert nt.factorize(1) == ()
-        assert not nt.is_prime(0) and not nt.is_prime(1)
-        with pytest.raises(ValueError):
-            nt.divisor_sum(0)
-        with pytest.raises(ValueError):
-            nt.prime_power_decompose(1)
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +536,7 @@ def test_sieve_is_capped_and_falls_back_above_its_limit():
 
 def test_divisor_sums_equal_divisor_sum_to_10_to_the_5():
     limit = 10**5
-    with nt.sieve(limit):
-        expected = [nt.divisor_sum(n) for n in range(1, limit + 1)]
+    expected = [nt.divisor_sum(n) for n in range(1, limit + 1)]
     assert nt.divisor_sums(1, limit) == expected
     # a window starting anywhere, prime powers and their neighbours included
     for lo, hi in ((1, 1), (2, 2), (4095, 4097), (65535, 65537), (99_000, limit)):
@@ -610,7 +549,7 @@ def test_divisor_sums_equal_divisor_sum_to_10_to_the_5():
 @pytest.mark.parametrize(
     "lo, hi",
     [
-        (nt.SIEVE_CAP - 4096, nt.SIEVE_CAP + 4096),  # across the table's cap
+        (nt.SIEVE_CAP - 4096, nt.SIEVE_CAP + 4096),  # around 2^22
         (10**9 - 1000, 10**9 + 1000),
         (10**12 - 200, 10**12 + 200),
         (nt.SIEVE_CAP**2 - 40, nt.SIEVE_CAP**2 - 1),  # the last windows sieved

@@ -5,9 +5,11 @@ import math
 import pickle
 import re
 import tracemalloc
+from itertools import compress, cycle
+from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from leinster import cli, families, numtheory, oracle, search
@@ -297,17 +299,17 @@ def test_interrupted_sweep_resumes_from_its_cache(tmp_path, monkeypatch, capsys)
             raise KeyboardInterrupt
 
     def evaluating(stop_after=None):
-        # a chunk that is one run is evaluated by `evaluate_run`, any other
-        # a tuple at a time by `evaluate`: both count
+        # a sweep's batch is evaluated by `evaluate_batch`, a tuple on its own
+        # by `evaluate`: both count
         def one(params):
             counting([params], stop_after)
             return family.evaluate(params)
 
-        def run(lo, hi):
-            counting(zip(range(lo, hi + 1)), stop_after)
-            return family.evaluate_run(lo, hi)
+        def batch(params):
+            counting(params, stop_after)
+            return family.evaluate_batch(params)
 
-        replaced = dataclasses.replace(family, evaluate=one, evaluate_run=run)
+        replaced = dataclasses.replace(family, evaluate=one, evaluate_batch=batch)
         monkeypatch.setitem(search.FAMILY, "cyclic", replaced)
 
     evaluating(stop_after=10_000)
@@ -509,8 +511,8 @@ def test_warm_sweep_holds_about_one_chunk(tmp_path):
     finally:
         tracemalloc.stop()
     assert count == 49_999
-    # about 3.5 MiB: one chunk of records, and the sieve; holding the whole
-    # cache as records peaked at 24.9 MiB
+    # about 3.3 MiB: one chunk of records; holding the whole cache as
+    # records peaked at 24.9 MiB
     assert peak < 8 * 2**20
 
 
@@ -875,6 +877,20 @@ def test_zm_enumeration_equals_brute_force(paper_mode, fixed_r):
         assert expected or fixed_r in (0, 1)
 
 
+def test_a_zm_row_factors_its_modulus_and_exponent_once(monkeypatch):
+    factored, ordered = [], []
+    factorize, mult_order = numtheory.factorize, numtheory.mult_order
+    monkeypatch.setattr(numtheory, "factorize", lambda n: factored.append(n) or factorize(n))
+    monkeypatch.setattr(numtheory, "mult_order", lambda r, m: ordered.append(r) or mult_order(r, m))
+    numtheory._carmichael_primes.cache_clear()
+    m = 3 * 5 * 7 * 11  # carmichael(m) = lcm(2, 4, 6, 10) = 60
+    rows = list(search._zm_row(m, 1, 60, range(m)))
+    assert {r for _, _, r in rows} == {692, 923, 1154}  # of order 2 or 4, prime to m
+    # every r with r and r - 1 prime to m takes mult_order, (3-2)(5-2)(7-2)(11-2) of them
+    assert len(ordered) == 135
+    assert factored == [m, 60]
+
+
 def test_zm_enumeration_keeps_the_m_equals_1_records():
     params = list(search._enumerate_zm(SweepConfig(family="zm", bounds={"max_m": 3, "max_n": 4})))
     assert [p for p in params if p[0] == 1] == [(1, n, 0) for n in range(1, 5)]
@@ -1038,8 +1054,7 @@ def reference_evaluate(family, params):
 def test_sweep_and_classify_equal_the_per_tuple_reference(family):
     cfg = SweepConfig(family=family, bounds=RECORD_SWEEPS[family], include_edge=True)
     swept = list(search.run_sweep(cfg))
-    with numtheory.sieve(2 * max(cfg.bounds.values()) + 1):
-        reference = [reference_evaluate(family, p) for p in search.FAMILY[family].enumerate(cfg)]
+    reference = [reference_evaluate(family, p) for p in search.FAMILY[family].enumerate(cfg)]
     classified = [search.run_classify(family, list(r.params)) for r in reference]
     assert swept == classified == reference
     lines = [r.to_json() for r in reference]
@@ -1070,20 +1085,16 @@ def _per_tuple_params(family, bounds):
 
 
 def counting_evaluators(monkeypatch, family):
-    """Params evaluated by the family's `evaluate` and by its `evaluate_run`, in call order."""
-    record, per_tuple, runs = search.FAMILY[family], [], []
-
-    def run(lo, hi):
-        runs.extend(zip(range(lo, hi + 1)))
-        return record.evaluate_run(lo, hi)
-
+    """The params the family's `evaluate` is called on, and the batches its
+    `evaluate_batch` is called on, in call order."""
+    record, per_tuple, batches = search.FAMILY[family], [], []
     replaced = dataclasses.replace(
         record,
         evaluate=lambda params: per_tuple.append(params) or record.evaluate(params),
-        evaluate_run=run if record.evaluate_run else None,
+        evaluate_batch=lambda batch: batches.append(list(batch)) or record.evaluate_batch(batch),
     )
     monkeypatch.setitem(search.FAMILY, family, replaced)
-    return per_tuple, runs
+    return per_tuple, batches
 
 
 CAP = numtheory.SIEVE_CAP
@@ -1092,12 +1103,12 @@ CAP = numtheory.SIEVE_CAP
 @pytest.mark.parametrize(
     "family, bounds, cap",
     [
-        # the table's cap lowered to 2^7: n above it is factored one at a time,
-        # and the last chunk, past the cut SIEVE_CAP**2 = 16384, too
+        # SIEVE_CAP lowered to 2^7: the last chunk passes the cut
+        # SIEVE_CAP**2 = 16384, where each n takes divisor_sum
         ("cyclic", {"max_n": 4 * search._CHUNK + 5}, 2**7),
         ("dicyclic", {"max_n": 4 * search._CHUNK + 5}, 2**7),
         ("affine", {"max_q": 20000}, 2**7),
-        # windows above the cap itself
+        # windows around and far above 2^22
         ("dihedral", {"min_n": CAP - 1000, "max_n": CAP + 5000}, None),
         ("dihedral", {"min_n": 10**9, "max_n": 10**9 + search._CHUNK + 5}, None),
         ("dicyclic", {"min_n": 5 * 10**6, "max_n": 5 * 10**6 + search._CHUNK + 5}, None),
@@ -1108,11 +1119,12 @@ def test_sweeps_above_the_sieve_cap_equal_the_per_tuple_reference(family, bounds
         monkeypatch.setattr(numtheory, "SIEVE_CAP", cap)
     params = _per_tuple_params(family, bounds)
     reference = [reference_evaluate(family, p).to_json() for p in params]
-    per_tuple, runs = counting_evaluators(monkeypatch, family)
+    per_tuple, batches = counting_evaluators(monkeypatch, family)
     cfg = SweepConfig(family=family, bounds=bounds, include_edge=True)
     assert [line for chunk in search.sweep_chunks(cfg) for line in chunk.lines] == reference
-    # one run per chunk, no tuple on its own; affine has no runs
-    assert (runs, per_tuple) == (([], params) if family == "affine" else (params, []))
+    # one `evaluate_batch` per chunk, no tuple on its own
+    chunks = [params[k : k + search._CHUNK] for k in range(0, len(params), search._CHUNK)]
+    assert (batches, per_tuple) == (chunks, [])
 
 
 @pytest.mark.parametrize(
@@ -1136,12 +1148,62 @@ def test_a_warm_sweep_with_cache_gaps_prints_the_cold_output(
     assert capsys.readouterr().out == cold
     lines = cache.read_text().splitlines(keepends=True)
     cache.write_text("".join(line for i, line in enumerate(lines) if i % 5))
-    gaps = [tuple(json.loads(line)["params"]) for line in lines[::5]]
-    per_tuple, runs = counting_evaluators(monkeypatch, family)
+    gaps = [(i // search._CHUNK, tuple(json.loads(lines[i])["params"]))
+            for i in range(0, len(lines), 5)]
+    per_tuple, batches = counting_evaluators(monkeypatch, family)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == cold
-    # every chunk has several gaps, so no chunk's missing tuples are one run
-    assert (per_tuple, runs) == (gaps, [])
+    # one `evaluate_batch` per chunk, of that chunk's gaps; no tuple on its own
+    by_chunk = [[p for k, p in gaps if k == chunk] for chunk in range(gaps[-1][0] + 1)]
+    assert (per_tuple, batches) == ([], by_chunk)
+
+
+def _window_params(family, lo, width):
+    """The valid params of `family` whose n, or q, is in [lo, lo + width), sorted."""
+    top = lo + width
+    if family == "affine":
+        return [(q,) for q in range(max(lo, 2), top) if numtheory.prime_power_decompose(q)]
+    if family == "pq":
+        return sorted((p, q) for q in range(lo, top) if numtheory.is_prime(q)
+                      for p, _ in numtheory.factorize(q - 1))
+    return list(zip(range(max(lo, 2 if family == "dicyclic" else 1), top)))
+
+
+# n, or q, near the cut SIEVE_CAP**2 when the cap is lowered to 2^7
+_CUT = (2**7) ** 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["cyclic", "dihedral", "dicyclic", "affine", "pq"]),
+    st.one_of(st.integers(1, 10**6), st.integers(10**9, 10**12), st.integers(_CUT - 400, _CUT)),
+    st.integers(1, 400),
+    st.lists(st.booleans(), min_size=1, max_size=8),
+)
+@example("cyclic", 1, 1, [True])  # one element
+@example("dicyclic", _CUT - 10, 20, [True, False, False])  # gaps, across the cut
+@example("affine", _CUT - 60, 120, [True])  # the whole window, across the cut
+@example("pq", 2, 400, [False, True])
+def test_evaluate_batch_equals_evaluate_of_each_params(family, lo, width, keep):
+    # `keep`, repeated, picks the batch out of the window: a sorted subset
+    batch = list(compress(_window_params(family, lo, width), cycle(keep)))
+    assume(batch)
+    fam = search.FAMILY[family]
+    cap = 2**7 if _CUT - 400 <= lo <= _CUT else numtheory.SIEVE_CAP
+    with mock.patch.object(numtheory, "SIEVE_CAP", cap):
+        got = fam.evaluate_batch(batch)
+    assert [list(column) for column in got] == [list(c) for c in zip(*map(fam.evaluate, batch))]
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 2**17), (2**22 - 3000, 2**22 + 3000)])
+def test_affine_batches_read_primality_from_sigma(lo, hi):
+    qs = [q for q in numtheory.prime_powers(hi) if q >= lo]
+    for k in range(0, len(qs), search._CHUNK):
+        batch = list(zip(qs[k : k + search._CHUNK]))
+        _, _, notes = search.FAMILY["affine"].evaluate_batch(batch)
+        assert [search.NOTE_FORMULA_ONLY not in n for n in notes] == [
+            numtheory.is_prime(q) for (q,) in batch
+        ]
 
 
 def test_affine_enumerates_and_lists_for_verify_the_prime_powers_in_order():
