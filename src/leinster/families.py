@@ -47,7 +47,6 @@ __all__ = [
     "generalized_dihedral_divisor_sum",
     "iter_abelian_types",
     "pq_divisor_sum",
-    "zm_canonical",
     "zm_invalid_reason",
     "zm_divisor_sum",
     "zm_normal_triples",
@@ -138,12 +137,15 @@ def _zm_gcd(t: ZMTriple, n1: int) -> int:
 def zm_normal_triples(t: ZMTriple) -> list[LatticeTriple]:
     """The normal-subgroup triples: (m1, n1, 0) with n1 | n, m1 | gcd(m, r^n1 - 1).
 
-    Each triple carries its subgroup order m*n / (m1*n1).
+    Each triple carries its subgroup order m*n / (m1*n1).  Every gcd
+    divides m, so m is factored once and each gcd's divisors are read from
+    that factorization.
     """
+    m_factors = numtheory.factorize(t.m)
     out = []
     for n1 in numtheory.divisors(t.n):
         g = _zm_gcd(t, n1)
-        for m1 in numtheory.divisors(g):
+        for m1 in numtheory.divisors_from_factors(_factors_of_divisor(g, m_factors)):
             out.append(LatticeTriple(m1, n1, 0, t.m * t.n // (m1 * n1)))
     out.sort(key=lambda lt: (lt.n1, lt.m1))
     return out
@@ -158,10 +160,11 @@ def zm_subgroup_triples(t: ZMTriple) -> list[LatticeTriple]:
     """
     m, n, r = t.m, t.n, t.r
     rn = r**n - 1
+    m_divisors = numtheory.divisors(m)
     out = []
     for n1 in numtheory.divisors(n):
         q = rn // (r**n1 - 1)
-        for m1 in numtheory.divisors(m):
+        for m1 in m_divisors:
             g = math.gcd(m1, q % m1) if m1 > 1 else 1
             step = m1 // g
             for s in range(0, m1, step):
@@ -189,29 +192,21 @@ def zm_divisor_sum(t: ZMTriple) -> int:
 
 def _divisor_sum_of_divisor(g: int, factors: tuple[tuple[int, int], ...]) -> int:
     # divisor_sum(g) for g dividing the number factored as `factors`.
-    total = 1
+    return math.prod((p ** (k + 1) - 1) // (p - 1) for p, k in _factors_of_divisor(g, factors))
+
+
+def _factors_of_divisor(g: int, factors: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
+    # The (p, k) pairs of g dividing the number factored as `factors`, found
+    # by dividing out its primes.
+    out = []
     for p, _ in factors:
         k = 0
         while g % p == 0:
             g //= p
             k += 1
-        total *= (p ** (k + 1) - 1) // (p - 1)
-    return total
-
-
-def zm_canonical(t: ZMTriple) -> ZMTriple:
-    """Representative triple with r replaced by min(r^t mod m, gcd(t, n) = 1).
-
-    Replacing the acting generator b by a coprime power b^t turns r into r^t
-    and gives an isomorphic group, so this picks one triple per such orbit.
-    """
-    best = t.r
-    for k in range(1, t.n + 1):
-        if math.gcd(k, t.n) == 1:
-            cand = pow(t.r, k, t.m)
-            if cand < best:
-                best = cand
-    return ZMTriple(t.m, t.n, best)
+        if k:
+            out.append((p, k))
+    return out
 
 
 # ---------------------------------------------------------------------------

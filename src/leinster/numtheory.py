@@ -541,8 +541,9 @@ def carmichael(m: int) -> int:
 def _carmichael_primes(m: int) -> tuple[int, tuple[int, ...]]:
     """(carmichael(m), the primes dividing it), kept for the last 64 m.
 
-    A zm sweep asks `mult_order` for every residue of one m in a row, so
-    each m is factored, and its exponent, once, not once per residue.
+    A zm sweep with a fixed r asks `mult_order` of r mod each prime power of
+    every m, and the small ones recur from one m to the next, so each is
+    factored, and its exponent, about once.
     """
     exponent = carmichael(m)
     return exponent, tuple(p for p, _ in factorize(exponent))

@@ -8,6 +8,7 @@ from leinster import families as fam
 from leinster import numtheory as nt
 from leinster import oracle, search
 from leinster.families import GroupKind
+from zm_reference import zm_canonical
 
 
 # ---------------------------------------------------------------------------
@@ -120,9 +121,12 @@ def test_zm_divisor_sum_handles_huge_parameters():
 
 
 def test_zm_canonical():
-    assert fam.zm_canonical(fam.ZMTriple(7, 6, 5)) == fam.ZMTriple(7, 6, 3)
-    assert fam.zm_canonical(fam.ZMTriple(7, 6, 3)) == fam.ZMTriple(7, 6, 3)
-    assert fam.zm_canonical(fam.ZMTriple(13, 6, 10)) == fam.ZMTriple(13, 6, 4)
+    # the reference representative, and the one the dedupe enumerator keeps
+    assert zm_canonical(fam.ZMTriple(7, 6, 5)) == fam.ZMTriple(7, 6, 3)
+    assert zm_canonical(fam.ZMTriple(7, 6, 3)) == fam.ZMTriple(7, 6, 3)
+    assert zm_canonical(fam.ZMTriple(13, 6, 10)) == fam.ZMTriple(13, 6, 4)
+    assert [r for _, _, r in search._zm_triples(7, 6, 6, dedupe=True)] == [2, 3, 6]
+    assert [r for _, _, r in search._zm_triples(13, 6, 6, dedupe=True)] == [3, 4, 12]
 
 
 def test_affine_divisor_sum():

@@ -5,6 +5,7 @@ import math
 import pickle
 import re
 import tracemalloc
+from collections import Counter
 from itertools import compress, cycle
 from unittest import mock
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from leinster import cli, families, numtheory, oracle, search
 from leinster.families import GroupKind
 from leinster.search import SearchRecord, SweepConfig
+from zm_reference import enumerate_zm_scan, zm_canonical, zm_up_to_scan
 
 QUASI = frozenset({GroupKind.QUASI_LEINSTER})
 
@@ -203,6 +205,11 @@ CORRUPT_CACHE_LINES = {
     "D-below-one": (
         '{"family": "cyclic", "params": [2], "order": 2, "D": 0, '
         '"class": "deficient", "notes": []}'
+    ),
+    # nor has order 0, although D - 2 * order = 1 reads as quasi-Leinster
+    "order-below-one": (
+        '{"family": "cyclic", "params": [2], "order": 0, "D": 1, '
+        '"class": "quasi-leinster", "notes": []}'
     ),
 }
 
@@ -877,18 +884,28 @@ def test_zm_enumeration_equals_brute_force(paper_mode, fixed_r):
         assert expected or fixed_r in (0, 1)
 
 
-def test_a_zm_row_factors_its_modulus_and_exponent_once(monkeypatch):
+def test_the_zm_enumerator_factors_each_modulus_once(monkeypatch):
     factored, ordered = [], []
     factorize, mult_order = numtheory.factorize, numtheory.mult_order
     monkeypatch.setattr(numtheory, "factorize", lambda n: factored.append(n) or factorize(n))
     monkeypatch.setattr(numtheory, "mult_order", lambda r, m: ordered.append(r) or mult_order(r, m))
-    numtheory._carmichael_primes.cache_clear()
-    m = 3 * 5 * 7 * 11  # carmichael(m) = lcm(2, 4, 6, 10) = 60
-    rows = list(search._zm_row(m, 1, 60, range(m)))
+    search._zm_prime.cache_clear()
+    m = 3 * 5 * 7 * 11
+    rows = list(search._zm_triples(m, 1, 60))
     assert {r for _, _, r in rows} == {692, 923, 1154}  # of order 2 or 4, prime to m
-    # every r with r and r - 1 prime to m takes mult_order, (3-2)(5-2)(7-2)(11-2) of them
-    assert len(ordered) == 135
-    assert factored == [m, 60]
+    # m once, and p - 1 once for each prime p of m, for its primitive root
+    # and the divisors of p - 1; no residue takes a multiplicative order
+    assert (factored, ordered) == ([m, 2, 4, 6, 10], [])
+    expected = [families.zm_divisor_sum(families.ZMTriple(*t)) for t in rows]
+    factored.clear()
+    assert list(search._zm_triples(m, 1, 60)) == rows
+    assert search._zm_count(m, 1, 60, None, False) == len(rows)
+    assert search._zm_batch(rows)[1] == expected
+    # the primes are kept: the enumerator, the count and the batch factor m alone
+    assert factored == [m, m, m]
+    # a fixed r takes its order mod each p^e
+    assert list(search._zm_triples(m, 1, 60, fixed_r=692)) == [t for t in rows if t[2] == 692]
+    assert ordered == [692] * 4
 
 
 def test_zm_enumeration_keeps_the_m_equals_1_records():
@@ -910,11 +927,83 @@ def test_zm_dedupe_evaluates_only_canonical_triples(monkeypatch):
     assert seen
     for params in seen:
         triple = families.ZMTriple(*params)
-        assert families.zm_canonical(triple) == triple, params
+        assert zm_canonical(triple) == triple, params
     everything = sweep(family="zm", bounds=bounds)
     assert records == [
-        r for r in everything if families.zm_canonical(families.ZMTriple(*r.params)).r == r.params[2]
+        r for r in everything if zm_canonical(families.ZMTriple(*r.params)).r == r.params[2]
     ]
+
+
+@pytest.mark.parametrize("dedupe", [False, True])
+@pytest.mark.parametrize("fixed_r", [None, 0, 1, 2, 5])
+@pytest.mark.parametrize("paper_mode", [False, True])
+def test_zm_enumeration_equals_the_residue_scan(paper_mode, fixed_r, dedupe):
+    bounds = [(301, 40)] + ([(301, None), (60, 12)] if paper_mode else [(60, 12), (9, 1)])
+    for max_m, max_n in bounds:
+        cfg = SweepConfig(
+            family="zm",
+            bounds={"max_m": max_m} | ({"max_n": max_n} if max_n else {}),
+            paper_mode=paper_mode,
+            fixed_r=fixed_r,
+            dedupe=dedupe,
+        )
+        expected = enumerate_zm_scan(max_m, max_n, paper_mode, fixed_r, dedupe)
+        assert list(search._enumerate_zm(cfg)) == expected
+        assert expected or fixed_r in (0, 1) or max_n == 1
+
+
+def test_zm_up_to_equals_the_residue_scan():
+    for max_order in (24, 100, 200, 300):
+        assert list(search.FAMILY["zm"].up_to(max_order)) == zm_up_to_scan(max_order)
+
+
+@pytest.mark.parametrize("dedupe", [False, True])
+def test_zm_count_equals_the_enumerated_count_and_the_identity(dedupe):
+    max_n = 40
+    for m in range(1, 302, 2):
+        count = search._zm_count(m, 1, max_n, None, dedupe)
+        assert count == len(list(search._zm_triples(m, 1, max_n, dedupe=dedupe))), m
+        if not dedupe:
+            primes = [p for p, _ in numtheory.factorize(m)]
+            assert count == sum(
+                math.prod(math.gcd(n, p - 1) - 1 for p in primes)
+                for n in range(1, max_n + 1)
+                if math.gcd(m, n) == 1
+            ), m
+
+
+def test_the_zm_budget_counts_the_triples_enumerated():
+    for options in ({}, {"dedupe": True}, {"fixed_r": 2}, {"paper_mode": True}):
+        bounds = {"max_m": 120} if options.get("paper_mode") else {"max_m": 120, "max_n": 30}
+        cfg = SweepConfig(family="zm", bounds=bounds, **options)
+        per_m = Counter(m for m, _, _ in search._enumerate_zm(cfg))
+        # a scanned odd m without a triple is one step of the scan
+        steps = sum(max(1, per_m[m]) for m in range(1, 121, 2))
+        assert list(search._enumerate_zm(dataclasses.replace(cfg, budget=steps)))
+        with pytest.raises(search.BudgetError, match=f"more than {steps - 1} tuples"):
+            search._enumerate_zm(dataclasses.replace(cfg, budget=steps - 1))
+    # more odd m than the budget is refused before any m is counted
+    cfg = SweepConfig(family="zm", bounds={"max_m": 10**12, "max_n": 1}, budget=10**6)
+    with pytest.raises(search.BudgetError, match="more than 1000000 tuples"):
+        search._enumerate_zm(cfg)
+
+
+def test_zm_batches_equal_zm_divisor_sum_on_every_triple():
+    cfg = SweepConfig(family="zm", bounds={"max_m": 301, "max_n": 40})
+    triples = list(search._enumerate_zm(cfg))
+    expected = [families.zm_divisor_sum(families.ZMTriple(*t)) for t in triples]
+    orders, Ds, notes = search._zm_batch(triples)
+    assert (orders, Ds, notes) == ([m * n for m, n, _ in triples], expected, [()] * len(triples))
+    # chunks, and sparse subsets as a warm sweep's gaps give them
+    for start in range(0, len(triples), search._CHUNK):
+        chunk = triples[start : start + search._CHUNK]
+        assert search._zm_batch(chunk)[1] == expected[start : start + search._CHUNK]
+    for step in (7, 101):
+        assert search._zm_batch(triples[3::step])[1] == expected[3::step]
+    # past the sigma table: each sigma(n / L) by divisor_sum
+    big = [(1, 2**17 + 1, 0), (7, 2**17 + 1, 2), (7, 2**17 + 2, 6), (13, 2**18, 12)]
+    expected = [families.zm_divisor_sum(families.zm_validate(*t)) for t in big]
+    assert search._zm_batch(big)[1] == expected
 
 
 def scan_and_sort_pq(max_q, max_p=None):
@@ -1272,11 +1361,17 @@ def test_cli_exit_codes(capsys):
     assert cli.main(["search", "zm", "--max-m", "9999", "--max-n", "9999"]) == 4
     assert cli.main(["nonsense"]) == 1
     capsys.readouterr()
-    # the budget still counts max_m * max_n * max_m for zm
+    # the zm budget counts the 656 triples enumerated, (1, 1, 0) among them,
+    # not max_m * max_n * max_m = 100,000
     argv = ["search", "zm", "--max-m", "100", "--max-n", "10"]
-    assert cli.main(argv + ["--budget", "99999"]) == 4
-    assert "up to 100000 tuples" in capsys.readouterr().err
-    assert cli.main(argv + ["--budget", "100000"]) == 0
+    assert cli.main(argv + ["--budget", "655"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "resource cap: sweep bounds describe more than 655 tuples, over the budget of 655\n"
+    )
+    assert cli.main(argv + ["--budget", "656"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 655  # the edge (1, 1, 0) dropped
 
 
 def test_cli_perfect_plus_one(capsys):
