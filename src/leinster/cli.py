@@ -11,12 +11,10 @@ printed).  A sweep writes its JSON records as they come, one write per
 chunk of `search.sweep_chunks` (the chunk's kept lines, read from its
 columns, with no record object built), so after 130, 141 or an error in
 mid-sweep stdout holds a prefix of whole records: on 130, every record of
-the chunks finished before the interrupt.  On a shared 2-core host, fresh
-`search cyclic --max-n 50000 --cache F` processes took a median 0.175 s of
-CPU cold and 0.204 s warm, start-up included (40 rounds).  `--table` output
-is written at the end, once the column widths are known, from the records
-of `search.run_sweep`.  D and the order are printed as exact integers of
-any size, in JSON and in `--table` alike.
+the chunks finished before the interrupt.  `--table` output is written at
+the end, once the column widths are known, from the records of
+`search.run_sweep`.  D and the order are printed as exact integers of any
+size, in JSON and in `--table` alike.
 
 Only `verify` and `classify --verify` build groups, and only they import the
 brute-force oracle and numpy; `classify`, `search` and `perfect-plus-one`

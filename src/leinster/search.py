@@ -7,46 +7,49 @@ classifies each instance, and emits records in sorted-parameter order.
 A sweep is one loop, in one process, over ordered chunks of _CHUNK tuples,
 each passed along as columns (`Chunk`: params, order, D, class, notes and
 the JSON line), not as records.  `sweep_chunks` pulls a chunk from the
-family's lazy enumeration, takes its cached rows from the cache file,
-evaluates the rest (`_evaluate_batch`: closed form and classification),
-appends their lines (one f-string for all) to the cache, filters the chunk's
+family's lazy enumeration, evaluates it (`_evaluate_batch`: closed form
+and classification) or takes its rows from the cache file, appends the rows
+the file lacks (their lines encoded by one f-string), filters the chunk's
 columns by class and edge and only then yields it.  So a sweep holds about
 one chunk whatever its bounds, an interrupted sweep keeps every finished
-chunk, and a rerun with the same cache computes only the missing tuples.
-The CLI writes each chunk's lines in one write; `run_sweep` gives the same
-rows as `SearchRecord`s.  A row costs about a microsecond of Python beside
-its arithmetic (two with a record per row).
+chunk, and a rerun with the same cache resumes after the rows the file
+holds.  The CLI writes each chunk's lines in one write; `run_sweep` gives
+the same rows as `SearchRecord`s.  A row costs about a microsecond of
+Python beside its arithmetic (two with a record per row).
 
 Every family but gen-dihedral declares `evaluate_batch`, which evaluates
 a whole batch as columns, with no result tuple per row.  Cyclic, dihedral,
 dicyclic and affine take sigma of the window from the batch's first to its
 last parameter from one segmented sieve (`numtheory.divisor_sums`) and
-pick out the batch's rows, so a cold chunk and the gaps of a warm one cost
-one sieve each; affine reads sigma(q - 1) there, and q as prime when
-sigma(q) = q + 1.  The affine sweep's q come from the stream
+pick out the batch's rows, so a chunk costs one sieve; affine reads
+sigma(q - 1) there, and q as prime when sigma(q) = q + 1.  The affine
+sweep's q come from the stream
 `numtheory.prime_powers`, and the pq sweep tests p and q against one sieve
 of the primes up to max_q.  Zm factors each m of a batch once and forms D
 once per (m, n, order vector of r) from one table of sigma
 (`_zm_batch`).  Gen-dihedral is evaluated a tuple at a time.  Without a
 cache, a chunk's lines are encoded only for the rows it keeps.
 
-The cache file is read forward in step with the enumeration, _BLOCK bytes at
-a time.  A sweep writes it in params order, so a rerun holds about one chunk
-of it, and finds the next rows of the file to be the chunk it asks for.  A
-block of canonical lines of the swept family is decoded in one pass: one
-regex scan, the integers converted a column at a time, every line
-class-checked, and its lines printed as read.  Any other block is read line
-by line, by `json.loads`; a corrupt or mistyped line of the swept family,
-or one whose class disagrees with its D and order, is skipped with a
-warning and its tuple recomputed, and a line of another family is skipped
-by its prefix.
+The cache file is a prefix checkpoint (`_Cache`), read forward in step
+with the enumeration: its valid lines are taken while each holds the next
+params the sweep asks for, and the first that does not ends the prefix;
+from there every tuple is evaluated and nothing is appended.  Where the file
+simply ends, the rows it lacks are appended.  Cyclic, dihedral, dicyclic
+and pq rows cost less to compute than their lines to decode
+(`Family.recompute`): their warm chunks are evaluated and encoded as cold
+ones and compared with the file's bytes, which are decoded only where they
+differ.  Affine, zm and gen-dihedral decode their prefix _BLOCK bytes at a
+time and print its lines as read: a block of canonical lines of the swept
+family in one pass (one regex scan, the integers converted a column at a
+time, every line class-checked), any other block line by line.
 
 ZM triples of each odd m (an even m has none) are enumerated by the order
 vector (d_p) of r, d_p the order of r mod each p^e || m: each vector's
 residues are powers of a primitive root mod p joined by CRT, so no residue
 of m is scanned, and only a fixed r takes a multiplicative order.
 `dedupe` keeps the least generator of each <r> there, before it is
-evaluated or cached.  The budget gate counts the triples, m by m, and
+evaluated or cached.  The budget gate counts the triples, m by m, from
+the sizes of the vectors (prod phi(d_p), over phi(L) with `dedupe`), and
 stops one past the budget.
 The pq gate bounds the steps of the pq walk by (max_q - 1) * (1 + ln P),
 P = min(max_p, max_q - 1).  Gen-dihedral chains come one group order at a
@@ -70,7 +73,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import chain, compress, groupby, islice, repeat
+from itertools import chain, compress, groupby, islice, product, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import add, and_, floordiv, itemgetter, mul, sub
 from pathlib import Path
@@ -103,6 +106,9 @@ DEFAULT_BUDGET = 10_000_000
 
 # tuples per evaluated chunk: the unit of cache appends, and so of resume
 _CHUNK = 4096
+
+# lines of a chunk compared with a cache file's bytes at a time
+_PIECE = 256
 
 # bytes of a cache file read and decoded at a time: about 170 one-parameter lines
 _BLOCK = 1 << 14
@@ -254,26 +260,36 @@ def _encode(family: str, params, orders, Ds, kinds, notes) -> list[str]:
     """The JSON lines of rows given as columns, each byte-identical to `json.dumps`.
 
     One f-string serves the chunk (`str.format` and `%` parse their format
-    again per row, half as long again); rows of one parameter and no notes
-    take one without joins, tried only when the first row has one parameter
-    (a `ValueError` raised and caught costs a single record more than its
-    encoding).  A class is written as its value, read from `_value_`:
-    `.value` is a Python-level property.
+    again per row, half as long again).  When the first row has one
+    parameter, every row is tried by one without joins, and a row with
+    notes (an edge, say) is then encoded again (a `ValueError` raised and
+    caught costs a single record more than its encoding).  A class is
+    written as its value, read from `_value_`: `.value` is a Python-level
+    property.
     """
     head = f'{{"family": {_json_str(family)}, "params": ['
-    if params and len(params[0]) == 1 and not any(notes):
+
+    def encoded(rows) -> list[str]:
+        return [
+            f'{head}{", ".join(map(str, p))}], "order": {o}, "D": {d}, "class": "{k._value_}", '
+            f'"notes": [{", ".join(map(_json_str, n))}]}}'
+            for p, o, d, k, n in rows
+        ]
+
+    if params and len(params[0]) == 1:
         try:
-            return [
+            lines = [
                 f'{head}{p}], "order": {o}, "D": {d}, "class": "{k._value_}", "notes": []}}'
                 for (p,), o, d, k in zip(params, orders, Ds, kinds)
             ]
         except ValueError:  # some row has other than one parameter
             pass
-    return [
-        f'{head}{", ".join(map(str, p))}], "order": {o}, "D": {d}, "class": "{k._value_}", '
-        f'"notes": [{", ".join(map(_json_str, n))}]}}'
-        for p, o, d, k, n in zip(params, orders, Ds, kinds, notes)
-    ]
+        else:
+            if any(notes):  # a pass over the notes alone costs less than `compress`
+                for i in compress(range(len(lines)), notes):
+                    (lines[i],) = encoded([(params[i], orders[i], Ds[i], kinds[i], notes[i])])
+            return lines
+    return encoded(zip(params, orders, Ds, kinds, notes))
 
 
 @dataclass(frozen=True)
@@ -284,8 +300,8 @@ class Family:
     enumerating; it is None when `enumerate` counts against the budget
     itself.  `enumerate` gives the valid params in bounds, sorted, as any
     iterable: a generator is pulled one chunk at a time, so a large family
-    is never held whole.  `ascending` says that it sorts them as tuples (not
-    so for gen-dihedral, whose chains come by group order).  `evaluate` maps
+    is never held whole (gen-dihedral's chains come by group order, not
+    as ascending tuples).  `evaluate` maps
     params to (order, D, notes) in closed form; `build` gives the explicit
     group for the oracle, or None out of scope.  `up_to(max_order)` gives,
     lazily and in `enumerate`'s order, the params of order <= max_order for
@@ -294,6 +310,9 @@ class Family:
     is D_2n).  `label` names an instance (`ZM(7,6,3)`).  `evaluate_batch`,
     when given, maps a sweep's batch (an ascending list of valid params) to
     what `evaluate` gives for each, as three columns (orders, Ds, notes).
+    `recompute`: a warm sweep evaluates each chunk and checks its lines
+    against the cache's bytes rather than decode them; set where a row
+    costs less to compute than its line to decode (measured).
     """
 
     name: str
@@ -305,8 +324,8 @@ class Family:
     build: Callable[[tuple[int, ...]], FiniteGroup | None]
     up_to: Callable[[int], Iterable[tuple[int, ...]]]
     label: Callable[[tuple[int, ...]], str]
-    ascending: bool = True
     evaluate_batch: Callable[[list[tuple[int, ...]]], tuple[list, list, list]] | None = None
+    recompute: bool = False
 
 
 @dataclass
@@ -564,20 +583,44 @@ def _zm_count(m: int, lo: int, hi: int, fixed_r: int | None, dedupe: bool) -> in
 
     The n of an r of order L are the multiples of L in [lo, hi] prime to m;
     as L is prime to m, they number sum over the squarefree s | m of
-    mu(s) * (floor(hi / Ls) - floor((lo - 1) / Ls)).  Without `dedupe` the
-    sum over L is [gcd(m, n) = 1] * prod over p | m of (gcd(n, p - 1) - 1)
-    summed over n.
+    mu(s) * (floor(hi / Ls) - floor((lo - 1) / Ls)).  Unless fixed, the r
+    are counted, not listed: a vector (d_p) has prod phi(d_p) residues, and
+    `dedupe` keeps one in phi(L), as the generators of <r> share r's vector.
+    Without `dedupe` the sum over L is [gcd(m, n) = 1] * prod over p | m of
+    (gcd(n, p - 1) - 1) summed over n.
     """
     if lo > hi:
         return 0
     factors = numtheory.factorize(m)
+    if fixed_r is not None:
+        sizes = {L: len(rs) for L, rs in _zm_residues(m, factors, hi, fixed_r, dedupe).items()}
+    else:
+        sizes = {1: 1}  # L -> the r of order L, over the primes so far
+        primes: set[int] = set()  # the primes of each p - 1, so of each L
+        for p, _ in factors:
+            _, divisors, qs = _zm_prime(p)
+            primes.update(qs)
+            choices = [(d, _phi(d, qs)) for d in divisors if d <= hi and math.gcd(d, m) == 1]
+            grown: dict[int, int] = {}
+            for (L, size), (d, phi) in product(sizes.items(), choices):
+                if (lcm := math.lcm(L, d)) <= hi:
+                    grown[lcm] = grown.get(lcm, 0) + size * phi
+            sizes = grown
+        if dedupe:
+            sizes = {L: size // _phi(L, primes) for L, size in sizes.items()}
     squarefree = [(1, 1)]
     for p, _ in factors:
         squarefree += [(s * p, -mu) for s, mu in squarefree]
     return sum(
-        len(rs) * sum(mu * (hi // (L * s) - (lo - 1) // (L * s)) for s, mu in squarefree)
-        for L, rs in _zm_residues(m, factors, hi, fixed_r, dedupe).items()
+        size * sum(mu * (hi // (L * s) - (lo - 1) // (L * s)) for s, mu in squarefree)
+        for L, size in sizes.items()
     )
+
+
+def _phi(n: int, primes) -> int:
+    """Euler's phi of n, given primes that include every prime of n."""
+    ps = [q for q in primes if n % q == 0]
+    return n // math.prod(ps) * math.prod(q - 1 for q in ps)
 
 
 def _zm_triples(
@@ -769,6 +812,7 @@ FAMILY: dict[str, Family] = {
             lambda p: _oracle().build_cyclic(p[0]),
             lambda n: zip(range(1, n + 1)), lambda p: f"C{p[0]}",
             evaluate_batch=_window_batch(1, lambda lo, hi: numtheory.divisor_sums(lo, hi)),
+            recompute=True,
         ),
         Family(
             "zm", ("max_m", "max_n"), 3, None, _enumerate_zm,
@@ -792,6 +836,7 @@ FAMILY: dict[str, Family] = {
             lambda p: _oracle().build_generalized_dihedral(p),
             lambda n: zip(range(1, n // 2 + 1)), lambda p: f"D{2 * p[0]}",
             evaluate_batch=_window_batch(2, lambda lo, hi: families.dihedral_divisor_sums(lo, hi)),
+            recompute=True,
         ),
         Family(
             "gen-dihedral", ("max_a",), None, None, _enumerate_gen_dihedral,
@@ -799,7 +844,6 @@ FAMILY: dict[str, Family] = {
             lambda p: _oracle().build_generalized_dihedral(p),
             lambda n: (c for c in families.iter_abelian_types(n // 2) if len(c) > 1),
             lambda p: "Dih({})".format("x".join(f"C{d}" for d in p)),
-            ascending=False,
         ),
         Family(
             "dicyclic", ("max_n", "min_n"), 1, _n_count(2), _n_range(2),
@@ -807,6 +851,7 @@ FAMILY: dict[str, Family] = {
             lambda p: _oracle().build_generalized_dicyclic([2 * p[0]], p[0]),
             lambda n: zip(range(2, n // 4 + 1)), lambda p: f"Dic{4 * p[0]}",
             evaluate_batch=_window_batch(4, lambda lo, hi: families.dicyclic_divisor_sums(lo, hi)),
+            recompute=True,
         ),
         Family(
             "pq", ("max_q", "max_p"), 2, _pq_step_count, _enumerate_pq,
@@ -815,6 +860,7 @@ FAMILY: dict[str, Family] = {
             evaluate_batch=lambda batch: (
                 [p * q for p, q in batch], [1 + q + p * q for p, q in batch], [()] * len(batch)
             ),
+            recompute=True,
         ),
     )
 }
@@ -887,183 +933,135 @@ _ANY_FAMILY_PREFIX = re.compile(rf'{{"family": "{_CHARS}", ')
 
 
 class _Cache:
-    """A sweep's resume file: read forward in step with the sweep, appended per chunk.
+    """A sweep's resume file, a prefix checkpoint: read forward in step with
+    the sweep, and appended per chunk.
 
     The reader reads only the bytes the file held when it was opened, never
-    the chunks this sweep appends, and reads them _BLOCK bytes at a time.  A
-    line of another family is skipped by its prefix, without a decode.  Any
-    other line is decoded and class-checked once, when the reader passes its
-    block; one that fails is skipped with a warning, so its tuple is
-    recomputed.  Rows read and not yet taken wait in `_rows`, in file order.
-
-    A sweep writes its cache in params order, so its next rows are most
-    often the chunk it asks for: `take_run` compares them with the whole
-    chunk and hands them over in one slice.  Otherwise `take` is asked once
-    per params.  A row read before its params are asked for waits in
-    `_ahead`; that is about one chunk, and a cache out of order holds up to
-    the whole family.  When the sweep asks in ascending tuple order
-    (`ascending`), a row below the params asked for can never be taken, and
-    it is dropped as it is passed, so a sweep narrower than its cache (a
-    fixed r, a higher min_n) does not keep it.  A tuple the file lacks, a
-    corrupt line's among them, makes the reader read to the end of the file,
-    keeping every later row of the family in `_ahead`.  For params on
-    several valid lines, the first line wins.  A line's D is trusted as
-    written: only its JSON form and its class against its own D and order
-    are checked, so an edited D with a matching class is printed as the
-    record (`classify --verify` recomputes it).  A cache that cannot be read
-    is dropped, reads and appends alike, after one warning; one that cannot
-    be written is no longer appended to.
+    the chunks this sweep appends.  A line of another family is skipped by
+    its prefix, without a decode, and a corrupt or mistyped line, or one
+    whose class disagrees with its own D and order, is skipped with a
+    warning.  Every other line is taken only while it holds the next params
+    the sweep asks for: the first that does not ends the prefix (`take`),
+    and the reader reads and appends nothing more.  A line taken is trusted
+    as written.  A cache that cannot be read is dropped, reads and appends
+    alike, after one warning; one that cannot be written is no longer
+    appended to.
     """
 
-    def __init__(self, path: Path, name: str, ascending: bool = False) -> None:
+    def __init__(self, path: Path, name: str) -> None:
         self.path: Path | None = path  # None once appends stop
         self._name = name
-        self._ascending = ascending
-        # params -> (order, D, class, notes, line) of a row read ahead of its turn
-        self._ahead: dict[tuple[int, ...], tuple] = {}
-        self._rows = Chunk(name, [], [], [], [], [], [])
-        self._next = 0  # index in `_rows` of the first row not taken or passed
+        self._rows = Chunk(name, [], [], [], [], [], [])  # rows decoded, not yet taken
+        self._next = 0  # index in `_rows` of the first row not taken
+        self._buf = b""  # bytes read and not yet passed
+        self._lineno = 0  # lines passed
         self._fh = None
         self._left = 0  # bytes of the opening size not read yet
-        self._done = False  # every line read
         try:
             self._fh = path.open("rb")
             self._left = os.fstat(self._fh.fileno()).st_size
         except FileNotFoundError:
             pass
         except OSError as exc:
-            self._read_failed(exc)
-        self._blocks = self._read_blocks()
+            self._stop(exc)
 
     def __enter__(self) -> "_Cache":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._close()
+        self._stop()
 
-    def _close(self) -> None:
+    def _stop(self, failed: Exception | None = None) -> None:
+        """Read nothing more, and append nothing; warn of a read that `failed`."""
+        if failed is not None:
+            print(f"warning: cache read failed ({failed}); sweep continues", file=sys.stderr)
         if self._fh is not None:
             self._fh.close()
-            self._fh = None
+        self._fh, self._left, self._buf, self.path = None, 0, b"", None
 
-    def _read_failed(self, exc: Exception) -> None:
-        print(f"warning: cache read failed ({exc}); sweep continues", file=sys.stderr)
-        self._close()
-        self.path = None
+    def _read(self, size: int) -> None:
+        """Read up to `size` more of the bytes the file held when opened into `_buf`."""
+        if self._left and size > 0:
+            try:
+                block = self._fh.read(min(self._left, size))
+            except OSError as exc:
+                return self._stop(exc)
+            self._left = self._left - len(block) if block else 0  # b"": the file shrank
+            self._buf += block
 
-    def spent(self) -> bool:
-        """Whether every row the file had to give is taken."""
-        return self._done and not self._ahead and self._next == len(self._rows.params)
+    def match(self, lines: list[str]) -> bool:
+        """Whether the file's next bytes are `lines` as `append` writes them; if
+        so, they are passed.  Tried only with no decoded row waiting.  The
+        lines are ASCII (`_encode` escapes all else), and are compared _PIECE
+        at a time: bytes the size of a chunk cost more to allocate than to
+        compare."""
+        if self._next < len(self._rows.params):
+            return False
+        self._read(sum(map(len, lines)) + len(lines) - len(self._buf))
+        start = 0
+        for i in range(0, len(lines), _PIECE):
+            data = _joined(lines[i : i + _PIECE])
+            if not self._buf.startswith(data, start):
+                return False
+            start += len(data)
+        self._buf = self._buf[start:]
+        self._lineno += len(lines)
+        return True
 
-    def _fill(self, count: int) -> int:
-        """Read until `count` rows wait in `_rows`, or to the end; the rows waiting."""
+    def take(self, batch: list[tuple[int, ...]]) -> Chunk:
+        """The rows of the prefix for the leading params of `batch`, decoded a
+        block at a time: all of `batch` unless the file ends first, or a row
+        holds other params, which ends the prefix."""
         columns = self._rows.columns()
-        waiting = len(columns[0]) - self._next
-        if waiting < count and not self._done:
+        for column in columns:
+            del column[: self._next]
+        params = columns[0]
+        while len(params) < len(batch) and (self._left or self._buf):
+            for column, new in zip(columns, self._block().columns()):
+                column += new
+        size = min(len(params), len(batch))
+        if params[:size] != batch[:size]:
+            size = next(i for i, (got, asked) in enumerate(zip(params, batch)) if got != asked)
+            self._stop()
             for column in columns:
-                del column[: self._next]
-            self._next = 0
-            for block in self._blocks:
-                for column, new in zip(columns, block.columns()):
-                    column += new
-                waiting += len(block.params)
-                if waiting >= count:
-                    break
-        return waiting
+                del column[size:]
+        self._next = size
+        return Chunk(self._name, *(column[:size] for column in columns))
 
-    def take_run(self, chunk: list[tuple[int, ...]]) -> Chunk | None:
-        """The rows of `chunk` when they are the next rows of the file, else None.
-
-        Tried only with nothing in `_ahead`: then the rows are what `take`
-        would give for each params of the chunk, and they are handed over in
-        one slice, with `chunk` itself as the params column.
-        """
-        if self._ahead:
-            return None
-        size = len(chunk)
-        self._fill(size)
-        start, stop = self._next, self._next + size
-        rows = self._rows
-        if rows.params[start:stop] != chunk:
-            return None
-        self._next = stop
-        return Chunk(self._name, chunk, *(col[start:stop] for col in rows.columns()[1:]))
-
-    def take(self, params: tuple[int, ...]) -> tuple | None:
-        """(order, D, class, notes, line) for `params`, or None: kept from earlier, or read up to."""
-        ahead = self._ahead
-        if ahead:
-            row = ahead.pop(params, None)
-            if row is not None:
-                return row
-        while self._fill(1):
-            i = self._next
-            self._next = i + 1
-            got, *row = (column[i] for column in self._rows.columns())
-            row = tuple(row)
-            if got == params:
-                return row
-            if not (self._ascending and got < params):
-                ahead.setdefault(got, row)
-        return None
-
-    def _read_blocks(self) -> Iterator[Chunk]:
-        """The valid rows of this family, in file order, read _BLOCK bytes at a time.
-
-        A block is decoded as one string and split into lines; a line cut by
-        the block's end is carried into the next block, and bytes that are
-        not UTF-8 fail the read at the line that holds them.  A block of
-        canonical lines of this family alone is decoded in one pass
-        (`_decode_canonical`) and given as one chunk; any other block line by
-        line (`_decode_lines`), a chunk of one row per valid line.
-        """
-        lineno = 0  # lines passed
-        carry = b""
+    def _block(self) -> Chunk:
+        """The valid rows on the next whole lines read, _BLOCK bytes or more, or
+        the rest of the file: of canonical lines of this family alone in one
+        pass (`_decode_canonical`), of any others line by line.  Bytes that
+        are not UTF-8 fail the read at the line that holds them."""
+        self._read(_BLOCK - len(self._buf))
+        while self._left and b"\n" not in self._buf:  # a line longer than the bytes read
+            self._read(_BLOCK)
+        cut = self._buf.rfind(b"\n") + 1 if self._left else len(self._buf)
+        data, self._buf, bad = self._buf[:cut], self._buf[cut:], None
         try:
-            while self._fh is not None:
-                try:
-                    block = self._fh.read(min(self._left, _BLOCK))
-                except OSError as exc:
-                    self._read_failed(exc)
-                    return
-                self._left -= len(block)
-                data = carry + block
-                if block and self._left:
-                    cut = data.rfind(b"\n") + 1
-                    data, carry = data[:cut], data[cut:]
-                else:  # the last of the bytes the file held when opened
-                    self._close()
-                bad = None
-                try:
-                    text = data.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    good = data.rfind(b"\n", 0, exc.start) + 1
-                    text, bad = data[:good].decode("utf-8"), data[good:]
-                lines = text.split("\n")
-                if not lines[-1]:
-                    lines.pop()  # the text ends with a newline, or is empty
-                rows = _decode_canonical(self._name, text, lines)
-                yield from (rows,) if rows is not None else self._decode_lines(lines, lineno)
-                lineno += len(lines)
-                if bad is not None:
-                    try:
-                        bad.decode("utf-8")
-                    except UnicodeDecodeError as exc:  # as the line alone fails
-                        self._read_failed(exc)
-                        return
-        finally:
-            self._done = True
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # reported as the line alone fails
+            good = data.rfind(b"\n", 0, exc.start) + 1
+            text = data[:good].decode("utf-8")
+            bad = UnicodeDecodeError(
+                exc.encoding, data[good:], exc.start - good, exc.end - good, exc.reason
+            )
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()  # the text ends with a newline, or is empty
+        rows = _decode_canonical(self._name, text, lines) or self._decode_lines(lines)
+        self._lineno += len(lines)
+        if bad is not None:
+            self._stop(bad)
+        return rows
 
-    def _decode_lines(self, lines: list[str], lineno: int) -> Iterator[Chunk]:
-        """The valid rows of this family on `lines`, the lines after line `lineno`.
-
-        Each line is read as the sweep reaches it.  A line of another family
-        is skipped by its prefix, without a decode; any other line is decoded
-        and class-checked, and skipped with a warning when that fails.  A row
-        keeps the line `to_json` writes, not the line read.
-        """
+    def _decode_lines(self, lines: list[str]) -> Chunk:
+        """The valid rows of this family on `lines`, the lines after line
+        `_lineno`, each decoded and checked as the class docstring says.  A
+        row keeps the line `to_json` writes, not the line read."""
         own = f'{{"family": {_json_str(self._name)}, '
-        for lineno, line in enumerate(lines, lineno + 1):
+        rows = []
+        for lineno, line in enumerate(lines, self._lineno + 1):
             line = line.strip()
             if not line or (not line.startswith(own) and _ANY_FAMILY_PREFIX.match(line)):
                 continue
@@ -1078,8 +1076,9 @@ class _Cache:
                 print(f"warning: skipping corrupt cache line {lineno}: {exc}", file=sys.stderr)
                 continue
             if record.family == self._name:
-                yield Chunk(record.family, [record.params], [record.order], [record.D],
-                            [record.kind], [record.notes], [record.to_json()])
+                rows.append((record.params, record.order, record.D, record.kind, record.notes,
+                             record.to_json()))
+        return Chunk(self._name, *([list(column) for column in zip(*rows)] or [[] for _ in range(6)]))
 
     def append(self, lines: list[str]) -> None:
         """Append one finished chunk's lines; stop appending (after a warning) on failure.
@@ -1087,9 +1086,9 @@ class _Cache:
         A file whose last line has no newline (a torn write) gets one first,
         so the chunk's first line starts a line of its own.
         """
-        if self.path is None:
+        if self.path is None or not lines:
             return
-        data = "\n".join(lines + [""]).encode("utf-8")
+        data = _joined(lines)
         try:
             with self.path.open("a+b") as fh:
                 end = fh.seek(0, os.SEEK_END)
@@ -1101,6 +1100,11 @@ class _Cache:
         except OSError as exc:
             print(f"warning: cache write failed ({exc}); sweep continues", file=sys.stderr)
             self.path = None
+
+
+def _joined(lines: list[str]) -> bytes:
+    """The bytes of `lines` in a cache file, each ended by a newline."""
+    return "\n".join(lines + [""]).encode("utf-8")
 
 
 def _decode_canonical(family: str, text: str, lines: list[str]) -> Chunk | None:
@@ -1158,11 +1162,12 @@ def _kept(chunk: Chunk, wanted: frozenset[int] | None, include_edge: bool) -> Ch
 def sweep_chunks(cfg: SweepConfig) -> Iterator[Chunk]:
     """Yield the kept rows of every valid tuple in bounds, a chunk at a time, sorted by params.
 
-    Per chunk of _CHUNK tuples: the cache file's next rows when they are the
-    chunk's; otherwise the cached rows taken one params at a time, the rest
-    evaluated and appended to the cache, and the two merged in order.  The
-    filters then run on the chunk's columns, and the chunk is yielded
-    however few rows it keeps.
+    Per chunk of _CHUNK tuples, with a cache: a recompute family evaluates
+    the chunk and passes it in the file, as bytes (`_Cache.match`) or else
+    as rows (`_Cache.take`); any other family takes its rows of the prefix
+    and evaluates the rest.  The rows past the file's end are appended to
+    it.  The filters then run on the chunk's columns, and the chunk is
+    yielded however few rows it keeps.
     """
     family = FAMILY[cfg.family]
     raw = family.tuple_count(cfg) if family.tuple_count is not None else None
@@ -1173,26 +1178,22 @@ def sweep_chunks(cfg: SweepConfig) -> Iterator[Chunk]:
     wanted = None if cfg.classes is None else frozenset(map(id, cfg.classes))
     params = iter(family.enumerate(cfg))
     path = cfg.cache_path
-    reader = None if path is None else _Cache(Path(path), cfg.family, family.ascending)
-    with reader or nullcontext() as cache:
+    with nullcontext() if path is None else _Cache(Path(path), cfg.family) as cache:
         for batch in iter(lambda: list(islice(params, _CHUNK)), []):
-            # a cold sweep asks nothing per params
-            chunk = None if cache is None or cache.spent() else cache.take_run(batch)
-            if chunk is None:
-                hits = None if cache is None or cache.spent() else list(map(cache.take, batch))
-                todo = batch if hits is None else [p for p, hit in zip(batch, hits) if not hit]
-                chunk = _evaluate_batch(cfg.family, todo)
-                if cache is not None:
-                    _with_lines(chunk)
-                    if todo:
-                        cache.append(chunk.lines)
-                if hits is not None:  # merged in order; a hit keeps the params asked for
-                    rows = zip(*chunk.columns()[1:])
-                    merged = [hit or next(rows) for hit in hits]
-                    chunk = Chunk(cfg.family, batch, *map(list, zip(*merged)))
-                    # left bound, they would hold this chunk's rows through
-                    # every cold chunk after it
-                    del rows, merged
+            if cache is None:
+                chunk = _evaluate_batch(cfg.family, batch)
+            elif family.recompute:
+                chunk = _with_lines(_evaluate_batch(cfg.family, batch))
+                if not cache.match(chunk.lines):
+                    cache.append(chunk.lines[len(cache.take(batch).params) :])
+            else:
+                chunk = cache.take(batch)
+                taken = len(chunk.params)
+                if taken < len(batch):
+                    rest = _with_lines(_evaluate_batch(cfg.family, batch[taken:]))
+                    cache.append(rest.lines)
+                    columns = zip(chunk.columns(), rest.columns())
+                    chunk = Chunk(cfg.family, *([*a, *b] for a, b in columns)) if taken else rest
             yield _with_lines(_kept(chunk, wanted, cfg.include_edge))
 
 

@@ -231,26 +231,28 @@ def test_corrupt_cache_line_is_skipped_and_recomputed(tmp_path, capsys, line):
 def test_a_cached_d_of_more_than_4300_digits_is_read_back_exactly(tmp_path, capsys):
     # cli.main lifts the limit on int-to-string digits (4,300 from Python
     # 3.10.7 on), so this line is well formed and its class agrees with its D
-    # and order: the cache takes it, as it takes any such line, and it is
-    # printed as it was read
+    # and order: an affine sweep decodes its cache, takes the line, as the
+    # first of the prefix, and prints it as it was read
     line = (
-        '{"family": "cyclic", "params": [2], "order": 2, "D": 1' + "0" * 5000 + ', '
+        '{"family": "affine", "params": [2], "order": 2, "D": 1' + "0" * 5000 + ', '
         '"class": "abundant", "notes": []}'
     )
     cache = tmp_path / "cache.jsonl"
     cache.write_text(line + "\n")
-    argv = ["search", "cyclic", "--max-n", "10", "--include-edge", "--cache", str(cache)]
+    argv = ["search", "affine", "--max-q", "10", "--cache", str(cache)]
     assert cli.main(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert captured.out.splitlines()[1] == line
+    assert captured.out.splitlines()[0] == line
     assert json.loads(line)["D"] == 10**5000
 
 
 def test_warm_sweep_neither_parses_nor_evaluates(tmp_path, monkeypatch, capsys):
-    argv = ["search", "cyclic", "--max-n", "5000", "--cache", str(tmp_path / "c.jsonl")]
+    # affine decodes its cache: a warm sweep takes every row from the file
+    argv = ["search", "affine", "--max-q", "50000", "--cache", str(tmp_path / "c.jsonl")]
     assert cli.main(argv) == 0
     cold = capsys.readouterr().out
+    assert len(cold.splitlines()) > search._CHUNK
     size = (tmp_path / "c.jsonl").stat().st_size
 
     def boom(*args, **kwargs):
@@ -258,7 +260,8 @@ def test_warm_sweep_neither_parses_nor_evaluates(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(json, "loads", boom)
     monkeypatch.setitem(
-        search.FAMILY, "cyclic", dataclasses.replace(search.FAMILY["cyclic"], evaluate=boom)
+        search.FAMILY, "affine",
+        dataclasses.replace(search.FAMILY["affine"], evaluate=boom, evaluate_batch=boom),
     )
     assert cli.main(argv) == 0
     captured = capsys.readouterr()
@@ -291,12 +294,14 @@ def test_unreadable_cache_warns_once_and_the_sweep_goes_on(tmp_path, capsys):
 
 
 def test_interrupted_sweep_resumes_from_its_cache(tmp_path, monkeypatch, capsys):
-    argv = ["search", "cyclic", "--max-n", "20000"]
+    # affine decodes its cache, so a rerun evaluates only the tuples it lacks
+    argv = ["search", "affine", "--max-q", "100000"]
     assert cli.main(argv) == 0
     expected = capsys.readouterr().out
+    params = [tuple(json.loads(line)["params"]) for line in expected.splitlines()]
     cache = tmp_path / "cache.jsonl"
     argv += ["--cache", str(cache)]
-    family = search.FAMILY["cyclic"]
+    family = search.FAMILY["affine"]
     calls = []
 
     def counting(params, stop_after=None):
@@ -317,21 +322,21 @@ def test_interrupted_sweep_resumes_from_its_cache(tmp_path, monkeypatch, capsys)
             return family.evaluate_batch(params)
 
         replaced = dataclasses.replace(family, evaluate=one, evaluate_batch=batch)
-        monkeypatch.setitem(search.FAMILY, "cyclic", replaced)
+        monkeypatch.setitem(search.FAMILY, "affine", replaced)
 
-    evaluating(stop_after=10_000)
+    evaluating(stop_after=5_000)
     assert cli.main(argv) == cli.EXIT_INTERRUPTED
-    kept = 10_000 // search._CHUNK * search._CHUNK  # every finished chunk
-    # the records of n = 2..kept, printed before the interrupt (n = 1 is an edge)
-    assert capsys.readouterr().out == "".join(expected.splitlines(keepends=True)[: kept - 1])
+    kept = 5_000 // search._CHUNK * search._CHUNK  # every finished chunk
+    # the records of the chunks printed before the interrupt
+    assert capsys.readouterr().out == "".join(expected.splitlines(keepends=True)[:kept])
     assert len(cache.read_text().splitlines()) == kept > 0
 
     calls.clear()
     evaluating()
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
-    assert calls == [(n,) for n in range(kept + 1, 20_001)]
-    assert len(cache.read_text().splitlines()) == 20_000
+    assert calls == params[kept:]
+    assert len(cache.read_text().splitlines()) == len(params) > 2 * search._CHUNK
 
 
 def test_torn_cache_tail_gets_its_own_line(tmp_path, capsys):
@@ -389,36 +394,50 @@ def test_cache_reader_reads_only_the_bytes_there_when_it_opened(tmp_path):
     path.write_text(C6_LINE + "\n")
     with search._Cache(path, "cyclic") as cache:
         cache.append([search.run_classify("cyclic", [7]).to_json()])
-        assert cache.take((7,)) is None  # appended by this sweep, so not read
-        assert cache.take((6,)) == (6, 12, GroupKind.LEINSTER, (), C6_LINE)
+        rows = cache.take([(6,), (7,)])  # (7,) is appended by this sweep, so not read
+        assert rows.columns() == ([(6,)], [6], [12], [GroupKind.LEINSTER], [()], [C6_LINE])
+        assert cache.take([(7,)]).params == []
     assert path.read_text().splitlines()[1:] == [search.run_classify("cyclic", [7]).to_json()]
 
 
+def affine_cache(tmp_path, max_q):
+    """The cold cache of `search affine --max-q max_q`, as its file and its lines."""
+    cache = tmp_path / "affine.jsonl"
+    sweep(family="affine", bounds={"max_q": max_q}, cache_path=cache)
+    return cache, cache.read_text().splitlines()
+
+
+def edited(line):
+    """An affine cache line with D = 10**6, well formed and self-consistent, so
+    taken as written by a sweep that decodes it."""
+    record = SearchRecord.from_json(line)
+    D = 10**6
+    return dataclasses.replace(record, D=D, kind=families.classify_kind(D, record.order)).to_json()
+
+
 def test_first_valid_cache_line_for_params_wins(tmp_path):
-    # well formed and self-consistent, so trusted; D is not that of C6
-    first = C6_LINE.replace('"D": 12', '"D": 13').replace('"leinster"', '"quasi-leinster"')
-    cache = tmp_path / "cache.jsonl"
-    cache.write_text(f"{first}\n{C6_LINE}\n")  # both read ahead of (1,), ..., (5,)
-    records = sweep(family="cyclic", bounds={"max_n": 8}, cache_path=cache)
-    assert next(r for r in records if r.params == (6,)).to_json() == first
+    # the edited line holds the next params the sweep asks for, so it is
+    # taken; the line after it, for the same params, then ends the prefix
+    cache, lines = affine_cache(tmp_path, 30)
+    first = edited(lines[3])  # q = 5
+    cache.write_text("\n".join([*lines[:3], first, *lines[3:]]) + "\n")
+    written = cache.read_bytes()
+    warm = sweep(family="affine", bounds={"max_q": 30}, cache_path=cache)
+    assert [r.to_json() for r in warm] == [*lines[:3], first, *lines[4:]]
+    assert cache.read_bytes() == written  # nothing appended past the prefix
 
 
 def test_first_valid_cache_line_wins_over_a_later_chunk_read_in_order(tmp_path):
-    # the first line for n = P is read ahead while the first chunk is taken;
-    # the second chunk then finds its own rows next in the file, P's second
-    # line among them, and must still take the first
-    n = search._CHUNK + 5
-    first = f'{{"family": "cyclic", "params": [{n}], "order": {n}, "D": {2 * n}, ' \
-        '"class": "leinster", "notes": []}'
-    bounds = {"max_n": search._CHUNK + 10}
-    cold = sweep(family="cyclic", bounds=bounds, include_edge=True)
-    cache = tmp_path / "cache.jsonl"
-    cache.write_text(first + "\n" + "".join(r.to_json() + "\n" for r in cold))
+    # the first chunk is taken from the file in one slice; the second takes
+    # its rows up to the edited line, which wins, and the line after it,
+    # for the same params, ends the prefix: the rest is evaluated
+    cache, lines = affine_cache(tmp_path, 50_000)
+    at = search._CHUNK + 5
+    first = edited(lines[at])
+    cache.write_text("\n".join([*lines[:at], first, *lines[at:]]) + "\n")
     written = cache.read_bytes()
-    warm = sweep(family="cyclic", bounds=bounds, include_edge=True, cache_path=cache)
-    assert [r.to_json() for r in warm] == [
-        first if r.params == (n,) else r.to_json() for r in cold
-    ]
+    warm = sweep(family="affine", bounds={"max_q": 50_000}, cache_path=cache)
+    assert [r.to_json() for r in warm] == [*lines[:at], first, *lines[at + 1 :]]
     assert cache.read_bytes() == written
 
 
@@ -490,6 +509,111 @@ def test_out_of_order_caches_give_the_cold_output_and_append_nothing(tmp_path, c
         assert cache.stat().st_size == size
 
 
+# per family: bounds of more than one chunk, and narrower bounds whose
+# tuples come first among theirs
+RESUMED_SWEEPS = {
+    "cyclic": ({"max_n": 2 * search._CHUNK + 100}, {"max_n": search._CHUNK + 50}),
+    "zm": ({"max_m": 300, "max_n": 20}, {"max_m": 150, "max_n": 20}),
+    "affine": ({"max_q": 50_000}, {"max_q": 30_000}),
+    "dihedral": ({"max_n": 2 * search._CHUNK + 100}, {"max_n": search._CHUNK + 50}),
+    "gen-dihedral": ({"max_a": 2000}, {"max_a": 1000}),
+    "dicyclic": (
+        {"min_n": 2, "max_n": 2 * search._CHUNK + 100}, {"min_n": 2, "max_n": search._CHUNK + 50}
+    ),
+    "pq": ({"max_q": 30_000}, {"max_q": 30_000, "max_p": 5}),
+}
+
+
+@pytest.mark.parametrize("family", search.FAMILIES)
+def test_every_cache_a_sweep_resumes_gives_the_uncached_output_and_the_cold_bytes(
+    family, tmp_path, capsys
+):
+    bounds, narrower = RESUMED_SWEEPS[family]
+    argv = ["search", family, *_bound_args(bounds)]
+    assert cli.main(argv) == 0
+    uncached = capsys.readouterr().out
+
+    def run(cache):
+        """The sweep's stderr with `cache`; its stdout must be the uncached one."""
+        assert cli.main(argv + ["--cache", str(cache)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == uncached
+        return captured.err
+
+    cold = tmp_path / "cold.jsonl"
+    assert run(cold) == ""
+    written = cold.read_bytes()
+    lines = written.decode().splitlines(keepends=True)
+    assert len(lines) > search._CHUNK
+    assert run(cold) == ""  # warm
+    assert cold.read_bytes() == written
+
+    resumed = tmp_path / "resumed.jsonl"
+    cut = len(lines) // 2 + 1
+    assert cut % search._CHUNK
+    resumed.write_text("".join(lines[:cut]))
+    assert run(resumed) == ""
+    assert resumed.read_bytes() == written
+    # a write cut short: the torn line is skipped, and keeps its own line
+    torn = lines[cut][: len(lines[cut]) // 2]
+    resumed.write_text("".join(lines[:cut]) + torn)
+    err = run(resumed)
+    assert err.startswith(f"warning: skipping corrupt cache line {cut + 1}: ")
+    assert err.count("\n") == 1
+    assert resumed.read_text() == "".join([*lines[:cut], torn, "\n", *lines[cut:]])
+
+    extended = tmp_path / "extended.jsonl"
+    assert cli.main(["search", family, *_bound_args(narrower), "--cache", str(extended)]) == 0
+    capsys.readouterr()
+    assert written.startswith(extended.read_bytes())
+    assert len(extended.read_text().splitlines()) % search._CHUNK
+    assert run(extended) == ""
+    assert extended.read_bytes() == written
+
+
+def test_a_recompute_family_prints_the_recomputed_d_of_an_edited_line(tmp_path, capsys):
+    # cyclic evaluates each chunk and checks it against the cache: the edited
+    # line is well formed and self-consistent and holds the params the sweep
+    # asks for, so it passes as a checkpoint, and C6 is printed as computed
+    assert search.FAMILY["cyclic"].recompute and not search.FAMILY["affine"].recompute
+    argv = ["search", "cyclic", "--max-n", "8", "--include-edge"]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    assert C6_LINE in cold
+    cache = tmp_path / "cache.jsonl"
+    edited_cache = cold.replace('"D": 12, "class": "leinster"', '"D": 13, "class": "quasi-leinster"')
+    cache.write_text(edited_cache)
+    for extra, expected in (([], cold), (["--class", "quasi"], "")):
+        assert cli.main(argv + extra + ["--cache", str(cache)]) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected, "")
+    assert cache.read_text() == edited_cache
+
+
+def test_a_corrupt_line_early_in_a_warm_cache_holds_about_one_chunk(tmp_path, capsys):
+    cfg = SweepConfig(family="cyclic", bounds={"max_n": 50_000}, cache_path=tmp_path / "c.jsonl")
+    for _ in search.sweep_chunks(cfg):
+        pass
+    lines = cfg.cache_path.read_text().splitlines(keepends=True)
+    lines[9] = lines[9].replace('"class": "deficient"', '"class": "abundant"')  # n = 10
+    cfg.cache_path.write_text("".join(lines))
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in search.run_sweep(cfg))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 49_999
+    assert capsys.readouterr().err == (
+        "warning: skipping corrupt cache line 10: class 'abundant' disagrees with "
+        "D = 18 and order 10\n"
+    )
+    # the line for n = 11 ends the prefix, and the reader drops what it
+    # holds: a reader that waited for n = 10 would hold 49,990 records
+    assert peak < 8 * 2**20
+    assert cfg.cache_path.read_text() == "".join(lines)
+
+
 def test_cold_cached_sweep_holds_only_the_chunk_it_yields(tmp_path):
     bounds = {"max_n": 4 * search._CHUNK}
     records = search.run_sweep(
@@ -528,32 +652,35 @@ def test_sweep_narrower_than_its_cache_drops_the_records_it_passes(tmp_path, mon
     cache = tmp_path / "zm.jsonl"
     assert cli.main(argv + ["--cache", str(cache)]) == 0
     assert len(cache.read_text().splitlines()) == 434
+    written = cache.read_bytes()
+    assert len(written) > 2 * search._BLOCK
     capsys.readouterr()
     assert cli.main(argv + ["--r", "2"]) == 0
     cold = capsys.readouterr().out
 
-    held = []
-    take = search._Cache.take
+    blocks = []
+    block = search._Cache._block
 
-    def watched(self, params):
-        record = take(self, params)
-        held.append(len(self._ahead))
-        return record
+    def watched(self):
+        rows = block(self)
+        blocks.append(len(rows.params))
+        return rows
 
-    monkeypatch.setattr(search._Cache, "take", watched)
+    monkeypatch.setattr(search._Cache, "_block", watched)
     assert cli.main(argv + ["--r", "2", "--cache", str(cache)]) == 0
-    assert capsys.readouterr().out == cold
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (cold, "")
     assert len(cold.splitlines()) == 33
-    # the records of r != 2 passed on the way are dropped; they were all
-    # kept, 360 of them by the end
-    assert held and max(held) <= search._CHUNK
-    assert max(held) == 0
+    # the first row of r != 2 ends the prefix, in the first block: the
+    # reader reads no further, and drops what it holds; nothing is appended
+    assert len(blocks) == 1
+    assert cache.read_bytes() == written
 
 
-def test_gen_dihedral_cache_in_tuple_order_is_read_whole(tmp_path):
-    # chains come by group order, not as ascending tuples, so a record passed
-    # below the chain asked for may still be asked for, and is kept
-    assert [name for name, f in search.FAMILY.items() if not f.ascending] == ["gen-dihedral"]
+def test_gen_dihedral_cache_in_tuple_order_is_read_whole(tmp_path, monkeypatch):
+    # chains come by group order, not as ascending tuples: a cache sorted
+    # as tuples gives the same records, from its prefix in group order and
+    # then by evaluation, and grows by nothing
     cache = tmp_path / "g.jsonl"
     bounds = {"max_a": 40}
     cold = sweep(family="gen-dihedral", bounds=bounds, cache_path=cache)
@@ -562,8 +689,16 @@ def test_gen_dihedral_cache_in_tuple_order_is_read_whole(tmp_path):
     assert by_tuple != lines
     cache.write_text("\n".join(by_tuple) + "\n")
     written = cache.read_bytes()
+    prefix = next(i for i, (a, b) in enumerate(zip(lines, by_tuple)) if a != b)
+    assert prefix > 0
+    family, per_tuple = search.FAMILY["gen-dihedral"], []
+    evaluate = lambda params: per_tuple.append(params) or family.evaluate(params)  # noqa: E731
+    monkeypatch.setitem(
+        search.FAMILY, "gen-dihedral", dataclasses.replace(family, evaluate=evaluate)
+    )
     assert sweep(family="gen-dihedral", bounds=bounds, cache_path=cache) == cold
-    assert cache.read_bytes() == written  # nothing recomputed
+    assert per_tuple == [r.params for r in cold[prefix:]]
+    assert cache.read_bytes() == written
 
 
 NOTES = [search.NOTE_EDGE, search.NOTE_LABEL_DIFFERS, search.NOTE_FORMULA_ONLY]
@@ -783,29 +918,32 @@ def test_cache_read_in_blocks_skips_and_recomputes_as_line_by_line(tmp_path, cap
     cold = capsys.readouterr().out
     lines = cold.splitlines()
     assert len(cold) > 5 * search._BLOCK
-    corrupt = lines[3000].replace('"class": "deficient"', '"class": "abundant"')
-    assert corrupt != lines[3000]
+    corrupt = lines[9000].replace('"class": "deficient"', '"class": "abundant"')
+    assert corrupt != lines[9000]
     cached = list(lines)
-    cached[3000] = corrupt  # n = 3001, a prime: skipped with a warning, and recomputed
-    cached[5999] = lines[5999].replace(": ", ":")  # decoded by json.loads
-    cached[8999] = "  " + lines[8999] + "\r"  # stripped, then decoded
+    cached[3000] = lines[3000].replace(": ", ":")  # decoded by json.loads
+    cached[5999] = "  " + lines[5999] + "\r"  # stripped, then decoded
+    cached[9000] = corrupt  # n = 9001, a prime: skipped with a warning
     cache = tmp_path / "cache.jsonl"
     cache.write_text("\n".join(cached) + "\n")
     assert cli.main(argv + ["--cache", str(cache)]) == 0
     captured = capsys.readouterr()
     assert captured.out == cold
     assert captured.err == (
-        "warning: skipping corrupt cache line 3001: class 'abundant' disagrees with "
-        "D = 3002 and order 3001\n"
+        "warning: skipping corrupt cache line 9001: class 'abundant' disagrees with "
+        "D = 9002 and order 9001\n"
     )
-    assert cache.read_bytes().decode().split("\n") == cached + [lines[3000], ""]
+    # the line for n = 9002 then ends the prefix: nothing is appended
+    assert cache.read_bytes().decode().split("\n") == cached + [""]
 
 
 def test_cache_bytes_not_utf8_fail_the_read_at_their_line(tmp_path, monkeypatch, capsys):
-    argv = ["search", "cyclic", "--max-n", "2000", "--include-edge"]
+    # affine decodes its cache, so the rows before the bad bytes are taken
+    argv = ["search", "affine", "--max-q", "20000"]
     assert cli.main(argv) == 0
     cold = capsys.readouterr().out
     lines = [line.encode() for line in cold.splitlines()]
+    params = [tuple(json.loads(line)["params"]) for line in lines]
     cache = tmp_path / "cache.jsonl"
     data = b"\n".join(lines[:1500] + [b'{"fam\xffily"'] + lines[1500:]) + b"\n"
     cache.write_bytes(data)
@@ -822,7 +960,7 @@ def test_cache_bytes_not_utf8_fail_the_read_at_their_line(tmp_path, monkeypatch,
     assert captured.out == cold
     # the lines before the bad bytes are read; the rest is computed, and the
     # cache is dropped, so not appended to
-    assert computed == [(n,) for n in range(1501, 2001)]
+    assert computed == params[1500:]
     assert captured.err == (
         "warning: cache read failed ('utf-8' codec can't decode byte 0xff in position 5: "
         "invalid start byte); sweep continues\n"
@@ -1237,14 +1375,17 @@ def test_a_warm_sweep_with_cache_gaps_prints_the_cold_output(
     assert capsys.readouterr().out == cold
     lines = cache.read_text().splitlines(keepends=True)
     cache.write_text("".join(line for i, line in enumerate(lines) if i % 5))
-    gaps = [(i // search._CHUNK, tuple(json.loads(lines[i])["params"]))
-            for i in range(0, len(lines), 5)]
+    written = cache.read_bytes()
+    params = [tuple(json.loads(line)["params"]) for line in lines]
     per_tuple, batches = counting_evaluators(monkeypatch, family)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == cold
-    # one `evaluate_batch` per chunk, of that chunk's gaps; no tuple on its own
-    by_chunk = [[p for k, p in gaps if k == chunk] for chunk in range(gaps[-1][0] + 1)]
-    assert (per_tuple, batches) == ([], by_chunk)
+    # the first line is missing, so the second ends the prefix: one
+    # `evaluate_batch` per chunk, of the whole chunk, no tuple on its own,
+    # and nothing appended
+    chunks = [params[k : k + search._CHUNK] for k in range(0, len(params), search._CHUNK)]
+    assert (per_tuple, batches) == ([], chunks)
+    assert cache.read_bytes() == written
 
 
 def _window_params(family, lo, width):
