@@ -299,16 +299,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "classify":
-            code = _cmd_classify(args)
-        elif args.command == "search":
-            code = _cmd_search(args)
-        elif args.command == "perfect-plus-one":
-            code = _cmd_perfect_plus_one(args)
-        elif args.command == "verify":
-            code = _cmd_verify(args)
-        else:
-            raise UsageError(f"unknown command {args.command!r}")
+        commands = {"classify": _cmd_classify, "search": _cmd_search,
+                    "perfect-plus-one": _cmd_perfect_plus_one, "verify": _cmd_verify}
+        code = commands[args.command](args)  # argparse admits only these
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -14,48 +14,24 @@ columns by class and edge and only then yields it.  So a sweep holds about
 one chunk whatever its bounds, an interrupted sweep keeps every finished
 chunk, and a rerun with the same cache resumes after the rows the file
 holds.  The CLI writes each chunk's lines in one write; `run_sweep` gives
-the same rows as `SearchRecord`s.  A row costs about a microsecond of
-Python beside its arithmetic (two with a record per row).
+the same rows as `SearchRecord`s.
 
-Every family but gen-dihedral declares `evaluate_batch`, which evaluates
-a whole batch as columns, with no result tuple per row.  Cyclic, dihedral,
-dicyclic and affine take sigma of the window from the batch's first to its
-last parameter from one segmented sieve (`numtheory.divisor_sums`) and
-pick out the batch's rows, so a chunk costs one sieve; affine reads
-sigma(q - 1) there, and q as prime when sigma(q) = q + 1.  The affine
-sweep's q come from the stream
-`numtheory.prime_powers`, and the pq sweep tests p and q against one sieve
-of the primes up to max_q.  Zm factors each m of a batch once and forms D
-once per (m, n, order vector of r) from one table of sigma
-(`_zm_batch`).  Gen-dihedral is evaluated a tuple at a time.  Without a
+Every family but gen-dihedral evaluates a batch as columns
+(`Family.evaluate_batch`): cyclic, dihedral, dicyclic and affine from one
+segmented sieve of the batch's window, pq against one sieve of the primes
+up to max_q, zm once per (m, n, order vector of r) (`_zm_batch`).  Zm
+triples are listed by order vector too (`_zm_residues`), and each family's
+budget gate refuses a sweep before any tuple is evaluated.  Without a
 cache, a chunk's lines are encoded only for the rows it keeps.
 
-The cache file is a prefix checkpoint (`_Cache`), read forward in step
-with the enumeration: its valid lines are taken while each holds the next
-params the sweep asks for, and the first that does not ends the prefix;
-from there every tuple is evaluated and nothing is appended.  Where the file
-simply ends, the rows it lacks are appended.  Cyclic, dihedral, dicyclic
-and pq rows cost less to compute than their lines to decode
-(`Family.recompute`): their warm chunks are evaluated and encoded as cold
-ones and compared with the file's bytes, which are decoded only where they
-differ.  Affine, zm and gen-dihedral decode their prefix _BLOCK bytes at a
-time and print its lines as read: a block of canonical lines of the swept
-family in one pass (one regex scan, the integers converted a column at a
-time, every line class-checked), any other block line by line.
-
-ZM triples of each odd m (an even m has none) are enumerated by the order
-vector (d_p) of r, d_p the order of r mod each p^e || m: each vector's
-residues are powers of a primitive root mod p joined by CRT, so no residue
-of m is scanned, and only a fixed r takes a multiplicative order.
-`dedupe` keeps the least generator of each <r> there, before it is
-evaluated or cached.  The budget gate counts the triples, m by m, from
-the sizes of the vectors (prod phi(d_p), over phi(L) with `dedupe`), and
-stops one past the budget.
-The pq gate bounds the steps of the pq walk by (max_q - 1) * (1 + ln P),
-P = min(max_p, max_q - 1).  Gen-dihedral chains come one group order at a
-time from `families.iter_abelian_types`; they are counted first, so a sweep
-over the budget is refused before any chain is evaluated, and only one chunk
-of them is held.
+The cache file is a prefix checkpoint (`_Cache`): a warm sweep takes its
+valid lines while each holds the next params it asks for, evaluates the
+rest, and appends only where the file simply ends.  A valid line is one
+`_encode` writes (`_CANONICAL_LINE`), of a class its D and order give.
+Cyclic, dihedral, dicyclic and pq rows cost less to compute than their
+lines to decode (`Family.recompute`): a warm chunk is evaluated and
+compared with the file's bytes, decoded only where they differ.  Affine,
+zm and gen-dihedral decode their prefix and print its lines as read.
 
 Importing the module loads neither numpy nor the oracle: the family builders
 and `oracle_crosscheck` import `leinster.oracle` when first called.
@@ -64,7 +40,6 @@ and `oracle_crosscheck` import `leinster.oracle` when first called.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import re
@@ -115,11 +90,10 @@ _BLOCK = 1 << 14
 
 _KINDS = {kind.value: kind for kind in GroupKind}
 
-# The exact line `SearchRecord.to_json` writes when every string is printable
-# ASCII without '"' or '\' (so needs no escape) and every integer is in
-# canonical form (no leading zero, no -0).  A block of lines of this form
-# decodes without `json.loads` (`_decode_canonical`); `json.loads` would give
-# the same records.
+# The one line form a cache line is read in: the exact line `_encode` writes
+# when every string is printable ASCII without '"' or '\' (so needs no
+# escape), every integer in canonical form (no leading zero, no -0).  Every
+# family name, class and note a sweep writes is such a string.
 _CHARS = r"[ !#-\[\]-~]*"  # printable ASCII but '"' and '\'
 _INT = r"(?:0|-?[1-9][0-9]*)"
 # Anchored at line ends, so `findall` over a block of lines matches whole
@@ -145,7 +119,8 @@ class OracleMismatchError(Exception):
 
 @dataclass(frozen=True, init=False)
 class SearchRecord:
-    """One classified group instance as emitted by sweeps and classify."""
+    """One classified group instance as emitted by sweeps and classify: written
+    as one JSON line (`to_json`), never decoded from one (`_Cache` reads columns)."""
 
     # Slots, not a __dict__: a dict per record put 10 MB on the peak RSS of a
     # 50,000-record sweep.  `_json` is the encoded line, or None.
@@ -195,32 +170,6 @@ class SearchRecord:
             )
             _set_json(self, line)
         return line
-
-    @staticmethod
-    def from_json(line: str) -> "SearchRecord":
-        """Decode one cache line by `json.loads`; a field of the wrong type raises TypeError.
-
-        Numbers must be JSON integers (not floats, strings or booleans) and
-        notes a list of strings, so a mistyped line is rejected instead of
-        coerced into a different record.  An unknown class raises
-        ValueError.  The record keeps no line: `to_json` encodes it again.
-        """
-        obj = json.loads(line)
-        family, params, order, D = obj["family"], obj["params"], obj["order"], obj["D"]
-        notes, kind = obj["notes"], _KINDS.get(obj["class"])
-        if kind is None:
-            raise ValueError(f"unknown class {obj['class']!r}")
-        if not (
-            type(family) is str
-            and type(params) is list
-            and type(order) is int
-            and type(D) is int
-            and type(notes) is list
-            and all(type(x) is int for x in params)
-            and all(type(x) is str for x in notes)
-        ):
-            raise TypeError("a record field has the wrong JSON type")
-        return SearchRecord(family, tuple(params), order, D, kind, tuple(notes))
 
 
 _set_family, _set_params, _set_order, _set_D, _set_kind, _set_notes, _set_json = (
@@ -937,15 +886,16 @@ class _Cache:
     the sweep, and appended per chunk.
 
     The reader reads only the bytes the file held when it was opened, never
-    the chunks this sweep appends.  A line of another family is skipped by
-    its prefix, without a decode, and a corrupt or mistyped line, or one
-    whose class disagrees with its own D and order, is skipped with a
-    warning.  Every other line is taken only while it holds the next params
-    the sweep asks for: the first that does not ends the prefix (`take`),
-    and the reader reads and appends nothing more.  A line taken is trusted
-    as written.  A cache that cannot be read is dropped, reads and appends
-    alike, after one warning; one that cannot be written is no longer
-    appended to.
+    the chunks this sweep appends.  A blank line, or one with another
+    family's prefix, is skipped unread.  Any other line that is not one
+    `_encode` writes, or whose class disagrees with its own D and order, is
+    skipped with a warning (`_fault`); bytes that are not UTF-8 make their
+    line such a line.  Every other line is taken only while it holds the
+    next params the sweep asks for: the first that does not ends the prefix
+    (`take`), and the reader reads and appends nothing more.  A line taken
+    is trusted as written.  A cache that cannot be read is dropped, reads
+    and appends alike, after one warning; one that cannot be written is no
+    longer appended to.
     """
 
     def __init__(self, path: Path, name: str) -> None:
@@ -989,24 +939,43 @@ class _Cache:
             self._left = self._left - len(block) if block else 0  # b"": the file shrank
             self._buf += block
 
-    def match(self, lines: list[str]) -> bool:
-        """Whether the file's next bytes are `lines` as `append` writes them; if
-        so, they are passed.  Tried only with no decoded row waiting.  The
-        lines are ASCII (`_encode` escapes all else), and are compared _PIECE
-        at a time: bytes the size of a chunk cost more to allocate than to
-        compare."""
-        if self._next < len(self._rows.params):
-            return False
+    def match(self, lines: list[str], batch: list[tuple[int, ...]]) -> int:
+        """How many leading rows of a chunk (`lines`, of params `batch`) the
+        prefix holds; they are passed.  Lines are passed while they equal
+        the file's (`_equal`); where they differ, the file's next row is
+        taken if it holds the same params (`take` of one row, which decodes
+        a block if no row waits), and the comparison goes on after it."""
+        done = 0
+        while done < len(lines):
+            done += self._equal(lines[done:])
+            if done == len(lines) or not self.take(batch[done : done + 1]).params:
+                break
+            done += 1
+        return done
+
+    def _equal(self, lines: list[str]) -> int:
+        """The number of leading `lines` equal to the file's next lines, which
+        are passed: the decoded rows waiting, by their lines (as read, so
+        canonical), then the bytes as `append` writes them, _PIECE lines at
+        a time (bytes the size of a chunk cost more to allocate than to
+        compare).  The lines are ASCII: `_encode` escapes all else."""
+        waiting = self._rows.lines[self._next :]
+        done = len(os.path.commonprefix([waiting, lines]))  # of any two lists
+        self._next += done
+        if done < len(waiting):
+            return done
+        lines = lines[done:]
         self._read(sum(map(len, lines)) + len(lines) - len(self._buf))
-        start = 0
-        for i in range(0, len(lines), _PIECE):
-            data = _joined(lines[i : i + _PIECE])
+        start = passed = 0
+        for piece in (lines[i : i + _PIECE] for i in range(0, len(lines), _PIECE)):
+            data = _joined(piece)
             if not self._buf.startswith(data, start):
-                return False
+                break
             start += len(data)
+            passed += len(piece)
         self._buf = self._buf[start:]
-        self._lineno += len(lines)
-        return True
+        self._lineno += passed
+        return done + passed
 
     def take(self, batch: list[tuple[int, ...]]) -> Chunk:
         """The rows of the prefix for the leading params of `batch`, decoded a
@@ -1029,56 +998,40 @@ class _Cache:
         return Chunk(self._name, *(column[:size] for column in columns))
 
     def _block(self) -> Chunk:
-        """The valid rows on the next whole lines read, _BLOCK bytes or more, or
-        the rest of the file: of canonical lines of this family alone in one
-        pass (`_decode_canonical`), of any others line by line.  Bytes that
-        are not UTF-8 fail the read at the line that holds them."""
+        """The valid rows on the next whole lines, up to _BLOCK bytes (or one
+        longer line), or the rest of the file: of canonical lines of this
+        family alone in one pass (`_decode_canonical`), of any others line
+        by line (`_decode_lines`).  Bytes that are not UTF-8 are read as
+        U+FFFD, which no cache line holds."""
         self._read(_BLOCK - len(self._buf))
         while self._left and b"\n" not in self._buf:  # a line longer than the bytes read
             self._read(_BLOCK)
-        cut = self._buf.rfind(b"\n") + 1 if self._left else len(self._buf)
-        data, self._buf, bad = self._buf[:cut], self._buf[cut:], None
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:  # reported as the line alone fails
-            good = data.rfind(b"\n", 0, exc.start) + 1
-            text = data[:good].decode("utf-8")
-            bad = UnicodeDecodeError(
-                exc.encoding, data[good:], exc.start - good, exc.end - good, exc.reason
-            )
+        buf = self._buf
+        cut = len(buf)
+        if self._left or cut > _BLOCK:
+            cut = buf.rfind(b"\n", 0, _BLOCK) + 1 or buf.find(b"\n") + 1 or cut
+        text, self._buf = buf[:cut].decode("utf-8", "replace"), buf[cut:]
         lines = text.split("\n")
         if not lines[-1]:
             lines.pop()  # the text ends with a newline, or is empty
         rows = _decode_canonical(self._name, text, lines) or self._decode_lines(lines)
         self._lineno += len(lines)
-        if bad is not None:
-            self._stop(bad)
         return rows
 
     def _decode_lines(self, lines: list[str]) -> Chunk:
         """The valid rows of this family on `lines`, the lines after line
-        `_lineno`, each decoded and checked as the class docstring says.  A
-        row keeps the line `to_json` writes, not the line read."""
+        `_lineno`, checked one at a time as the class docstring says."""
         own = f'{{"family": {_json_str(self._name)}, '
-        rows = []
+        valid = []
         for lineno, line in enumerate(lines, self._lineno + 1):
-            line = line.strip()
-            if not line or (not line.startswith(own) and _ANY_FAMILY_PREFIX.match(line)):
+            if not line.strip() or (not line.startswith(own) and _ANY_FAMILY_PREFIX.match(line)):
                 continue
-            try:
-                record = SearchRecord.from_json(line)
-                if record.kind is not families.classify_kind(record.D, record.order):
-                    raise ValueError(
-                        f"class {record.kind.value!r} disagrees with "
-                        f"D = {record.D} and order {record.order}"
-                    )
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                print(f"warning: skipping corrupt cache line {lineno}: {exc}", file=sys.stderr)
-                continue
-            if record.family == self._name:
-                rows.append((record.params, record.order, record.D, record.kind, record.notes,
-                             record.to_json()))
-        return Chunk(self._name, *([list(column) for column in zip(*rows)] or [[] for _ in range(6)]))
+            fault = _fault(line)
+            if fault is None:
+                valid.append(line)
+            else:
+                print(f"warning: skipping corrupt cache line {lineno}: {fault}", file=sys.stderr)
+        return _decode_canonical(self._name, "\n".join(valid), valid)
 
     def append(self, lines: list[str]) -> None:
         """Append one finished chunk's lines; stop appending (after a warning) on failure.
@@ -1107,17 +1060,34 @@ def _joined(lines: list[str]) -> bytes:
     return "\n".join(lines + [""]).encode("utf-8")
 
 
+def _fault(line: str) -> str | None:
+    """Why `line` is not a cache line, or None: a cache line is one `_encode`
+    writes, of a known class, with D and order of at least 1 that give it."""
+    match = _CANONICAL_LINE.fullmatch(line)
+    if match is None or match[5] not in _KINDS:
+        return "not a line a sweep writes"
+    try:
+        order, D, value = int(match[3]), int(match[4]), match[5]
+        if _KINDS[value] is not families.classify_kind(D, order):
+            return f"class {value!r} disagrees with D = {D} and order {order}"
+    except ValueError as exc:  # D or order below 1, or more digits than int() takes
+        return str(exc)
+    return None
+
+
 def _decode_canonical(family: str, text: str, lines: list[str]) -> Chunk | None:
     """The rows of `lines`, decoded together when each is a canonical line of `family`.
 
     None when any line is not one, names an unknown class, or has a class
     that disagrees with its D and order: the caller then reads the lines one
-    by one, as `SearchRecord.from_json` would.  The rows are those
-    `from_json` gives, and keep their lines.
+    by one (`_Cache._decode_lines`).  The rows keep their lines.  No lines
+    give no rows.
     """
     rows = _CANONICAL_LINE.findall(text)
-    if not lines or len(rows) != len(lines):
+    if len(rows) != len(lines):
         return None
+    if not lines:
+        return Chunk(family, [], [], [], [], [], [])
     names, params, orders, Ds, kinds, notes = zip(*rows)
     kinds = list(map(_KINDS.get, kinds))
     if names.count(family) != len(lines) or None in kinds:
@@ -1163,10 +1133,10 @@ def sweep_chunks(cfg: SweepConfig) -> Iterator[Chunk]:
     """Yield the kept rows of every valid tuple in bounds, a chunk at a time, sorted by params.
 
     Per chunk of _CHUNK tuples, with a cache: a recompute family evaluates
-    the chunk and passes it in the file, as bytes (`_Cache.match`) or else
-    as rows (`_Cache.take`); any other family takes its rows of the prefix
-    and evaluates the rest.  The rows past the file's end are appended to
-    it.  The filters then run on the chunk's columns, and the chunk is
+    the chunk and passes it in the file, as bytes where they agree and as
+    rows where they differ (`_Cache.match`); any other family takes its
+    rows of the prefix and evaluates the rest.  The rows past the file's
+    end are appended to it.  The filters then run on the chunk's columns, and the chunk is
     yielded however few rows it keeps.
     """
     family = FAMILY[cfg.family]
@@ -1184,8 +1154,7 @@ def sweep_chunks(cfg: SweepConfig) -> Iterator[Chunk]:
                 chunk = _evaluate_batch(cfg.family, batch)
             elif family.recompute:
                 chunk = _with_lines(_evaluate_batch(cfg.family, batch))
-                if not cache.match(chunk.lines):
-                    cache.append(chunk.lines[len(cache.take(batch).params) :])
+                cache.append(chunk.lines[cache.match(chunk.lines, batch) :])
             else:
                 chunk = cache.take(batch)
                 taken = len(chunk.params)

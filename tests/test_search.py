@@ -177,12 +177,6 @@ CORRUPT_CYCLIC_6 = [
 ]
 
 
-@pytest.mark.parametrize("line", CORRUPT_CYCLIC_6)
-def test_from_json_rejects_mistyped_fields(line):
-    with pytest.raises(TypeError):
-        SearchRecord.from_json(line)
-
-
 def test_mistyped_cache_lines_are_skipped_and_recomputed(tmp_path, capsys):
     cache = tmp_path / "cache.jsonl"
     cache.write_text("\n".join(CORRUPT_CYCLIC_6) + "\n")
@@ -192,9 +186,10 @@ def test_mistyped_cache_lines_are_skipped_and_recomputed(tmp_path, capsys):
     assert next(r for r in records if r.params == (6,)).D == 12
 
 
-# cache lines to skip that the decoder's type checks alone do not reject
+# cache lines to skip: not in the form a sweep writes, or in it with a
+# class that D and order do not give
 CORRUPT_CACHE_LINES = {
-    # json.loads raises RecursionError, not ValueError
+    # deeper than a recursive JSON parser goes
     "nested-too-deep": "[" * 100_000,
     # well typed, but D = 12 = 2 * 6 makes C6 Leinster
     "class-disagrees-with-D": (
@@ -281,16 +276,14 @@ def test_unwritable_cache_warns_once_and_the_sweep_goes_on(tmp_path, capsys):
 def test_unreadable_cache_warns_once_and_the_sweep_goes_on(tmp_path, capsys):
     assert cli.main(["search", "cyclic", "--max-n", "5"]) == 0
     expected = capsys.readouterr().out
-    not_utf8 = tmp_path / "cache.jsonl"
-    not_utf8.write_bytes(b"\xff\xfe\n")
-    for cache in (tmp_path, not_utf8):  # a directory, then a file that is not UTF-8
-        argv = ["search", "cyclic", "--max-n", "5", "--cache", str(cache)]
-        assert cli.main(argv) == 0
-        captured = capsys.readouterr()
-        assert captured.out == expected
-        assert captured.err.count("cache read failed") == 1
-        assert "cache write failed" not in captured.err
-    assert not_utf8.read_bytes() == b"\xff\xfe\n"
+    # a directory: bytes that are not UTF-8 are a corrupt line, not a failed
+    # read (test_cache_bytes_not_utf8_fail_the_read_at_their_line)
+    argv = ["search", "cyclic", "--max-n", "5", "--cache", str(tmp_path)]
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err.count("cache read failed") == 1
+    assert "cache write failed" not in captured.err
 
 
 def test_interrupted_sweep_resumes_from_its_cache(tmp_path, monkeypatch, capsys):
@@ -372,19 +365,17 @@ def test_other_families_cache_lines_are_skipped_without_a_decode(tmp_path, monke
     cold = capsys.readouterr().out
 
     decoded = []
-    from_json = SearchRecord.from_json
+    fault = search._fault
 
     def counting(line):
         decoded.append(line)
-        return from_json(line)
+        return fault(line)
 
-    monkeypatch.setattr(SearchRecord, "from_json", staticmethod(counting))
+    monkeypatch.setattr(search, "_fault", counting)
     assert cli.main(argv + ["--cache", str(cache)]) == 0
     captured = capsys.readouterr()
     assert captured.out == cold
-    assert captured.err == (
-        "warning: skipping corrupt cache line 21: Expecting value: line 1 column 1 (char 0)\n"
-    )
+    assert captured.err == "warning: skipping corrupt cache line 21: not a line a sweep writes\n"
     assert decoded == [line for line in mixed if not line.startswith('{"family": "cyclic", ')]
     assert cache.read_text() == "\n".join(mixed) + "\n"
 
@@ -410,7 +401,7 @@ def affine_cache(tmp_path, max_q):
 def edited(line):
     """An affine cache line with D = 10**6, well formed and self-consistent, so
     taken as written by a sweep that decodes it."""
-    record = SearchRecord.from_json(line)
+    (record,) = search._decode_canonical("affine", line, [line]).records()
     D = 10**6
     return dataclasses.replace(record, D=D, kind=families.classify_kind(D, record.order)).to_json()
 
@@ -524,6 +515,42 @@ RESUMED_SWEEPS = {
 }
 
 
+# small sweeps of every family, and of zm with each option that changes its
+# enumeration
+COLD_SWEEPS = [
+    dict(family="cyclic", bounds={"max_n": 300}),
+    dict(family="dihedral", bounds={"max_n": 300}),
+    dict(family="dicyclic", bounds={"min_n": 2, "max_n": 300}),
+    dict(family="affine", bounds={"max_q": 2000}),
+    dict(family="pq", bounds={"max_q": 500}),
+    dict(family="gen-dihedral", bounds={"max_a": 64}),
+    dict(family="zm", bounds={"max_m": 40, "max_n": 12}),
+    dict(family="zm", bounds={"max_m": 40, "max_n": 12}, dedupe=True),
+    dict(family="zm", bounds={"max_m": 40, "max_n": 12}, fixed_r=2),
+    dict(family="zm", bounds={"max_m": 200}, paper_mode=True),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    COLD_SWEEPS,
+    ids=["cyclic", "dihedral", "dicyclic", "affine", "pq", "gen-dihedral",
+         "zm", "zm-dedupe", "zm-r", "zm-paper-mode"],
+)
+def test_no_family_writes_a_cache_line_its_reader_rejects(cfg, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    chunks = list(search.sweep_chunks(SweepConfig(**cfg, include_edge=True, cache_path=cache)))
+    text = cache.read_text()
+    lines = text.splitlines()
+    assert len(lines) > 10
+    assert all(search._CANONICAL_LINE.fullmatch(line) for line in lines)
+    decoded = search._decode_canonical(cfg["family"], text, lines)
+    columns = zip(*(chunk.columns() for chunk in chunks))
+    assert [list(column) for column in decoded.columns()] == [
+        [row for part in column for row in part] for column in columns
+    ]
+
+
 @pytest.mark.parametrize("family", search.FAMILIES)
 def test_every_cache_a_sweep_resumes_gives_the_uncached_output_and_the_cold_bytes(
     family, tmp_path, capsys
@@ -587,6 +614,28 @@ def test_a_recompute_family_prints_the_recomputed_d_of_an_edited_line(tmp_path, 
         assert cli.main(argv + extra + ["--cache", str(cache)]) == 0
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (expected, "")
+    assert cache.read_text() == edited_cache
+
+
+def test_an_edited_line_of_a_recompute_family_decodes_one_block(tmp_path, monkeypatch, capsys):
+    # the chunk's bytes differ at C6's line: one block is decoded from there,
+    # its rows are compared with the chunk's lines, and the rest of the file
+    # is compared as bytes again, in this chunk and every later one
+    argv = ["search", "cyclic", "--max-n", "50000", "--include-edge"]
+    cache = tmp_path / "cache.jsonl"
+    assert cli.main(argv + ["--cache", str(cache)]) == 0
+    cold = capsys.readouterr().out
+    edited_line = C6_LINE.replace('12, "class": "leinster"', '13, "class": "quasi-leinster"')
+    edited_cache = cold.replace(C6_LINE, edited_line)
+    assert edited_cache != cold
+    cache.write_text(edited_cache)
+    decode, decoded = search._decode_canonical, []
+    monkeypatch.setattr(
+        search, "_decode_canonical", lambda *args: decoded.append(args) or decode(*args)
+    )
+    assert cli.main(argv + ["--cache", str(cache)]) == 0
+    assert capsys.readouterr() == (cold, "")
+    assert 1 <= len(decoded) <= 2
     assert cache.read_text() == edited_cache
 
 
@@ -727,7 +776,6 @@ def test_to_json_equals_json_dumps(family, params, order, D, kind, notes):
     )
     assert record.to_json() == line
     assert record.to_json() is record.to_json()  # encoded once
-    assert SearchRecord.from_json(line) == record
 
 
 @given(
@@ -769,29 +817,6 @@ TRICKY = st.lists(
 edge_ints = st.sampled_from([0, -1, 1, 2**80, -(2**80)]) | huge_ints
 
 
-@example(family="cyclic", params=[6], order=6, D=12, kind=GroupKind.LEINSTER, notes=["a, b"])
-@example(family='a", "b', params=[0, -1], order=2**80, D=0, kind=GroupKind.ABUNDANT, notes=[])
-@given(
-    family=PLAIN | TRICKY | st.sampled_from(search.FAMILIES),
-    params=st.lists(edge_ints, max_size=4),
-    order=edge_ints,
-    D=edge_ints,
-    kind=st.sampled_from(list(GroupKind)),
-    notes=st.lists(PLAIN | TRICKY | st.text(max_size=6), max_size=4),
-)
-def test_from_json_agrees_with_json_loads(family, params, order, D, kind, notes):
-    line = SearchRecord(family, tuple(params), order, D, kind, tuple(notes)).to_json()
-    obj = json.loads(line)
-    expected = SearchRecord(
-        obj["family"], tuple(obj["params"]), obj["order"], obj["D"],
-        search._KINDS[obj["class"]], tuple(obj["notes"]),
-    )
-    decoded = SearchRecord.from_json(line)
-    assert decoded == expected
-    assert (decoded.family, decoded.notes) == (family, tuple(notes))
-    assert decoded.to_json() == line
-
-
 C6 = SearchRecord("cyclic", (6,), 6, 12, GroupKind.LEINSTER)
 C6_LINE = C6.to_json()
 
@@ -799,7 +824,7 @@ C6_LINE = C6.to_json()
 @pytest.mark.parametrize(
     "line, expected",
     [
-        # -0 is a JSON integer; it decodes to 0 and re-encodes as 0
+        # -0 is a JSON integer, but not one a sweep writes
         (C6_LINE.replace("[6]", "[-0]"), dataclasses.replace(C6, params=(0,))),
         (C6_LINE.replace('"order": 6', '"order": -0'), dataclasses.replace(C6, order=0)),
         # a leading zero is not JSON
@@ -817,14 +842,27 @@ C6_LINE = C6.to_json()
     ids=["minus-zero-param", "minus-zero-order", "leading-zeros", "leading-zero-D", "no-spaces",
          "reordered-keys", "unknown-class", "class-case"],
 )
-def test_noncanonical_lines_decode_as_json_loads_does(line, expected):
+def test_noncanonical_lines_decode_as_json_loads_does(line, expected, tmp_path, capsys):
+    # json.loads reads some of these lines as a record (`expected`), and
+    # the rest as no JSON or no class; the cache reader takes none of them:
+    # each is a corrupt line, warned and recomputed
     if expected is ValueError:
-        with pytest.raises(ValueError):
-            SearchRecord.from_json(line)
-        return
-    decoded = SearchRecord.from_json(line)
-    assert decoded == expected
-    assert decoded.to_json() == expected.to_json() != line
+        with pytest.raises((ValueError, KeyError)):
+            search._KINDS[json.loads(line)["class"]]
+    else:
+        assert json.loads(line) == json.loads(expected.to_json())
+    assert search._fault(line) is not None
+    argv = ["search", "cyclic", "--max-n", "8", "--include-edge"]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(line + "\n")
+    assert cli.main(argv + ["--cache", str(cache)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold
+    assert captured.err.startswith("warning: skipping corrupt cache line 1: ")
+    assert captured.err.count("\n") == 1
+    assert cache.read_text() == line + "\n" + cold
 
 
 # the old form of the canonical-line pattern: each list an optional repeat
@@ -921,31 +959,45 @@ def test_cache_read_in_blocks_skips_and_recomputes_as_line_by_line(tmp_path, cap
     corrupt = lines[9000].replace('"class": "deficient"', '"class": "abundant"')
     assert corrupt != lines[9000]
     cached = list(lines)
-    cached[3000] = lines[3000].replace(": ", ":")  # decoded by json.loads
-    cached[5999] = "  " + lines[5999] + "\r"  # stripped, then decoded
-    cached[9000] = corrupt  # n = 9001, a prime: skipped with a warning
+    cached[3000] = lines[3000].replace(": ", ":")  # JSON, not the form a sweep writes
+    cached[5999] = "  " + lines[5999] + "\r"  # nor is this
+    cached[9000] = corrupt  # n = 9001, a prime
     cache = tmp_path / "cache.jsonl"
     cache.write_text("\n".join(cached) + "\n")
     assert cli.main(argv + ["--cache", str(cache)]) == 0
     captured = capsys.readouterr()
     assert captured.out == cold
+    assert captured.err == "warning: skipping corrupt cache line 3001: not a line a sweep writes\n"
+    # the line for n = 3002 then ends the prefix: nothing more is read, and
+    # nothing is appended
+    assert cache.read_bytes().decode().split("\n") == cached + [""]
+    # each is a corrupt line on its own, warned and skipped, and the prefix
+    # goes on past it
+    cache.write_text("\n".join([*lines[:3000], cached[3000], *lines[3000:5999], cached[5999],
+                                *lines[5999:9000], corrupt, *lines[9000:]]) + "\n")
+    written = cache.read_bytes()
+    assert cli.main(argv + ["--cache", str(cache)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold
     assert captured.err == (
-        "warning: skipping corrupt cache line 9001: class 'abundant' disagrees with "
+        "warning: skipping corrupt cache line 3001: not a line a sweep writes\n"
+        "warning: skipping corrupt cache line 6001: not a line a sweep writes\n"
+        "warning: skipping corrupt cache line 9003: class 'abundant' disagrees with "
         "D = 9002 and order 9001\n"
     )
-    # the line for n = 9002 then ends the prefix: nothing is appended
-    assert cache.read_bytes().decode().split("\n") == cached + [""]
+    assert cache.read_bytes() == written
 
 
 def test_cache_bytes_not_utf8_fail_the_read_at_their_line(tmp_path, monkeypatch, capsys):
-    # affine decodes its cache, so the rows before the bad bytes are taken
+    # affine decodes its cache: the bad bytes make their line a corrupt one,
+    # and every row around it is taken
     argv = ["search", "affine", "--max-q", "20000"]
     assert cli.main(argv) == 0
     cold = capsys.readouterr().out
     lines = [line.encode() for line in cold.splitlines()]
-    params = [tuple(json.loads(line)["params"]) for line in lines]
+    bad = [b'{"fam\xffily"', lines[1500].replace(b'"notes": [', b'"notes": ["\xff\xfe"')]
     cache = tmp_path / "cache.jsonl"
-    data = b"\n".join(lines[:1500] + [b'{"fam\xffily"'] + lines[1500:]) + b"\n"
+    data = b"\n".join(lines[:1500] + bad + lines[1500:]) + b"\n"
     cache.write_bytes(data)
     evaluate_batch = search._evaluate_batch
     computed = []
@@ -958,18 +1010,16 @@ def test_cache_bytes_not_utf8_fail_the_read_at_their_line(tmp_path, monkeypatch,
     assert cli.main(argv + ["--cache", str(cache)]) == 0
     captured = capsys.readouterr()
     assert captured.out == cold
-    # the lines before the bad bytes are read; the rest is computed, and the
-    # cache is dropped, so not appended to
-    assert computed == params[1500:]
+    assert computed == []
     assert captured.err == (
-        "warning: cache read failed ('utf-8' codec can't decode byte 0xff in position 5: "
-        "invalid start byte); sweep continues\n"
+        "warning: skipping corrupt cache line 1501: not a line a sweep writes\n"
+        "warning: skipping corrupt cache line 1502: not a line a sweep writes\n"
     )
     assert cache.read_bytes() == data
 
 
 def test_record_stays_a_frozen_picklable_dataclass():
-    record = SearchRecord.from_json(C6_LINE)
+    record = SearchRecord("cyclic", (6,), 6, 12, GroupKind.LEINSTER)
     assert [f.name for f in dataclasses.fields(SearchRecord)] == [
         "family", "params", "order", "D", "kind", "notes"
     ]
@@ -1468,7 +1518,8 @@ def test_classify_verify_skips_oversized_oracle():
 
 def test_record_json_roundtrip():
     record = search.run_classify("affine", [2])
-    assert SearchRecord.from_json(record.to_json()) == record
+    line = record.to_json()
+    assert search._decode_canonical("affine", line, [line]).records() == [record]
 
 
 def test_cli_classify_json(capsys):

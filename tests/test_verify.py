@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import math
 
@@ -284,6 +285,28 @@ def test_a_wrong_pq_formula_fails_only_family_formula_agreement(monkeypatch):
             "family-formula-agreement", False, 26, "G(2,3): oracle D = 10 != formula 11"
         )
     ]
+    assert len(results) - len(failed) == 10
+
+
+@pytest.mark.parametrize(
+    "family, detail",
+    [("pq", "G(2,3): oracle D = 10 != swept formula 11"),
+     ("dihedral", "D2: oracle D = 3 != swept formula 4")],
+    ids=["pq", "dihedral"],
+)
+def test_a_wrong_batch_formula_fails_only_family_formula_agreement(monkeypatch, family, detail):
+    # `evaluate` is right, and `evaluate_batch`, which gives the D a sweep
+    # prints, is one more
+    record = FAMILY[family]
+
+    def one_more(batch):
+        orders, Ds, notes = record.evaluate_batch(batch)
+        return orders, [D + 1 for D in Ds], notes
+
+    monkeypatch.setitem(FAMILY, family, dataclasses.replace(record, evaluate_batch=one_more))
+    results = verify.run_verify(24)
+    failed = [r for r in results if not r.passed]
+    assert [(r.name, r.detail) for r in failed] == [("family-formula-agreement", detail)]
     assert len(results) - len(failed) == 10
 
 
