@@ -43,15 +43,9 @@ EXIT_RESOURCE = 4
 EXIT_INTERRUPTED = 130
 EXIT_BROKEN_PIPE = 141
 
-_CLASS_ALIASES = {
-    "leinster": GroupKind.LEINSTER,
-    "quasi": GroupKind.QUASI_LEINSTER,
-    "quasi-leinster": GroupKind.QUASI_LEINSTER,
-    "almost": GroupKind.ALMOST_LEINSTER,
-    "almost-leinster": GroupKind.ALMOST_LEINSTER,
-    "abundant": GroupKind.ABUNDANT,
-    "deficient": GroupKind.DEFICIENT,
-}
+# every class by its value, and the two near classes by their first word
+_CLASS_ALIASES = {kind.value: kind for kind in GroupKind}
+_CLASS_ALIASES.update(quasi=GroupKind.QUASI_LEINSTER, almost=GroupKind.ALMOST_LEINSTER)
 
 
 # every sweep bound a family declares, in order of first declaration

@@ -14,7 +14,7 @@ columns by class and edge and only then yields it.  So a sweep holds about
 one chunk whatever its bounds, an interrupted sweep keeps every finished
 chunk, and a rerun with the same cache resumes after the rows the file
 holds.  The CLI writes each chunk's lines in one write; `run_sweep` gives
-the same rows as `SearchRecord`s.
+the same rows as `SearchRecord`s, which keep no line.
 
 Every family but gen-dihedral evaluates a batch as columns
 (`Family.evaluate_batch`): cyclic, dihedral, dicyclic and affine from one
@@ -44,13 +44,12 @@ import math
 import os
 import re
 import sys
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain, compress, groupby, islice, product, repeat
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import add, and_, floordiv, itemgetter, mul, sub
+from operator import add, and_, floordiv, itemgetter, mul
 from pathlib import Path
 
 from . import families, numtheory
@@ -117,14 +116,13 @@ class OracleMismatchError(Exception):
     """A formula value disagreed with the brute-force oracle."""
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class SearchRecord:
     """One classified group instance as emitted by sweeps and classify: written
     as one JSON line (`to_json`), never decoded from one (`_Cache` reads columns)."""
 
     # Slots, not a __dict__: a dict per record put 10 MB on the peak RSS of a
-    # 50,000-record sweep.  `_json` is the encoded line, or None.
-    __slots__ = ("family", "params", "order", "D", "kind", "notes", "_json")
+    # 50,000-record sweep.
 
     family: str
     params: tuple[int, ...]
@@ -142,37 +140,29 @@ class SearchRecord:
         kind: GroupKind,
         notes: tuple[str, ...] = (),
     ) -> None:
-        # the slots' own setters: the frozen __setattr__ refuses assignment,
-        # and object.__setattr__ per field costs twice as much
+        # the slots' own setters: the frozen __setattr__ refuses assignment, and
+        # object.__setattr__ per field, as a generated frozen __init__ does, costs more
         _set_family(self, family)
         _set_params(self, params)
         _set_order(self, order)
         _set_D(self, D)
         _set_kind(self, kind)
         _set_notes(self, notes)
-        _set_json(self, None)
 
     def __reduce__(self):
-        # pickle's default restore of slots would go through the frozen
-        # __setattr__; the line is not sent, it is cheap to encode again
+        # rebuilt by the constructor: how pickle's default restores a frozen
+        # slots dataclass changed between Python 3.10 patch levels
         return SearchRecord, (self.family, self.params, self.order, self.D, self.kind, self.notes)
 
     def to_json(self) -> str:
-        """The record as one JSON line, byte-identical to `json.dumps` of its dict.
-
-        The line is encoded once, by `_encode`, and kept; a record of
-        `run_sweep` comes with the line of its chunk row.
-        """
-        line = self._json
-        if line is None:
-            (line,) = _encode(
-                self.family, (self.params,), (self.order,), (self.D,), (self.kind,), (self.notes,)
-            )
-            _set_json(self, line)
-        return line
+        """The record as one JSON line, byte-identical to `json.dumps` of its dict,
+        encoded by `_encode` on each call."""
+        return _encode(
+            self.family, (self.params,), (self.order,), (self.D,), (self.kind,), (self.notes,)
+        )[0]
 
 
-_set_family, _set_params, _set_order, _set_D, _set_kind, _set_notes, _set_json = (
+_set_family, _set_params, _set_order, _set_D, _set_kind, _set_notes = (
     SearchRecord.__dict__[name].__set__ for name in SearchRecord.__slots__
 )
 
@@ -198,11 +188,8 @@ class Chunk:
         return self.params, self.orders, self.Ds, self.kinds, self.notes, self.lines
 
     def records(self) -> list[SearchRecord]:
-        """The rows as records, each keeping its line."""
-        params, orders, Ds, kinds, notes, lines = self.columns()
-        records = list(map(SearchRecord, repeat(self.family), params, orders, Ds, kinds, notes))
-        deque(map(_set_json, records, lines), 0)
-        return records
+        """The rows as records; `lines` is not read."""
+        return list(map(SearchRecord, repeat(self.family), *self.columns()[:-1]))
 
 
 def _encode(family: str, params, orders, Ds, kinds, notes) -> list[str]:
@@ -816,32 +803,12 @@ FAMILY: dict[str, Family] = {
 FAMILIES = tuple(FAMILY)
 
 
-# the class of D - 2 * order where it names one; any other difference
-# is abundant above 0 and deficient below
-_NEAR = {0: GroupKind.LEINSTER, 1: GroupKind.QUASI_LEINSTER, -1: GroupKind.ALMOST_LEINSTER}
-_FAR = (GroupKind.DEFICIENT, GroupKind.ABUNDANT)
-
-
-def _kinds(Ds, orders) -> list[GroupKind]:
-    """`families.classify_kind` of each row, a column at a time.
-
-    D - 2 * order is formed by `map`, 0 and +-1 are looked up by `dict.get`
-    and the rest go by their sign: about 140 ns a row against 225 for
-    `classify_kind` per row, on a 4,096-row chunk on a shared 2-core host.  A D or order below 1 raises ValueError, as
-    `classify_kind` does.
-    """
-    if min(Ds, default=1) < 1 or min(orders, default=1) < 1:
-        raise ValueError("need D >= 1 and order >= 1")
-    near = _NEAR.get
-    return [near(x) or _FAR[x > 0] for x in map(sub, Ds, map(add, orders, orders))]
-
-
 def _classified(orders, Ds, notes) -> tuple[list[GroupKind], list | tuple]:
-    """The class column of evaluated rows, by `_kinds`, and their notes
-    column, a row of order 1 given the edge note."""
+    """The class column of evaluated rows, by `families.classify_kinds` (the
+    one class rule), and their notes column, a row of order 1 given the edge note."""
     if 1 in orders:
         notes = [n + (NOTE_EDGE,) if order == 1 else n for order, n in zip(orders, notes)]
-    return _kinds(Ds, orders), notes
+    return families.classify_kinds(Ds, orders), notes
 
 
 def _evaluate_batch(family: str, batch: list[tuple[int, ...]]) -> Chunk:
@@ -1098,7 +1065,7 @@ def _decode_canonical(family: str, text: str, lines: list[str]) -> Chunk | None:
             params = list(zip(map(int, params)))
         except ValueError:  # some row has other than one parameter
             params = [tuple(map(int, p.split(", "))) if p else () for p in params]
-        if _kinds(Ds, orders) != kinds:
+        if families.classify_kinds(Ds, orders) != kinds:
             return None
     except ValueError:  # D or order below 1, or more digits than int() takes
         return None
@@ -1169,8 +1136,8 @@ def sweep_chunks(cfg: SweepConfig) -> Iterator[Chunk]:
 def run_sweep(cfg: SweepConfig) -> Iterator[SearchRecord]:
     """Yield classified records for every valid tuple in bounds, sorted by params.
 
-    The records of `sweep_chunks`, a chunk's worth built at a time, each
-    keeping its line.
+    The records of `sweep_chunks`, a chunk's worth built at a time; a
+    record encodes its line again when asked (`to_json`).
     """
     for chunk in sweep_chunks(cfg):
         yield from chunk.records()

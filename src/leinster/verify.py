@@ -122,12 +122,20 @@ def _pairable(order: int, max_order: int) -> bool:
     return order * q <= max_order
 
 
+def _swept_mismatch(entry: CorpusEntry, got: int) -> str | None:
+    """The detail when the D a sweep prints for `entry` (its record's
+    `evaluate_batch` on a batch of one) is not the oracle's `got`, else None."""
+    family = FAMILY[entry.family]
+    swept = got if family.evaluate_batch is None else family.evaluate_batch([entry.params])[1][0]
+    return f"{entry.label}: oracle D = {got} != swept formula {swept}" if got != swept else None
+
+
 def _check_cyclic_dsum(entry: CorpusEntry, max_order: int) -> Outcomes:
     if entry.family != "cyclic":
         return
     got = oracle.group_divisor_sum(entry.group)
     want = numtheory.divisor_sum(entry.params[0])
-    yield f"D({entry.label}) = {got} != {want}" if got != want else None
+    yield f"D({entry.label}) = {got} != {want}" if got != want else _swept_mismatch(entry, got)
 
 
 def _check_delta(entry: CorpusEntry, max_order: int) -> Outcomes:
@@ -211,7 +219,7 @@ def _check_zm_three_path(entry: CorpusEntry, max_order: int) -> Outcomes:
     if not formula == triple_sum == brute:
         yield f"{entry.label}: {formula} / {triple_sum} / {brute} disagree"
     else:
-        yield None
+        yield _swept_mismatch(entry, brute)
 
 
 def _check_noncyclic_dihedral(entry: CorpusEntry, max_order: int) -> Outcomes:
@@ -254,7 +262,7 @@ def _check_nilpotent_equivalence(entry: CorpusEntry, max_order: int) -> Outcomes
         yield None
 
 
-# cyclic and zm formulas are held to the oracle by invariants of their own
+# cyclic and zm D, per tuple and swept, are held to the oracle by invariants of their own
 _OWN_FORMULA_CHECK = frozenset({"cyclic", "zm"})
 
 
@@ -263,13 +271,11 @@ def _check_family_formulas(entry: CorpusEntry, max_order: int) -> Outcomes:
     if family is None or entry.family in _OWN_FORMULA_CHECK:
         return
     want = family.evaluate(entry.params)[1]
-    # a sweep prints the D of `evaluate_batch`, when the family has one
-    swept = want if family.evaluate_batch is None else family.evaluate_batch([entry.params])[1][0]
     got = oracle.group_divisor_sum(entry.group)
     if got != want:
         yield f"{entry.label}: oracle D = {got} != formula {want}"
     else:
-        yield f"{entry.label}: oracle D = {got} != swept formula {swept}" if got != swept else None
+        yield _swept_mismatch(entry, got)  # a sweep prints the D of `evaluate_batch`
 
 
 def _check_spot_values(entry: CorpusEntry, max_order: int) -> Outcomes:

@@ -8,6 +8,7 @@ from leinster import families as fam
 from leinster import numtheory as nt
 from leinster import oracle, search
 from leinster.families import GroupKind
+from class_reference import reference_kind
 from zm_reference import zm_canonical
 
 
@@ -436,6 +437,34 @@ def test_classify_kind_trichotomy(D, order):
         D < 2 * order,
     ]
     assert sum(others) == 1
+
+
+# rows with D within 2 of 2 * order, rows anywhere, and rows with D or order below 1
+NEAR_ROWS = st.integers(1, 2**70).flatmap(
+    lambda order: st.tuples(st.integers(2 * order - 2, 2 * order + 2), st.just(order))
+)
+ANY_ROWS = st.tuples(st.integers(1, 2**72), st.integers(1, 2**70))
+LOW_ROWS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(NEAR_ROWS | ANY_ROWS | LOW_ROWS, max_size=8), st.booleans())
+def test_classify_kinds_follows_the_comparison_chain(rows, as_tuples):
+    Ds, orders = [D for D, _ in rows], [order for _, order in rows]
+    if as_tuples:  # `_evaluate_batch` may pass tuple columns
+        Ds, orders = tuple(Ds), tuple(orders)
+    try:
+        want = [reference_kind(D, order) for D, order in rows]
+    except ValueError as exc:  # the first row with D or order below 1
+        with pytest.raises(ValueError) as column:
+            fam.classify_kinds(Ds, orders)
+        first = next(row for row in rows if min(row) < 1)
+        with pytest.raises(ValueError) as one:
+            fam.classify_kind(*first)
+        assert str(column.value) == str(one.value) == str(exc)
+    else:
+        assert fam.classify_kinds(Ds, orders) == want
+        assert [fam.classify_kind(D, order) for D, order in rows] == want
 
 
 def test_nilpotent_classify():

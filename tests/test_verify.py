@@ -310,6 +310,30 @@ def test_a_wrong_batch_formula_fails_only_family_formula_agreement(monkeypatch, 
     assert len(results) - len(failed) == 10
 
 
+@pytest.mark.parametrize(
+    "family, invariant, detail",
+    [("cyclic", "cyclic-group-divisor-sum", "C1: oracle D = 1 != swept formula 2"),
+     ("zm", "zm-three-path-agreement", "ZM(3,2,2): oracle D = 10 != swept formula 11")],
+    ids=["cyclic", "zm"],
+)
+def test_a_wrong_batch_formula_of_cyclic_or_zm_fails_only_its_own_invariant(
+    monkeypatch, family, invariant, detail
+):
+    # cyclic and zm skip family-formula-agreement: the invariant that holds
+    # their per-tuple formula to the oracle holds the D a sweep prints too
+    record = FAMILY[family]
+
+    def one_more(batch):
+        orders, Ds, notes = record.evaluate_batch(batch)
+        return orders, [D + 1 for D in Ds], notes
+
+    monkeypatch.setitem(FAMILY, family, dataclasses.replace(record, evaluate_batch=one_more))
+    results = verify.run_verify(60)
+    failed = [r for r in results if not r.passed]
+    assert failed == [verify.InvariantResult(invariant, False, 1, detail)]
+    assert len(results) - len(failed) == 10
+
+
 def test_a_wrong_zm_formula_fails_only_zm_three_path_agreement(monkeypatch):
     _one_more(monkeypatch, "zm_divisor_sum")
     results = verify.run_verify(24)
