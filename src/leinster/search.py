@@ -30,8 +30,9 @@ rest, and appends only where the file simply ends.  A valid line is one
 `_encode` writes (`_CANONICAL_LINE`), of a class its D and order give.
 Cyclic, dihedral, dicyclic and pq rows cost less to compute than their
 lines to decode (`Family.recompute`): a warm chunk is evaluated and
-compared with the file's bytes, decoded only where they differ.  Affine,
-zm and gen-dihedral decode their prefix and print its lines as read.
+compared with the file's bytes, a line decoded only where they differ.
+Affine, zm and gen-dihedral decode a chunk's lines of the prefix in one
+pass, and print them as read.
 
 Importing the module loads neither numpy nor the oracle: the family builders
 and `oracle_crosscheck` import `leinster.oracle` when first called.
@@ -45,7 +46,7 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from itertools import chain, compress, groupby, islice, product, repeat
 from json.encoder import encode_basestring_ascii as _json_str
@@ -81,11 +82,10 @@ DEFAULT_BUDGET = 10_000_000
 # tuples per evaluated chunk: the unit of cache appends, and so of resume
 _CHUNK = 4096
 
-# lines of a chunk compared with a cache file's bytes at a time
+# lines of a chunk compared with a cache file's bytes, or decoded from it, at a
+# time: a whole chunk's bytes cost more to allocate than to compare, and decode
+# slower (its rows outgrow the processor's caches)
 _PIECE = 256
-
-# bytes of a cache file read and decoded at a time: about 170 one-parameter lines
-_BLOCK = 1 << 14
 
 _KINDS = {kind.value: kind for kind in GroupKind}
 
@@ -116,7 +116,7 @@ class OracleMismatchError(Exception):
     """A formula value disagreed with the brute-force oracle."""
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class SearchRecord:
     """One classified group instance as emitted by sweeps and classify: written
     as one JSON line (`to_json`), never decoded from one (`_Cache` reads columns)."""
@@ -129,25 +129,7 @@ class SearchRecord:
     order: int
     D: int
     kind: GroupKind
-    notes: tuple[str, ...]
-
-    def __init__(
-        self,
-        family: str,
-        params: tuple[int, ...],
-        order: int,
-        D: int,
-        kind: GroupKind,
-        notes: tuple[str, ...] = (),
-    ) -> None:
-        # the slots' own setters: the frozen __setattr__ refuses assignment, and
-        # object.__setattr__ per field, as a generated frozen __init__ does, costs more
-        _set_family(self, family)
-        _set_params(self, params)
-        _set_order(self, order)
-        _set_D(self, D)
-        _set_kind(self, kind)
-        _set_notes(self, notes)
+    notes: tuple[str, ...] = ()
 
     def __reduce__(self):
         # rebuilt by the constructor: how pickle's default restores a frozen
@@ -160,11 +142,6 @@ class SearchRecord:
         return _encode(
             self.family, (self.params,), (self.order,), (self.D,), (self.kind,), (self.notes,)
         )[0]
-
-
-_set_family, _set_params, _set_order, _set_D, _set_kind, _set_notes = (
-    SearchRecord.__dict__[name].__set__ for name in SearchRecord.__slots__
-)
 
 
 class Chunk:
@@ -190,6 +167,11 @@ class Chunk:
     def records(self) -> list[SearchRecord]:
         """The rows as records; `lines` is not read."""
         return list(map(SearchRecord, repeat(self.family), *self.columns()[:-1]))
+
+    def extend(self, rows: Chunk) -> None:
+        """Append `rows`, of the same family, to this chunk, whose columns are lists."""
+        for column, new in zip(self.columns(), rows.columns()):
+            column += new
 
 
 def _encode(family: str, params, orders, Ds, kinds, notes) -> list[str]:
@@ -849,182 +831,138 @@ _ANY_FAMILY_PREFIX = re.compile(rf'{{"family": "{_CHARS}", ')
 
 
 class _Cache:
-    """A sweep's resume file, a prefix checkpoint: read forward in step with
-    the sweep, and appended per chunk.
+    """A sweep's resume file, a prefix checkpoint: walked in step with the
+    sweep a chunk at a time (`walk`), read only as far as it reached when
+    opened, holding no line between chunks, and appended per chunk.
 
-    The reader reads only the bytes the file held when it was opened, never
-    the chunks this sweep appends.  A blank line, or one with another
-    family's prefix, is skipped unread.  Any other line that is not one
-    `_encode` writes, or whose class disagrees with its own D and order, is
-    skipped with a warning (`_fault`); bytes that are not UTF-8 make their
-    line such a line.  Every other line is taken only while it holds the
-    next params the sweep asks for: the first that does not ends the prefix
-    (`take`), and the reader reads and appends nothing more.  A line taken
-    is trusted as written.  A cache that cannot be read is dropped, reads
-    and appends alike, after one warning; one that cannot be written is no
-    longer appended to.
+    Blank lines and other families' lines are skipped unread.  Any other
+    line that is not one `_encode` writes, of the class its own D and order
+    give, is skipped with a warning (`_fault`), bytes not UTF-8 included.
+    Every other line is taken, as written, only while it holds the next
+    params asked for: the first that does not ends the prefix, and nothing
+    more is read or appended.  A cache that cannot be read is dropped after
+    one warning; one that cannot be written is no longer appended to.
     """
 
     def __init__(self, path: Path, name: str) -> None:
         self.path: Path | None = path  # None once appends stop
         self._name = name
-        self._rows = Chunk(name, [], [], [], [], [], [])  # rows decoded, not yet taken
-        self._next = 0  # index in `_rows` of the first row not taken
-        self._buf = b""  # bytes read and not yet passed
+        self._own = f'{{"family": {_json_str(name)}, '
         self._lineno = 0  # lines passed
-        self._fh = None
-        self._left = 0  # bytes of the opening size not read yet
+        self._fh = None  # None once reads stop
+        self._end = 0  # the file's size when opened
         try:
             self._fh = path.open("rb")
-            self._left = os.fstat(self._fh.fileno()).st_size
+            self._end = os.fstat(self._fh.fileno()).st_size
         except FileNotFoundError:
             pass
         except OSError as exc:
-            self._stop(exc)
+            self.close(exc)
 
-    def __enter__(self) -> "_Cache":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop()
-
-    def _stop(self, failed: Exception | None = None) -> None:
-        """Read nothing more, and append nothing; warn of a read that `failed`."""
+    def close(self, failed: Exception | None = None, appending: bool = False) -> None:
+        """Stop reads, and appends unless `appending`; warn of a read that `failed`."""
         if failed is not None:
             print(f"warning: cache read failed ({failed}); sweep continues", file=sys.stderr)
         if self._fh is not None:
             self._fh.close()
-        self._fh, self._left, self._buf, self.path = None, 0, b"", None
+        self._fh, self.path = None, self.path if appending else None
 
-    def _read(self, size: int) -> None:
-        """Read up to `size` more of the bytes the file held when opened into `_buf`."""
-        if self._left and size > 0:
-            try:
-                block = self._fh.read(min(self._left, size))
-            except OSError as exc:
-                return self._stop(exc)
-            self._left = self._left - len(block) if block else 0  # b"": the file shrank
-            self._buf += block
+    def walk(self, batch: list[tuple[int, ...]], lines: list[str] | None) -> tuple[int, Chunk]:
+        """How many leading params of `batch` the prefix holds, passed, and
+        the rows decoded for them.  A recompute family compares its chunk's
+        `lines` with the file's bytes (`_compared`), any other decodes the
+        file's next lines in one regex pass (`_decoded`), _PIECE lines at a
+        time.  Where that fails, the next line is judged alone (`_judge`),
+        and the fast path resumes from one line, doubling: a file of many
+        faults costs linear time."""
+        taken, rows, size = 0, Chunk(self._name, [], [], [], [], [], []), _PIECE
+        try:
+            while taken < len(batch) and self._fh is not None:
+                ask = batch[taken : taken + size]
+                if lines is None:
+                    passed = self._decoded(ask, rows)
+                else:
+                    passed = self._compared(lines[taken : taken + size])
+                taken += passed
+                if passed == len(ask):
+                    size = min(2 * size, _PIECE)
+                elif (row := self._judge(batch[taken])) is not None:
+                    taken, size = taken + 1, 1
+                    rows.extend(row)
+        except OSError as exc:
+            self.close(exc)
+        return taken, rows
 
-    def match(self, lines: list[str], batch: list[tuple[int, ...]]) -> int:
-        """How many leading rows of a chunk (`lines`, of params `batch`) the
-        prefix holds; they are passed.  Lines are passed while they equal
-        the file's (`_equal`); where they differ, the file's next row is
-        taken if it holds the same params (`take` of one row, which decodes
-        a block if no row waits), and the comparison goes on after it."""
-        done = 0
-        while done < len(lines):
-            done += self._equal(lines[done:])
-            if done == len(lines) or not self.take(batch[done : done + 1]).params:
-                break
-            done += 1
+    def _compared(self, lines: list[str]) -> int:
+        """How many leading `lines` equal the file's next lines as bytes, passed
+        (`_encode` writes ASCII)."""
+        data = "\n".join(lines + [""]).encode()
+        start = self._fh.tell()
+        read = self._fh.read(min(len(data), self._end - start))
+        done = len(lines)
+        if read != data:
+            same = len(os.path.commonprefix([read, data]))
+            self._fh.seek(start + data.rfind(b"\n", 0, same) + 1)
+            done = data.count(b"\n", 0, same)
+        self._lineno += done
         return done
 
-    def _equal(self, lines: list[str]) -> int:
-        """The number of leading `lines` equal to the file's next lines, which
-        are passed: the decoded rows waiting, by their lines (as read, so
-        canonical), then the bytes as `append` writes them, _PIECE lines at
-        a time (bytes the size of a chunk cost more to allocate than to
-        compare).  The lines are ASCII: `_encode` escapes all else."""
-        waiting = self._rows.lines[self._next :]
-        done = len(os.path.commonprefix([waiting, lines]))  # of any two lists
-        self._next += done
-        if done < len(waiting):
-            return done
-        lines = lines[done:]
-        self._read(sum(map(len, lines)) + len(lines) - len(self._buf))
-        start = passed = 0
-        for piece in (lines[i : i + _PIECE] for i in range(0, len(lines), _PIECE)):
-            data = _joined(piece)
-            if not self._buf.startswith(data, start):
-                break
-            start += len(data)
-            passed += len(piece)
-        self._buf = self._buf[start:]
-        self._lineno += passed
-        return done + passed
-
-    def take(self, batch: list[tuple[int, ...]]) -> Chunk:
-        """The rows of the prefix for the leading params of `batch`, decoded a
-        block at a time: all of `batch` unless the file ends first, or a row
-        holds other params, which ends the prefix."""
-        columns = self._rows.columns()
-        for column in columns:
-            del column[: self._next]
-        params = columns[0]
-        while len(params) < len(batch) and (self._left or self._buf):
-            for column, new in zip(columns, self._block().columns()):
-                column += new
-        size = min(len(params), len(batch))
-        if params[:size] != batch[:size]:
-            size = next(i for i, (got, asked) in enumerate(zip(params, batch)) if got != asked)
-            self._stop()
-            for column in columns:
-                del column[size:]
-        self._next = size
-        return Chunk(self._name, *(column[:size] for column in columns))
-
-    def _block(self) -> Chunk:
-        """The valid rows on the next whole lines, up to _BLOCK bytes (or one
-        longer line), or the rest of the file: of canonical lines of this
-        family alone in one pass (`_decode_canonical`), of any others line
-        by line (`_decode_lines`).  Bytes that are not UTF-8 are read as
-        U+FFFD, which no cache line holds."""
-        self._read(_BLOCK - len(self._buf))
-        while self._left and b"\n" not in self._buf:  # a line longer than the bytes read
-            self._read(_BLOCK)
-        buf = self._buf
-        cut = len(buf)
-        if self._left or cut > _BLOCK:
-            cut = buf.rfind(b"\n", 0, _BLOCK) + 1 or buf.find(b"\n") + 1 or cut
-        text, self._buf = buf[:cut].decode("utf-8", "replace"), buf[cut:]
+    def _decoded(self, batch: list[tuple[int, ...]], rows: Chunk) -> int:
+        """How many of the file's next len(batch) lines (fewer where it ends)
+        are passed, their rows added to `rows`: all if they are canonical
+        lines of this family holding the params of `batch`, else none."""
+        start = self._fh.tell()
+        data = b"".join(islice(self._fh, len(batch)))[: self._end - start]
+        text = data.decode("utf-8", "replace")
         lines = text.split("\n")
         if not lines[-1]:
             lines.pop()  # the text ends with a newline, or is empty
-        rows = _decode_canonical(self._name, text, lines) or self._decode_lines(lines)
+        decoded = _decode_canonical(self._name, text, lines) if lines else None
+        if decoded is None or decoded.params != batch[: len(lines)]:
+            self._fh.seek(start)
+            return 0
+        self._fh.seek(start + len(data))
         self._lineno += len(lines)
-        return rows
+        rows.extend(decoded)
+        return len(lines)
 
-    def _decode_lines(self, lines: list[str]) -> Chunk:
-        """The valid rows of this family on `lines`, the lines after line
-        `_lineno`, checked one at a time as the class docstring says."""
-        own = f'{{"family": {_json_str(self._name)}, '
-        valid = []
-        for lineno, line in enumerate(lines, self._lineno + 1):
-            if not line.strip() or (not line.startswith(own) and _ANY_FAMILY_PREFIX.match(line)):
+    def _judge(self, params: tuple[int, ...]) -> Chunk | None:
+        """The row of the next line taken if it holds `params`, the lines
+        before it skipped as the class docstring says; else None, and reads
+        stop (at the file's end) or reads and appends (at other params)."""
+        while raw := self._fh.readline(self._end - self._fh.tell()):
+            self._lineno += 1
+            line = raw.decode("utf-8", "replace").removesuffix("\n")
+            other = not line.startswith(self._own) and _ANY_FAMILY_PREFIX.match(line)
+            if other or not line.strip():
                 continue
-            fault = _fault(line)
-            if fault is None:
-                valid.append(line)
+            row = _decode_canonical(self._name, line, [line])
+            if row is None:
+                fault = f"skipping corrupt cache line {self._lineno}: {_fault(line)}"
+                print(f"warning: {fault}", file=sys.stderr)
+            elif row.params == [params]:
+                return row
             else:
-                print(f"warning: skipping corrupt cache line {lineno}: {fault}", file=sys.stderr)
-        return _decode_canonical(self._name, "\n".join(valid), valid)
+                break
+        self.close(appending=not raw)
+        return None
 
     def append(self, lines: list[str]) -> None:
-        """Append one finished chunk's lines; stop appending (after a warning) on failure.
-
-        A file whose last line has no newline (a torn write) gets one first,
-        so the chunk's first line starts a line of its own.
-        """
+        """Append one finished chunk's lines; stop appending (after a warning) on failure."""
         if self.path is None or not lines:
             return
-        data = _joined(lines)
+        data = "\n".join(lines + [""]).encode()
         try:
             with self.path.open("a+b") as fh:
                 end = fh.seek(0, os.SEEK_END)
                 if end:
                     fh.seek(end - 1)
-                    if fh.read(1) != b"\n":
+                    if fh.read(1) != b"\n":  # a torn last line is ended first
                         data = b"\n" + data
                 fh.write(data)
         except OSError as exc:
             print(f"warning: cache write failed ({exc}); sweep continues", file=sys.stderr)
             self.path = None
-
-
-def _joined(lines: list[str]) -> bytes:
-    """The bytes of `lines` in a cache file, each ended by a newline."""
-    return "\n".join(lines + [""]).encode("utf-8")
 
 
 def _fault(line: str) -> str | None:
@@ -1043,18 +981,13 @@ def _fault(line: str) -> str | None:
 
 
 def _decode_canonical(family: str, text: str, lines: list[str]) -> Chunk | None:
-    """The rows of `lines`, decoded together when each is a canonical line of `family`.
-
-    None when any line is not one, names an unknown class, or has a class
-    that disagrees with its D and order: the caller then reads the lines one
-    by one (`_Cache._decode_lines`).  The rows keep their lines.  No lines
-    give no rows.
-    """
+    """The rows of `lines` (not empty), decoded together when each is a
+    canonical line of `family`, keeping their lines; None when any line is
+    not one, or names a class unknown or not the one its D and order give:
+    the caller then judges lines alone (`_Cache._judge`)."""
     rows = _CANONICAL_LINE.findall(text)
     if len(rows) != len(lines):
         return None
-    if not lines:
-        return Chunk(family, [], [], [], [], [], [])
     names, params, orders, Ds, kinds, notes = zip(*rows)
     kinds = list(map(_KINDS.get, kinds))
     if names.count(family) != len(lines) or None in kinds:
@@ -1099,12 +1032,11 @@ def _kept(chunk: Chunk, wanted: frozenset[int] | None, include_edge: bool) -> Ch
 def sweep_chunks(cfg: SweepConfig) -> Iterator[Chunk]:
     """Yield the kept rows of every valid tuple in bounds, a chunk at a time, sorted by params.
 
-    Per chunk of _CHUNK tuples, with a cache: a recompute family evaluates
-    the chunk and passes it in the file, as bytes where they agree and as
-    rows where they differ (`_Cache.match`); any other family takes its
-    rows of the prefix and evaluates the rest.  The rows past the file's
-    end are appended to it.  The filters then run on the chunk's columns, and the chunk is
-    yielded however few rows it keeps.
+    Per chunk of _CHUNK tuples, with a cache: the chunk walks the file's
+    prefix (`_Cache.walk`), a recompute family having evaluated it first,
+    any other evaluating only the params the prefix lacks.  The rows past
+    the file's end are appended to it.  The filters then run on the chunk's
+    columns, and the chunk is yielded however few rows it keeps.
     """
     family = FAMILY[cfg.family]
     raw = family.tuple_count(cfg) if family.tuple_count is not None else None
@@ -1115,21 +1047,20 @@ def sweep_chunks(cfg: SweepConfig) -> Iterator[Chunk]:
     wanted = None if cfg.classes is None else frozenset(map(id, cfg.classes))
     params = iter(family.enumerate(cfg))
     path = cfg.cache_path
-    with nullcontext() if path is None else _Cache(Path(path), cfg.family) as cache:
+    with nullcontext() if path is None else closing(_Cache(Path(path), cfg.family)) as cache:
         for batch in iter(lambda: list(islice(params, _CHUNK)), []):
             if cache is None:
                 chunk = _evaluate_batch(cfg.family, batch)
             elif family.recompute:
                 chunk = _with_lines(_evaluate_batch(cfg.family, batch))
-                cache.append(chunk.lines[cache.match(chunk.lines, batch) :])
+                taken, _ = cache.walk(batch, chunk.lines)
+                cache.append(chunk.lines[taken:])
             else:
-                chunk = cache.take(batch)
-                taken = len(chunk.params)
+                taken, chunk = cache.walk(batch, None)
                 if taken < len(batch):
                     rest = _with_lines(_evaluate_batch(cfg.family, batch[taken:]))
                     cache.append(rest.lines)
-                    columns = zip(chunk.columns(), rest.columns())
-                    chunk = Chunk(cfg.family, *([*a, *b] for a, b in columns)) if taken else rest
+                    chunk.extend(rest)
             yield _with_lines(_kept(chunk, wanted, cfg.include_edge))
 
 

@@ -1,12 +1,18 @@
 import dataclasses
+import functools
 import gc
+import io
 import json
 import math
+import os
 import pickle
 import re
+import tempfile
 import tracemalloc
 from collections import Counter
+from contextlib import closing, redirect_stderr, redirect_stdout
 from itertools import compress, cycle
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -16,6 +22,7 @@ from hypothesis import strategies as st
 from leinster import cli, families, numtheory, oracle, search
 from leinster.families import GroupKind
 from leinster.search import SearchRecord, SweepConfig
+from cache_reference import prefix_walk
 from class_reference import reference_kind
 from zm_reference import enumerate_zm_scan, zm_canonical, zm_up_to_scan
 
@@ -365,14 +372,12 @@ def test_other_families_cache_lines_are_skipped_without_a_decode(tmp_path, monke
     assert cli.main(argv) == 0
     cold = capsys.readouterr().out
 
-    decoded = []
-    fault = search._fault
-
-    def counting(line):
-        decoded.append(line)
-        return fault(line)
-
-    monkeypatch.setattr(search, "_fault", counting)
+    # the bytes differ at every other line, so each dihedral line is judged
+    # on its own, decoded alone; no cyclic line is decoded
+    decode, decoded = search._decode_canonical, []
+    monkeypatch.setattr(
+        search, "_decode_canonical", lambda *args: decoded.append(args[1]) or decode(*args)
+    )
     assert cli.main(argv + ["--cache", str(cache)]) == 0
     captured = capsys.readouterr()
     assert captured.out == cold
@@ -384,12 +389,20 @@ def test_other_families_cache_lines_are_skipped_without_a_decode(tmp_path, monke
 def test_cache_reader_reads_only_the_bytes_there_when_it_opened(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text(C6_LINE + "\n")
-    with search._Cache(path, "cyclic") as cache:
-        cache.append([search.run_classify("cyclic", [7]).to_json()])
-        rows = cache.take([(6,), (7,)])  # (7,) is appended by this sweep, so not read
-        assert rows.columns() == ([(6,)], [6], [12], [GroupKind.LEINSTER], [()], [C6_LINE])
-        assert cache.take([(7,)]).params == []
-    assert path.read_text().splitlines()[1:] == [search.run_classify("cyclic", [7]).to_json()]
+    c7_line = search.run_classify("cyclic", [7]).to_json()
+    # the walk decodes, then compares bytes; (7,) is appended by this sweep,
+    # so not read either way
+    for lines in (None, [C6_LINE, c7_line]):
+        path.write_text(C6_LINE + "\n")
+        with closing(search._Cache(path, "cyclic")) as cache:
+            cache.append([c7_line])
+            taken, rows = cache.walk([(6,), (7,)], lines)
+            assert taken == 1
+            if lines is None:
+                assert rows.columns() == ([(6,)], [6], [12], [GroupKind.LEINSTER], [()], [C6_LINE])
+            taken, rows = cache.walk([(7,)], lines)
+            assert taken == 0 and rows.params == []
+        assert path.read_text().splitlines()[1:] == [c7_line]
 
 
 def affine_cache(tmp_path, max_q):
@@ -618,10 +631,10 @@ def test_a_recompute_family_prints_the_recomputed_d_of_an_edited_line(tmp_path, 
     assert cache.read_text() == edited_cache
 
 
-def test_an_edited_line_of_a_recompute_family_decodes_one_block(tmp_path, monkeypatch, capsys):
-    # the chunk's bytes differ at C6's line: one block is decoded from there,
-    # its rows are compared with the chunk's lines, and the rest of the file
-    # is compared as bytes again, in this chunk and every later one
+def test_an_edited_line_of_a_recompute_family_is_judged_alone(tmp_path, monkeypatch, capsys):
+    # the chunk's bytes differ at C6's line: that line alone is decoded and
+    # taken, and the rest of the file is compared as bytes again, in this
+    # chunk and every later one
     argv = ["search", "cyclic", "--max-n", "50000", "--include-edge"]
     cache = tmp_path / "cache.jsonl"
     assert cli.main(argv + ["--cache", str(cache)]) == 0
@@ -636,7 +649,7 @@ def test_an_edited_line_of_a_recompute_family_decodes_one_block(tmp_path, monkey
     )
     assert cli.main(argv + ["--cache", str(cache)]) == 0
     assert capsys.readouterr() == (cold, "")
-    assert 1 <= len(decoded) <= 2
+    assert decoded == [("cyclic", edited_line, [edited_line])]
     assert cache.read_text() == edited_cache
 
 
@@ -703,27 +716,30 @@ def test_sweep_narrower_than_its_cache_drops_the_records_it_passes(tmp_path, mon
     assert cli.main(argv + ["--cache", str(cache)]) == 0
     assert len(cache.read_text().splitlines()) == 434
     written = cache.read_bytes()
-    assert len(written) > 2 * search._BLOCK
+    lines = written.decode().splitlines()
     capsys.readouterr()
     assert cli.main(argv + ["--r", "2"]) == 0
     cold = capsys.readouterr().out
+    asked = sweep(family="zm", bounds={"max_m": 60, "max_n": 12}, fixed_r=2, include_edge=True)
+    held = [tuple(json.loads(line)["params"]) for line in lines]
+    prefix = len(os.path.commonprefix([held, [r.params for r in asked]]))
+    assert len(asked) < len(lines) and prefix < len(asked)
 
-    blocks = []
-    block = search._Cache._block
-
-    def watched(self):
-        rows = block(self)
-        blocks.append(len(rows.params))
-        return rows
-
-    monkeypatch.setattr(search._Cache, "_block", watched)
+    decode, decoded = search._decode_canonical, []
+    monkeypatch.setattr(
+        search, "_decode_canonical", lambda *args: decoded.append(args[2]) or decode(*args)
+    )
     assert cli.main(argv + ["--r", "2", "--cache", str(cache)]) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (cold, "")
     assert len(cold.splitlines()) == 33
-    # the first row of r != 2 ends the prefix, in the first block: the
-    # reader reads no further, and drops what it holds; nothing is appended
-    assert len(blocks) == 1
+    # the file's first 34 lines do not decode as the chunk's params, so the
+    # reader judges lines alone where fewer do not: the first row of r != 2
+    # ends the prefix, and no line past the chunk's is read; nothing is
+    # appended
+    assert decoded[0] == lines[: len(asked)]
+    assert all(set(call) <= set(lines[: len(asked)]) for call in decoded)
+    assert decoded[-1] == [lines[prefix]]
     assert cache.read_bytes() == written
 
 
@@ -951,12 +967,12 @@ def test_a_block_decodes_together_as_its_lines_decode_one_by_one(records, spoil)
     assert all(record.to_json() == line for record, line in zip(decoded, lines))
 
 
-def test_cache_read_in_blocks_skips_and_recomputes_as_line_by_line(tmp_path, capsys):
+def test_cache_read_in_chunks_skips_and_recomputes_as_line_by_line(tmp_path, capsys):
     argv = ["search", "cyclic", "--max-n", str(3 * search._CHUNK), "--include-edge"]
     assert cli.main(argv) == 0
     cold = capsys.readouterr().out
     lines = cold.splitlines()
-    assert len(cold) > 5 * search._BLOCK
+    assert [i // search._CHUNK for i in (3000, 5999, 9000)] == [0, 1, 2]  # one edit a chunk
     corrupt = lines[9000].replace('"class": "deficient"', '"class": "abundant"')
     assert corrupt != lines[9000]
     cached = list(lines)
@@ -1017,6 +1033,88 @@ def test_cache_bytes_not_utf8_fail_the_read_at_their_line(tmp_path, monkeypatch,
         "warning: skipping corrupt cache line 1502: not a line a sweep writes\n"
     )
     assert cache.read_bytes() == data
+
+
+# per family read by the walk (cyclic compares bytes, affine decodes): a bound
+# of one chunk and one of two or three
+WALKED_SWEEPS = {
+    "cyclic": ("--max-n", [300, 2 * search._CHUNK + 100]),
+    "affine": ("--max-q", [2000, 50_000]),
+}
+
+
+@functools.cache
+def _walked_cold(family, bound):
+    """The params and lines of every row of a sweep of `family` to `bound`, edges included."""
+    key = WALKED_SWEEPS[family][0][2:].replace("-", "_")
+    records = sweep(family=family, bounds={key: bound}, include_edge=True)
+    return [r.params for r in records], [r.to_json() for r in records]
+
+
+def _edit(rows, edit, i, j):
+    """`rows`, the byte lines of a cache, with one edit made at line `i` (and `j`)."""
+    at = i % (len(rows) + 1)
+    if edit == "blank":
+        return rows.insert(at, [b"", b" ", b"\r", b"\t "][j % 4])
+    if edit == "other-family":
+        return rows.insert(at, search.run_classify("dihedral", [j % 50 + 1]).to_json().encode())
+    if not rows:
+        return
+    j %= len(rows)
+    if edit == "delete":
+        del rows[j]
+    elif edit == "duplicate":
+        rows.insert(at, rows[j])
+    elif edit == "swap":
+        at %= len(rows)
+        rows[at], rows[j] = rows[j], rows[at]
+    elif edit == "class":
+        kinds = [kind.value.encode() for kind in GroupKind]
+        rows[j] = re.sub(rb'"class": "[a-z-]+"', b'"class": "%s"' % kinds[i % 5], rows[j])
+    elif edit == "spacing":
+        rows[j] = rows[j].replace(b": ", b":", 1)
+    elif edit == "not-utf8":
+        rows[j] = rows[j][: i % 80] + b"\xff\xfe" + rows[j][i % 80 :]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(sorted(WALKED_SWEEPS)),
+    size=st.integers(0, 1),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["delete", "duplicate", "swap", "class", "spacing", "blank",
+                             "other-family", "not-utf8"]),
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+        ),
+        max_size=6,
+    ),
+    cut=st.none() | st.integers(0, 10**7),
+)
+def test_a_warm_sweep_reads_any_cache_as_the_line_by_line_rule(family, size, edits, cut):
+    # stdout, stderr and the bytes appended are those of the prefix rule
+    # stated one line at a time (tests/cache_reference.py), for caches a
+    # sweep wrote and then edited, cut short or torn
+    flag, bounds = WALKED_SWEEPS[family]
+    params, lines = _walked_cold(family, bounds[size])
+    rows = [line.encode() for line in lines]
+    for edit in edits:
+        _edit(rows, *edit)
+    data = b"".join(row + b"\n" for row in rows)
+    if cut is not None:
+        data = data[: cut % (len(data) + 1)]
+    printed, warnings, appended = prefix_walk(data, family, params, lines)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = Path(tmp) / "cache.jsonl"
+        cache.write_bytes(data)
+        argv = ["search", family, flag, str(bounds[size]), "--include-edge", "--cache", str(cache)]
+        with redirect_stdout(out), redirect_stderr(err):
+            assert cli.main(argv) == 0
+        assert cache.read_bytes() == data + appended
+    assert out.getvalue() == "".join(line + "\n" for line in printed)
+    assert err.getvalue() == "".join(warnings)
 
 
 def test_record_stays_a_frozen_picklable_dataclass():
