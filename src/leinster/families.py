@@ -16,9 +16,9 @@ counterpart in :mod:`leinster.oracle`; the verification suite holds the two
 sides together.  The finite abelian groups A are enumerated here too, as
 invariant-factor chains (`iter_abelian_types`), for the gen-dihedral sweep
 and the verify corpus: one group order n at a time, each chain from one
-partition of e for each p^e || n, so their number (`count_abelian_types`)
-is known before they are built.  Birkhoff's sum is kept per Sylow type
-(p, lambda), so a sweep computes it once per type.
+partition of e for each p^e || n, so their number is known before they are
+built.  Birkhoff's sum is kept per Sylow type (p, lambda), so a sweep
+computes it once per type.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ __all__ = [
     "affine_divisor_sum",
     "classify_kind",
     "classify_kinds",
-    "count_abelian_types",
     "dicyclic_divisor_sum",
     "dicyclic_divisor_sums",
     "dihedral_divisor_sum",
     "dihedral_divisor_sums",
     "generalized_dihedral_divisor_sum",
+    "generalized_dihedral_divisor_sums",
     "iter_abelian_types",
     "pq_divisor_sum",
     "zm_invalid_reason",
@@ -316,20 +316,12 @@ def generalized_dihedral_divisor_sum(a_factors: list[int] | tuple[int, ...]) -> 
     the squares A^2, the [A:A1] reflection-type subgroups of order 2|A1|
     lying over A1, so
 
-        D(Dih(A)) = sum_{H <= A} |H| + 2|A| * #{A1 <= A : A^2 <= A1}.
+        D(Dih(A)) = sum_{H <= A} |H| + 2|A| * #{A1 <= A : A^2 <= A1},
 
-    The count is the number of subgroups of A/A^2 = C2^r, r the number of
-    even factors: sum_k [r, k]_2.  The first sum is multiplicative over the
-    Sylow subgroups of A and is evaluated for each of them from Birkhoff's
-    subgroup count (L. M. Butler, Subgroup Lattices and Symmetric Functions,
-    Mem. AMS 539, 1994).  Both are kept per Sylow type (p, lambda) and per r
-    (`_SUM_CACHE_SIZE` of each, least recently used first out), so a sweep
-    computes each about once.  When the largest factor is a multiple of all
-    the others, as in an invariant-factor chain, the Sylow exponents of every
-    factor are read off its one factorization by dividing out its primes;
-    otherwise each factor is factored on its own, so coprime factors are never
-    multiplied into one harder number.  No cap applies to |A|; only factoring
-    a huge factor can hit numtheory's effort cap.
+    by `_dihedral_sum`.  When the largest factor is a multiple of the others,
+    as in a chain, their exponents are read off its one factorization; other
+    factors are factored one by one, never multiplied into one harder number.
+    No cap applies to |A|; only factoring a huge factor can hit the effort cap.
     """
     for f in a_factors:
         if f < 1:
@@ -342,19 +334,60 @@ def generalized_dihedral_divisor_sum(a_factors: list[int] | tuple[int, ...]) -> 
             for f in a_factors:
                 e = 0
                 while f % p == 0:
-                    f //= p
-                    e += 1
+                    f, e = f // p, e + 1
                 if e:
                     exps.append(e)
     else:
         for f in a_factors:
             for p, e in numtheory.factorize(f):
                 exponents.setdefault(p, []).append(e)
-    lattice_sum = 1
-    for p, exps in exponents.items():
-        lattice_sum *= _p_group_subgroup_order_sum(p, tuple(sorted(exps, reverse=True)))
-    r = len(exponents.get(2, ()))
-    return lattice_sum + 2 * math.prod(a_factors) * _subgroup_count_2(r)
+    types = [(p, tuple(sorted(exps, reverse=True))) for p, exps in exponents.items()]
+    return _dihedral_sum(math.prod(a_factors), types)
+
+
+def generalized_dihedral_divisor_sums(chains: list[tuple[int, ...]]) -> list[int]:
+    """`generalized_dihedral_divisor_sum` of each invariant-factor chain, its order
+    factored in one `numtheory.factorizations` window over the chains' orders.
+    A chain's factors divide one another, so a prime's exponents in them, the
+    largest first up to the first it does not divide, are lambda's parts."""
+    orders = list(map(math.prod, chains))
+    lo = min(orders, default=1)
+    window = numtheory.factorizations(lo, max(orders, default=0))
+    Ds = []
+    for chain, n in zip(chains, orders):
+        if len(chain) == 1:
+            Ds.append(_dihedral_sum(n, [(p, (e,)) for p, e in window[n - lo]]))
+            continue
+        types = []
+        for p, e in window[n - lo]:
+            parts = []
+            for f in reversed(chain):
+                k = 0
+                while f % p == 0:
+                    f, k = f // p, k + 1
+                if not k:
+                    break
+                parts.append(k)
+            types.append((p, tuple(parts)))
+        Ds.append(_dihedral_sum(n, types))
+    return Ds
+
+
+def _dihedral_sum(order: int, types) -> int:
+    """D(Dih(A)) for |A| = order and its Sylow types (p, lambda): the product of
+    Birkhoff's sums, plus 2|A| times the subgroups of A/A^2 = C2^r, r the parts
+    of the 2-type (L. M. Butler, Subgroup Lattices and Symmetric Functions, Mem.
+    AMS 539, 1994).  Both are kept per type and per r (`_SUM_CACHE_SIZE` each)."""
+    lattice_sum, r = 1, 0
+    for p, partition in types:
+        lattice_sum *= _p_group_subgroup_order_sum(p, partition)
+        if p == 2:
+            r = len(partition)
+    return lattice_sum + 2 * order * _subgroup_count_2(r)
+
+
+# orders per factorization window of `iter_abelian_types`; search's chunk
+_CHUNK = 4096
 
 
 @functools.lru_cache(maxsize=None)
@@ -376,36 +409,29 @@ def _partitions(e: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def count_abelian_types(n: int) -> int:
-    """The number of abelian groups of order n up to isomorphism.
-
-    It is the product over p^e || n of the number of partitions of e.
-    """
-    return math.prod(len(_partitions(e)) for _, e in numtheory.factorize(n))
-
-
 def iter_abelian_types(max_order: int) -> Iterator[tuple[int, ...]]:
     """Invariant-factor chains d1 | d2 | ... | dk (d1 >= 2) with product <= max_order.
 
     One chain per isomorphism type of finite abelian group, the empty chain
     standing for the trivial group, in (order, chain) order: one order n at
-    a time, so a caller can stop early and nothing but one order's chains
-    is held.  A chain of order n takes one partition lambda_p of e for each
-    p^e || n, and its i-th largest invariant factor is the product over p of
-    p^(lambda_p[i]) (a missing part counting as 0).
+    a time, factored in windows of _CHUNK orders (`numtheory.factorizations`),
+    so a caller can stop early and one window is held.  A chain of order n
+    takes one partition lambda_p of e for each p^e || n, and its i-th largest
+    invariant factor is the product over p of p^(lambda_p[i]) (a missing
+    part counting as 0).
     """
     yield ()
-    for n in range(2, max_order + 1):
-        sylow = numtheory.factorize(n)
-        chains = []
-        for choice in itertools.product(*(_partitions(e) for _, e in sylow)):
-            factors = [1] * max(map(len, choice))
-            for (p, _), parts in zip(sylow, choice):
-                for i, part in enumerate(parts):
-                    factors[i] *= p**part
-            chains.append(tuple(reversed(factors)))
-        chains.sort()
-        yield from chains
+    for lo in range(2, max_order + 1, _CHUNK):
+        for sylow in numtheory.factorizations(lo, min(lo + _CHUNK - 1, max_order)):
+            chains = []
+            for choice in itertools.product(*(_partitions(e) for _, e in sylow)):
+                factors = [1] * max(map(len, choice))
+                for (p, _), parts in zip(sylow, choice):
+                    for i, part in enumerate(parts):
+                        factors[i] *= p**part
+                chains.append(tuple(reversed(factors)))
+            chains.sort()
+            yield from chains
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,14 @@ composite cofactor with Brent's rho under an iteration budget
 (`_RHO_BUDGET`, 2,000,000 steps), raising FactorizationError when the budget
 runs out.  Its prime factors from psi_13 up are therefore probable primes.
 
-Two segmented sieves serve whole ranges without a factorization per
-integer.  `divisor_sums(lo, hi)` gives sigma of every n in a window,
-dividing the primes up to isqrt(hi) out of their multiples a slice at a
-time; the cyclic, dihedral, dicyclic and affine sweeps take sigma of each
-chunk from it.  `prime_powers(limit)` streams the prime powers up to limit
-a window at a time, for the affine sweep, and `primes(limit)` lists the
-primes up to limit, for the pq sweep.  Every other function takes one n at
-a time, by the paths above.
+Segmented sieves serve whole ranges without a factorization per integer.
+`divisor_sums(lo, hi)` gives sigma of every n in a window, dividing the
+primes up to isqrt(hi) out of their multiples a slice at a time, for the
+cyclic, dihedral, dicyclic and affine sweeps; `factorizations(lo, hi)` the
+factors, for the gen-dihedral sweep.  `prime_powers(limit)` streams the
+prime powers up to limit a window at a time, for the affine sweep, and
+`primes(limit)` lists the primes up to limit, for the pq sweep.  Every
+other function takes one n at a time, by the paths above.
 
 The module imports no numpy: the closed-form commands run on it without
 loading the oracle.  So `OrderCapError`, which the oracle raises and the
@@ -43,6 +43,7 @@ import math
 import operator
 import random
 from bisect import bisect_left, bisect_right
+from collections import deque
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import compress, islice, repeat
@@ -58,6 +59,7 @@ __all__ = [
     "divisors",
     "divisors_from_factors",
     "factorize",
+    "factorizations",
     "is_prime",
     "lucas_lehmer",
     "mult_order",
@@ -339,45 +341,67 @@ def _base_primes(bits: int) -> list[int]:
     return primes((1 << bits) - 1)
 
 
-def divisor_sums(lo: int, hi: int) -> list[int]:
-    """[divisor_sum(lo), ..., divisor_sum(hi)], by one segmented sieve of the window.
-
-    Each prime p <= isqrt(hi) is divided out of its multiples in the window
-    a slice at a time, sigma multiplied by 1 + p + ... + p^e as it goes
-    (Bays and Hudson, BIT 17, 1977); what is left of n is then 1 or a prime
-    r, whose factor is r + 1.  So a window costs a few C-level passes per
-    prime and no factorization.  From hi >= SIEVE_CAP**2 on, where the
-    sieving primes would pass SIEVE_CAP, each n takes `divisor_sum`.
-    """
-    if lo < 1 and lo <= hi:
-        raise ValueError(f"divisor_sum undefined for {lo}: need n >= 1")
-    if hi >= SIEVE_CAP**2:
-        return list(map(divisor_sum, range(lo, hi + 1)))
-    size = max(hi - lo + 1, 0)
-    sums, rest = [1] * size, list(range(lo, hi + 1))
+def _sieve(lo: int, hi: int, rest: list[int], value) -> Iterator[tuple[int, int, list]]:
+    """(i, p, values) for each prime p <= isqrt(hi) with multiples rest[i::p] in the
+    window `rest`: values[j] = value(p, k, p^k) for the p^k dividing the j-th exactly,
+    which is divided out (Bays and Hudson, BIT 17, 1977), leaving 1 or a prime."""
     root = math.isqrt(max(hi, 0))
     base = _base_primes(root.bit_length())
     for p in islice(base, bisect_right(base, root)):
         i = -lo % p  # the index of lo's first multiple of p
-        if i >= size:
+        count = len(range(i, len(rest), p))
+        if not count:
             continue
-        count = len(range(i, size, p))
-        terms, parts = [1 + p] * count, [p] * count
-        q, term = p * p, 1 + p + p * p
+        values, parts = [value(p, 1, p)] * count, [p] * count
+        q, k = p * p, 2
         while q <= hi:  # the multiples of q = p^k, k >= 2, among those of p
             j = (-lo % q - i) // p
             if j >= count:
                 break
             step = q // p
-            terms[j::step] = repeat(term, len(range(j, count, step)))
+            values[j::step] = repeat(value(p, k, q), len(range(j, count, step)))
             parts[j::step] = repeat(q, len(range(j, count, step)))
-            q *= p
-            term += q
-        sums[i::p] = map(operator.mul, sums[i::p], terms)
+            q, k = q * p, k + 1
+        yield i, p, values
         rest[i::p] = map(operator.floordiv, rest[i::p], parts)
+
+
+def divisor_sums(lo: int, hi: int) -> list[int]:
+    """[divisor_sum(lo), ..., divisor_sum(hi)], by one segmented sieve of the window.
+
+    Sigma is multiplied by 1 + p + ... + p^e as `_sieve` divides p^e out,
+    and by r + 1 for the prime r left over: a few C-level passes per prime.
+    From hi >= SIEVE_CAP**2 on each n takes `divisor_sum`.
+    """
+    if lo < 1 and lo <= hi:
+        raise ValueError(f"divisor_sum undefined for {lo}: need n >= 1")
+    if hi >= SIEVE_CAP**2:
+        return list(map(divisor_sum, range(lo, hi + 1)))
+    rest = list(range(lo, hi + 1))
+    sums = [1] * len(rest)
+    for i, p, terms in _sieve(lo, hi, rest, lambda p, k, q: (q * p - 1) // (p - 1)):
+        sums[i::p] = map(operator.mul, sums[i::p], terms)
     # r + (r > 1): the factor of a prime r left over, and 1 for r = 1
     factors = map(operator.add, rest, map(operator.gt, rest, repeat(1)))
     return list(map(operator.mul, sums, factors))
+
+
+def factorizations(lo: int, hi: int) -> list[tuple[tuple[int, int], ...]]:
+    """[factorize(lo), ..., factorize(hi)], by the segmented sieve `_sieve`, as sigma is:
+    (p, e) is appended to each multiple of p in the window as p is divided
+    out, and what is left of n, 1 or a prime above isqrt(hi), comes last.
+    From hi >= SIEVE_CAP**2 on each n takes `factorize`."""
+    if lo < 1 and lo <= hi:
+        raise ValueError(f"cannot factor {lo}: need n >= 1")
+    if hi >= SIEVE_CAP**2:
+        return list(map(factorize, range(lo, hi + 1)))
+    rest = list(range(lo, hi + 1))
+    found: list[list[tuple[int, int]]] = [[] for _ in rest]
+    for i, p, pairs in _sieve(lo, hi, rest, lambda p, k, q: (p, k)):
+        deque(map(list.append, found[i::p], pairs), maxlen=0)
+    left = list(map(operator.gt, rest, repeat(1)))
+    deque(map(list.append, compress(found, left), zip(compress(rest, left), repeat(1))), maxlen=0)
+    return list(map(tuple, found))
 
 
 def divisors(n: int) -> list[int]:

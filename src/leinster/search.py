@@ -16,10 +16,11 @@ chunk, and a rerun with the same cache resumes after the rows the file
 holds.  The CLI writes each chunk's lines in one write; `run_sweep` gives
 the same rows as `SearchRecord`s, which keep no line.
 
-Every family but gen-dihedral evaluates a batch as columns
-(`Family.evaluate_batch`): cyclic, dihedral, dicyclic and affine from one
-segmented sieve of the batch's window, pq against one sieve of the primes
-up to max_q, zm once per (m, n, order vector of r) (`_zm_batch`).  Zm
+Every family evaluates a batch as columns (`Family.evaluate_batch`):
+cyclic, dihedral, dicyclic and affine from one segmented sieve of the
+batch's window, gen-dihedral from one window of factorizations of its
+orders, pq against one sieve of the primes up to max_q, zm once per
+(m, n, order vector of r) (`_zm_batch`).  Zm
 triples are listed by order vector too (`_zm_residues`), and each family's
 budget gate refuses a sweep before any tuple is evaluated.  Without a
 cache, a chunk's lines are encoded only for the rows it keeps.
@@ -54,7 +55,7 @@ from operator import add, and_, floordiv, itemgetter, mul
 from pathlib import Path
 
 from . import families, numtheory
-from .families import GroupKind
+from .families import _CHUNK, GroupKind  # _CHUNK: tuples per chunk, the unit of resume
 
 TYPE_CHECKING = False  # True to type checkers only; importing typing costs 5 ms
 if TYPE_CHECKING:
@@ -78,9 +79,6 @@ NOTE_LABEL_DIFFERS = "paper-label-differs"
 NOTE_FORMULA_ONLY = "formula-only (no oracle)"
 
 DEFAULT_BUDGET = 10_000_000
-
-# tuples per evaluated chunk: the unit of cache appends, and so of resume
-_CHUNK = 4096
 
 # lines of a chunk compared with a cache file's bytes, or decoded from it, at a
 # time: a whole chunk's bytes cost more to allocate than to compare, and decode
@@ -225,9 +223,9 @@ class Family:
     lazily and in `enumerate`'s order, the params of order <= max_order for
     `verify` to build, less those another family lists: no m = 1 for zm
     (ZM(1, n, 0) is C_n) and no one-factor chain for gen-dihedral (Dih(C_n)
-    is D_2n).  `label` names an instance (`ZM(7,6,3)`).  `evaluate_batch`,
-    when given, maps a sweep's batch (an ascending list of valid params) to
-    what `evaluate` gives for each, as three columns (orders, Ds, notes).
+    is D_2n).  `label` names an instance (`ZM(7,6,3)`).  `evaluate_batch`
+    maps a sweep's batch (an ascending list of valid params) to what
+    `evaluate` gives for each, as three columns (orders, Ds, notes).
     `recompute`: a warm sweep evaluates each chunk and checks its lines
     against the cache's bytes rather than decode them; set where a row
     costs less to compute than its line to decode (measured).
@@ -242,7 +240,7 @@ class Family:
     build: Callable[[tuple[int, ...]], FiniteGroup | None]
     up_to: Callable[[int], Iterable[tuple[int, ...]]]
     label: Callable[[tuple[int, ...]], str]
-    evaluate_batch: Callable[[list[tuple[int, ...]]], tuple[list, list, list]] | None = None
+    evaluate_batch: Callable[[list[tuple[int, ...]]], tuple[list, list, list]]
     recompute: bool = False
 
 
@@ -343,14 +341,15 @@ def _pq_row(p: int, max_q: int, prime: bytearray) -> Iterator[tuple[int, ...]]:
 def _enumerate_gen_dihedral(cfg: SweepConfig) -> Iterator[tuple[int, ...]]:
     """The non-trivial chains of order <= max_a in (order, chain) order, as a stream.
 
-    They are counted first, order by order by `count_abelian_types`, and the
-    count stops one past the budget: a sweep over it is refused before any
-    chain is evaluated.
+    They are counted first, a `numtheory.factorizations` window of _CHUNK
+    orders at a time (n has the product over p^e || n of the partitions of
+    e), so a sweep over the budget is refused before any chain is evaluated.
     """
     max_a = cfg.bound("max_a")
     count = 0
-    for n in range(2, max_a + 1):
-        count += families.count_abelian_types(n)
+    for lo in range(2, max_a + 1, _CHUNK):
+        for sylow in numtheory.factorizations(lo, min(lo + _CHUNK - 1, max_a)):
+            count += math.prod(map(len, map(families._partitions, map(itemgetter(1), sylow))))
         if count > cfg.budget:
             raise BudgetError(
                 f"sweep bounds describe more than {cfg.budget} chains, "
@@ -762,6 +761,10 @@ FAMILY: dict[str, Family] = {
             lambda p: _oracle().build_generalized_dihedral(p),
             lambda n: (c for c in families.iter_abelian_types(n // 2) if len(c) > 1),
             lambda p: "Dih({})".format("x".join(f"C{d}" for d in p)),
+            evaluate_batch=lambda batch: (
+                [2 * math.prod(p) for p in batch],
+                families.generalized_dihedral_divisor_sums(batch), [()] * len(batch),
+            ),
         ),
         Family(
             "dicyclic", ("max_n", "min_n"), 1, _n_count(2), _n_range(2),
@@ -796,9 +799,8 @@ def _classified(orders, Ds, notes) -> tuple[list[GroupKind], list | tuple]:
 def _evaluate_batch(family: str, batch: list[tuple[int, ...]]) -> Chunk:
     """The rows of `batch`, tuples of one family: a sweep's evaluation path.
 
-    The family is looked up once per batch.  A family with `evaluate_batch`
-    evaluates the batch by one call, as columns; any other a tuple at a
-    time, in closed form.  The chunk is then classified
+    The family is looked up once per batch, and its `evaluate_batch`
+    evaluates the batch by one call, as columns.  The chunk is then classified
     and noted a column at a time (`_classified`, which `run_classify`
     shares).  Its lines are left to the caller (None), so a sweep without a
     cache encodes only the rows it keeps (`_with_lines`).  The arity is not
@@ -811,10 +813,8 @@ def _evaluate_batch(family: str, batch: list[tuple[int, ...]]) -> Chunk:
         raise ValueError(f"unknown family {family!r}") from None
     if not batch:
         orders, Ds, notes = (), (), ()
-    elif fam.evaluate_batch is not None:
-        orders, Ds, notes = fam.evaluate_batch(batch)
     else:
-        orders, Ds, notes = zip(*map(fam.evaluate, batch))
+        orders, Ds, notes = fam.evaluate_batch(batch)
     kinds, notes = _classified(orders, Ds, notes)
     return Chunk(family, batch, orders, Ds, kinds, notes, None)
 

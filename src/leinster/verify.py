@@ -126,7 +126,7 @@ def _swept_mismatch(entry: CorpusEntry, got: int) -> str | None:
     """The detail when the D a sweep prints for `entry` (its record's
     `evaluate_batch` on a batch of one) is not the oracle's `got`, else None."""
     family = FAMILY[entry.family]
-    swept = got if family.evaluate_batch is None else family.evaluate_batch([entry.params])[1][0]
+    swept = family.evaluate_batch([entry.params])[1][0]
     return f"{entry.label}: oracle D = {got} != swept formula {swept}" if got != swept else None
 
 

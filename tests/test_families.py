@@ -272,7 +272,11 @@ def test_abelian_types_by_order_equal_the_depth_first_walk():
     per_order = [0] * 3001
     for chain in full:
         per_order[math.prod(chain)] += 1
-    assert per_order[1:] == [fam.count_abelian_types(n) for n in range(1, 3001)]
+    # the count a gen-dihedral sweep's budget gate takes: the product over
+    # p^e || n of the partitions of e
+    assert per_order[1:] == [
+        math.prod(len(fam._partitions(e)) for _, e in nt.factorize(n)) for n in range(1, 3001)
+    ]
 
 
 def _partitions(k, largest=None):
@@ -289,9 +293,12 @@ def test_partitions_and_abelian_type_counts():
     counts = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
     for k, count in enumerate(counts, 1):
         assert sorted(fam._partitions(k)) == sorted(_partitions(k))
-        assert fam.count_abelian_types(2**k) == count
-    assert fam.count_abelian_types(1) == 1
-    assert fam.count_abelian_types(2**3 * 3**2 * 5 * 7**4) == 3 * 2 * 1 * 5
+        assert len(fam._partitions(k)) == count
+    # the abelian groups of order n number the product over p^e || n of p(e)
+    n = 2**4 * 3**2 * 5 * 7**2
+    orders = [math.prod(chain) for chain in fam.iter_abelian_types(n)]
+    assert orders.count(1) == 1
+    assert orders.count(n) == 5 * 2 * 1 * 2
 
 
 def _uncached_p_group_subgroup_order_sum(p, exponents):

@@ -577,6 +577,47 @@ def test_divisor_sums_of_any_window(lo, width):
     assert nt.divisor_sums(lo, hi) == [nt.divisor_sum(n) for n in range(lo, hi + 1)]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10**10), st.integers(0, 300))
+def test_factorizations_of_any_window(lo, width):
+    hi = lo + width - 1
+    assert nt.factorizations(lo, hi) == [nt.factorize(n) for n in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (1, 5000),  # lo = 1, whose factorization is ()
+        (24, 26), (119, 122), (65521**2 - 50, 65521**2 + 50),  # straddling p^2
+        (1, 1), (2, 2), (4096, 4096), (2**32 - 5, 2**32 - 5),  # windows of one
+        (2**32 - 300, 2**32 - 1),  # hi near 2^32: a prime above isqrt(hi) left over
+        (nt.SIEVE_CAP**2 - 20, nt.SIEVE_CAP**2 + 20),  # past the cut: one n at a time
+    ],
+)
+def test_factorizations_equal_factorize(lo, hi):
+    window = nt.factorizations(lo, hi)
+    assert window == [nt.factorize(n) for n in range(lo, hi + 1)]
+    if hi == 2**32 - 1:
+        assert any(fs[-1][0] > math.isqrt(hi) for fs in window)
+
+
+def test_factorizations_of_an_empty_window_and_below_one():
+    assert nt.factorizations(5, 4) == [] == nt.factorizations(0, -1)
+    for window in (nt.divisor_sums, nt.factorizations):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            window(0, 5)
+
+
+def test_factorizations_past_the_cut_take_factorize(monkeypatch):
+    factorize, called = nt.factorize, []
+    monkeypatch.setattr(nt, "factorize", lambda n: called.append(n) or factorize(n))
+    assert nt.factorizations(nt.SIEVE_CAP**2 - 10, nt.SIEVE_CAP**2 - 1) != []
+    assert called == []
+    window = range(nt.SIEVE_CAP**2 - 1, nt.SIEVE_CAP**2 + 10)
+    assert nt.factorizations(window[0], window[-1]) == list(map(factorize, window))
+    assert called == list(window)
+
+
 def test_prime_powers_stream_equals_the_filtered_range():
     window = nt._WINDOW
     limit = max(10**5, 2 * window + 1)

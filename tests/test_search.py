@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pickle
+import random
 import re
 import tempfile
 import tracemalloc
@@ -123,6 +124,40 @@ def test_gen_dihedral_sweep():
     assert (2, 2) in params and (8,) in params and (2, 2, 2) in params
     for record in records:
         assert record.order == 2 * math.prod(record.params)
+
+
+def test_gen_dihedral_sweep_prints_what_classify_prints(capsys):
+    # the sweep's batch path (one factorization window per chunk) against
+    # the per-tuple path of `classify`, line by line
+    assert cli.main(["search", "gen-dihedral", "--max-a", "3000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6492
+    for line in lines:
+        params = json.loads(line)["params"]
+        assert line == search.run_classify("gen-dihedral", params).to_json(), line
+
+
+def test_gen_dihedral_batch_of_sparse_chains_equals_the_per_tuple_path():
+    # a warm cache's gaps: ascending chains, far apart, and a batch of one
+    family = search.FAMILY["gen-dihedral"]
+    chains = list(families.iter_abelian_types(2 * search._CHUNK))[1:]
+    rng = random.Random(7)
+    for k in (1, 2, 50, 500):
+        batch = sorted(rng.sample(range(len(chains)), k))
+        batch = [chains[i] for i in batch]
+        assert list(zip(*family.evaluate_batch(batch))) == list(map(family.evaluate, batch))
+    for chain in [(2,), (2, 2), (4, 8), (2, 2, 2, 2, 2, 4), (6, 6, 36), (3000,)]:
+        assert family.evaluate_batch([chain])[1] == [family.evaluate(chain)[1]]
+
+
+@pytest.mark.parametrize("max_a", [127, search._CHUNK + 5])
+def test_the_gen_dihedral_budget_counts_the_chains_enumerated(max_a):
+    cfg = SweepConfig(family="gen-dihedral", bounds={"max_a": max_a})
+    chains = len(list(search._enumerate_gen_dihedral(cfg)))
+    assert chains == len(list(families.iter_abelian_types(max_a))) - 1
+    assert list(search._enumerate_gen_dihedral(dataclasses.replace(cfg, budget=chains)))
+    with pytest.raises(search.BudgetError, match=f"more than {chains - 1} chains"):
+        search._enumerate_gen_dihedral(dataclasses.replace(cfg, budget=chains - 1))
 
 
 def test_affine_sweep_includes_prime_powers():
@@ -758,9 +793,9 @@ def test_gen_dihedral_cache_in_tuple_order_is_read_whole(tmp_path, monkeypatch):
     prefix = next(i for i, (a, b) in enumerate(zip(lines, by_tuple)) if a != b)
     assert prefix > 0
     family, per_tuple = search.FAMILY["gen-dihedral"], []
-    evaluate = lambda params: per_tuple.append(params) or family.evaluate(params)  # noqa: E731
+    evaluate = lambda batch: per_tuple.extend(batch) or family.evaluate_batch(batch)  # noqa: E731
     monkeypatch.setitem(
-        search.FAMILY, "gen-dihedral", dataclasses.replace(family, evaluate=evaluate)
+        search.FAMILY, "gen-dihedral", dataclasses.replace(family, evaluate_batch=evaluate)
     )
     assert sweep(family="gen-dihedral", bounds=bounds, cache_path=cache) == cold
     assert per_tuple == [r.params for r in cold[prefix:]]

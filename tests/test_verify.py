@@ -291,8 +291,9 @@ def test_a_wrong_pq_formula_fails_only_family_formula_agreement(monkeypatch):
 @pytest.mark.parametrize(
     "family, detail",
     [("pq", "G(2,3): oracle D = 10 != swept formula 11"),
-     ("dihedral", "D2: oracle D = 3 != swept formula 4")],
-    ids=["pq", "dihedral"],
+     ("dihedral", "D2: oracle D = 3 != swept formula 4"),
+     ("gen-dihedral", "Dih(C2xC2): oracle D = 51 != swept formula 52")],
+    ids=["pq", "dihedral", "gen-dihedral"],
 )
 def test_a_wrong_batch_formula_fails_only_family_formula_agreement(monkeypatch, family, detail):
     # `evaluate` is right, and `evaluate_batch`, which gives the D a sweep
